@@ -7,7 +7,6 @@ import json
 import math
 import os
 import resource
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -96,16 +95,12 @@ def loadgen_latency(percentiles: Dict[str, float]) -> Dict[str, float]:
     return {f"loadgen.{name}": value for name, value in percentiles.items()}
 
 
-def median_setup_s(times: int) -> float:
-    """Median of *times* fresh-interpreter ``import repro`` +
-    ``Session()`` timings."""
-    values = []
-    for _ in range(times):
-        done = subprocess.run(
-            [sys.executable, "-c", SETUP_PROBE], env=child_env(), cwd=ROOT,
-            capture_output=True, text=True, timeout=120, check=True)
-        values.append(float(done.stdout.split()[-1]))
-    return statistics.median(values)
+def setup_probe_s() -> float:
+    """One fresh-interpreter ``import repro`` + ``Session()`` timing."""
+    done = subprocess.run(
+        [sys.executable, "-c", SETUP_PROBE], env=child_env(), cwd=ROOT,
+        capture_output=True, text=True, timeout=120, check=True)
+    return float(done.stdout.split()[-1])
 
 
 def peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:

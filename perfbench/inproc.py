@@ -28,8 +28,8 @@ from common import (
     child_env,
     latency_percentiles,
     loadgen_latency,
-    median_setup_s,
     peak_rss_mb,
+    setup_probe_s,
 )
 from spans import BUILD_LAYER, Tracer
 
@@ -73,10 +73,10 @@ class _Stats:
         self.plain_samples: List[float] = []
         self.attempted = 0
         self.failed = 0
-        # (wall seconds, traced, correct operations, operations
-        # within the latency limit) per measured pass.
-        self.passes: List[Tuple[float, bool, int, int]] = []
-        self.wall = 0.0
+        # (wall seconds, traced, correct operations, their summed
+        # latency) per measured pass.
+        self.passes: List[Tuple[float, bool, int, float]] = []
+        self.setups: List[float] = []
         self.traced_ops = 0
         self.traced_op_s = 0.0
         self.edb_facts = 0
@@ -133,15 +133,23 @@ def _one_pass(order, expected: Mapping[str, Mapping], stats: _Stats,
 
 def _measure(scenarios, expected, seconds: float, rng: random.Random,
              tracer: Optional[Tracer], facts: Mapping[str, int],
-             limit: float) -> _Stats:
+             probes: int) -> _Stats:
     """Whole passes until *seconds* are spent (a pass starts only when
     at least half of it fits).  With a *tracer*, passes alternate
-    untraced/traced so the overhead compares like with like."""
+    untraced/traced so the overhead compares like with like.
+
+    *probes* set-up timings run between passes, due at even intervals
+    of the window: the host's speed shifts by up to half for seconds at
+    a time, so probes taken together at one moment can all land in one
+    slow spell, where spread over the run their median does not."""
     stats = _Stats()
     started = perf_counter()
     estimate = 0.0
     min_passes = 2 if tracer is not None else 1
     while True:
+        while (len(stats.setups) < probes and perf_counter() - started
+               >= len(stats.setups) * seconds / probes):
+            stats.setups.append(setup_probe_s())
         elapsed = perf_counter() - started
         if (len(stats.passes) >= min_passes
                 and elapsed + 0.5 * estimate >= seconds):
@@ -159,9 +167,9 @@ def _measure(scenarios, expected, seconds: float, rng: random.Random,
             if traced:
                 tracer.uninstall()
         fresh = stats.samples[first:]
-        stats.passes.append((estimate, traced, len(fresh),
-                             sum(1 for s in fresh if s <= limit)))
-    stats.wall = perf_counter() - started
+        stats.passes.append((estimate, traced, len(fresh), sum(fresh)))
+    while len(stats.setups) < probes:
+        stats.setups.append(setup_probe_s())
     return stats
 
 
@@ -209,10 +217,9 @@ def run(config: Mapping, seed: int, seconds: float, trace: bool,
     if expected_override:
         expected = {**expected, **expected_override}
 
-    setup_s = None if trace else median_setup_s(config["setup_repeats"])
     tracer = Tracer() if trace else None
     stats = _measure(scenarios, expected, seconds, rng, tracer, facts,
-                     config["latency_limit_s"])
+                     0 if trace else config["setup_repeats"])
     percentiles, real = latency_percentiles(stats.plain_samples)
     summary = {
         "operations": stats.attempted,
@@ -220,17 +227,22 @@ def run(config: Mapping, seed: int, seconds: float, trace: bool,
         "samples": len(stats.plain_samples),
         "latency_s": percentiles,
         "real_percentiles": real,
-        "edb_facts_per_s": stats.edb_facts / stats.wall,
+        "edb_facts_per_s": stats.edb_facts / sum(
+            wall for wall, _, _, _ in stats.passes),
+        # One caller in a closed loop: the reciprocal of the mean
+        # latency, so it is printed here and not bounded twice.
+        "ops_per_s": statistics.median(
+            done / wall for wall, _, done, _ in stats.passes),
     }
     if not trace:
         values = {
-            "setup_s": setup_s,
-            # Medians over passes: a pass is the same work every time,
-            # so a transient stall moves one pass, not the rate.
-            "ops_per_s": statistics.median(
-                done / wall for wall, _, done, _ in stats.passes),
-            "goodput_per_s": statistics.median(
-                within / wall for wall, _, _, within in stats.passes),
+            "setup_s": statistics.median(stats.setups),
+            # Median over passes of the pass's mean operation latency: a
+            # pass is the same work every time, so a transient stall
+            # moves one pass, not the figure.
+            "latency_mean_s": statistics.median(
+                [spent / done for _, _, done, spent in stats.passes if done]
+                or [0.0]),
             "peak_rss_mb": peak_rss_mb(),
         }
     else:
@@ -251,7 +263,7 @@ def run(config: Mapping, seed: int, seconds: float, trace: bool,
             "values": values, "summary": summary}
 
 
-def _overhead(passes: List[Tuple[float, bool, int, int]]) -> float:
+def _overhead(passes: List[Tuple[float, bool, int, float]]) -> float:
     """Traced minus untraced mean pass time, as a share of untraced."""
     traced = [wall for wall, is_traced, _, _ in passes if is_traced]
     plain = [wall for wall, is_traced, _, _ in passes if not is_traced]

@@ -47,6 +47,7 @@ from common import (
     peak_rss_mb,
 )
 
+from repro.service.client import ServiceClient
 from repro.service.protocol import decode_request, encode_response
 from repro.session import rows_checksum
 from repro.workloads.generators import (
@@ -101,11 +102,16 @@ class Daemon:
                 ready.set()
         ready.set()
 
+    def client(self) -> ServiceClient:
+        """A blocking connection for the untimed control requests."""
+        return ServiceClient(tcp=("127.0.0.1", self.port), timeout=120)
+
     def close(self) -> None:
         """Ask for a clean shutdown; escalate to the process group."""
         if self.process.poll() is None and self.port is not None:
             try:
-                asyncio.run(_control(self.port, {"op": "shutdown"}))
+                with self.client() as client:
+                    client.request({"op": "shutdown"})
             except OSError:
                 pass
         for sig in (None, signal.SIGTERM, signal.SIGKILL):
@@ -120,26 +126,44 @@ class Daemon:
             except subprocess.TimeoutExpired:
                 continue
         self._drain.join(timeout=5)
+        self.process.stdout.close()
 
 
-async def _control(port: int, request: dict) -> dict:
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+def timed_daemon(config: Mapping) -> Tuple[Daemon, float]:
+    """A fresh daemon, and the seconds from its spawn to its first
+    answered request."""
+    daemon = Daemon(config)
     try:
-        writer.write((json.dumps(request) + "\n").encode())
-        await writer.drain()
-        return json.loads(await asyncio.wait_for(reader.readline(), 120))
-    finally:
-        writer.close()
-        await writer.wait_closed()
+        started = perf_counter()
+        with daemon.client() as client:
+            response = client.request(config["first_request"])
+        if response.get("type") != "decision":
+            raise RuntimeError(f"first request failed: {response}")
+    except BaseException:
+        daemon.close()
+        raise
+    return daemon, daemon.ready_s + perf_counter() - started
 
 
-def first_answer_s(daemon: Daemon, request: dict) -> float:
-    """Seconds from the daemon's spawn to its first answered request."""
-    started = perf_counter()
-    response = asyncio.run(_control(daemon.port, request))
-    if response.get("type") != "decision":
-        raise RuntimeError(f"first request failed: {response}")
-    return daemon.ready_s + perf_counter() - started
+def setup_probe_s(config: Mapping) -> float:
+    daemon, seconds = timed_daemon(config)
+    daemon.close()
+    return seconds
+
+
+def warm_pool(daemon: Daemon, workers: int) -> None:
+    """Occupy every pool worker at once so all of them are spawned
+    before the measured window (a daemon pays that once): one pipelined
+    eval per worker, which the server runs concurrently."""
+    with daemon.client() as client:
+        client.request_many([
+            {"op": "eval", "program": TC_PROGRAM, "goal": "p",
+             "db": f"e(w{lane}a, w{lane}b)."} for lane in range(workers)])
+
+
+def status(daemon: Daemon) -> dict:
+    with daemon.client() as client:
+        return client.request({"op": "status"})["status"]
 
 
 # ----------------------------------------------------------------------
@@ -327,26 +351,25 @@ def run(config: Mapping, seed: int, seconds: float, trace: bool,
         for index, truth in truth_override.items():
             truths[index] = truth
 
-    # Set-up: spawn -> ready line -> first answered request, repeated
-    # (once when tracing, which reports no set-up); the last daemon
-    # serves the run.
-    setups, daemon = [], None
+    # Set-up: spawn -> ready line -> first answered request.  Untraced,
+    # half the daemons are timed before the measured window and half
+    # after it: the host's speed shifts for seconds at a time, and the
+    # median should not rest on one such spell.  The last daemon timed
+    # before the window serves the run.
+    repeats = 1 if trace else config["setup_repeats"]
+    setups = [setup_probe_s(config) for _ in range(repeats // 2)]
+    daemon, seconds = timed_daemon(config)
+    setups.append(seconds)
     try:
-        for _ in range(1 if trace else config["setup_repeats"]):
-            if daemon is not None:
-                daemon.close()
-            daemon = Daemon(config)
-            setups.append(first_answer_s(daemon, config["first_request"]))
-        # Both pool workers started before timing.
-        asyncio.run(_warm(daemon.port, config["workers"]))
-        before = asyncio.run(_control(daemon.port, {"op": "status"}))
+        warm_pool(daemon, config["workers"])
+        before = status(daemon)
         start, due, sent, received, responses = asyncio.run(_drive(
             daemon.port, lines, rate, config["connections"],
             config["drain_s"]))
-        after = asyncio.run(_control(daemon.port, {"op": "status"}))
+        after = status(daemon)
     finally:
-        if daemon is not None:
-            daemon.close()
+        daemon.close()
+    setups += [setup_probe_s(config) for _ in range(repeats - len(setups))]
 
     latencies, served, failed = [], [], 0
     for index in range(count):
@@ -359,37 +382,41 @@ def run(config: Mapping, seed: int, seconds: float, trace: bool,
     done = [t for t in received if t is not None]
     wall = (max(done) if done else perf_counter()) - start
     limit = config["latency_limit_s"]
-    correct = len(latencies)
     percentiles, real = latency_percentiles(latencies)
+    mean = statistics.fmean(latencies) if latencies else 0.0
     summary = {
         "requests": count,
-        "samples": correct,
+        "samples": len(latencies),
         "latency_s": percentiles,
+        "latency_mean_s": mean,
         "real_percentiles": real,
         "offered_per_s": rate,
+        # At a fixed offered rate below saturation this is the offered
+        # rate less the share over the limit: not a bounded metric.
+        "goodput_per_s": sum(1 for s in latencies if s <= limit) / wall,
+        "mean_by_kind_s": {
+            kind: statistics.fmean(
+                latency for latency, index in zip(latencies, served)
+                if truths[index][0] == kind)
+            for kind in config["mix"]
+            if any(truths[index][0] == kind for index in served)},
     }
     if not trace:
         values = {
             "setup_s": statistics.median(setups),
-            "ops_per_s": correct / wall,
-            "goodput_per_s": sum(1 for s in latencies if s <= limit) / wall,
+            # Every request's wait from when it was due to its answer,
+            # cache hits and queueing behind slow requests included:
+            # moves with the daemon's speed at a fixed offered rate.
+            "latency_mean_s": mean,
             "peak_rss_mb": peak_rss_mb(resource.RUSAGE_CHILDREN),
         }
     else:
         values = loadgen_latency(percentiles)
         values.update(_layer_values(
             lines, responses, served, sent, received, due,
-            _status_delta(before["status"], after["status"]), count))
+            _status_delta(before, after), count))
     return {"attempted": count, "failed": failed, "values": values,
             "summary": summary}
-
-
-async def _warm(port: int, workers: int) -> None:
-    """Occupy every pool worker at once so all of them are spawned
-    before the measured window (a daemon pays that once)."""
-    graphs = [{"op": "eval", "program": TC_PROGRAM, "goal": "p",
-               "db": f"e(w{lane}a, w{lane}b)."} for lane in range(workers)]
-    await asyncio.gather(*(_control(port, g) for g in graphs))
 
 
 def _layer_values(lines, responses, served, sent, received, due,
