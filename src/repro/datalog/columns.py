@@ -11,16 +11,18 @@ the hot loops run inside the CPython C runtime.
 Three ideas, in the spirit of Souffle-style compiled Datalog:
 
 * **Columnar, interned relations.**  :class:`ColumnStore` keeps each
-  relation as parallel ``array('q')`` columns of interned constant
-  ids.  The extensional part is built once per :class:`Database` into
-  an immutable :class:`EdbImage` (C-level ``zip`` transpose, bulk
-  ``map`` interning) and cached, so repeated evaluations over the same
-  database -- fixpoint probes, benchmark repeats, magic counts -- skip
-  re-interning entirely.  The image cache lives in the ambient
-  session's cache scope (:mod:`repro.context`), so
-  ``clear_shared_caches()`` / ``Session.clear_caches()`` (cold
-  benchmark mode) drop it along with the automaton caches and two live
-  sessions never share images.
+  relation as parallel ``array('q')`` columns of interned value ids.
+  The interner is keyed by the bare values the :class:`Database`
+  stores (``str`` hashes are computed in C and cached), never by
+  :class:`Constant` objects.  The extensional part is built once per
+  :class:`Database` into an immutable :class:`EdbImage` (C-level
+  ``itemgetter`` transpose, bulk ``map`` interning) and cached, so
+  repeated evaluations over the same database -- fixpoint probes,
+  benchmark repeats, magic counts -- skip re-interning entirely.  The
+  image cache lives in the ambient session's cache scope
+  (:mod:`repro.context`), so ``clear_shared_caches()`` /
+  ``Session.clear_caches()`` (cold benchmark mode) drop it along with
+  the automaton caches and two live sessions never share images.
 * **Batch execution of join plans.**  :func:`execute_batch` runs a
   :class:`~repro.datalog.plan.ResolvedPlan` over a whole frontier at
   once.  The frontier is a set of register *columns*; each plan step
@@ -41,6 +43,9 @@ mirror :func:`~repro.datalog.plan.compiled_naive` /
 results -- ``idb`` rows, ``stages``, ``fixpoint`` -- are bit-identical
 to both the row-at-a-time compiled path and the interpretive reference
 (asserted by the differential fuzz suite in ``tests/test_columnar.py``).
+They return a lazy :class:`~repro.datalog.result.EvaluationResult`
+holding the store: counts and checksums read the id columns, and
+:class:`Constant` rows are built only when a caller asks for them.
 
     >>> from repro.datalog.parser import parse_program
     >>> from repro.datalog.database import Database
@@ -58,6 +63,7 @@ import weakref
 from array import array
 from itertools import compress, repeat
 from operator import eq as _eq
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..budget import check_deadline
@@ -65,6 +71,7 @@ from ..context import current_scope as _current_scope
 from .database import Database
 from .plan import OP_BIND, OP_CHECK, OP_CONST, PlanCache, ResolvedPlan
 from .program import Program
+from .result import EvaluationResult
 from .terms import Constant
 
 __all__ = [
@@ -156,13 +163,13 @@ class Batch:
 class EdbImage:
     """The immutable columnar form of one :class:`Database`.
 
-    Holds the interner (``ids``/``values``), per-relation id columns,
-    the extensional active domain, and lazily-built hash indexes.
-    Shared across evaluations: :class:`ColumnStore` copies only what it
-    mutates (the domain set and any relation a program derives into).
-    The interner is deliberately *shared and append-only* -- later
-    programs may add their constants, which never invalidates existing
-    columns.
+    Holds the interner (``ids``/``values``, keyed by bare values),
+    per-relation id columns, the extensional active domain, and
+    lazily-built hash indexes.  Shared across evaluations:
+    :class:`ColumnStore` copies only what it mutates (the domain set
+    and any relation a program derives into).  The interner is
+    deliberately *shared and append-only* -- later programs may add
+    their constants, which never invalidates existing columns.
     """
 
     __slots__ = ("ids", "values", "cols", "counts", "domain", "indexes",
@@ -173,8 +180,8 @@ class EdbImage:
     _MAX_FROZEN = 16
 
     def __init__(self, database: Database):
-        self.ids: Dict[Constant, int] = {}
-        self.values: List[Constant] = []
+        self.ids: Dict[object, int] = {}
+        self.values: List[object] = []
         self.cols: Dict[str, Tuple[array, ...]] = {}
         self.counts: Dict[str, int] = {}
         self.domain: Set[int] = set()
@@ -189,14 +196,19 @@ class EdbImage:
         for predicate, rows in database.relations():
             if not rows:
                 continue
-            columns = list(zip(*rows))  # C-level transpose
+            # C-level transpose: one itemgetter pass per column (two
+            # iterations of an unmodified set visit rows in one order).
+            columns = [list(map(itemgetter(position), rows))
+                       for position in range(database.arity(predicate))]
             int_cols: List[array] = []
             for column in columns:
-                missing = set(column).difference(ids)
-                for constant in missing:  # distinct constants only
-                    ids[constant] = len(values)
-                    values.append(constant)
-                int_col = array("q", map(ids.__getitem__, column))
+                # Distinct unseen values only, numbered in C.
+                missing = list(set(column).difference(ids))
+                ids.update(zip(missing, range(len(values),
+                                              len(values) + len(missing))))
+                values.extend(missing)
+                # (Building the array from a list takes its bulk path.)
+                int_col = array("q", list(map(ids.__getitem__, column)))
                 int_cols.append(int_col)
                 self.domain.update(int_col)
             self.cols[predicate] = tuple(int_cols)
@@ -224,23 +236,17 @@ class EdbImage:
         key = (predicate, position)
         entry = self.indexes.get(key)
         if entry is None:
-            index: Dict[int, object] = {}
-            get = index.get
-            unique = True
             cols = self.cols.get(predicate)
-            if cols:
-                for row_id, value in enumerate(cols[position]):
-                    current = get(value)
-                    if current is None:
-                        index[value] = row_id
-                    elif type(current) is int:
-                        index[value] = [current, row_id]
-                        unique = False
-                    else:
-                        current.append(row_id)
-            if not unique:
-                index = {value: (ids if type(ids) is list else [ids])
-                         for value, ids in index.items()}
+            column = cols[position] if cols else ()
+            unique = len(set(column)) == len(column)
+            if unique:  # built in C
+                index: Dict[int, object] = dict(zip(column,
+                                                    range(len(column))))
+            else:
+                index = {}
+                setdefault = index.setdefault
+                for row_id, value in enumerate(column):
+                    setdefault(value, []).append(row_id)
             entry = (index, unique)
             self.indexes[key] = entry
         return entry
@@ -399,13 +405,14 @@ class ColumnStore:
     interning = True
 
     def resolve(self, constant: Constant):
-        """Intern *constant*; resolved constants join the active domain
-        (mirroring the row-at-a-time path)."""
-        ident = self._ids.get(constant)
+        """Intern *constant*'s value; resolved constants join the active
+        domain (mirroring the row-at-a-time path)."""
+        value = constant.value
+        ident = self._ids.get(value)
         if ident is None:
             ident = len(self._values)
-            self._ids[constant] = ident
-            self._values.append(constant)
+            self._ids[value] = ident
+            self._values.append(value)
         self._domain.add(ident)
         return ident
 
@@ -519,6 +526,23 @@ class ColumnStore:
         when some rule is unsafe)."""
         return sorted(self._domain)
 
+    @property
+    def idb(self) -> frozenset:
+        """The predicates this store derives into."""
+        return self._idb
+
+    def value_rows(self, predicate: str) -> List[tuple]:
+        """The relation as bare-value tuples gathered from the id
+        columns (C-level ``zip`` over ``map``); builds no
+        :class:`Constant`."""
+        if not self.count(predicate):
+            return []
+        cols = self.cols(predicate)
+        if not cols:  # 0-ary relation with at least one (empty) row
+            return [()]
+        getter = self._values.__getitem__
+        return list(zip(*[map(getter, col) for col in cols]))
+
     def unintern_rows(self, predicate: str):
         """The relation as a frozenset of constant tuples -- C-level
         ``zip`` over ``map``-translated columns.
@@ -547,7 +571,8 @@ class ColumnStore:
             if cached is not None:
                 return cached
         getter = self._values.__getitem__
-        rows = frozenset(zip(*[map(getter, col) for col in cols]))
+        rows = frozenset(zip(*[map(Constant, map(getter, col))
+                               for col in cols]))
         if cache_key is not None:
             if len(image.frozen) >= EdbImage._MAX_FROZEN:
                 image.frozen.clear()
@@ -1060,8 +1085,9 @@ def columnar_naive(program: Program, database: Database,
                    max_stages: Optional[int] = None, *,
                    cache: Optional[PlanCache] = None,
                    joins: str = "basic"):
-    """Naive rounds over batch-executed plans; same return shape and
-    stage bookkeeping as :func:`~repro.datalog.plan.compiled_naive`.
+    """Naive rounds over batch-executed plans; same stage bookkeeping
+    as :func:`~repro.datalog.plan.compiled_naive`, returned as a lazy
+    :class:`~repro.datalog.result.EvaluationResult` over the store.
     ``joins="fused"`` routes through :func:`execute_batch_fused`."""
     cache = PlanCache() if cache is None else cache
     fused = joins == "fused"
@@ -1094,8 +1120,7 @@ def columnar_naive(program: Program, database: Database,
             fixpoint = True
             stage -= 1  # the last round derived nothing new
             break
-    rows = {p: store.unintern_rows(p) for p in idb}
-    return rows, stage, fixpoint
+    return EvaluationResult(stages=stage, fixpoint=fixpoint, store=store)
 
 
 def columnar_seminaive(program: Program, database: Database,
@@ -1103,7 +1128,8 @@ def columnar_seminaive(program: Program, database: Database,
                        cache: Optional[PlanCache] = None,
                        joins: str = "basic"):
     """Semi-naive deltas over batch-executed plans; mirrors
-    :func:`~repro.datalog.plan.compiled_seminaive`.
+    :func:`~repro.datalog.plan.compiled_seminaive` and returns like
+    :func:`columnar_naive`.
     ``joins="fused"`` routes through :func:`execute_batch_fused`."""
     cache = PlanCache() if cache is None else cache
     fused = joins == "fused"
@@ -1176,5 +1202,4 @@ def columnar_seminaive(program: Program, database: Database,
             break
     if not any(delta.values()):
         fixpoint = True
-    rows = {p: store.unintern_rows(p) for p in idb}
-    return rows, stage, fixpoint
+    return EvaluationResult(stages=stage, fixpoint=fixpoint, store=store)

@@ -1,13 +1,20 @@
 """Databases: finite relational structures over constants.
 
 A database maps predicate symbols to finite sets of tuples of
-:class:`~repro.datalog.terms.Constant`.  This is the extensional input
-``D`` on which programs and queries are evaluated throughout the paper.
+constants.  This is the extensional input ``D`` on which programs and
+queries are evaluated throughout the paper.
+
+Rows are stored as tuples of *bare values* (the payloads of
+:class:`~repro.datalog.terms.Constant`), so bulk ingest and the
+columnar interner never hash a Python-level dataclass.  The
+:class:`Constant` views -- :meth:`Database.relation`,
+:meth:`Database.facts`, :meth:`Database.active_domain` -- are built on
+first use and cached until the relation next changes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from .atoms import Atom
 from .errors import ArityError, ValidationError
@@ -16,27 +23,42 @@ from .terms import Constant
 Fact = Tuple[str, Tuple[Constant, ...]]
 
 
+def _bare(row: Iterable) -> tuple:
+    """*row* with every :class:`Constant` unwrapped to its value."""
+    return tuple(v.value if isinstance(v, Constant) else v for v in row)
+
+
+def _arity_error(predicate: str, known: int, other: int) -> ArityError:
+    return ArityError(
+        f"predicate {predicate!r} used with arities {known} and {other}")
+
+
 class Database:
     """A mutable finite relational structure.
 
-    Use :meth:`add` / :meth:`add_atom` to populate, or the classmethod
-    constructors :meth:`from_facts` and :meth:`from_atoms`.
+    Use :meth:`add` / :meth:`add_atom` / :meth:`add_rows` to populate,
+    or the classmethod constructors :meth:`from_facts` and
+    :meth:`from_atoms`.
     """
 
     def __init__(self):
-        self._relations: Dict[str, Set[Tuple[Constant, ...]]] = {}
+        #: predicate -> set of bare-value rows.
+        self._relations: Dict[str, Set[tuple]] = {}
         self._arity: Dict[str, int] = {}
-        #: Cached frozen views per predicate (:meth:`relation` is called
-        #: inside fixpoint loops; rebuilding a frozenset per call was
-        #: O(n) per lookup).  Invalidated per-predicate on :meth:`add`.
+        #: Cached :class:`Constant` views per predicate (:meth:`relation`
+        #: is called inside fixpoint loops).  Invalidated per predicate
+        #: on insert.
         self._frozen: Dict[str, FrozenSet[Tuple[Constant, ...]]] = {}
+        #: ``(version, view)`` of the cached :meth:`active_domain`.
+        self._domain: Optional[Tuple[int, FrozenSet[Constant]]] = None
         #: Mutation counter: bumped by every insert, so derived caches
         #: (the columnar EDB image) can detect staleness cheaply.
         self._version = 0
 
     @classmethod
     def from_facts(cls, facts: Iterable[Fact]) -> "Database":
-        """Build a database from ``(predicate, tuple-of-constants)`` pairs."""
+        """Build a database from ``(predicate, row)`` pairs; rows may
+        mix :class:`Constant` objects and bare values."""
         db = cls()
         for predicate, row in facts:
             db.add(predicate, row)
@@ -51,14 +73,32 @@ class Database:
         return db
 
     def add(self, predicate: str, row: Iterable) -> None:
-        """Insert one tuple; bare Python values are wrapped as constants."""
-        converted = tuple(v if isinstance(v, Constant) else Constant(v) for v in row)
-        known = self._arity.setdefault(predicate, len(converted))
-        if known != len(converted):
-            raise ArityError(
-                f"predicate {predicate!r} used with arities {known} and {len(converted)}"
-            )
-        self._relations.setdefault(predicate, set()).add(converted)
+        """Insert one tuple; :class:`Constant` entries are stored as
+        their bare values."""
+        row = _bare(row)
+        known = self._arity.setdefault(predicate, len(row))
+        if known != len(row):
+            raise _arity_error(predicate, known, len(row))
+        self._relations.setdefault(predicate, set()).add(row)
+        self._frozen.pop(predicate, None)
+        self._version += 1
+
+    def add_rows(self, predicate: str, rows: Iterable[tuple]) -> None:
+        """Bulk insert of bare-value tuples (no :class:`Constant`
+        entries) with one arity check for the whole batch."""
+        if not isinstance(rows, (list, tuple, set, frozenset)):
+            rows = list(rows)
+        if not rows:
+            return
+        arities = set(map(len, rows))
+        if len(arities) != 1:
+            raise ArityError(f"predicate {predicate!r} used with arities "
+                             f"{sorted(arities)}")
+        (arity,) = arities
+        known = self._arity.setdefault(predicate, arity)
+        if known != arity:
+            raise _arity_error(predicate, known, arity)
+        self._relations.setdefault(predicate, set()).update(rows)
         self._frozen.pop(predicate, None)
         self._version += 1
 
@@ -69,19 +109,23 @@ class Database:
         self.add(atom.predicate, atom.args)
 
     def relation(self, predicate: str) -> FrozenSet[Tuple[Constant, ...]]:
-        """The set of tuples for *predicate* (empty if absent).
+        """The set of :class:`Constant` tuples for *predicate* (empty if
+        absent).
 
-        The frozen view is cached until the predicate is next mutated,
-        so repeated lookups inside fixpoint loops are O(1)."""
+        The view is built on first use and cached until the predicate
+        is next mutated, so repeated lookups inside fixpoint loops are
+        O(1)."""
         view = self._frozen.get(predicate)
         if view is None:
-            view = frozenset(self._relations.get(predicate, ()))
+            view = frozenset(tuple(map(Constant, row))
+                             for row in self._relations.get(predicate, ()))
             self._frozen[predicate] = view
         return view
 
-    def relations(self) -> Iterator[Tuple[str, Set[Tuple[Constant, ...]]]]:
-        """Iterate over ``(predicate, row set)`` pairs (bulk access for
-        columnar imaging; the sets must not be mutated by callers)."""
+    def relations(self) -> Iterator[Tuple[str, Set[tuple]]]:
+        """Iterate over ``(predicate, row set)`` pairs of *bare-value*
+        rows (bulk access for columnar imaging; the sets must not be
+        mutated by callers)."""
         return iter(self._relations.items())
 
     def version(self) -> int:
@@ -98,9 +142,10 @@ class Database:
         return self._arity[predicate]
 
     def facts(self) -> Iterator[Fact]:
-        """Iterate over all facts as ``(predicate, row)`` pairs."""
-        for predicate, rows in self._relations.items():
-            for row in rows:
+        """Iterate over all facts as ``(predicate, row)`` pairs of
+        :class:`Constant` tuples."""
+        for predicate in self._relations:
+            for row in self.relation(predicate):
                 yield predicate, row
 
     def atoms(self) -> Iterator[Atom]:
@@ -109,21 +154,26 @@ class Database:
             yield Atom(predicate, row)
 
     def active_domain(self) -> FrozenSet[Constant]:
-        """All constants occurring in some fact."""
-        domain = set()
-        for _, rows in self._relations.items():
+        """All constants occurring in some fact (cached until the next
+        insert)."""
+        cached = self._domain
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        values = set()
+        for rows in self._relations.values():
             for row in rows:
-                domain.update(row)
-        return frozenset(domain)
+                values.update(row)
+        view = frozenset(map(Constant, values))
+        self._domain = (self._version, view)
+        return view
 
     def contains(self, predicate: str, row: Iterable) -> bool:
-        """Membership test, wrapping bare values as constants."""
-        converted = tuple(v if isinstance(v, Constant) else Constant(v) for v in row)
-        return converted in self._relations.get(predicate, set())
+        """Membership test; rows may mix constants and bare values."""
+        return _bare(row) in self._relations.get(predicate, ())
 
     def copy(self) -> "Database":
         """An independent copy (bulk set copies; rows are immutable
-        tuples, so no per-row re-wrapping)."""
+        tuples)."""
         db = Database()
         db._arity = dict(self._arity)
         db._relations = {p: set(rows) for p, rows in self._relations.items()}
@@ -140,9 +190,7 @@ class Database:
             arity = other._arity[predicate]
             known = db._arity.setdefault(predicate, arity)
             if known != arity:
-                raise ArityError(
-                    f"predicate {predicate!r} used with arities {known} and {arity}"
-                )
+                raise _arity_error(predicate, known, arity)
             db._relations.setdefault(predicate, set()).update(rows)
             db._frozen.pop(predicate, None)
             db._version += 1
@@ -150,7 +198,7 @@ class Database:
 
     def restrict(self, predicates: Iterable[str]) -> "Database":
         """A new database keeping only the given predicates (bulk set
-        copies, skipping per-row re-wrapping)."""
+        copies)."""
         keep = set(predicates)
         db = Database()
         for predicate, rows in self._relations.items():

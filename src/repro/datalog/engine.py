@@ -42,37 +42,9 @@ from .database import Database
 from .errors import UnsafeProgramError, ValidationError
 from .plan import PlanCache, compiled_naive, compiled_seminaive
 from .program import Program
+from .result import EvaluationResult, Row
 from .rules import Rule
 from .terms import Constant, Variable, is_variable
-
-Row = Tuple[Constant, ...]
-
-
-@dataclass
-class EvaluationResult:
-    """Outcome of a bottom-up evaluation.
-
-    ``idb`` maps each IDB predicate to its derived rows; ``stages`` is
-    the number of rounds executed before the fixpoint (or the stage
-    bound) was reached; ``fixpoint`` tells whether a fixpoint was
-    actually reached.
-    """
-
-    idb: Dict[str, FrozenSet[Row]]
-    stages: int
-    fixpoint: bool
-
-    def facts(self, predicate: str) -> FrozenSet[Row]:
-        """Rows derived for *predicate* (empty when none)."""
-        return self.idb.get(predicate, frozenset())
-
-    def as_database(self, base: Optional[Database] = None) -> Database:
-        """The derived facts as a database, optionally merged onto *base*."""
-        db = base.copy() if base is not None else Database()
-        for predicate, rows in self.idb.items():
-            for row in rows:
-                db.add(predicate, row)
-        return db
 
 
 def _match_rows(atom: Atom, rows: Iterable[Row], binding: Dict[Variable, Constant]):
@@ -403,16 +375,14 @@ class Engine:
             return runner(program, database, max_stages=max_stages)
         if cfg.backend == "columnar":
             runner = columnar_naive if use_naive else columnar_seminaive
-            idb, stages, fixpoint = runner(program, database, max_stages,
-                                           cache=self._plans,
-                                           joins=cfg.joins)
-        else:
-            runner = compiled_naive if use_naive else compiled_seminaive
-            idb, stages, fixpoint = runner(
-                program, database, max_stages,
-                interning=cfg.interning, indexing=cfg.indexing,
-                cache=self._plans,
-            )
+            return runner(program, database, max_stages, cache=self._plans,
+                          joins=cfg.joins)
+        runner = compiled_naive if use_naive else compiled_seminaive
+        idb, stages, fixpoint = runner(
+            program, database, max_stages,
+            interning=cfg.interning, indexing=cfg.indexing,
+            cache=self._plans,
+        )
         return EvaluationResult(idb=idb, stages=stages, fixpoint=fixpoint)
 
     def query(self, program: Program, database: Database, goal: str,

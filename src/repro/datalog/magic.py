@@ -179,10 +179,10 @@ def derived_fact_count(program: Program, database: Database, goal: str,
     """Instrumentation for the ablation bench: total IDB facts derived
     by direct evaluation vs the magic rewriting."""
     direct = evaluate(program, database, engine=engine)
-    direct_count = sum(len(rows) for rows in direct.idb.values())
+    direct_count = sum(map(direct.count, program.idb_predicates))
     rewriting = magic_rewrite(program, goal, adornment, bindings)
     seeded = database.copy()
     seeded.add(rewriting.seed_predicate, rewriting.seed_row)
     magic = evaluate(rewriting.program, seeded, engine=engine)
-    magic_count = sum(len(rows) for rows in magic.idb.values())
+    magic_count = sum(map(magic.count, rewriting.program.idb_predicates))
     return {"direct": direct_count, "magic": magic_count}

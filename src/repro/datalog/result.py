@@ -1,0 +1,126 @@
+"""Evaluation results and the row digest.
+
+:class:`EvaluationResult` is what every evaluation path returns.  The
+interpretive and row-at-a-time paths hand it eager
+:class:`~repro.datalog.terms.Constant` rows; the columnar path hands it
+its :class:`~repro.datalog.columns.ColumnStore`, and
+:class:`Constant` tuples are built only when a caller asks for them
+(:meth:`EvaluationResult.facts`, :attr:`EvaluationResult.idb`).
+:meth:`~EvaluationResult.count` and :meth:`~EvaluationResult.checksum`
+read the interned id columns directly.
+
+:func:`rows_checksum` is the one digest format of a relation; the
+columnar checksum feeds the same encoding from bare values gathered off
+the id columns, so the two agree byte for byte.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Dict, FrozenSet, Optional, Tuple
+
+from .database import Database
+from .terms import Constant
+
+Row = Tuple[Constant, ...]
+
+_EMPTY: FrozenSet[Row] = frozenset()
+
+
+def _digest(sorted_rows: list) -> str:
+    """The digest encoding of a sorted list of bare-value tuples."""
+    return hashlib.sha1(repr(sorted_rows).encode()).hexdigest()[:16]
+
+
+def rows_checksum(rows) -> str:
+    """A process-independent digest of a relation.
+
+    Rows are normalized to plain-value tuples (engine rows hold
+    :class:`~repro.datalog.terms.Constant` objects; structural ground
+    truth holds bare strings) and sorted, so the digest agrees between
+    the engine under test and a graph-walk oracle, across processes
+    and ``PYTHONHASHSEED`` values.  This is the ``checksum`` hook every
+    evaluation :class:`~repro.session.Decision` carries.
+    """
+    return _digest(sorted(
+        tuple(getattr(value, "value", value) for value in row)
+        for row in rows
+    ))
+
+
+class EvaluationResult:
+    """Outcome of a bottom-up evaluation.
+
+    ``idb`` maps each IDB predicate to its derived rows; ``stages`` is
+    the number of rounds executed before the fixpoint (or the stage
+    bound) was reached; ``fixpoint`` tells whether a fixpoint was
+    actually reached.
+
+    Built either from eager *idb* rows or from a columnar *store*
+    (anything with ``idb``, ``count``, ``unintern_rows`` and
+    ``value_rows``); in the latter case rows are un-interned per
+    predicate on first request and cached.
+    """
+
+    __slots__ = ("stages", "fixpoint", "_rows", "_store", "_predicates")
+
+    def __init__(self, idb: Optional[Dict[str, FrozenSet[Row]]] = None,
+                 stages: int = 0, fixpoint: bool = False, *, store=None):
+        self.stages = stages
+        self.fixpoint = fixpoint
+        self._rows: Dict[str, FrozenSet[Row]] = dict(idb or {})
+        self._store = store
+        self._predicates = (store.idb if store is not None
+                            else frozenset(self._rows))
+
+    @property
+    def idb(self) -> Dict[str, FrozenSet[Row]]:
+        """Every IDB predicate's rows (un-interning whatever is still
+        in columnar form)."""
+        if len(self._rows) < len(self._predicates):
+            for predicate in self._predicates:
+                self.facts(predicate)
+        return self._rows
+
+    def facts(self, predicate: str) -> FrozenSet[Row]:
+        """Rows derived for *predicate* (empty when none)."""
+        rows = self._rows.get(predicate)
+        if rows is None:
+            if predicate not in self._predicates:
+                return _EMPTY
+            rows = self._rows[predicate] = self._store.unintern_rows(predicate)
+        return rows
+
+    def count(self, predicate: str) -> int:
+        """``len(self.facts(predicate))``, without building rows."""
+        if predicate in self._rows or predicate not in self._predicates:
+            return len(self.facts(predicate))
+        return self._store.count(predicate)
+
+    def checksum(self, predicate: str) -> str:
+        """``rows_checksum(self.facts(predicate))``; columnar results
+        sort bare values gathered from the id columns instead, so no
+        :class:`Constant` is built."""
+        if self._store is None or predicate not in self._predicates:
+            return rows_checksum(self.facts(predicate))
+        return _digest(sorted(self._store.value_rows(predicate)))
+
+    def as_database(self, base: Optional[Database] = None) -> Database:
+        """The derived facts as a database, optionally merged onto *base*."""
+        db = base.copy() if base is not None else Database()
+        for predicate, rows in self.idb.items():
+            for row in rows:
+                db.add(predicate, row)
+        return db
+
+    def __eq__(self, other):
+        if not isinstance(other, EvaluationResult):
+            return NotImplemented
+        return ((self.idb, self.stages, self.fixpoint)
+                == (other.idb, other.stages, other.fixpoint))
+
+    def __repr__(self):
+        sizes = ", ".join(f"{p}:{self.count(p)}"
+                          for p in sorted(self._predicates))
+        return (f"EvaluationResult({sizes}; stages={self.stages}, "
+                f"fixpoint={self.fixpoint})")

@@ -319,13 +319,23 @@ def evaluation_verdict(case: FuzzCase, config: EngineConfig) -> Dict:
     """The complete-fixpoint verdict of *case* on one engine cell:
     per-IDB-predicate row counts and checksums, plus the fixpoint
     flag.  A fresh engine per call keeps plan caches from leaking
-    state between cells."""
+    state between cells.
+
+    Compiled cells report the result's own ``count``/``checksum``
+    (the columnar id-column digest); the interpretive oracle digests
+    its :class:`~repro.datalog.terms.Constant` rows with
+    :func:`~repro.session.rows_checksum`, so the differential checks
+    the id-column digest against an independent path."""
     result = Engine(config).evaluate(case.program, case.database)
     verdict: Dict = {"fixpoint": result.fixpoint}
     for predicate in sorted(case.program.idb_predicates):
-        rows = result.facts(predicate)
-        verdict[predicate] = {"count": len(rows),
-                              "checksum": rows_checksum(rows)}
+        if config.compiled:
+            entry = {"count": result.count(predicate),
+                     "checksum": result.checksum(predicate)}
+        else:
+            rows = result.facts(predicate)
+            entry = {"count": len(rows), "checksum": rows_checksum(rows)}
+        verdict[predicate] = entry
     return verdict
 
 

@@ -239,12 +239,14 @@ def service_execute(op: str, payload: Dict[str, Any], attempt: int,
             if op == "decide":
                 decision = _run_decide(session, payload, deadline_s)
             elif op == "eval":
-                decision = session.query(
-                    parse_program(payload["program"]),
-                    database_from_source(payload["db"]),
-                    payload["goal"],
-                    max_stages=payload.get("max_stages"),
-                    deadline=deadline_s)
+                # Count and checksum only: the goal rows would be
+                # stripped from the record anyway, so never build them.
+                program = parse_program(payload["program"])
+                database = database_from_source(payload["db"])
+                program.require_goal(payload["goal"])
+                decision = session.evaluate(
+                    program, database, max_stages=payload.get("max_stages"),
+                    goal=payload["goal"], deadline=deadline_s)
             elif op == "scenario":
                 decision = session.run_scenario(
                     payload["scenario"], deadline=deadline_s)

@@ -61,6 +61,7 @@ from .datalog.engine import (
 )
 from .datalog.errors import UnsafeProgramError, ValidationError
 from .datalog.program import Program
+from .datalog.result import rows_checksum
 from .datalog.unfold import expansion_union, unfold_nonrecursive
 
 __all__ = [
@@ -98,23 +99,6 @@ class CachePolicy:
                 f"unknown cache scope {self.scope!r}; "
                 f"expected one of {_CACHE_SCOPES}"
             )
-
-
-def rows_checksum(rows) -> str:
-    """A process-independent digest of a relation.
-
-    Rows are normalized to plain-value tuples (engine rows hold
-    :class:`~repro.datalog.terms.Constant` objects; structural ground
-    truth holds bare strings) and sorted, so the digest agrees between
-    the engine under test and a graph-walk oracle, across processes
-    and ``PYTHONHASHSEED`` values.  This is the ``checksum`` hook every
-    evaluation :class:`Decision` carries.
-    """
-    normalized = sorted(
-        tuple(getattr(value, "value", value) for value in row)
-        for row in rows
-    )
-    return hashlib.sha1(repr(normalized).encode()).hexdigest()[:16]
 
 
 def config_fingerprint(engine: "EngineConfig", kernel: KernelConfig,
@@ -763,13 +747,12 @@ class Session:
         verdict: Dict[str, Any] = {
             "stages": result.stages,
             "fixpoint": result.fixpoint,
-            "facts": sum(len(rows) for rows in result.idb.values()),
+            "facts": sum(map(result.count, program.idb_predicates)),
         }
         checksum = None
         if goal is not None:
-            rows = result.facts(goal)
-            verdict["count"] = len(rows)
-            checksum = rows_checksum(rows)
+            verdict["count"] = result.count(goal)
+            checksum = result.checksum(goal)
         return self._decision("evaluation", verdict, timings=timings,
                               checksum=checksum, certificate=result,
                               raw=result)

@@ -63,8 +63,10 @@ __all__ = [
 ]
 
 #: Bumped whenever the payload layout changes; a mismatched format is
-#: a cold start, never a best-effort parse.
-SNAPSHOT_FORMAT = 1
+#: a cold start, never a best-effort parse.  Format 2: EDB images
+#: intern bare values, not :class:`~repro.datalog.terms.Constant`
+#: objects.
+SNAPSHOT_FORMAT = 2
 
 ENV_VAR = "REPRO_SNAPSHOT_DIR"
 

@@ -418,11 +418,12 @@ def edges_database(edges: Iterable[Edge],
                    predicates: Sequence[str] = ("e",)) -> Database:
     """A database holding *edges* under each predicate name in
     *predicates* (e.g. ``("e", "e0")`` for the paper's transitive
-    closure, which reads both)."""
+    closure, which reads both).  Bulk bare-value ingest: one
+    :meth:`~repro.datalog.database.Database.add_rows` per predicate."""
+    edges = list(edges)
     db = Database()
-    for a, b in edges:
-        for predicate in predicates:
-            db.add(predicate, (a, b))
+    for predicate in predicates:
+        db.add_rows(predicate, edges)
     return db
 
 

@@ -176,9 +176,11 @@ def scenario_names(kind: Optional[str] = None,
     )
 
 
-# ``rows_checksum`` is canonically defined on the session layer (it is
-# the ``checksum`` hook of every evaluation Decision); re-exported here
-# because the registry's ground-truth builders are its heaviest users.
+# ``rows_checksum`` is the digest of :mod:`repro.datalog.result`, exposed
+# on the session layer (it is the ``checksum`` hook of every evaluation
+# Decision); re-exported here because the registry's ground-truth
+# builders are its heaviest users.  Engine answers are digested by
+# ``EvaluationResult.checksum``, which feeds the same encoding.
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +221,10 @@ def _run_boundedness(payload, engine, kernel):
 
 def _run_evaluation(payload, engine, kernel):
     engine = engine or Engine()
-    rows = engine.query(payload["program"], payload["database"],
-                        payload["goal"])
-    return {"count": len(rows), "checksum": rows_checksum(rows)}, {}
+    program, goal = payload["program"], payload["goal"]
+    program.require_goal(goal)
+    result = engine.evaluate(program, payload["database"])
+    return {"count": result.count(goal), "checksum": result.checksum(goal)}, {}
 
 
 def _run_magic(payload, engine, kernel):

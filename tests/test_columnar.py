@@ -11,8 +11,10 @@ random EDB families and all three backends are compared on every cell.
 
 Also covers the storage substrate itself: packed-key round-trips, the
 unique-key index specialization, the cached EDB image lifecycle (and
-its registration with the shared-cache registry), and the Database
-fast paths (cached frozen views, bulk merge/restrict/copy).
+its registration with the shared-cache registry), the Database fast
+paths (bare-value storage, bulk ingest, cached constant views, bulk
+merge/restrict/copy), and the lazy result surface (id-column count and
+checksum, un-interning only on demand).
 """
 
 import pytest
@@ -29,11 +31,18 @@ from repro.datalog.columns import (
 from repro.datalog.database import Database
 from repro.datalog.engine import Engine, EngineConfig
 from repro.datalog.errors import ArityError, ValidationError
-from repro.datalog.magic import derived_fact_count, magic_query
+from repro.datalog.magic import derived_fact_count, magic_query, magic_rewrite
 from repro.datalog.parser import parse_program
+from repro.datalog.terms import Constant
 from repro.programs.library import plain_transitive_closure
+from repro.session import Session, rows_checksum
 from repro.workloads import generators as gen
-from repro.workloads.scenarios import LazyExpected, get_scenario, run_scenario
+from repro.workloads.scenarios import (
+    REGISTRY,
+    LazyExpected,
+    get_scenario,
+    run_scenario,
+)
 
 COLUMNAR = Engine(EngineConfig(backend="columnar"))
 ROWS = Engine(EngineConfig(backend="rows"))
@@ -301,3 +310,109 @@ def test_lazy_expected_defers_the_thunk():
     assert dict(lazy) == {"count": 3}
     assert lazy["count"] == 3
     assert len(calls) == 1  # computed once, then cached
+
+
+# ----------------------------------------------------------------------
+# Bare-value storage and the lazy result surface.
+# ----------------------------------------------------------------------
+
+#: Every registry evaluation/magic scenario except the 10^5-fact scale
+#: tier, whose smoke-size probe stands in for it.  The stress trace
+#: checkers contribute an empty and a one-row 0-ary goal.
+CHECKSUM_SCENARIOS = sorted(
+    name for name, scenario in REGISTRY.items()
+    if scenario.kind in ("evaluation", "magic")
+    and ("scale" not in scenario.tags or "smoke" in scenario.tags))
+
+
+def _assert_lazy_surface(program, result):
+    for predicate in sorted(program.idb_predicates) + ["absent"]:
+        # Ask the id columns first, before facts() caches the rows.
+        checksum, count = result.checksum(predicate), result.count(predicate)
+        rows = result.facts(predicate)
+        assert checksum == rows_checksum(rows), predicate
+        assert count == len(rows), predicate
+
+
+@pytest.mark.parametrize("name", CHECKSUM_SCENARIOS)
+def test_checksum_identity_registry(name):
+    """The id-column digest is byte-identical to ``rows_checksum`` of
+    the un-interned rows, on every IDB predicate; evaluation goals
+    also match the structural ground truth, which no interner order
+    (``PYTHONHASHSEED``) can move."""
+    scenario = get_scenario(name)
+    payload = scenario.build()
+    program, database = payload["program"], payload["database"]
+    result = COLUMNAR.evaluate(program, database)
+    _assert_lazy_surface(program, result)
+    if scenario.kind == "evaluation":
+        expected = dict(scenario.expected)
+        assert result.checksum(payload["goal"]) == expected["checksum"]
+        assert result.count(payload["goal"]) == expected["count"]
+    else:
+        rewriting = magic_rewrite(program, payload["goal"],
+                                  payload["adornment"], payload["bindings"])
+        seeded = database.copy()
+        seeded.add(rewriting.seed_predicate, rewriting.seed_row)
+        _assert_lazy_surface(rewriting.program,
+                             COLUMNAR.evaluate(rewriting.program, seeded))
+
+
+def test_checksum_identity_zero_ary_and_empty():
+    program = parse_program("c :- e(X, Y).\nz(X) :- e(X, X).\n"
+                            "n :- e(X, X).\np(X, Y) :- e(X, Y).")
+    database = gen.edges_database(gen.chain_edges(6), ("e",))
+    for max_stages in (None, 0):
+        result = COLUMNAR.evaluate(program, database, max_stages=max_stages)
+        _assert_lazy_surface(program, result)
+    result = COLUMNAR.evaluate(program, database)
+    assert (result.count("c"), result.count("n"), result.count("z")) == (1, 0, 0)
+    assert result.checksum("c") == rows_checksum([()])
+    assert result.checksum("n") == result.checksum("z") == rows_checksum(())
+
+
+def test_count_and_checksum_never_unintern(monkeypatch):
+    calls = []
+    original = ColumnStore.unintern_rows
+
+    def spy(self, predicate):
+        calls.append(predicate)
+        return original(self, predicate)
+
+    monkeypatch.setattr(ColumnStore, "unintern_rows", spy)
+    assert Session().run_scenario("eval_tc_chain_120").ok
+    assert Session().run_scenario("scale_chain_2hop_5k").ok
+    payload = get_scenario("eval_tc_grid_10x10").build()
+    decision = Session().evaluate(payload["program"], payload["database"],
+                                  goal="p")
+    assert decision.verdict["count"] == decision.verdict["facts"] > 0
+    assert not calls
+    decision.certificate.facts("p")  # the spy does see un-interning
+    assert calls == ["p"]
+
+
+def test_database_stores_bare_values():
+    mixed = Database.from_facts([("e", (Constant("a"), "b"))])
+    assert mixed == Database.from_facts([("e", ("a", "b"))])
+    assert dict(mixed.relations()) == {"e": {("a", "b")}}
+    assert mixed.relation("e") == {(Constant("a"), Constant("b"))}
+    assert mixed.contains("e", ("a", Constant("b")))
+    assert mixed.active_domain() == {Constant("a"), Constant("b")}
+    mixed.add("e", ("b", "c"))  # invalidates the cached domain view
+    assert Constant("c") in mixed.active_domain()
+
+
+def test_add_rows_rejects_mixed_and_mismatched_arities():
+    db = Database()
+    with pytest.raises(ArityError):
+        db.add_rows("e", [("a", "b"), ("c",)])
+    assert "e" not in db.predicates()  # nothing half-inserted
+    db.add_rows("e", [("a", "b"), ("b", "c")])
+    with pytest.raises(ArityError):
+        db.add_rows("e", [("a", "b", "c")])
+    db.add("f", ("a",))
+    with pytest.raises(ArityError):
+        db.add_rows("f", iter([("a", "b")]))
+    db.add_rows("f", [])  # an empty batch declares nothing
+    assert db == Database.from_facts(
+        [("e", ("a", "b")), ("e", ("b", "c")), ("f", ("a",))])

@@ -212,3 +212,38 @@ def test_adopt_image_rejects_shape_mismatch(warm_dir):
         assert not adopt_image(other, image)        # count mismatch
         good = get_scenario("eval_tc_chain_120").build()["database"]
         assert adopt_image(good, image)             # deterministic twin
+
+
+def test_format_1_snapshot_cold_starts_without_constant_image(tmp_path):
+    """Format 1 images interned ``Constant`` objects; format 2 images
+    intern bare values.  A format-1 payload -- even one carrying the
+    session's own fingerprint -- is a silent cold start, and the
+    ``Constant``-keyed image is never adopted."""
+    from repro.datalog.columns import edb_image
+    from repro.datalog.terms import Constant
+    from repro.workloads.scenarios import get_scenario
+
+    name = "eval_tc_chain_120"
+    writer = Session(name="format-1-writer")
+    with writer.activated():
+        legacy = edb_image(get_scenario(name).build()["database"])
+    legacy.values = [Constant(value) for value in legacy.values]
+    legacy.ids = {constant: i for i, constant in enumerate(legacy.values)}
+    snapshot_path(tmp_path, writer.fingerprint).write_bytes(pickle.dumps({
+        "format": 1,
+        "fingerprint": writer.fingerprint,
+        "plans": {},
+        "tables": {},
+        "images": {name: legacy},
+    }))
+    assert SNAPSHOT_FORMAT == 2
+    assert load_snapshot(tmp_path, writer.fingerprint) is None
+
+    session = Session(name="format-2-reader")
+    assert session.fingerprint == writer.fingerprint
+    assert not restore_session(session, tmp_path)
+    assert session._snapshot_images == {}
+    assert session.run_scenario(name).ok
+    image = session._snapshot_images[name]  # built cold, then banked
+    assert image is not legacy
+    assert not any(isinstance(value, Constant) for value in image.values)
