@@ -26,17 +26,20 @@ recording the images committed so far.  Reading a node label
 The state space is exponential in |Pi| + |theta|; the class is lazy and
 only materializes states reachable during the containment search.
 
-Implementation note (documented in DESIGN.md): the mapping component is
-restricted to variables still occurring in unmapped atoms.  Transitions
-consult M only on such variables, so the restriction merges states with
-identical future behaviour and preserves the recognized tree language.
+Implementation notes (docs/THEORY.md, "Implementation notes"): M is
+restricted to the variables still occurring in unmapped atoms, which
+merges states with identical future behaviour.  States are integers
+inside: beta is a bitmask over theta's body indices and M a tuple of
+per-automaton term ids, one slot per theta variable in name order.
+Each label is compiled once into per-atom candidate bindings and
+per-child term masks, so conditions 3 and 4 are mask tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..context import current_scope
 from ..cq.query import ConjunctiveQuery
@@ -46,30 +49,36 @@ from ..datalog.program import Program
 from ..datalog.terms import Term, Variable, is_variable
 from .instances import Label
 
-MappingItems = FrozenSet[Tuple[Variable, Term]]
+#: The ``mapping`` entry of a variable with no image.
+UNMAPPED = -1
+
+#: A compiled label: per theta atom, its bindings (slot-sorted ``(slot,
+#: term id)`` tuples); per IDB child ``(atom id, atom, term-id mask)``.
+Compiled = Tuple[Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...],
+                 Tuple[Tuple[int, Atom, int], ...]]
 
 
 @dataclass(frozen=True)
 class CQState:
     """A state ``(goal atom, unmapped theta-atoms, partial mapping)``.
 
-    ``beta`` holds indices into the query's body (index-based so that
-    repeated atoms in theta are tracked as distinct obligations);
-    ``mapping`` is a frozen set of (variable, image) pairs.
+    ``beta`` is a bitmask over indices into the query's body (bit i set
+    while atom i is unmapped; index-based so that repeated atoms in
+    theta are tracked as distinct obligations).  ``mapping`` has one
+    entry per theta variable, in name order: the owning automaton's id
+    of the variable's image (:meth:`CQAutomaton.term`), or ``-1``.
 
-    States are small and extremely hot (every profile subset holds
-    them), so the class is slotted and its hash -- over an atom, an
-    int frozenset, and a pair frozenset -- is computed once and cached.
-    :class:`CQAutomaton` additionally hash-conses the states it
-    creates, so identical states are usually the *same* object and
-    equality short-circuits on identity inside dict/set probes.
+    States are extremely hot, so the class is slotted and its hash is
+    cached.  :class:`CQAutomaton` hash-conses its states on an all-int
+    key, so identical states are the *same* object and equality
+    short-circuits on identity inside dict/set probes.
     """
 
     __slots__ = ("atom", "beta", "mapping", "_hash")
 
     atom: Atom
-    beta: FrozenSet[int]
-    mapping: MappingItems
+    beta: int
+    mapping: Tuple[int, ...]
 
     def __hash__(self):
         try:
@@ -89,9 +98,6 @@ class CQState:
     def __setstate__(self, state):
         for name, value in zip(("atom", "beta", "mapping"), state):
             object.__setattr__(self, name, value)
-
-    def mapping_dict(self) -> Dict[Variable, Term]:
-        return dict(self.mapping)
 
 
 class CQAutomaton:
@@ -114,51 +120,100 @@ class CQAutomaton:
         self.goal = goal
         self.theta = theta
         self._atoms: Tuple[Atom, ...] = tuple(theta.body)
-        self._atom_vars: Tuple[FrozenSet[Variable], ...] = tuple(
-            atom.variable_set() for atom in self._atoms
-        )
+        # Dense ids for image terms and goal atoms, in first-seen order.
+        self._term_ids: Dict[Term, int] = {}
+        self._terms: List[Term] = []
+        self._atom_ids: Dict[Atom, int] = {}
+        # Mapping slots: theta's body variables in name order.
+        self._vars: Tuple[Variable, ...] = tuple(sorted(
+            {v for atom in self._atoms for v in atom.variables()},
+            key=lambda v: v.name,
+        ))
+        slot_of = {v: k for k, v in enumerate(self._vars)}
+        # Per theta atom: its slot mask, and its match pattern --
+        # (slot, position) of each variable, (position, earlier position)
+        # of each repeated variable, (position, term id) of each constant.
+        self._atom_masks: List[int] = []
+        self._patterns: List[Tuple[Tuple, Tuple, Tuple]] = []
+        self._by_key: Dict[Tuple[str, int], List[int]] = {}
+        for index, atom in enumerate(self._atoms):
+            first: Dict[Variable, int] = {}
+            same, fixed = [], []
+            for position, term in enumerate(atom.args):
+                if not is_variable(term):
+                    fixed.append((position, self._term_id(term)))
+                elif term in first:
+                    same.append((position, first[term]))
+                else:
+                    first[term] = position
+            binds = tuple(sorted((slot_of[v], p) for v, p in first.items()))
+            self._atom_masks.append(sum(1 << slot for slot, _ in binds))
+            self._patterns.append((binds, tuple(same), tuple(fixed)))
+            self._by_key.setdefault((atom.predicate, atom.arity), []).append(index)
         # Hash-consed states and memoized per-(state, label) successor
         # tuples: every decision procedure above this layer re-asks the
         # same questions, so both caches are shared automaton-wide.
-        self._state_intern: Dict[Tuple[Atom, FrozenSet[int], MappingItems], CQState] = {}
+        self._state_intern: Dict[Tuple[int, int, Tuple[int, ...]], CQState] = {}
         self._successor_cache: Dict[Tuple[CQState, Label], Tuple[Tuple[CQState, ...], ...]] = {}
-        # Per-label compiled data ((predicate, arity)-indexed EDB atoms
-        # and child argument sets) and per-beta live-variable sets; the
-        # enumerator reuses label objects, so both amortize globally.
-        self._label_cache: Dict[Label, Tuple[Dict, Tuple[FrozenSet[Term], ...]]] = {}
-        self._live_cache: Dict[FrozenSet[int], FrozenSet[Variable]] = {}
-        self._atom_keys: Tuple[Tuple[str, int], ...] = tuple(
-            (atom.predicate, atom.arity) for atom in self._atoms
+        # Compiled labels and per-beta live-slot flags; the enumerator
+        # reuses label objects, so both amortize globally.
+        self._label_cache: Dict[Label, Compiled] = {}
+        self._live_cache: Dict[int, Tuple[bool, ...]] = {}
+
+    def term(self, term_id: int) -> Term:
+        """The image term behind a ``mapping`` entry."""
+        return self._terms[term_id]
+
+    def _term_id(self, term: Term) -> int:
+        term_id = self._term_ids.get(term)
+        if term_id is None:
+            term_id = self._term_ids[term] = len(self._terms)
+            self._terms.append(term)
+        return term_id
+
+    def _compile(self, label: Label) -> Compiled:
+        """Candidate bindings of every theta atom into the label's EDB
+        atoms (theta constants and repeated variables checked here,
+        once), and the label's children with their term masks."""
+        bindings: List[List[Tuple[Tuple[int, int], ...]]] = [[] for _ in self._atoms]
+        for target in label.edb_atoms:
+            indices = self._by_key.get((target.predicate, target.arity))
+            if indices is None:
+                continue
+            ids = [self._term_id(term) for term in target.args]
+            for index in indices:
+                binds, same, fixed = self._patterns[index]
+                if ((same and any(ids[p] != ids[q] for p, q in same))
+                        or (fixed and any(ids[p] != c for p, c in fixed))):
+                    continue
+                option = tuple([(slot, ids[p]) for slot, p in binds])
+                if option not in bindings[index]:
+                    bindings[index].append(option)
+        children = tuple(
+            (self._atom_ids.setdefault(child, len(self._atom_ids)), child,
+             sum({1 << self._term_id(term) for term in child.args}))
+            for child in label.idb_atoms
         )
+        return tuple(map(tuple, bindings)), children
 
-    def _label_info(self, label: Label) -> Tuple[Dict, Tuple[FrozenSet[Term], ...]]:
-        info = self._label_cache.get(label)
-        if info is None:
-            edb_index: Dict[Tuple[str, int], List[Tuple[Term, ...]]] = {}
-            for target in label.edb_atoms:
-                edb_index.setdefault(
-                    (target.predicate, target.arity), []
-                ).append(target.args)
-            child_arg_sets = tuple(
-                frozenset(child.args) for child in label.idb_atoms
-            )
-            info = (edb_index, child_arg_sets)
-            self._label_cache[label] = info
-        return info
-
-    def _make_state(self, atom: Atom, beta: FrozenSet[int],
-                    mapping: MappingItems) -> CQState:
-        """The canonical (hash-consed) state with these components."""
-        key = (atom, beta, mapping)
+    def _make_state(self, atom_id: int, atom: Atom, beta: int,
+                    mapping) -> CQState:
+        """The canonical (hash-consed) state, *mapping* restricted to
+        the variables live in *beta*."""
+        live = self._live_cache.get(beta)
+        if live is None:
+            mask = 0
+            for index, atom_mask in enumerate(self._atom_masks):
+                if beta >> index & 1:
+                    mask |= atom_mask
+            live = tuple(bool(mask >> k & 1) for k in range(len(self._vars)))
+            self._live_cache[beta] = live
+        mapping = tuple([m if keep else UNMAPPED for m, keep in zip(mapping, live)])
+        key = (atom_id, beta, mapping)
         state = self._state_intern.get(key)
         if state is None:
-            state = CQState(atom, beta, mapping)
-            self._state_intern[key] = state
+            state = self._state_intern[key] = CQState(atom, beta, mapping)
         return state
-
-    # ------------------------------------------------------------------
-    # Start states (one per proof-tree root atom).
-    # ------------------------------------------------------------------
 
     def initial_state(self, root_atom: Atom) -> Optional[CQState]:
         """The start state ``(Q(s), theta, M_theta_s)`` for one root
@@ -178,185 +233,130 @@ class CQAutomaton:
                     return None
             elif term != target:
                 return None
-        beta = frozenset(range(len(self._atoms)))
-        return self._make_state(root_atom, beta, self._restrict(seed, beta))
+        mapping = [self._term_id(seed[v]) if v in seed else UNMAPPED
+                   for v in self._vars]
+        atom_id = self._atom_ids.setdefault(root_atom, len(self._atom_ids))
+        return self._make_state(atom_id, root_atom,
+                                (1 << len(self._atoms)) - 1, mapping)
 
-    def _live_vars(self, beta: FrozenSet[int]) -> FrozenSet[Variable]:
-        """Variables still occurring in some unmapped atom (cached)."""
-        live = self._live_cache.get(beta)
-        if live is None:
-            collected: Set[Variable] = set()
-            for index in beta:
-                collected.update(self._atom_vars[index])
-            live = frozenset(collected)
-            self._live_cache[beta] = live
-        return live
-
-    def _restrict(self, mapping: Dict[Variable, Term], beta: FrozenSet[int]) -> MappingItems:
-        """Keep only images of variables still occurring in beta."""
-        live = self._live_vars(beta)
-        return frozenset((v, t) for v, t in mapping.items() if v in live)
-
-    # ------------------------------------------------------------------
-    # Transitions.
-    # ------------------------------------------------------------------
-
-    def _map_atom_options(self, index: int, edb_index: Dict,
-                          mapping: Dict[Variable, Term]) -> Iterator[Dict[Variable, Term]]:
-        """Ways to map theta-atom *index* into the EDB atoms of the
-        label, each yielding the extended mapping."""
-        atom_args = self._atoms[index].args
-        for target_args in edb_index.get(self._atom_keys[index], ()):
-            extended = dict(mapping)
-            ok = True
-            for term, image in zip(atom_args, target_args):
-                if is_variable(term):
-                    known = extended.get(term)
-                    if known is None:
-                        extended[term] = image
-                    elif known != image:
-                        ok = False
-                        break
-                elif term != image:
-                    ok = False
-                    break
-            if ok:
-                yield extended
-
-    def _partitions(self, beta: Sequence[int], edb_index: Dict,
-                    mapping: Dict[Variable, Term],
-                    leaf: bool = False) -> Iterator[Tuple[FrozenSet[int], Dict[Variable, Term]]]:
-        """Enumerate (remaining atoms, M1) after mapping a subset of
-        beta into the label's EDB atoms (step 1 of the transition).
-
-        With ``leaf`` the defer branch is pruned: a leaf label accepts
-        only when beta maps away entirely, so partitions with deferred
-        atoms would be discarded by the caller anyway.
+    def _partitions(self, beta: int, bindings, mapping: Tuple[int, ...],
+                    leaf: bool) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """The (deferred atoms, M1) pairs left after mapping a subset of
+        beta into the label's EDB atoms (step 1 of the transition), in
+        order: atoms ascending, deferring before each binding.  With
+        ``leaf`` nothing is deferred (a leaf maps beta away entirely).
         """
-        beta = sorted(beta)
-
-        def walk(position: int, current: Dict[Variable, Term],
-                 deferred: List[int]) -> Iterator[Tuple[FrozenSet[int], Dict[Variable, Term]]]:
-            if position == len(beta):
-                yield frozenset(deferred), current
-                return
-            index = beta[position]
-            # Option 1: defer the atom to the children.
-            if not leaf:
-                yield from walk(position + 1, current, deferred + [index])
-            # Option 2: map it into this node's EDB atoms now.
-            for extended in self._map_atom_options(index, edb_index, current):
-                yield from walk(position + 1, extended, deferred)
-
-        yield from walk(0, dict(mapping), [])
-
-    def successors(self, state: CQState, label: Label) -> Iterator[Tuple[CQState, ...]]:
-        """All transition tuples of child states on *label*.
-
-        For a leaf label the only possible result is the empty tuple
-        (acceptance); for an internal label each tuple has one state
-        per IDB child atom.  Duplicates are suppressed.
-        """
-        if state.atom != label.atom:
-            return
-        edb_index, child_arg_sets = self._label_info(label)
-        if label.is_leaf():
-            for _rest, _mapping in self._partitions(
-                state.beta, edb_index, state.mapping_dict(), leaf=True
-            ):
-                yield ()
-                return
-            return
-        seen: Set[Tuple[CQState, ...]] = set()
-        children = label.idb_atoms
-        for rest, mapping1 in self._partitions(state.beta, edb_index,
-                                               state.mapping_dict()):
-            rest_list = sorted(rest)
-            for assignment in product(range(len(children)), repeat=len(rest_list)):
-                placement: Dict[int, int] = dict(zip(rest_list, assignment))
-                guesses = self._required_guesses(
-                    placement, mapping1, child_arg_sets
-                )
-                if guesses is None:
-                    continue
-                for guess_values in product(*[cands for _, cands in guesses]):
-                    mapping_final = dict(mapping1)
-                    mapping_final.update(
-                        (variable, value)
-                        for (variable, _), value in zip(guesses, guess_values)
-                    )
-                    tuple_ = self._child_states(children, placement, mapping_final)
-                    if tuple_ not in seen:
-                        seen.add(tuple_)
-                        yield tuple_
-
-    def _required_guesses(self, placement: Dict[int, int],
-                          mapping1: Dict[Variable, Term],
-                          child_arg_sets: List[FrozenSet[Term]]):
-        """Check conditions 3/4 for an atom->child assignment.
-
-        Returns a list of ``(variable, candidate images)`` for unmapped
-        variables spanning several children (ordered deterministically),
-        or None when the assignment is infeasible.
-        """
-        spans: Dict[Variable, Set[int]] = {}
-        for index, child in placement.items():
-            for variable in self._atom_vars[index]:
-                spans.setdefault(variable, set()).add(child)
-        guesses: List[Tuple[Variable, Tuple[Term, ...]]] = []
-        for variable in sorted(spans, key=lambda v: v.name):
-            children_of = spans[variable]
-            image = mapping1.get(variable)
-            if image is not None:
-                # Condition 4: the committed image must flow through
-                # every child atom the variable is sent into.
-                if any(image not in child_arg_sets[j] for j in children_of):
-                    return None
-            elif len(children_of) > 1:
-                # Condition 3: an unmapped variable split across
-                # children must be given an image lying in all of them.
-                candidates: Set[Term] = set.intersection(
-                    *[set(child_arg_sets[j]) for j in children_of]
-                )
-                if not candidates:
-                    return None
-                guesses.append(
-                    (variable, tuple(sorted(candidates, key=repr)))
-                )
-        return guesses
-
-    def _child_states(self, children: Tuple[Atom, ...],
-                      placement: Dict[int, int],
-                      mapping_final: Dict[Variable, Term]) -> Tuple[CQState, ...]:
-        per_child: List[Set[int]] = [set() for _ in children]
-        for index, child in placement.items():
-            per_child[child].add(index)
-        states: List[CQState] = []
-        for child_atom, beta in zip(children, per_child):
-            beta_frozen = frozenset(beta)
-            states.append(
-                self._make_state(
-                    child_atom, beta_frozen,
-                    self._restrict(mapping_final, beta_frozen),
-                )
-            )
-        return tuple(states)
+        partial = [((), mapping)]
+        for index in range(len(self._atoms)):
+            if not beta >> index & 1:
+                continue
+            grown = []
+            for deferred, current in partial:
+                if not leaf:
+                    grown.append((deferred + (index,), current))
+                for option in bindings[index]:
+                    extended = None
+                    for slot, image in option:
+                        known = current[slot]
+                        if known != image:
+                            if known != UNMAPPED:
+                                break
+                            if extended is None:
+                                extended = list(current)
+                            extended[slot] = image
+                    else:
+                        grown.append((deferred, current if extended is None
+                                      else tuple(extended)))
+            if not grown:
+                return grown
+            partial = grown
+        return partial
 
     def successors_cached(self, state: CQState, label: Label) -> Tuple[Tuple[CQState, ...], ...]:
-        """Memoized, materialized ``successors``.
-
-        The transition relation of ``A^theta`` depends only on
-        ``(state, label)``; enumerating it walks the exponential
-        partition/guess space, so every caller above this layer (the
-        union automaton, the linear word pathway, the bitset profile
-        fixpoint) should go through this cache.
-        """
+        """All transition tuples of child states on *label*, memoized
+        automaton-wide: the empty tuple alone (acceptance) for a leaf
+        label, else one state per IDB child atom, without duplicates."""
         key = (state, label)
         cached = self._successor_cache.get(key)
         if cached is None:
-            cached = tuple(self.successors(state, label))
+            cached = self._successors(state, label)
             self._successor_cache[key] = cached
         return cached
+
+    def successors(self, state: CQState, label: Label) -> Iterator[Tuple[CQState, ...]]:
+        """Iterator over :meth:`successors_cached`."""
+        return iter(self.successors_cached(state, label))
+
+    def _successors(self, state: CQState, label: Label) -> Tuple[Tuple[CQState, ...], ...]:
+        if state.atom is not label.atom and state.atom != label.atom:
+            return ()
+        compiled = self._label_cache.get(label)
+        if compiled is None:
+            compiled = self._label_cache[label] = self._compile(label)
+        bindings, children = compiled
+        partitions = self._partitions(state.beta, bindings, state.mapping,
+                                      not children)
+        if not children:
+            return ((),) if partitions else ()
+        found: Dict[Tuple[CQState, ...], None] = {}
+        for rest, mapping1 in partitions:
+            for assignment in product(range(len(children)), repeat=len(rest)):
+                spans = [0] * len(children)
+                betas = [0] * len(children)
+                for index, c in zip(rest, assignment):
+                    betas[c] |= 1 << index
+                    spans[c] |= self._atom_masks[index]
+                guesses = self._guesses(spans, mapping1, children)
+                if guesses is None:
+                    continue
+                for values in product(*[cands for _, cands in guesses]):
+                    final = list(mapping1)
+                    for (slot, _), value in zip(guesses, values):
+                        final[slot] = value
+                    found[tuple([
+                        self._make_state(atom_id, atom, beta, final)
+                        for (atom_id, atom, _), beta in zip(children, betas)
+                    ])] = None
+        return tuple(found)
+
+    def _guesses(self, spans: List[int], mapping1: Tuple[int, ...], children):
+        """Check conditions 3/4 for an atom->child assignment, given
+        the variable slots sent into each child (*spans*).  Returns
+        ``(slot, candidate image ids)`` per unmapped variable split
+        across children (slots ascending, candidates by term ``repr``),
+        or None when the assignment is infeasible."""
+        seen = shared = 0
+        for (_, _, args), span in zip(children, spans):
+            # Condition 4: a committed image must flow through every
+            # child atom its variable is sent into.
+            bits = span
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                image = mapping1[low.bit_length() - 1]
+                if image != UNMAPPED and not args >> image & 1:
+                    return None
+            shared |= seen & span
+            seen |= span
+        # Condition 3: an unmapped variable split across children must
+        # be given an image lying in all of them.
+        guesses: List[Tuple[int, Tuple[int, ...]]] = []
+        while shared:
+            low = shared & -shared
+            shared ^= low
+            slot = low.bit_length() - 1
+            if mapping1[slot] != UNMAPPED:
+                continue
+            common = -1
+            for (_, _, args), span in zip(children, spans):
+                if span & low:
+                    common &= args
+            if not common:
+                return None
+            candidates = [t for t in range(common.bit_length()) if common >> t & 1]
+            candidates.sort(key=lambda t: repr(self._terms[t]))
+            guesses.append((slot, tuple(candidates)))
+        return guesses
 
     def accepts_leaf(self, state: CQState, label: Label) -> bool:
         """Leaf acceptance: beta maps away entirely into the label."""

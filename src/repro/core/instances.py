@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..context import current_scope
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
-from ..datalog.terms import Variable, is_variable
-from ..datalog.unify import apply_to_atom, apply_to_atoms, resolve, unify_tuples
+from ..datalog.unify import resolve, unify_tuples
 from ..trees.proof import term_space
 
 
@@ -110,26 +109,37 @@ class InstanceEnumerator:
         seed = unify_tuples(rule.head.args, head_atom.args, {})
         if seed is None:
             return
-        free = sorted(
-            (v for v in rule.variables() if resolve(v, seed) == v),
-            key=lambda v: v.name,
-        )
+        # Resolve every rule variable through the seed once; the free
+        # ones (left unbound by the head unification) range over the
+        # term space, in name order.
+        resolved = {v: resolve(v, seed) for v in rule.variables()}
+        free = sorted((v for v, r in resolved.items() if r == v),
+                      key=lambda v: v.name)
+        slots = {v: k for k, v in enumerate(free)}
+
+        def template(atom: Atom) -> Tuple[str, Tuple]:
+            entries = []
+            for term in atom.args:
+                term = resolved.get(term, term)
+                entries.append((slots.get(term, -1), term))
+            return atom.predicate, tuple(entries)
+
+        head_template = template(rule.head)
+        body_templates = [template(atom) for atom in rule.body]
+        is_idb = [atom.predicate in self._idb for atom in rule.body]
         for values in product(self._space, repeat=len(free)):
-            subst = dict(seed)
-            subst.update(zip(free, values))
-            head = apply_to_atom(rule.head, subst)
+            head = _build(head_template, values)
             if head != head_atom:
                 # The head unification bound a term-space variable (the
                 # rule head repeats variables or carries constants);
                 # this instantiation cannot label a node with this goal.
                 continue
-            body = apply_to_atoms(rule.body, subst)
-            instance = Rule(head, body)
+            body = tuple(_build(t, values) for t in body_templates)
             yield Label(
-                atom=head,
-                rule=instance,
-                idb_atoms=instance.idb_body_atoms(self._idb),
-                edb_atoms=instance.edb_body_atoms(self._idb),
+                atom=head_atom,
+                rule=Rule(head_atom, body),
+                idb_atoms=tuple(a for a, idb in zip(body, is_idb) if idb),
+                edb_atoms=tuple(a for a, idb in zip(body, is_idb) if not idb),
             )
 
     def count_labels(self, goal: str) -> int:
@@ -138,6 +148,14 @@ class InstanceEnumerator:
         from ..trees.proof import root_atoms
 
         return sum(len(self.labels_for(atom)) for atom in root_atoms(self._program, goal))
+
+
+def _build(template: Tuple[str, Tuple], values: Tuple) -> Atom:
+    """Instantiate an atom template: each argument is ``(slot, term)``,
+    the free variable's value when ``slot >= 0``, else the fixed term."""
+    predicate, entries = template
+    return Atom(predicate, tuple([values[slot] if slot >= 0 else term
+                                  for slot, term in entries]))
 
 
 def shared_enumerator(program: Program) -> InstanceEnumerator:

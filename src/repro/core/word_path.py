@@ -198,6 +198,7 @@ def _linear_search_bitset(ptrees: PTreeAutomaton,
                         break
                 if not accepted:
                     witness = _path_to_tree(path + (label,))
+                    stats["ptree_states"] = len(chains)
                     return ContainmentResult(False, witness, stats)
                 continue
             if len(label.idb_atoms) != 1:
@@ -221,6 +222,7 @@ def _linear_search_bitset(ptrees: PTreeAutomaton,
                 next_mask |= succ
             if insert(child, next_mask):
                 frontier.append((child, next_mask, path + (label,)))
+    stats["ptree_states"] = len(chains)
     return ContainmentResult(True, None, stats)
 
 
@@ -275,6 +277,7 @@ def _linear_search_reference(ptrees: PTreeAutomaton,
                 )
                 if not accepted:
                     witness = _path_to_tree(path + (label,))
+                    stats["ptree_states"] = len(chains)
                     return ContainmentResult(False, witness, stats)
                 continue
             if len(label.idb_atoms) != 1:
@@ -287,6 +290,7 @@ def _linear_search_reference(ptrees: PTreeAutomaton,
             frozen = frozenset(next_subset)
             if insert(child, frozen):
                 frontier.append((child, frozen, path + (label,)))
+    stats["ptree_states"] = len(chains)
     return ContainmentResult(True, None, stats)
 
 

@@ -65,8 +65,10 @@ __all__ = [
 #: Bumped whenever the payload layout changes; a mismatched format is
 #: a cold start, never a best-effort parse.  Format 2: EDB images
 #: intern bare values, not :class:`~repro.datalog.terms.Constant`
-#: objects.
-SNAPSHOT_FORMAT = 2
+#: objects.  Format 3: query-automaton states
+#: (:class:`~repro.core.cq_automaton.CQState`) hold an int bitmask
+#: ``beta`` and a term-id tuple ``mapping``, not frozensets.
+SNAPSHOT_FORMAT = 3
 
 ENV_VAR = "REPRO_SNAPSHOT_DIR"
 

@@ -5,11 +5,11 @@ variable set ``var(Pi)``.
 the set of possible node labels is finite -- the key step that lets
 proof trees be recognized by a tree automaton (Proposition 5.9).
 
-Deviation from the paper (documented in DESIGN.md): the paper counts
-only variables occurring in IDB atoms of a rule; we count *all*
-variables of the rule, so that the renaming in the proof of
-Proposition 5.6 can always keep distinct body variables distinct.  This
-only enlarges the finite label set.
+Deviation from the paper (docs/THEORY.md, "Implementation notes"): the
+paper counts only variables occurring in IDB atoms of a rule; we count
+*all* variables of the rule, so that the renaming in the proof of
+Proposition 5.6 can always keep distinct body variables distinct.
+This only enlarges the finite label set.
 
 The module also implements occurrence *connectedness*
 (Definition 5.2), distinguished occurrences, and the renaming that

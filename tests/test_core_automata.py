@@ -94,6 +94,94 @@ class TestPTreeAutomaton:
         assert estimate["symbols"] == 252  # 216 recursive + 36 base instances
 
 
+#: Oracle inputs: (program, goal, queries).  ``tc`` has one IDB child
+#: per label; the others reach the multi-child placements, condition 3
+#: (a variable split across children that share no term), condition 4
+#: (a mapped variable whose name recurs, disconnected, in a leaf),
+#: theta constants, repeated theta variables and repeated rule-head
+#: variables.
+ORACLE_CASES = {
+    "tc": (
+        """
+        p(X, Y) :- e(X, Z), p(Z, Y).
+        p(X, Y) :- e0(X, Y).
+        """,
+        "p",
+        [
+            cq("p(X0, X1)", "e0(X0, X1)"),
+            cq("p(X0, X1)", "e(X0, Z)", "e0(Z, X1)"),
+            cq("p(X0, X1)", "e(X0, Z)"),
+            cq("p(X0, X0)", "e0(X0, X0)"),
+            cq("p(X0, X1)", "e0(Z, X1)"),
+        ],
+    ),
+    "nonlinear_split": (
+        """
+        p(X, Y) :- p(X, Z), p(Z, Y).
+        p(X, Y) :- e(X, Y).
+        """,
+        "p",
+        [
+            cq("p(X0, X1)", "e(X0, Z)", "e(Z, X1)"),
+            cq("p(X0, X1)", "e(X0, Z)", "e(Z, W)"),
+            cq("p(X0, X1)", "e(Z, W)", "e(W, X1)"),
+        ],
+    ),
+    "nonlinear_disjoint_children": (
+        """
+        p(X) :- p(Y), p(Z), a(X).
+        p(X) :- b(X).
+        p(X) :- c(X).
+        """,
+        "p",
+        [cq("p(X0)", "a(X0)", "b(Z)", "c(Z)")],
+    ),
+    "reused_variable_name": (
+        """
+        p(X, Y) :- e(X, Z), p(Z, Y).
+        p(X, Y) :- e0(X, Y, W).
+        """,
+        "p",
+        [cq("p(X0, X1)", "e0(Z, X1, X0)")],
+    ),
+    "theta_constant": (
+        """
+        p(X, Y) :- e(X, a), p(a, Y).
+        p(X, Y) :- p(X, Z), p(Z, Y).
+        p(X, Y) :- e(X, Y).
+        """,
+        "p",
+        [
+            cq("p(X0, X1)", "e(X0, a)"),
+            cq("p(X0, X1)", "e(a, X1)"),
+        ],
+    ),
+    "theta_repeated_variable": (
+        """
+        p(X, Y) :- p(X, Z), p(Z, Y).
+        p(X, Y) :- e(X, Y).
+        """,
+        "p",
+        [
+            cq("p(X0, X1)", "e(Z, Z)"),
+            cq("p(X0, X1)", "e(X0, X0)", "e(X0, X1)"),
+        ],
+    ),
+    "repeated_head_variables": (
+        """
+        p(X, X) :- e(X, Y).
+        p(X, Y) :- p(X, Z), p(Z, Y).
+        p(X, Y) :- e(X, Y).
+        """,
+        "p",
+        [
+            cq("p(X0, X1)", "e(X0, Z)", "e(Z, X1)"),
+            cq("p(X0, X0)", "e(X0, Z)"),
+        ],
+    ),
+}
+
+
 class TestCQAutomaton:
     def test_rejects_idb_atoms_in_query(self, tc_program):
         with pytest.raises(ValidationError):
@@ -111,22 +199,33 @@ class TestCQAutomaton:
         assert automaton.initial_state(distinct) is None
         assert automaton.initial_state(same) is not None
 
-    def test_agrees_with_strong_mapping_oracle(self, tc_program):
+    def test_agrees_with_strong_mapping_oracle(self):
         """Proposition 5.10: T(A^theta) = proof trees with a strong
         containment mapping from theta (differential, heights <= 2)."""
-        queries = [
-            cq("p(X0, X1)", "e0(X0, X1)"),
-            cq("p(X0, X1)", "e(X0, Z)", "e0(Z, X1)"),
-            cq("p(X0, X1)", "e(X0, Z)"),
-            cq("p(X0, X0)", "e0(X0, X0)"),
-            cq("p(X0, X1)", "e0(Z, X1)"),
-        ]
-        for theta in queries:
-            automaton = CQAutomaton(tc_program, "p", theta)
-            for tree in proof_trees(tc_program, "p", 2):
-                expected = has_strong_containment_mapping(theta, tree, tc_program)
-                got = _automaton_accepts(automaton, tc_program, tree)
-                assert got == expected, (theta, str(tree))
+        for case, (source, goal, queries) in ORACLE_CASES.items():
+            program = parse_program(source)
+            trees = list(proof_trees(program, goal, 2))
+            verdicts = set()
+            for theta in queries:
+                automaton = CQAutomaton(program, goal, theta)
+                for tree in trees:
+                    expected = has_strong_containment_mapping(theta, tree, program)
+                    got = _automaton_accepts(automaton, program, tree)
+                    assert got == expected, (case, theta, str(tree))
+                    verdicts.add(got)
+            assert verdicts == {True, False}, case  # not vacuous
+
+    def test_split_variable_is_guessed_across_children(self):
+        """Condition 3: theta's Z must be sent into both children of a
+        binary node, so the automaton guesses its image; the accepted
+        trees include one whose root has two IDB children."""
+        source, goal, _ = ORACLE_CASES["nonlinear_split"]
+        program = parse_program(source)
+        theta = cq("p(X0, X1)", "e(X0, Z)", "e(Z, X1)")
+        automaton = CQAutomaton(program, goal, theta)
+        accepted = [tree for tree in proof_trees(program, goal, 2)
+                    if _automaton_accepts(automaton, program, tree)]
+        assert any(len(tree.children) == 2 for tree in accepted)
 
 
 def _automaton_accepts(automaton, program, tree) -> bool:

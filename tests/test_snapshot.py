@@ -236,7 +236,7 @@ def test_format_1_snapshot_cold_starts_without_constant_image(tmp_path):
         "tables": {},
         "images": {name: legacy},
     }))
-    assert SNAPSHOT_FORMAT == 2
+    assert SNAPSHOT_FORMAT == 3
     assert load_snapshot(tmp_path, writer.fingerprint) is None
 
     session = Session(name="format-2-reader")
@@ -247,3 +247,49 @@ def test_format_1_snapshot_cold_starts_without_constant_image(tmp_path):
     image = session._snapshot_images[name]  # built cold, then banked
     assert image is not legacy
     assert not any(isinstance(value, Constant) for value in image.values)
+
+
+def test_format_2_snapshot_cold_starts_without_frozenset_states(tmp_path):
+    """Format 2 query-automaton states held frozenset ``beta`` and
+    ``mapping`` components; format 3 states hold an int bitmask and a
+    term-id tuple.  A format-2 payload carrying a ``core.cq_automaton``
+    table -- even under the session's own fingerprint -- is a silent
+    cold start, and none of its automata is ever adopted."""
+    name = "bounded_buys"
+    writer = Session(name="format-2-writer")
+    assert writer.run_scenario(name).ok
+    entries, limit = writer.caches.export_tables()["core.cq_automaton"]
+    assert entries
+    for automaton in entries.values():  # rewrite into the format-2 shape
+        for state in automaton._state_intern.values():
+            beta = frozenset(i for i in range(state.beta.bit_length())
+                             if state.beta >> i & 1)
+            mapping = frozenset(
+                (variable, automaton.term(image))
+                for variable, image in zip(automaton._vars, state.mapping)
+                if image >= 0)
+            object.__setattr__(state, "beta", beta)
+            object.__setattr__(state, "mapping", mapping)
+    snapshot_path(tmp_path, writer.fingerprint).write_bytes(pickle.dumps({
+        "format": 2,
+        "fingerprint": writer.fingerprint,
+        "plans": {},
+        "tables": {"core.cq_automaton": (entries, limit)},
+        "images": {},
+    }))
+    assert load_snapshot(tmp_path, writer.fingerprint) is None
+
+    session = Session(name="format-3-reader")
+    assert session.fingerprint == writer.fingerprint
+    assert not restore_session(session, tmp_path)
+    assert not session.caches.export_tables().get("core.cq_automaton",
+                                                  ({}, None))[0]
+    assert session.run_scenario(name).ok
+    adopted, _ = session.caches.export_tables()["core.cq_automaton"]
+    assert adopted  # built cold
+    legacy = {id(automaton) for automaton in entries.values()}
+    for automaton in adopted.values():
+        assert id(automaton) not in legacy
+        for state in automaton._state_intern.values():
+            assert isinstance(state.beta, int)
+            assert isinstance(state.mapping, tuple)

@@ -115,3 +115,20 @@ class TestWordContainment:
         a = datalog_contained_in_ucq_linear(tc_program, "p", union, use_antichain=True)
         b = datalog_contained_in_ucq_linear(tc_program, "p", union, use_antichain=False)
         assert a.contained == b.contained
+
+
+def test_kernels_agree_on_ptree_states():
+    """Both word-pathway kernels report the distinct goal atoms their
+    antichain reached as ``ptree_states`` -- the same, nonzero count."""
+    from repro.automata.kernel import KernelConfig
+    from repro.workloads.scenarios import get_scenario
+
+    payload = get_scenario("contain_tc_trunc2_word").build()
+    args = (payload["program"], payload["goal"], payload["union"])
+    bitset = datalog_contained_in_ucq_linear(
+        *args, kernel=KernelConfig(backend="bitset"))
+    reference = datalog_contained_in_ucq_linear(
+        *args, kernel=KernelConfig(backend="frozenset"))
+    assert bitset.contained == reference.contained == False  # noqa: E712
+    assert bitset.stats == reference.stats
+    assert bitset.stats["ptree_states"] > 0
