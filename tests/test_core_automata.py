@@ -215,18 +215,6 @@ class TestCQAutomaton:
                     verdicts.add(got)
             assert verdicts == {True, False}, case  # not vacuous
 
-    def test_split_variable_is_guessed_across_children(self):
-        """Condition 3: theta's Z must be sent into both children of a
-        binary node, so the automaton guesses its image; the accepted
-        trees include one whose root has two IDB children."""
-        source, goal, _ = ORACLE_CASES["nonlinear_split"]
-        program = parse_program(source)
-        theta = cq("p(X0, X1)", "e(X0, Z)", "e(Z, X1)")
-        automaton = CQAutomaton(program, goal, theta)
-        accepted = [tree for tree in proof_trees(program, goal, 2)
-                    if _automaton_accepts(automaton, program, tree)]
-        assert any(len(tree.children) == 2 for tree in accepted)
-
 
 def _automaton_accepts(automaton, program, tree) -> bool:
     """Run A^theta on a proof tree directly (recursive simulation)."""
