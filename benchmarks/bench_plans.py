@@ -1,12 +1,11 @@
 """E-PLAN -- compiled join plans vs the interpretive evaluator.
 
-Not a paper table: measures the engine rework (PR 1) and the columnar
-data plane (PR 4).  The compiled paths -- join order fixed at compile
-time, constants interned to ints, indexes maintained incrementally;
-executed row-at-a-time (backend="rows") or as batch kernels over
-column stores (backend="columnar") -- must (a) produce bit-identical
-results to the interpretive path on every program in the library and
-(b) beat it on the linear-pathway and chained-recursion workloads.
+Not a paper table: measures the engine rework and the columnar data
+plane.  The columnar path -- join order fixed at compile time,
+constants interned to ints, plans executed as batch kernels over
+column stores -- must (a) produce bit-identical results to the
+interpretive path on every program in the library and (b) beat it on
+the linear-pathway and chained-recursion workloads.
 """
 
 import random
@@ -18,8 +17,7 @@ from repro.datalog.database import Database
 from repro.datalog.engine import Engine, EngineConfig
 from repro.programs import library as lib
 
-COLUMNAR = Engine(EngineConfig(compiled=True, backend="columnar"))
-COMPILED = Engine(EngineConfig(compiled=True, backend="rows"))
+COLUMNAR = Engine(EngineConfig(compiled=True))
 INTERPRETIVE = Engine(EngineConfig(compiled=False))
 
 
@@ -63,13 +61,6 @@ WORKLOADS = {
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_compiled_engine(benchmark, workload):
-    program, db = WORKLOADS[workload]
-    result = benchmark(lambda: COMPILED.evaluate(program, db))
-    assert result.fixpoint
-
-
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_columnar_engine(benchmark, workload):
     program, db = WORKLOADS[workload]
     result = benchmark(lambda: COLUMNAR.evaluate(program, db))
@@ -85,7 +76,7 @@ def test_interpretive_engine(benchmark, workload):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_compiled_beats_interpretive(benchmark, workload):
-    """The headline claim: compiled+interned wins on both workloads.
+    """The headline claim: the columnar path wins on both workloads.
 
     Measured directly (best of 3) rather than via the benchmark
     fixture so the two paths run back to back on the same process
@@ -103,14 +94,14 @@ def test_compiled_beats_interpretive(benchmark, workload):
         return best
 
     def measure():
-        return best_of(COMPILED), best_of(INTERPRETIVE)
+        return best_of(COLUMNAR), best_of(INTERPRETIVE)
 
-    compiled_s, interpretive_s = benchmark.pedantic(measure, rounds=1, iterations=1)
-    benchmark.extra_info["compiled_s"] = compiled_s
+    columnar_s, interpretive_s = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["columnar_s"] = columnar_s
     benchmark.extra_info["interpretive_s"] = interpretive_s
-    benchmark.extra_info["speedup"] = interpretive_s / compiled_s
-    assert compiled_s < interpretive_s * 0.7, (
-        f"compiled path ({compiled_s:.4f}s) should beat the interpretive "
+    benchmark.extra_info["speedup"] = interpretive_s / columnar_s
+    assert columnar_s < interpretive_s * 0.7, (
+        f"columnar path ({columnar_s:.4f}s) should beat the interpretive "
         f"path ({interpretive_s:.4f}s) on {workload}"
     )
 
@@ -144,22 +135,20 @@ def _library_cases():
 
 
 def test_bit_identical_across_library(benchmark):
-    """evaluate() agrees across all three paths -- columnar batch
-    kernels, row-at-a-time compiled plans, and the interpretive
-    reference: idb rows, stage count and fixpoint flag -- on every
-    library program, for the unbounded fixpoint and a spread of stage
-    bounds."""
+    """evaluate() agrees across both paths -- columnar batch kernels
+    and the interpretive reference: idb rows, stage count and fixpoint
+    flag -- on every library program, for the unbounded fixpoint and a
+    spread of stage bounds."""
 
     def check_all():
         checked = 0
         for name, program, db in _library_cases():
             for max_stages in (None, 0, 1, 2, 5):
-                a = COMPILED.evaluate(program, db, max_stages=max_stages)
+                a = COLUMNAR.evaluate(program, db, max_stages=max_stages)
                 b = INTERPRETIVE.evaluate(program, db, max_stages=max_stages)
-                c = COLUMNAR.evaluate(program, db, max_stages=max_stages)
-                assert a.idb == b.idb == c.idb, (name, max_stages)
-                assert a.stages == b.stages == c.stages, (name, max_stages)
-                assert a.fixpoint == b.fixpoint == c.fixpoint, (name, max_stages)
+                assert a.idb == b.idb, (name, max_stages)
+                assert a.stages == b.stages, (name, max_stages)
+                assert a.fixpoint == b.fixpoint, (name, max_stages)
                 checked += 1
         return checked
 

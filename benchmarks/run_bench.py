@@ -26,12 +26,11 @@ three modes:
 ``speedup`` is ``seed_like / bitset`` -- what the kernel rework buys
 on the steady-state (repeated-query) workload the benchmarks model.
 
-The plans suite ranges over the three engine data planes (columnar /
-row-compiled / interpretive) and the **scale suite** times the
-columnar batch kernels against the row-at-a-time compiled reference on
-``tag:scale`` scenarios (10^5-fact EDBs).  Every entry also records a
-tracemalloc ``*_peak_kb`` footprint, measured outside the timing loops
-(see ``docs/BENCHMARKS.md`` for the schema).
+The plans suite times both engine paths (columnar / interpretive) and
+the **scale suite** times the columnar batch kernels on ``tag:scale``
+scenarios (10^5-fact EDBs).  Every entry also records a tracemalloc
+``*_peak_kb`` footprint, measured outside the timing loops (see
+``docs/BENCHMARKS.md`` for the schema).
 
 Usage::
 
@@ -251,12 +250,11 @@ def automata_suite(repeats: int, smoke: bool):
 
 
 def plans_suite(repeats: int, smoke: bool):
-    """Columnar vs row-compiled vs interpretive engine over registry
-    evaluation scenarios (each run's verdict is checked against the
-    structural ground truth)."""
+    """Columnar vs interpretive engine over registry evaluation
+    scenarios (each run's verdict is checked against the structural
+    ground truth)."""
     print("evaluation plans (registry scenarios):")
-    columnar = Engine(EngineConfig(backend="columnar"))
-    compiled = Engine(EngineConfig(backend="rows"))
+    columnar = Engine(EngineConfig())
     interpretive = Engine(EngineConfig(compiled=False))
     entries = []
     cases = PLANS_CASES_SMOKE if smoke else PLANS_CASES
@@ -271,23 +269,17 @@ def plans_suite(repeats: int, smoke: bool):
             assert verdict == expected, (name, verdict, expected)
 
         columnar_s = median_seconds(lambda: run(columnar), repeats)
-        compiled_s = median_seconds(lambda: run(compiled), repeats)
         interpretive_s = median_seconds(lambda: run(interpretive), repeats)
         entry = {
             "name": name,
             "repeats": repeats,
             "columnar_s": round(columnar_s, 6),
-            "compiled_s": round(compiled_s, 6),
             "interpretive_s": round(interpretive_s, 6),
-            "speedup": (round(interpretive_s / compiled_s, 2)
-                        if compiled_s else None),
-            "columnar_speedup": (round(compiled_s / columnar_s, 2)
-                                 if columnar_s else None),
+            "speedup": (round(interpretive_s / columnar_s, 2)
+                        if columnar_s else None),
             "columnar_peak_kb": peak_kb(lambda: run(columnar)),
-            "compiled_peak_kb": peak_kb(lambda: run(compiled)),
         }
         print(f"  {name:42s} columnar {columnar_s*1000:8.2f}ms  "
-              f"compiled {compiled_s*1000:8.2f}ms  "
               f"interpretive {interpretive_s*1000:8.2f}ms  "
               f"speedup {entry['speedup']}x")
         entries.append(entry)
@@ -295,23 +287,15 @@ def plans_suite(repeats: int, smoke: bool):
 
 
 def scale_suite(repeats: int, smoke: bool):
-    """The large-EDB tier: columnar batch kernels vs the row-at-a-time
-    compiled reference on ``tag:scale`` scenarios (10^5-fact EDBs).
+    """The large-EDB tier: columnar batch kernels on ``tag:scale``
+    scenarios (10^5-fact EDBs).
 
     Times the bare ``Engine.evaluate`` fixpoint (ground truth --
-    including the row checksum over 10^5 rows -- is asserted once per
-    engine outside the timing loops) and records tracemalloc peaks so
-    the columnar footprint win lands in the trajectory too.
+    including the row checksum over 10^5 rows -- is asserted once
+    outside the timing loops) and records the tracemalloc peak.
     """
     print("scale tier (columnar data plane):")
-    # "columnar" is the shipped default -- the fused batch kernels
-    # (radix-partitioned joins, bitmap semijoins, fused
-    # filter+project).  "basic" pins the pre-kernel columnar path so
-    # the kernel win itself is a gated trajectory number (fused_s vs
-    # basic_s), not folded invisibly into columnar_s.
-    columnar = Engine(EngineConfig(backend="columnar"))
-    basic = Engine(EngineConfig(backend="columnar", joins="basic"))
-    compiled = Engine(EngineConfig(backend="rows"))
+    columnar = Engine(EngineConfig())
     entries = []
     cases = SCALE_CASES_SMOKE if smoke else SCALE_CASES
     runner = kind_runner("evaluation")
@@ -319,39 +303,22 @@ def scale_suite(repeats: int, smoke: bool):
         scenario = get_scenario(name)
         payload = scenario.build()
         expected = dict(scenario.expected)
-        for engine in (columnar, basic, compiled):
-            verdict, _ = runner(payload, engine, None)
-            assert verdict == expected, (name, verdict, expected)
+        verdict, _ = runner(payload, columnar, None)
+        assert verdict == expected, (name, verdict, expected)
         program, database = payload["program"], payload["database"]
 
         columnar_s = median_seconds(
             lambda: columnar.evaluate(program, database), repeats)
-        basic_s = median_seconds(
-            lambda: basic.evaluate(program, database), repeats)
-        compiled_s = median_seconds(
-            lambda: compiled.evaluate(program, database), repeats)
         entry = {
             "name": name,
             "repeats": repeats,
             "edb_facts": len(database),
             "columnar_s": round(columnar_s, 6),
-            "basic_s": round(basic_s, 6),
-            "compiled_s": round(compiled_s, 6),
-            "speedup": (round(compiled_s / columnar_s, 2)
-                        if columnar_s else None),
-            "fused_speedup": (round(basic_s / columnar_s, 2)
-                              if columnar_s else None),
             "columnar_peak_kb": peak_kb(
                 lambda: columnar.evaluate(program, database)),
-            "compiled_peak_kb": peak_kb(
-                lambda: compiled.evaluate(program, database)),
         }
-        print(f"  {name:42s} fused {columnar_s*1000:8.2f}ms  "
-              f"basic {basic_s*1000:8.2f}ms  "
-              f"compiled {compiled_s*1000:8.2f}ms  "
-              f"fused/basic {entry['fused_speedup']}x  "
-              f"peak {entry['columnar_peak_kb']:.0f}/"
-              f"{entry['compiled_peak_kb']:.0f}KiB")
+        print(f"  {name:42s} columnar {columnar_s*1000:8.2f}ms  "
+              f"peak {entry['columnar_peak_kb']:.0f}KiB")
         entries.append(entry)
     return entries
 

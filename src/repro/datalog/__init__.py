@@ -19,7 +19,7 @@ from .engine import (
     query,
     seminaive_evaluate,
 )
-from .plan import JoinPlan, PlanCache, PlanStore, compile_program
+from .plan import JoinPlan, PlanCache, compile_program
 from .columns import (
     ColumnStore,
     clear_edb_images,
@@ -77,7 +77,6 @@ __all__ = [
     "NotNonrecursiveError",
     "ParseError",
     "PlanCache",
-    "PlanStore",
     "Program",
     "ReproError",
     "Rule",

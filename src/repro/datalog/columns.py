@@ -1,12 +1,11 @@
 """Columnar relation storage and batch join kernels.
 
-The compiled plan path (:mod:`repro.datalog.plan`) already fixes the
-join order and interns constants, but it still *executes* one Python
-tuple at a time: ``ResolvedPlan.execute`` recurses row by row through
-the register program.  At 10^5--10^6 EDB facts that per-row
-interpretation dominates.  This module is the data-plane analogue of
-the bitset automaton kernel (PR 2): a representation change that lets
-the hot loops run inside the CPython C runtime.
+The production evaluation path.  Rules are compiled once into
+:class:`~repro.datalog.plan.JoinPlan` register programs (fixed join
+order, interned constants); this module executes them over whole
+relation columns, so the hot loops run inside the CPython C runtime
+instead of interpreting one Python tuple at a time.  It is the
+data-plane analogue of the bitset automaton kernel.
 
 Three ideas, in the spirit of Souffle-style compiled Datalog:
 
@@ -23,14 +22,17 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   (:mod:`repro.context`), so ``clear_shared_caches()`` /
   ``Session.clear_caches()`` (cold benchmark mode) drop it along with
   the automaton caches and two live sessions never share images.
-* **Batch execution of join plans.**  :func:`execute_batch` runs a
-  :class:`~repro.datalog.plan.ResolvedPlan` over a whole frontier at
+* **Batch execution of join plans.**  :func:`execute_batch_fused` runs
+  a :class:`~repro.datalog.plan.ResolvedPlan` over a whole frontier at
   once.  The frontier is a set of register *columns*; each plan step
   probes a hash index with ``dict.get``, fans out matches with C-level
   ``list.extend``/``itertools.repeat``, gathers columns with
   ``map(array.__getitem__, ids)``, and applies residual
   constant/equality checks as vectorized filters.  No per-row Python
-  function calls, no recursion.
+  function calls, no recursion.  Bitmap semijoin pre-filters,
+  radix-partitioned hash joins and fused filter+project with
+  dead-register elimination sit on top (see the comment block above
+  :class:`_FusedStep`).
 * **Packed-key dedup.**  A derived row is identified by one Python
   int -- its column ids packed positionally with base ``B`` (the
   sealed interner size) -- so deduplication against the stable store
@@ -38,22 +40,22 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   and only the genuinely fresh rows are unpacked back into columns.
 
 The drivers :func:`columnar_naive` and :func:`columnar_seminaive`
-mirror :func:`~repro.datalog.plan.compiled_naive` /
-:func:`~repro.datalog.plan.compiled_seminaive` stage by stage, so
+mirror :func:`~repro.datalog.engine.naive_evaluate` /
+:func:`~repro.datalog.engine.seminaive_evaluate` stage by stage, so
 results -- ``idb`` rows, ``stages``, ``fixpoint`` -- are bit-identical
-to both the row-at-a-time compiled path and the interpretive reference
-(asserted by the differential fuzz suite in ``tests/test_columnar.py``).
-They return a lazy :class:`~repro.datalog.result.EvaluationResult`
-holding the store: counts and checksums read the id columns, and
-:class:`Constant` rows are built only when a caller asks for them.
+to the interpretive oracle (asserted by the differential suites in
+``tests/test_columnar.py`` and ``tests/test_plan.py`` and by the fuzz
+harness).  They return a lazy
+:class:`~repro.datalog.result.EvaluationResult` holding the store:
+counts and checksums read the id columns, and :class:`Constant` rows
+are built only when a caller asks for them.
 
     >>> from repro.datalog.parser import parse_program
     >>> from repro.datalog.database import Database
-    >>> from repro.datalog.engine import Engine, EngineConfig
+    >>> from repro.datalog.engine import Engine
     >>> program = parse_program('p(X, Y) :- e(X, Z), e(Z, Y).')
     >>> db = Database.from_facts([("e", ("a", "b")), ("e", ("b", "c"))])
-    >>> sorted(Engine(EngineConfig(backend="columnar"))
-    ...        .query(program, db, "p"))
+    >>> sorted(Engine().query(program, db, "p"))
     [(Constant('a'), Constant('c'))]
 """
 
@@ -82,7 +84,6 @@ __all__ = [
     "columnar_naive",
     "columnar_seminaive",
     "edb_image",
-    "execute_batch",
     "execute_batch_fused",
     "peek_image",
 ]
@@ -118,15 +119,16 @@ def _pack(cols: Sequence[Sequence[int]], n: int, base: int) -> List[int]:
     return keys
 
 
-def _unpack(keys: Iterable[int], arity: int, base: int) -> List[List[int]]:
+def _unpack(keys: Sequence[int], arity: int, base: int) -> List[List[int]]:
     """Invert :func:`_pack`: per-row keys back into parallel columns."""
     if arity == 0:
         return []
     if arity == 1:
         return [list(keys)]
     if arity == 2:
-        pairs = [divmod(k, base) for k in keys]
-        return [[a for a, _ in pairs], [b for _, b in pairs]]
+        # Two plain int-op passes instead of one divmod pass that
+        # allocates a pair tuple per row.
+        return [[k // base for k in keys], [k % base for k in keys]]
     cols: List[List[int]] = [[] for _ in range(arity)]
     appends = [col.append for col in cols]
     for key in keys:
@@ -359,27 +361,23 @@ def adopt_image(database: Database, image: EdbImage, scope=None) -> bool:
 # ----------------------------------------------------------------------
 
 class ColumnStore:
-    """Columnar counterpart of :class:`~repro.datalog.plan.PlanStore`.
+    """The mutable relation store of one columnar evaluation.
 
     Extensional relations are *shared* with the cached
     :class:`EdbImage`; relations the program derives into (the IDB
     predicates) get private copies of their columns, packed-key sets,
-    and indexes, maintained incrementally per batch insert.  Duck-types
-    the ``resolve``/``require_index``/``indexing`` surface that
-    :meth:`~repro.datalog.plan.JoinPlan.resolve` binds against, so the
-    same compiled :class:`~repro.datalog.plan.JoinPlan` serves both
-    backends.
+    and indexes, maintained incrementally per batch insert.
+    :meth:`~repro.datalog.plan.JoinPlan.resolve` binds compiled plans
+    against it through :meth:`resolve`.
     """
 
     __slots__ = ("_image", "_idb", "_ids", "_values", "_domain", "_cols",
-                 "_counts", "_keys", "_indexes", "_arity", "_fused", "base")
+                 "_counts", "_keys", "_indexes", "_arity", "base")
 
-    def __init__(self, database: Database, idb: Iterable[str], *,
-                 fused: bool = False):
+    def __init__(self, database: Database, idb: Iterable[str]):
         image = edb_image(database)
         self._image = image
         self._idb = frozenset(idb)
-        self._fused = fused
         # The interner is shared (append-only); the domain is private
         # (programs add their constants and derived values to it).
         self._ids = image.ids
@@ -399,14 +397,10 @@ class ColumnStore:
                 self._cols[predicate] = [list(col) for col in cols]
                 self._counts[predicate] = image.counts[predicate]
 
-    # -- JoinPlan.resolve surface --------------------------------------
-
-    indexing = True
-    interning = True
-
     def resolve(self, constant: Constant):
         """Intern *constant*'s value; resolved constants join the active
-        domain (mirroring the row-at-a-time path)."""
+        domain (mirroring the interpretive path's inclusion of program
+        constants)."""
         value = constant.value
         ident = self._ids.get(value)
         if ident is None:
@@ -415,12 +409,6 @@ class ColumnStore:
             self._values.append(value)
         self._domain.add(ident)
         return ident
-
-    def require_index(self, predicate: str, position: int) -> None:
-        """No-op hook of the ``JoinPlan.resolve`` surface: columnar
-        indexes are built lazily at first probe (in the shared image
-        for extensional relations, privately for derived ones), so
-        registration carries no state."""
 
     # -- relation access ----------------------------------------------
 
@@ -492,14 +480,7 @@ class ColumnStore:
             return None
         existing.update(fresh)
         fresh_keys = list(fresh)
-        if self._fused and arity == 2:
-            # Fused fast path: two plain int-op passes instead of one
-            # divmod pass that allocates a pair tuple per row.
-            base = self.base
-            fresh_cols = [[k // base for k in fresh_keys],
-                          [k % base for k in fresh_keys]]
-        else:
-            fresh_cols = _unpack(fresh_keys, arity, self.base)
+        fresh_cols = _unpack(fresh_keys, arity, self.base)
         cols = self._cols.get(predicate)
         if cols is None:
             cols = self._cols[predicate] = [[] for _ in range(arity)]
@@ -547,8 +528,7 @@ class ColumnStore:
         """The relation as a frozenset of constant tuples -- C-level
         ``zip`` over ``map``-translated columns.
 
-        Under the fused kernels the result is memoized on the shared
-        :class:`EdbImage` keyed by the *exact* packed keyset (plus
+        Derived relations are memoized on the shared :class:`EdbImage` keyed by the *exact* packed keyset (plus
         predicate, arity and packed base, so re-interpretation under a
         different interner state can never alias): re-deriving the same
         relation -- warm benchmark repeats, repeated service decisions
@@ -563,7 +543,7 @@ class ColumnStore:
         if not cols:  # 0-ary relation with at least one (empty) row
             return frozenset({()})
         cache_key = None
-        if self._fused and predicate in self._idb:
+        if predicate in self._idb:
             image = self._image
             cache_key = (predicate, len(cols), self.base,
                          frozenset(self.keyset(predicate)))
@@ -588,163 +568,11 @@ def _gather(column: Sequence[int], ids: List[int]) -> List[int]:
     return list(map(column.__getitem__, ids))
 
 
-def execute_batch(rplan: ResolvedPlan, store: ColumnStore, domain,
-                  delta: Optional[Batch] = None,
-                  dedup: Optional[Set[int]] = None) -> List[int]:
-    """One application of *rplan* over whole column slices.
-
-    Returns the packed keys of the derived head rows that are not in
-    *dedup* (the stable store's keyset), deduplicated within the batch.
-    Set semantics throughout: the *set* of returned rows is exactly
-    what :meth:`ResolvedPlan.execute` would derive minus *dedup*.
-    """
-    check_deadline()
-    regs: Dict[int, List[int]] = {}
-    n = -1  # -1: virgin frontier (one empty row)
-    for predicate, use_delta, index_spec, ops in rplan.steps:
-        if use_delta:
-            rel_cols: Sequence[Sequence[int]] = delta.cols
-            rel_n = delta.n
-        else:
-            rel_cols = store.cols(predicate)
-            rel_n = store.count(predicate)
-
-        # --- candidate (frontier row, relation row) pairs ---
-        out_f = None
-        if not use_delta and index_spec is not None:
-            position, is_reg, payload = index_spec
-            index, unique = store.index(predicate, position)
-            if is_reg and n >= 0:
-                key_col = regs[payload]
-                if unique:
-                    # Unique-key probe: one C-level map, then a single
-                    # compress pass when some keys missed.
-                    hits = list(map(index.get, key_col))
-                    if None in hits:
-                        out_f = [i for i, h in enumerate(hits)
-                                 if h is not None]
-                        out_r = _gather(hits, out_f)
-                    else:
-                        out_r = hits
-                        out_f = range(n)
-                else:
-                    out_f, out_r = [], []
-                    extend_f, extend_r = out_f.extend, out_r.extend
-                    get = index.get
-                    for i, value in enumerate(key_col):
-                        ids = get(value)
-                        if ids is not None:
-                            extend_r(ids)
-                            extend_f(repeat(i, len(ids)))
-            else:
-                # Constant probe (or a reg probe off a virgin frontier,
-                # which compilation never emits).
-                ids = index.get(payload if not is_reg else None)
-                if ids is None:
-                    return []
-                if unique:
-                    ids = [ids]
-                if n <= 0:
-                    out_r = list(ids)
-                    if n == 0:
-                        return []
-                else:
-                    out_r = list(ids) * n
-                    out_f = [i for i in range(n) for _ in ids]
-        else:
-            # Full scan (or delta scan): cross product with the frontier.
-            if rel_n == 0:
-                return []
-            if n <= 0:
-                if n == 0:
-                    return []
-                out_r = list(range(rel_n))
-            else:
-                out_r = list(range(rel_n)) * n
-                out_f = [i for i in range(n) for _ in range(rel_n)]
-
-        if not out_r:
-            return []
-
-        # --- residual ops: vectorized filters, deferred binds ---
-        pending_binds: Dict[int, int] = {}  # reg -> relation position
-        gathered: Dict[int, List[int]] = {}
-        for position, op, payload in ops:
-            if op == OP_BIND:
-                pending_binds[payload] = position
-                continue
-            column = gathered.get(position)
-            if column is None:
-                column = gathered[position] = _gather(rel_cols[position],
-                                                      out_r)
-            if op == OP_CONST:
-                keep = [j for j, v in enumerate(column) if v == payload]
-            else:  # OP_CHECK
-                bound_pos = pending_binds.get(payload)
-                if bound_pos is not None:
-                    other = gathered.get(bound_pos)
-                    if other is None:
-                        other = gathered[bound_pos] = _gather(
-                            rel_cols[bound_pos], out_r)
-                else:
-                    other = (_gather(regs[payload], out_f)
-                             if out_f is not None else [])
-                keep = [j for j, pair in enumerate(zip(column, other))
-                        if pair[0] == pair[1]]
-            if len(keep) != len(column):
-                if not keep:
-                    return []
-                out_r = _gather(out_r, keep)
-                if out_f is not None:
-                    out_f = _gather(out_f, keep)
-                gathered = {pos: _gather(col, keep)
-                            for pos, col in gathered.items()}
-
-        # --- build the next frontier's register columns ---
-        next_regs: Dict[int, List[int]] = {}
-        if out_f is not None:
-            if type(out_f) is range:  # identity selection (full unique hit)
-                next_regs.update(regs)
-            else:
-                for reg, column in regs.items():
-                    next_regs[reg] = _gather(column, out_f)
-        for reg, position in pending_binds.items():
-            column = gathered.get(position)
-            if column is None:
-                column = _gather(rel_cols[position], out_r)
-            next_regs[reg] = column
-        regs = next_regs
-        n = len(out_r)
-
-    if n < 0:
-        n = 1  # empty body: one empty binding
-    if n == 0:
-        return []
-
-    # --- unsafe head variables range over the active domain ---
-    for reg in rplan.unsafe_regs:
-        m = len(domain)
-        if m == 0:
-            return []
-        spread = [i for i in range(n) for _ in range(m)]
-        regs = {r: _gather(col, spread) for r, col in regs.items()}
-        regs[reg] = list(domain) * n
-        n *= m
-
-    # --- emit: head columns -> packed keys -> dedup ---
-    head_cols = [regs[payload] if is_reg else [payload] * n
-                 for is_reg, payload in rplan.head_ops]
-    keys = _pack(head_cols, n, store.base)
-    if dedup:
-        return list(set(keys).difference(dedup))
-    return list(set(keys))
-
-
 # ----------------------------------------------------------------------
 # Fused batch kernels.
 #
-# Same candidate sets, same derived keys -- less Python in between.
-# Three techniques on top of execute_batch:
+# Three techniques on top of plain batch execution (probe, fan out,
+# gather, filter):
 #
 # * **Bitmap semijoin pre-filters.**  Register probes first compute a
 #   membership bitmap with one C-level ``map(index.__contains__, ...)``
@@ -770,8 +598,9 @@ def execute_batch(rplan: ResolvedPlan, store: ColumnStore, domain,
 #   ``out_f`` entirely.
 #
 # The metadata is compiled once per ResolvedPlan (cached on its
-# ``fused`` slot).  Bit-identity with execute_batch is asserted by the
-# differential fuzz harness (EVAL_MATRIX cells) and tests/test_columnar.
+# ``fused`` slot).  Bit-identity with the interpretive oracle is
+# asserted by the differential fuzz harness (EVAL_MATRIX cells) and
+# tests/test_columnar.
 # ----------------------------------------------------------------------
 
 class _FusedStep:
@@ -881,10 +710,12 @@ def _probe_multi(index, key_col, n: int, needs_f: bool):
 def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                         delta: Optional[Batch] = None,
                         dedup: Optional[Set[int]] = None) -> List[int]:
-    """Fused-kernel twin of :func:`execute_batch`.
+    """One application of *rplan* over whole column slices.
 
-    Same contract bit for bit: returns the packed keys of the derived
-    head rows not in *dedup*, deduplicated within the batch.
+    Returns the packed keys of the derived head rows that are not in
+    *dedup* (the stable store's keyset), deduplicated within the batch.
+    When *delta* is given, the plan's delta step scans it instead of
+    the store (semi-naive mode).
     """
     check_deadline()
     meta = rplan.fused
@@ -947,7 +778,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                 return []
             else:
                 # Genuine cross product with the frontier (no shared
-                # variables) -- rare, mirrors the basic path.
+                # variables) -- rare.
                 rows = list(range(rel_n)) if sel is None else sel
                 out_r = rows * n
                 out_f = [i for i in range(n) for _ in rows]
@@ -1071,7 +902,8 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
 
 
 # ----------------------------------------------------------------------
-# Fixpoint drivers (stage/fixpoint bookkeeping mirrors plan.py).
+# Fixpoint drivers (stage/fixpoint bookkeeping mirrors the interpretive
+# naive_evaluate / seminaive_evaluate in engine.py).
 # ----------------------------------------------------------------------
 
 def _resolved_plans(program: Program, store: ColumnStore, cache: PlanCache):
@@ -1083,17 +915,13 @@ def _resolved_plans(program: Program, store: ColumnStore, cache: PlanCache):
 
 def columnar_naive(program: Program, database: Database,
                    max_stages: Optional[int] = None, *,
-                   cache: Optional[PlanCache] = None,
-                   joins: str = "basic"):
+                   cache: Optional[PlanCache] = None):
     """Naive rounds over batch-executed plans; same stage bookkeeping
-    as :func:`~repro.datalog.plan.compiled_naive`, returned as a lazy
-    :class:`~repro.datalog.result.EvaluationResult` over the store.
-    ``joins="fused"`` routes through :func:`execute_batch_fused`."""
+    as :func:`~repro.datalog.engine.naive_evaluate`, returned as a lazy
+    :class:`~repro.datalog.result.EvaluationResult` over the store."""
     cache = PlanCache() if cache is None else cache
-    fused = joins == "fused"
-    run = execute_batch_fused if fused else execute_batch
     idb = program.idb_predicates
-    store = ColumnStore(database, idb, fused=fused)
+    store = ColumnStore(database, idb)
     full = _resolved_plans(program, store, cache)
     store.seal()
     needs_domain = any(rplan.unsafe_regs for _, _, _, rplan in full)
@@ -1104,8 +932,8 @@ def columnar_naive(program: Program, database: Database,
         domain = store.domain() if needs_domain else ()
         derived: Dict[str, Tuple[Set[int], int]] = {}
         for _, head_predicate, arity, rplan in full:
-            keys = run(rplan, store, domain,
-                       dedup=store.keyset(head_predicate))
+            keys = execute_batch_fused(rplan, store, domain,
+                                       dedup=store.keyset(head_predicate))
             entry = derived.get(head_predicate)
             if entry is None:
                 derived[head_predicate] = (set(keys), arity)
@@ -1125,17 +953,13 @@ def columnar_naive(program: Program, database: Database,
 
 def columnar_seminaive(program: Program, database: Database,
                        max_stages: Optional[int] = None, *,
-                       cache: Optional[PlanCache] = None,
-                       joins: str = "basic"):
+                       cache: Optional[PlanCache] = None):
     """Semi-naive deltas over batch-executed plans; mirrors
-    :func:`~repro.datalog.plan.compiled_seminaive` and returns like
-    :func:`columnar_naive`.
-    ``joins="fused"`` routes through :func:`execute_batch_fused`."""
+    :func:`~repro.datalog.engine.seminaive_evaluate` and returns like
+    :func:`columnar_naive`."""
     cache = PlanCache() if cache is None else cache
-    fused = joins == "fused"
-    run = execute_batch_fused if fused else execute_batch
     idb = program.idb_predicates
-    store = ColumnStore(database, idb, fused=fused)
+    store = ColumnStore(database, idb)
     full = _resolved_plans(program, store, cache)
     delta_plans = [
         [(index, cache.plan(rule, index).resolve(store))
@@ -1171,8 +995,8 @@ def columnar_seminaive(program: Program, database: Database,
     # (later rules see earlier rules' insertions, as in the reference).
     delta: Dict[str, Optional[Batch]] = {p: None for p in idb}
     for _, head_predicate, arity, rplan in full:
-        keys = run(rplan, store, domain,
-                   dedup=store.keyset(head_predicate))
+        keys = execute_batch_fused(rplan, store, domain,
+                                   dedup=store.keyset(head_predicate))
         _merge_delta(delta, head_predicate,
                      store.add_keys(head_predicate, keys, arity))
     any_delta = any(delta.values())
@@ -1189,8 +1013,9 @@ def columnar_seminaive(program: Program, database: Database,
                 focus = delta.get(rule.body[index].predicate)
                 if not focus:
                     continue
-                keys = run(rplan, store, domain, delta=focus,
-                           dedup=store.keyset(head_predicate))
+                keys = execute_batch_fused(
+                    rplan, store, domain, delta=focus,
+                    dedup=store.keyset(head_predicate))
                 fresh = store.add_keys(head_predicate, keys, arity)
                 if _merge_delta(new_delta, head_predicate, fresh):
                     changed = True

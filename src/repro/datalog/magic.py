@@ -24,7 +24,7 @@ evaluate through the default engine's columnar data plane
 (:mod:`repro.datalog.columns`) -- magic seeds land in IDB relations,
 which the column store keeps private per evaluation -- and accept an
 ``engine=`` override for A/B runs (``tests/test_columnar.py`` checks
-all three backends agree on the rewritten programs).
+both backends agree on the rewritten programs).
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def magic_query(program: Program, database: Database, goal: str,
     Returns the full rows of the goal relation matching the bound
     arguments; must coincide with filtering the direct fixpoint
     (differentially tested), while deriving only goal-relevant facts.
-    ``engine`` overrides the default compiled engine.
+    ``engine`` overrides the default columnar engine.
     """
     rewriting = magic_rewrite(program, goal, adornment, bindings)
     seeded = database.copy()

@@ -22,134 +22,27 @@ application of each fixpoint round.  This module compiles each
 
 Plans are *symbolic*: they mention :class:`Constant` objects, not store
 values.  :meth:`JoinPlan.resolve` binds a plan to a concrete
-:class:`PlanStore` -- interning its constants and registering the
-indexes it needs -- and yields an executable :class:`ResolvedPlan`.
-
-:class:`PlanStore` is the compiled counterpart of the interpretive
-``_Store``: constants are interned to small ints (so row hashing and
-equality run at integer speed) and per-(predicate, column) hash indexes
-are registered up front and maintained incrementally on insert instead
-of being lazily rebuilt.
-
-The stage/fixpoint bookkeeping of :func:`compiled_naive` and
-:func:`compiled_seminaive` deliberately mirrors ``naive_evaluate`` and
-``seminaive_evaluate`` so results (including ``stages`` and
-``fixpoint``) are bit-identical across the two paths.
+:class:`~repro.datalog.columns.ColumnStore` -- interning its constants
+-- and yields a :class:`ResolvedPlan`, which the columnar batch kernels
+(:func:`~repro.datalog.columns.execute_batch_fused`) execute over whole
+relation columns.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..budget import check_deadline
-from .database import Database
 from .program import Program
 from .rules import Rule
-from .terms import Constant, is_variable
+from .terms import is_variable
+
+if TYPE_CHECKING:  # columns imports this module
+    from .columns import ColumnStore
 
 # Register ops: (position, op, payload).
 OP_CONST = 0   # row[position] must equal the (resolved) constant payload
 OP_BIND = 1    # regs[payload] = row[position]
 OP_CHECK = 2   # row[position] must equal regs[payload]
-
-_EMPTY_SET: frozenset = frozenset()
-
-
-class PlanStore:
-    """Interned, incrementally-indexed relation store.
-
-    ``interning=True`` maps every :class:`Constant` to a small int and
-    stores rows as int tuples; ``indexing=True`` keeps one hash index
-    per (predicate, column) requested via :meth:`require_index`,
-    maintained eagerly by :meth:`add_all`.
-    """
-
-    __slots__ = ("interning", "indexing", "_rows", "_indexes", "_ids",
-                 "_values", "_domain")
-
-    def __init__(self, database: Database, interning: bool = True,
-                 indexing: bool = True):
-        self.interning = interning
-        self.indexing = indexing
-        self._rows: Dict[str, Set[tuple]] = {}
-        self._indexes: Dict[Tuple[str, int], Dict[object, Set[tuple]]] = {}
-        self._ids: Dict[Constant, int] = {}
-        self._values: List[Constant] = []
-        self._domain: Set[object] = set()
-        for predicate, row in database.facts():
-            if interning:
-                row = tuple(self._intern(c) for c in row)
-            self._rows.setdefault(predicate, set()).add(row)
-            self._domain.update(row)
-
-    def _intern(self, constant: Constant) -> int:
-        ident = self._ids.get(constant)
-        if ident is None:
-            ident = len(self._values)
-            self._ids[constant] = ident
-            self._values.append(constant)
-        return ident
-
-    def resolve(self, constant: Constant):
-        """The store value for *constant* (interned when enabled).
-
-        Resolved constants join the active domain, matching the
-        interpretive path's inclusion of program constants.
-        """
-        value = self._intern(constant) if self.interning else constant
-        self._domain.add(value)
-        return value
-
-    def rows(self, predicate: str) -> Set[tuple]:
-        return self._rows.get(predicate, _EMPTY_SET)
-
-    def require_index(self, predicate: str, position: int) -> None:
-        """Register (and build once) the index on *position*."""
-        key = (predicate, position)
-        if key in self._indexes:
-            return
-        index: Dict[object, Set[tuple]] = {}
-        for row in self._rows.get(predicate, ()):
-            index.setdefault(row[position], set()).add(row)
-        self._indexes[key] = index
-
-    def candidates(self, predicate: str, position: int, value) -> Set[tuple]:
-        """Rows whose *position*-th column equals *value* (registered
-        indexes only)."""
-        return self._indexes[(predicate, position)].get(value, _EMPTY_SET)
-
-    def add_all(self, predicate: str, rows: Iterable[tuple]) -> Set[tuple]:
-        """Insert rows; maintain registered indexes; return the new ones."""
-        existing = self._rows.setdefault(predicate, set())
-        if isinstance(rows, (set, frozenset)):
-            fresh = rows - existing
-        else:
-            fresh = {row for row in rows if row not in existing}
-        if fresh:
-            existing |= fresh
-            for row in fresh:
-                self._domain.update(row)
-            for (pred, position), index in self._indexes.items():
-                if pred != predicate:
-                    continue
-                for row in fresh:
-                    index.setdefault(row[position], set()).add(row)
-        return fresh
-
-    def domain(self) -> List[object]:
-        """The active domain as store values, deterministically ordered."""
-        if self.interning:
-            return sorted(self._domain)
-        return sorted(self._domain, key=repr)
-
-    def unintern_rows(self, predicate: str) -> FrozenSet[Tuple[Constant, ...]]:
-        """The relation as tuples of constants (un-interning ids)."""
-        rows = self._rows.get(predicate, _EMPTY_SET)
-        if not self.interning:
-            return frozenset(rows)
-        values = self._values
-        return frozenset(tuple(values[i] for i in row) for row in rows)
 
 
 class ResolvedPlan:
@@ -175,59 +68,6 @@ class ResolvedPlan:
     def __setstate__(self, state):
         self.steps, self.head_ops, self.unsafe_regs, self.nregs = state
         self.fused = None
-
-    def execute(self, store: PlanStore, domain,
-                delta_rows: Optional[Set[tuple]] = None) -> Set[tuple]:
-        """All head rows derivable by one application of the plan."""
-        check_deadline()
-        out: Set[tuple] = set()
-        regs: List[object] = [None] * self.nregs
-        steps = self.steps
-        nsteps = len(steps)
-        head_ops = self.head_ops
-        unsafe = self.unsafe_regs
-
-        def emit():
-            if unsafe:
-                # Unsafe rule: unbound head registers range over the
-                # active domain (empty domain derives nothing).
-                for values in product(domain, repeat=len(unsafe)):
-                    for r, v in zip(unsafe, values):
-                        regs[r] = v
-                    out.add(tuple(regs[p] if is_reg else p
-                                  for is_reg, p in head_ops))
-            else:
-                out.add(tuple(regs[p] if is_reg else p
-                              for is_reg, p in head_ops))
-
-        def run(i: int):
-            if i == nsteps:
-                emit()
-                return
-            predicate, use_delta, index_spec, ops = steps[i]
-            if use_delta:
-                rows = delta_rows
-            elif index_spec is not None:
-                pos, is_reg, payload = index_spec
-                rows = store.candidates(
-                    predicate, pos, regs[payload] if is_reg else payload)
-            else:
-                rows = store.rows(predicate)
-            nxt = i + 1
-            for row in rows:
-                ok = True
-                for pos, op, payload in ops:
-                    v = row[pos]
-                    if op == OP_BIND:
-                        regs[payload] = v
-                    elif v != (payload if op == OP_CONST else regs[payload]):
-                        ok = False
-                        break
-                if ok:
-                    run(nxt)
-
-        run(0)
-        return out
 
 
 class JoinPlan:
@@ -322,18 +162,16 @@ class JoinPlan:
         self.unsafe_regs = tuple(unsafe_regs)
         self.nregs = len(regmap)
 
-    def resolve(self, store: PlanStore) -> ResolvedPlan:
-        """Bind the plan to *store*: intern constants, register indexes,
-        and drop the per-row op made redundant by an index lookup."""
-        indexing = store.indexing
+    def resolve(self, store: "ColumnStore") -> ResolvedPlan:
+        """Bind the plan to *store*: intern constants and drop the
+        per-row op made redundant by an index lookup."""
         steps = []
         for predicate, use_delta, index_spec, ops in self.steps:
             resolved_index = None
-            if indexing and index_spec is not None:
+            if index_spec is not None:
                 pos, is_reg, payload = index_spec
                 resolved_index = (
                     pos, is_reg, payload if is_reg else store.resolve(payload))
-                store.require_index(predicate, pos)
                 # Candidate rows already satisfy the indexed position.
                 ops = tuple(op for op in ops if op[0] != pos)
             resolved_ops = tuple(
@@ -391,100 +229,3 @@ def compile_program(program: Program,
     """Full-application plans for every rule (convenience for tests)."""
     cache = PlanCache() if cache is None else cache
     return {rule: cache.plan(rule, None) for rule in program.rules}
-
-
-# ----------------------------------------------------------------------
-# Compiled fixpoint drivers.  These mirror naive_evaluate /
-# seminaive_evaluate stage by stage; see the module docstring.
-# ----------------------------------------------------------------------
-
-def compiled_naive(program: Program, database: Database,
-                   max_stages: Optional[int] = None, *,
-                   interning: bool = True, indexing: bool = True,
-                   cache: Optional[PlanCache] = None):
-    """Naive rounds over compiled plans.
-
-    Returns ``(idb, stages, fixpoint)`` with ``idb`` mapping each IDB
-    predicate to a frozenset of constant rows.
-    """
-    cache = PlanCache() if cache is None else cache
-    store = PlanStore(database, interning=interning, indexing=indexing)
-    resolved = [(rule.head.predicate, cache.plan(rule, None).resolve(store))
-                for rule in program.rules]
-    # The domain is only read when some rule is unsafe; skip the
-    # per-round sort otherwise.
-    needs_domain = any(rplan.unsafe_regs for _, rplan in resolved)
-    stage = 0
-    fixpoint = False
-    while max_stages is None or stage < max_stages:
-        check_deadline()
-        domain = store.domain() if needs_domain else ()
-        derived: Dict[str, Set[tuple]] = {}
-        for head_predicate, rplan in resolved:
-            derived.setdefault(head_predicate, set()).update(
-                rplan.execute(store, domain))
-        changed = False
-        for predicate, rows in derived.items():
-            if store.add_all(predicate, rows):
-                changed = True
-        stage += 1
-        if not changed:
-            fixpoint = True
-            stage -= 1  # the last round derived nothing new
-            break
-    idb = {p: store.unintern_rows(p) for p in program.idb_predicates}
-    return idb, stage, fixpoint
-
-
-def compiled_seminaive(program: Program, database: Database,
-                       max_stages: Optional[int] = None, *,
-                       interning: bool = True, indexing: bool = True,
-                       cache: Optional[PlanCache] = None):
-    """Semi-naive deltas over compiled plans (one plan per IDB body
-    occurrence); same return shape as :func:`compiled_naive`."""
-    cache = PlanCache() if cache is None else cache
-    store = PlanStore(database, interning=interning, indexing=indexing)
-    idb = program.idb_predicates
-    full = [(rule, rule.head.predicate, cache.plan(rule, None).resolve(store))
-            for rule in program.rules]
-    delta_plans = [
-        [(index, cache.plan(rule, index).resolve(store))
-         for index, atom in enumerate(rule.body) if atom.predicate in idb]
-        for rule in program.rules
-    ]
-    needs_domain = any(rplan.unsafe_regs for _, _, rplan in full)
-    domain = store.domain() if needs_domain else ()
-
-    # Stage 1: full application of every rule to the EDB-only store.
-    delta: Dict[str, Set[tuple]] = {p: set() for p in idb}
-    for rule, head_predicate, rplan in full:
-        fresh = store.add_all(head_predicate, rplan.execute(store, domain))
-        delta[head_predicate].update(fresh)
-    stage = 1 if any(delta.values()) else 0
-    fixpoint = not any(delta.values())
-
-    while any(delta.values()) and (max_stages is None or stage < max_stages):
-        check_deadline()
-        domain = store.domain() if needs_domain else ()
-        new_delta: Dict[str, Set[tuple]] = {p: set() for p in idb}
-        changed = False
-        for (rule, head_predicate, _), variants in zip(full, delta_plans):
-            for index, rplan in variants:
-                focus = delta.get(rule.body[index].predicate)
-                if not focus:
-                    continue
-                rows = rplan.execute(store, domain, delta_rows=focus)
-                fresh = store.add_all(head_predicate, rows)
-                if fresh:
-                    new_delta[head_predicate].update(fresh)
-                    changed = True
-        delta = new_delta
-        if changed:
-            stage += 1
-        else:
-            fixpoint = True
-            break
-    if not any(delta.values()):
-        fixpoint = True
-    idb_rows = {p: store.unintern_rows(p) for p in idb}
-    return idb_rows, stage, fixpoint

@@ -1,7 +1,7 @@
 """Evaluation results and the row digest.
 
 :class:`EvaluationResult` is what every evaluation path returns.  The
-interpretive and row-at-a-time paths hand it eager
+interpretive path hands it eager
 :class:`~repro.datalog.terms.Constant` rows; the columnar path hands it
 its :class:`~repro.datalog.columns.ColumnStore`, and
 :class:`Constant` tuples are built only when a caller asks for them

@@ -5,9 +5,9 @@ Three layers, one loop:
 * :mod:`~repro.fuzz.harness` draws seed-deterministic random cases
   (programs from :mod:`repro.workloads.generators`, EDBs from the six
   edge families) and runs each through the full configuration matrix
-  -- every evaluation backend x strategy against the interpretive
-  naive oracle, both automaton kernels against the frozenset
-  reference and the constructed ground truth;
+  -- the columnar and interpretive backends x naive/semi-naive
+  against the interpretive naive oracle, both automaton kernels
+  against the frozenset reference and the constructed ground truth;
 * :mod:`~repro.fuzz.shrinker` delta-debugs a diverging case to a
   1-minimal reproducer (rules, body atoms, facts, union disjuncts);
 * :mod:`~repro.fuzz.regressions` persists the minimized case as a

@@ -58,28 +58,16 @@ from ..workloads.scenarios import kind_runner
 #: Engine cells of the evaluation differential (label -> config).
 #: ``interpretive-naive`` is the oracle: the per-tuple evaluator
 #: running plain naive rounds -- the most elementary semantics in the
-#: repo, against which every compiled/columnar/semi-naive cell must
-#: agree bit-for-bit.
+#: repo, against which the semi-naive and columnar cells must agree
+#: bit-for-bit.  The columnar cells run the production batch kernels
+#: (radix hash joins, bitmap semijoin pre-filters, fused
+#: filter+project).
 EVAL_MATRIX: Dict[str, EngineConfig] = {
     "interpretive-naive": EngineConfig(compiled=False, strategy="naive"),
     "interpretive-seminaive": EngineConfig(compiled=False,
                                            strategy="seminaive"),
-    "rows-naive": EngineConfig(compiled=True, backend="rows",
-                               strategy="naive"),
-    "rows-seminaive": EngineConfig(compiled=True, backend="rows",
-                                   strategy="seminaive"),
-    "columnar-naive": EngineConfig(compiled=True, backend="columnar",
-                                   joins="basic", strategy="naive"),
-    "columnar-seminaive": EngineConfig(compiled=True, backend="columnar",
-                                       joins="basic", strategy="seminaive"),
-    # The fused batch kernels (radix hash joins, bitmap semijoin
-    # pre-filters, fused filter+project) as their own cells, so every
-    # random program sweeps them against the interpretive oracle and
-    # the basic columnar reference.
-    "fused-naive": EngineConfig(compiled=True, backend="columnar",
-                                joins="fused", strategy="naive"),
-    "fused-seminaive": EngineConfig(compiled=True, backend="columnar",
-                                    joins="fused", strategy="seminaive"),
+    "columnar-naive": EngineConfig(compiled=True, strategy="naive"),
+    "columnar-seminaive": EngineConfig(compiled=True, strategy="seminaive"),
 }
 
 EVAL_BASELINE = "interpretive-naive"
@@ -321,7 +309,7 @@ def evaluation_verdict(case: FuzzCase, config: EngineConfig) -> Dict:
     flag.  A fresh engine per call keeps plan caches from leaking
     state between cells.
 
-    Compiled cells report the result's own ``count``/``checksum``
+    Columnar cells report the result's own ``count``/``checksum``
     (the columnar id-column digest); the interpretive oracle digests
     its :class:`~repro.datalog.terms.Constant` rows with
     :func:`~repro.session.rows_checksum`, so the differential checks

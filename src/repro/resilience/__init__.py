@@ -14,7 +14,7 @@ instead of batch aborts, via four cooperating pieces:
   :data:`ERROR_CATEGORIES`).
 * :mod:`repro.resilience.ladder` -- the degradation ladder: which
   cheaper (engine, kernel) rung a failed job retries on
-  (columnar -> compiled -> interpretive; bitset -> frozenset).
+  (columnar -> interpretive; bitset -> frozenset).
 * :mod:`repro.resilience.chaos` -- deterministic fault injection
   (crash / hang / memory / corrupt, keyed by scenario, per-process job
   index, and attempt number) that the resilience tests and the CI

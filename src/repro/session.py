@@ -286,7 +286,7 @@ class Session:
 
         >>> from repro import Session
         >>> from repro.datalog.engine import EngineConfig
-        >>> fast = Session(engine=EngineConfig(backend="columnar"))
+        >>> fast = Session(engine=EngineConfig())
         >>> reference = Session(engine=EngineConfig(compiled=False))
         >>> fast.fingerprint != reference.fingerprint
         True
@@ -944,8 +944,7 @@ class Session:
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         if scenario.kind not in DECISION_KINDS:
-            if (self.engine_config.compiled
-                    and self.engine_config.backend == "columnar"):
+            if self.engine_config.compiled:
                 from .datalog.columns import edb_image
 
                 payload = scenario.build()

@@ -3,7 +3,7 @@
 Differential coverage against the interpretive reference path on the
 library programs (including unsafe / empty-body rules and the
 stage-bounded semantics), plan-compiler unit checks, and
-index-maintenance tests for both stores' ``add_all``.
+index-maintenance tests for the interpretive store's ``add_all``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.datalog.engine import (
 )
 from repro.datalog.errors import ValidationError
 from repro.datalog.parser import parse_program
-from repro.datalog.plan import JoinPlan, PlanCache, PlanStore, compile_program
+from repro.datalog.plan import JoinPlan, PlanCache, compile_program
 from repro.datalog.terms import Constant
 from repro.programs import library as lib
 
@@ -86,15 +86,6 @@ class TestDifferential:
         assert compiled.idb == interpretive.idb
         assert compiled.stages == interpretive.stages
         assert compiled.fixpoint == interpretive.fixpoint
-
-    @pytest.mark.parametrize("interning", [True, False])
-    @pytest.mark.parametrize("indexing", [True, False])
-    def test_config_ablations_agree(self, interning, indexing):
-        program = lib.plain_transitive_closure()
-        db = labeled_graph(seed=11)
-        engine = Engine(EngineConfig(interning=interning, indexing=indexing))
-        assert (engine.evaluate(program, db).idb
-                == INTERPRETIVE.evaluate(program, db).idb)
 
     def test_unsafe_and_empty_body_rules(self):
         # dist_le carries the paper's empty-body rules dist0(X, X) :- .
@@ -211,40 +202,3 @@ class TestStoreIndexMaintenance:
         # Rows for other predicates never leak into the index.
         store.add_all("f", {(a, b)})
         assert store.candidates("e", 0, a) == {(a, b), (a, c)}
-
-    def test_plan_store_add_all_maintains_registered_indexes(self):
-        db = Database.from_facts([("e", ("a", "b"))])
-        store = PlanStore(db, interning=True, indexing=True)
-        store.require_index("e", 0)
-        a = store.resolve(Constant("a"))
-        b = store.resolve(Constant("b"))
-        c = store.resolve(Constant("c"))
-        assert store.candidates("e", 0, a) == {(a, b)}
-        fresh = store.add_all("e", {(a, c), (a, b)})
-        assert fresh == {(a, c)}
-        assert store.candidates("e", 0, a) == {(a, b), (a, c)}
-        assert store.rows("e") == {(a, b), (a, c)}
-
-    def test_plan_store_interning_round_trip(self):
-        db = Database.from_facts([("e", ("a", 1)), ("e", ("b", 2))])
-        store = PlanStore(db)
-        rows = store.unintern_rows("e")
-        assert rows == frozenset({
-            (Constant("a"), Constant(1)), (Constant("b"), Constant(2)),
-        })
-        # Interned values are small ints.
-        assert all(isinstance(v, int) for row in store.rows("e") for v in row)
-
-    def test_plan_store_domain_tracks_inserts_and_constants(self):
-        db = Database.from_facts([("e", ("a", "b"))])
-        store = PlanStore(db)
-        before = len(store.domain())
-        store.resolve(Constant("k"))
-        store.add_all("e", {(0, 1)})  # already-known values
-        assert len(store.domain()) == before + 1
-
-    def test_add_all_returns_only_new_rows(self):
-        db = Database.from_facts([("e", ("a", "b"))])
-        store = PlanStore(db)
-        row = next(iter(store.rows("e")))
-        assert store.add_all("e", {row}) == set()

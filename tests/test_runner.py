@@ -31,7 +31,7 @@ SMALL = ["bounded_buys", "contain_tc_trunc2", "contain_chain_w1",
 
 
 def test_build_jobs_matrix_shape():
-    jobs = build_jobs(scenario_names(), engines=("compiled", "interpretive"),
+    jobs = build_jobs(scenario_names(), engines=("columnar", "interpretive"),
                       kernels=("bitset", "frozenset"))
     decision = [n for n in scenario_names()
                 if REGISTRY[n].kind in DECISION_KINDS]
@@ -44,7 +44,7 @@ def test_build_jobs_matrix_shape():
     assert len(jobs) == 2 * len(decision) + 2 * len(other) - len(dropped)
     # Deterministic: building twice gives the same ordered list.
     assert jobs == build_jobs(scenario_names(),
-                              engines=("compiled", "interpretive"),
+                              engines=("columnar", "interpretive"),
                               kernels=("bitset", "frozenset"))
     assert jobs == sorted(jobs)
 
@@ -60,8 +60,8 @@ def test_build_jobs_validates_labels():
 
 def test_scale_jobs_skip_interpretive_engine():
     jobs = build_jobs(["scale_chain_2hop_5k"],
-                      engines=("compiled", "interpretive"))
-    assert [j.engine for j in jobs] == ["compiled"]
+                      engines=("columnar", "interpretive"))
+    assert [j.engine for j in jobs] == ["columnar"]
     # An explicit interpretive-only request is honored.
     jobs = build_jobs(["scale_chain_2hop_5k"], engines=("interpretive",))
     assert [j.engine for j in jobs] == ["interpretive"]
@@ -97,7 +97,7 @@ def test_shard_jobs_keeps_scenario_groups_whole():
 
 
 def test_execute_job_record_shape():
-    record = execute_job(Job("bounded_buys", "compiled", "bitset", "warm"))
+    record = execute_job(Job("bounded_buys", "columnar", "bitset", "warm"))
     assert record["ok"] is True
     assert record["kind"] == "boundedness"
     assert record["verdict"] == {"bounded": True, "depth": 2}
@@ -115,7 +115,7 @@ def test_cold_jobs_match_warm_jobs():
 def test_parallel_matches_serial():
     """The acceptance property: identical verdicts, in identical order,
     serial vs sharded across processes."""
-    jobs = build_jobs(SMALL, engines=("compiled",),
+    jobs = build_jobs(SMALL, engines=("columnar",),
                       kernels=("bitset", "frozenset"))
     serial = run_batch(jobs, workers=1)
     parallel = run_batch(jobs, workers=2)
@@ -134,7 +134,7 @@ def test_parallel_speedup_on_multicore():
     """
     import time
 
-    jobs = build_jobs(SMALL, engines=("compiled", "interpretive"),
+    jobs = build_jobs(SMALL, engines=("columnar", "interpretive"),
                       kernels=("bitset", "frozenset"))
     serial = run_batch(jobs, workers=1)
     parallel = run_batch(jobs, workers=2)
@@ -150,10 +150,10 @@ def test_parallel_speedup_on_multicore():
 
     # tag:scale scenarios are 10^5-fact EDBs -- minutes each on the
     # interpretive engine -- and tag:stress members are seconds-scale
-    # even compiled, so the wall-clock matrix excludes both tiers.
+    # even columnar, so the wall-clock matrix excludes both tiers.
     names = [n for n in scenario_names()
              if not {"scale", "stress"} & set(REGISTRY[n].tags)]
-    jobs = build_jobs(names, engines=("compiled", "interpretive"),
+    jobs = build_jobs(names, engines=("columnar", "interpretive"),
                       kernels=("bitset", "frozenset"))
     start = time.perf_counter()
     serial = run_batch(jobs, workers=1)

@@ -62,7 +62,7 @@ VALID_REQUESTS = [
     ("decide_containment_depth",
      json.dumps({"op": "decide", "kind": "containment",
                  "program": BUYS, "union_depth": 2, "goal": "buys",
-                 "engine": "compiled", "kernel": "frozenset"})),
+                 "engine": "interpretive", "kernel": "frozenset"})),
     ("decide_boundedness",
      json.dumps({"op": "decide", "kind": "boundedness",
                  "program": BUYS, "goal": "buys", "deadline_s": 30})),
@@ -123,6 +123,9 @@ MALFORMED_REQUESTS = [
     ("bad_engine", json.dumps({"op": "scenario",
                                "scenario": "bounded_buys",
                                "engine": "quantum"})),
+    ("retired_engine_compiled", json.dumps({"op": "scenario",
+                                            "scenario": "bounded_buys",
+                                            "engine": "compiled"})),
     ("bad_kernel", json.dumps({"op": "scenario",
                                "scenario": "bounded_buys",
                                "kernel": "quantum"})),
@@ -321,12 +324,12 @@ def test_defaults_make_coalescing_honest():
 
 def test_distinct_configs_never_share_a_key():
     keys = set()
-    for engine in ("columnar", "compiled", "interpretive"):
+    for engine in ("columnar", "interpretive"):
         for kernel in ("bitset", "frozenset"):
             keys.add(coalesce_key(decode_request(json.dumps(
                 {"op": "scenario", "scenario": "bounded_buys",
                  "engine": engine, "kernel": kernel}))))
-    assert len(keys) == 6
+    assert len(keys) == 4
 
 
 def test_fingerprint_matches_session():
@@ -335,9 +338,9 @@ def test_fingerprint_matches_session():
     from repro.runner.batch import ENGINE_CONFIGS, KERNEL_CONFIGS
     from repro.session import Session
 
-    session = Session(engine=ENGINE_CONFIGS["compiled"],
+    session = Session(engine=ENGINE_CONFIGS["interpretive"],
                       kernel=KERNEL_CONFIGS["frozenset"])
-    assert fingerprint_for("compiled", "frozenset") == session.fingerprint
+    assert fingerprint_for("interpretive", "frozenset") == session.fingerprint
 
 
 def test_every_op_has_a_request_case():

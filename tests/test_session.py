@@ -96,7 +96,7 @@ def test_sessions_with_different_engines_agree_on_evaluation():
     from repro.workloads import generators as gen
 
     db = gen.edges_database(gen.chain_edges(30), ("e", "e0"))
-    columnar = Session(engine=EngineConfig(backend="columnar"))
+    columnar = Session(engine=EngineConfig())
     interpretive = Session(engine=EngineConfig(compiled=False))
     a = columnar.evaluate(TC, db, goal="p")
     b = interpretive.evaluate(TC, db, goal="p")

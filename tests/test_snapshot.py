@@ -94,7 +94,7 @@ def test_warm_accepts_snapshot_directory(warm_dir):
 
 
 def test_fingerprint_mismatch_is_silent_cold_start(warm_dir, recwarn):
-    other = Session(engine=EngineConfig(backend="rows"), name="other")
+    other = Session(engine=EngineConfig(compiled=False), name="other")
     assert not restore_session(other, warm_dir)
     assert other.engine.plan_cache_size() == 0
     assert not [w for w in recwarn.list
