@@ -10,21 +10,10 @@ tracked across commits.
 
 The decision-stack and plans suites draw their configurations from the
 **scenario registry** (:mod:`repro.workloads.scenarios`) -- the same
-catalogue the batch runner (``python -m repro.runner``) and CI use --
-rather than ad-hoc per-file configs.  Each decision case is timed in
-three modes:
-
-* ``seed_like``  -- frozenset reference kernel with the process-wide
-  shared caches cleared before every iteration (via the registered
-  cache-lifecycle hooks, so compiled plans drop too): approximates the
-  pre-kernel implementation;
-* ``reference``  -- frozenset kernel, warm shared caches (isolates the
-  bitmask representation from the memoization);
-* ``bitset``     -- the default bitset kernel, warm shared caches (the
-  shipped configuration).
-
-``speedup`` is ``seed_like / bitset`` -- what the kernel rework buys
-on the steady-state (repeated-query) workload the benchmarks model.
+catalogue the batch runner (``python -m repro scenarios``) and CI use
+-- rather than ad-hoc per-file configs.  Each decision case is timed
+on the bitset kernel with warm shared caches (``bitset_s``, the
+steady-state repeated-query workload the benchmarks model).
 
 The plans suite times both engine paths (columnar / interpretive) and
 the **scale suite** times the columnar batch kernels on ``tag:scale``
@@ -51,10 +40,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.automata.kernel import KernelConfig  # noqa: E402
 from repro.automata.tree import TreeAutomaton, find_counterexample_tree  # noqa: E402
 from repro.automata.word import NFA, find_counterexample_word  # noqa: E402
-from repro.core.instances import clear_shared_caches  # noqa: E402
 from repro.datalog.engine import Engine, EngineConfig  # noqa: E402
 from repro.runner.trajectory import (  # noqa: E402
     AUTOMATA_TRAJECTORY,
@@ -68,10 +55,7 @@ from repro.workloads.scenarios import (  # noqa: E402
     scenario_names,
 )
 
-BITSET = KernelConfig(backend="bitset")
-REFERENCE = KernelConfig(backend="frozenset")
-
-# Registry scenarios timed by the decision-stack suite (kernel ablation).
+# Registry scenarios timed by the decision-stack suite.
 DECISION_CASES = [
     "contain_chain_w1",
     "contain_chain_w2",
@@ -121,50 +105,31 @@ def peak_kb(fn) -> float:
 
 
 def time_kernel_case(name: str, fn, repeats: int):
-    """Time one decision-stack case in the three kernel modes.
-
-    ``fn(kernel)`` runs the decision once; cache lifecycle goes through
-    the registered hooks (:func:`clear_shared_caches`), so 'cold'
-    really is cold -- enumerators, automata, and compiled plans all
-    drop together.
-    """
-
-    def seed_like():
-        clear_shared_caches()
-        fn(REFERENCE)
-
-    clear_shared_caches()
-    seed = median_seconds(seed_like, repeats)
-    fn(REFERENCE)  # warm the shared caches
-    reference = median_seconds(lambda: fn(REFERENCE), repeats)
-    fn(BITSET)
-    bitset = median_seconds(lambda: fn(BITSET), repeats)
+    """Time one decision-stack case on the bitset kernel with warm
+    shared caches (``fn()`` runs the decision once)."""
+    fn()  # warm the shared caches
+    bitset = median_seconds(fn, repeats)
     entry = {
         "name": name,
         "repeats": repeats,
-        "seed_like_s": round(seed, 6),
-        "reference_s": round(reference, 6),
         "bitset_s": round(bitset, 6),
-        "speedup": round(seed / bitset, 2) if bitset else None,
-        "bitset_peak_kb": peak_kb(lambda: fn(BITSET)),
+        "bitset_peak_kb": peak_kb(fn),
     }
-    print(f"  {name:42s} seed {seed*1000:8.2f}ms  "
-          f"ref {reference*1000:8.2f}ms  bitset {bitset*1000:8.2f}ms  "
-          f"speedup {entry['speedup']}x")
+    print(f"  {name:42s} bitset {bitset*1000:8.2f}ms")
     return entry
 
 
-def scenario_kernel_fn(name: str):
-    """A ``fn(kernel)`` closure for one registry scenario: build the
-    payload once, run the scenario's decision procedure under the given
-    kernel, and assert the ground-truth verdict every time."""
+def scenario_decision_fn(name: str):
+    """A ``fn()`` closure for one registry scenario: build the payload
+    once, run the scenario's decision procedure, and assert the
+    ground-truth verdict every time."""
     scenario = get_scenario(name)
     payload = scenario.build()
     runner = kind_runner(scenario.kind)
     expected = dict(scenario.expected)
 
-    def fn(kernel):
-        verdict, _ = runner(payload, None, kernel)
+    def fn():
+        verdict, _stats, _result = runner(payload, None)
         assert verdict == expected, (name, verdict, expected)
 
     return fn
@@ -173,7 +138,7 @@ def scenario_kernel_fn(name: str):
 def decision_suite(repeats: int, smoke: bool):
     print("decision stack (registry scenarios):")
     cases = DECISION_CASES_SMOKE if smoke else DECISION_CASES
-    return [time_kernel_case(name, scenario_kernel_fn(name), repeats)
+    return [time_kernel_case(name, scenario_decision_fn(name), repeats)
             for name in cases]
 
 
@@ -219,18 +184,18 @@ def automata_suite(repeats: int, smoke: bool):
     rng = random.Random(2024)
     tree_pairs = [(_random_nta(rng), _random_nta(rng)) for _ in range(pairs)]
 
-    def tree_batch(kernel):
+    def tree_batch():
         for left, right in tree_pairs:
-            find_counterexample_tree(left, right, kernel=kernel)
+            find_counterexample_tree(left, right)
 
     entries.append(time_kernel_case("tree_containment_batch", tree_batch, repeats))
 
     size = 4 if smoke else 16
     nfa_pairs = [(_random_nfa(rng, size), _random_nfa(rng, size)) for _ in range(pairs)]
 
-    def word_batch(kernel):
+    def word_batch():
         for left, right in nfa_pairs:
-            find_counterexample_word(left, right, kernel=kernel)
+            find_counterexample_word(left, right)
 
     entries.append(time_kernel_case("word_containment_batch", word_batch, repeats))
 
@@ -241,9 +206,9 @@ def automata_suite(repeats: int, smoke: bool):
     det_nfas = [_random_nfa(rng, det_size, density=0.1, symbols="abc")
                 for _ in range(4 if smoke else 8)]
 
-    def determinize_batch(kernel):
+    def determinize_batch():
         for automaton in det_nfas:
-            automaton.determinize(kernel=kernel)
+            automaton.determinize()
 
     entries.append(time_kernel_case("nfa_determinize_batch", determinize_batch, repeats))
     return entries
@@ -265,7 +230,7 @@ def plans_suite(repeats: int, smoke: bool):
         expected = dict(scenario.expected)
 
         def run(engine):
-            verdict, _ = runner(payload, engine, None)
+            verdict, _stats, _result = runner(payload, engine)
             assert verdict == expected, (name, verdict, expected)
 
         columnar_s = median_seconds(lambda: run(columnar), repeats)
@@ -303,7 +268,7 @@ def scale_suite(repeats: int, smoke: bool):
         scenario = get_scenario(name)
         payload = scenario.build()
         expected = dict(scenario.expected)
-        verdict, _ = runner(payload, columnar, None)
+        verdict, _stats, _result = runner(payload, columnar)
         assert verdict == expected, (name, verdict, expected)
         program, database = payload["program"], payload["database"]
 

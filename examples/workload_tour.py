@@ -6,7 +6,7 @@ Walks the scenario axis added on top of the decision procedures:
    construction (bounded vs unbounded, covered sirups);
 2. the scenario registry that names every workload;
 3. a mini batch through ``repro.runner`` -- the same machinery behind
-   ``python -m repro.runner``.
+   ``python -m repro scenarios``.
 
 Run:  PYTHONPATH=src python examples/workload_tour.py
 """
@@ -63,17 +63,17 @@ assert result["ok"]
 assert run_scenario(get_scenario("equiv_buys_bounded"))["verdict"] == result["verdict"]
 
 # ----------------------------------------------------------------------
-# 3. A mini batch through the runner (serial here; -m repro.runner
-#    shards the same jobs across worker processes).
+# 3. A mini batch through the runner (serial here; python -m repro
+#    scenarios shards the same jobs across worker processes).
 # ----------------------------------------------------------------------
 
-print("\n== mini batch: 3 scenarios x 2 kernels ==")
-jobs = build_jobs(["bounded_buys", "contain_tc_trunc2", "unbounded_tc"],
-                  kernels=("bitset", "frozenset"))
+print("\n== mini batch: 3 decision scenarios + 1 evaluation x 2 engines ==")
+jobs = build_jobs(["bounded_buys", "contain_tc_trunc2", "unbounded_tc",
+                   "eval_sg_tree_d5"], engines=("columnar", "interpretive"))
 records = run_batch(jobs, workers=1)
 for record in records:
-    print(f"  {record['scenario']:20s} {record['kernel']:10s} "
+    print(f"  {record['scenario']:20s} {record['engine']:12s} "
           f"{record['seconds']*1000:7.1f}ms  {record['verdict']}")
 assert all(record["ok"] for record in records)
-assert len(verdicts(records)) == 6
+assert len(verdicts(records)) == 5
 print("all verdicts match ground truth")

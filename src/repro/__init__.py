@@ -34,7 +34,6 @@ shims onto the default session):
     ('equivalence', True)
 """
 
-from .automata import KernelConfig, default_kernel, set_default_kernel
 from .datalog import (
     Atom,
     Constant,
@@ -91,7 +90,6 @@ __all__ = [
     "Constant",
     "Database",
     "Decision",
-    "KernelConfig",
     "Program",
     "Rule",
     "Session",
@@ -105,7 +103,6 @@ __all__ = [
     "cq_equivalent",
     "current_session",
     "decide_boundedness",
-    "default_kernel",
     "default_session",
     "evaluate",
     "evaluate_cq",
@@ -120,7 +117,6 @@ __all__ = [
     "parse_program",
     "parse_rule",
     "query",
-    "set_default_kernel",
     "ucq_contained_in",
     "ucq_contained_in_datalog",
     "unfold_nonrecursive",

@@ -1,8 +1,7 @@
 """``python -m repro`` -- the unified CLI over the Session API.
 
-One entry point for every paper decision procedure and harness,
-replacing the scattered ``python -m repro.runner`` / bench-script
-invocations (which remain as thin aliases):
+One entry point for every paper decision procedure and harness
+(the bench subcommands pass through to the ``benchmarks/`` scripts):
 
 =============  ========================================================
 subcommand     what it does
@@ -20,11 +19,13 @@ subcommand     what it does
                admission, per-worker Sessions
 ``request``    send one JSON request line to a running daemon and
                print its response (the CI/docs smoke client)
-``scenarios``  the scenario-matrix batch runner (the former
-               ``python -m repro.runner`` CLI, unchanged flags)
+``scenarios``  the scenario-matrix batch runner
+               (:mod:`repro.runner.cli`)
 ``fuzz``       the differential fuzz sweep (:mod:`repro.fuzz`): random
-               programs/EDBs through every backend x strategy x kernel,
-               divergences delta-debugged to minimized regression files
+               programs/EDBs through every backend x strategy, decision
+               verdicts through the certificate checker and witness
+               refutation, divergences delta-debugged to minimized
+               regression files
 ``bench``      the trajectory benchmark suites
                (``benchmarks/run_bench.py``)
 ``bench-check``  the perf-regression smoke guard
@@ -69,14 +70,13 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .automata.kernel import KernelConfig
 from .budget import BudgetExhausted
 from .datalog.database import Database
 from .datalog.errors import ReproError
 from .datalog.parser import parse_program
 from .datalog.program import Program
 from .datalog.unfold import expansion_union, unfold_nonrecursive
-from .runner.batch import ENGINE_CONFIGS, KERNEL_CONFIGS
+from .runner.batch import ENGINE_CONFIGS
 from .runner.trajectory import find_repo_root
 from .session import Decision, Session
 
@@ -109,9 +109,7 @@ def _read_database(spec: str) -> Database:
 
 
 def _session(args) -> Session:
-    engine = ENGINE_CONFIGS[args.engine]
-    kernel = KERNEL_CONFIGS[args.kernel]
-    return Session(engine=engine, kernel=kernel, name="cli")
+    return Session(engine=ENGINE_CONFIGS[args.engine], name="cli")
 
 
 def _emit(decision: Decision, as_json: bool) -> None:
@@ -133,9 +131,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=sorted(ENGINE_CONFIGS),
                         default="columnar",
                         help="evaluation engine config (default: columnar)")
-    parser.add_argument("--kernel", choices=sorted(KERNEL_CONFIGS),
-                        default="bitset",
-                        help="automaton kernel backend (default: bitset)")
     parser.add_argument("--json", action="store_true",
                         help="print the full Decision record as JSON")
     parser.add_argument("--deadline", type=float, default=None,
@@ -287,8 +282,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "scenarios", add_help=False,
-        help="scenario-matrix batch runner (flags of python -m "
-             "repro.runner; try: scenarios --help)")
+        help="scenario-matrix batch runner (try: scenarios --help)")
     sub.add_parser(
         "bench", add_help=False,
         help="trajectory benchmark suites (flags of "
@@ -526,7 +520,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Pass-through subcommands keep their own argparse (and --help).
     if argv and argv[0] == "scenarios":
-        from .runner.__main__ import main as runner_main
+        from .runner.cli import main as runner_main
 
         return runner_main(argv[1:])
     if argv and argv[0] == "bench":

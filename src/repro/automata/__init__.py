@@ -9,13 +9,10 @@ materializing the exponential subset constructions.
 from .kernel import (
     BitAntichain,
     Interner,
-    KernelConfig,
+    Invariant,
     clear_registered_caches,
-    default_kernel,
     register_shared_cache,
     registered_caches,
-    resolve_kernel,
-    set_default_kernel,
 )
 from .word import NFA
 from .word import contained_in as nfa_contained_in
@@ -30,6 +27,7 @@ from .tree import (
     complement,
     find_counterexample_tree,
     path_tree,
+    search_tree_inclusion,
 )
 from .tree import contained_in as tree_contained_in
 from .tree import contained_in_union as tree_contained_in_union
@@ -39,13 +37,12 @@ __all__ = [
     "BitAntichain",
     "BottomUpDeterministic",
     "Interner",
-    "KernelConfig",
+    "Invariant",
     "LabeledTree",
     "NFA",
     "TreeAutomaton",
     "clear_registered_caches",
     "complement",
-    "default_kernel",
     "enumerate_words",
     "find_counterexample_tree",
     "find_counterexample_word",
@@ -56,8 +53,7 @@ __all__ = [
     "path_tree",
     "register_shared_cache",
     "registered_caches",
-    "resolve_kernel",
-    "set_default_kernel",
+    "search_tree_inclusion",
     "tree_contained_in",
     "tree_contained_in_union",
     "tree_equivalent",

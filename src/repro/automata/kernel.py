@@ -5,11 +5,8 @@ containment (Proposition 4.6), word-automaton containment
 (Proposition 4.3), the proof-tree profile fixpoint (Theorem 5.12) and
 the linear word pathway -- spends its time manipulating *subsets of a
 finite state space*: profiles, antichain entries, subset-construction
-states.  The seed implementation represents those subsets as
-``frozenset``s of hashable state objects, so every domination check
-hashes and compares whole state objects.
-
-This module provides the shared kernel that makes those loops cheap:
+states.  This module provides the shared representation that makes
+those loops cheap:
 
 * :class:`Interner` assigns each state a dense integer id on first
   sight, so a subset becomes a Python ``int`` bitmask and subset
@@ -18,97 +15,15 @@ This module provides the shared kernel that makes those loops cheap:
 * :class:`BitAntichain` keeps per-key antichains of minimal bitmasks
   with arbitrary witness payloads (the pruning structure of the
   containment searches);
-* :class:`KernelConfig` is the knob (mirroring
-  :class:`~repro.datalog.engine.EngineConfig`) that selects between
-  the bitset kernel and the original frozenset *reference* path, which
-  is kept verbatim so differential tests can assert bit-identical
-  verdicts.
-
-The kernel is purely representational: both backends explore the same
-search space in the same order and return the same results.
+* :class:`Invariant` is what a search that finds no counterexample
+  hands back: its final antichain, checked independently by
+  :mod:`repro.core.certificate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
-
-from ..context import activate as _activate_session
-from ..context import current_session as _current_session
-from ..datalog.errors import ValidationError
-
-_BACKENDS = ("bitset", "frozenset")
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Knobs of the automaton kernel.
-
-    ``backend``
-        ``"bitset"`` (interned states, bitmask subsets, memoized
-        transition lookups -- the default) or ``"frozenset"`` (the
-        original reference implementation, kept for differential
-        testing and ablation).
-    ``memoize``
-        Bitset-path toggle: cache per-``(state, label)`` successor
-        masks and per-``(label, child profiles)`` profile images.
-        Ignored by the frozenset reference path.
-    """
-
-    backend: str = "bitset"
-    memoize: bool = True
-
-    def __post_init__(self):
-        if self.backend not in _BACKENDS:
-            raise ValidationError(
-                f"unknown kernel backend {self.backend!r}; "
-                f"expected one of {_BACKENDS}"
-            )
-
-    @property
-    def bitset(self) -> bool:
-        return self.backend == "bitset"
-
-
-#: Pre-session fallback, only consulted while the package is still
-#: importing (before ``repro.session`` registers the default-session
-#: factory with ``repro.context``).
-_SEED_KERNEL = KernelConfig()
-
-
-def default_kernel() -> KernelConfig:
-    """The ambient default kernel configuration.
-
-    Resolution goes through the ambient :class:`~repro.session.Session`
-    (a :class:`contextvars.ContextVar`), so the "default" is per-thread
-    and per-async-task: two threads configured differently no longer
-    race on a module global.
-    """
-    session = _current_session()
-    return session.kernel if session is not None else _SEED_KERNEL
-
-
-def set_default_kernel(config: KernelConfig) -> KernelConfig:
-    """Replace the ambient default kernel; returns the previous one.
-
-    Implemented by swapping the ambient session for a derived one
-    (same engine, same caches, new kernel) in the ContextVar, so the
-    change is scoped to the current thread/context rather than mutating
-    process-global state.
-    """
-    previous = default_kernel()
-    session = _current_session()
-    if session is None:
-        global _SEED_KERNEL
-        _SEED_KERNEL = config
-    else:
-        _activate_session(session.with_config(kernel=config))
-    return previous
-
-
-def resolve_kernel(kernel: Optional[KernelConfig]) -> KernelConfig:
-    """An explicit config wins; None means the ambient default."""
-    return kernel if kernel is not None else default_kernel()
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 
 # ----------------------------------------------------------------------
@@ -243,17 +158,16 @@ class Interner:
         return [objects[i] for i in iter_bits(mask)]
 
     def subset_of(self, mask: int) -> frozenset:
-        """The frozenset view of a bitmask (for results / reference)."""
+        """The frozenset view of a bitmask."""
         return frozenset(self.members(mask))
 
 
 class BitAntichain:
     """Per-key antichains of minimal bitmasks with witness payloads.
 
-    The bitset counterpart of the frozenset antichains used by the
-    containment searches: an entry ``(mask, payload)`` is kept only
-    while no other entry's mask is a subset of it.  Subset tests are
-    single ``&``/``==`` operations on ints.
+    An entry ``(mask, payload)`` is kept only while no other entry's
+    mask is a subset of it.  Subset tests are single ``&``/``==``
+    operations on ints.
     """
 
     __slots__ = ("_chains",)
@@ -296,3 +210,32 @@ class BitAntichain:
 
     def total(self) -> int:
         return sum(len(chain) for chain in self._chains.values())
+
+
+@dataclass(frozen=True)
+class Invariant:
+    """The final antichain of a containment search that found no
+    counterexample: the certificate of a positive verdict.
+
+    ``chains`` maps each left-hand state (a state of the left tree
+    automaton, or a goal atom of the proof-tree automaton) to the
+    search's own chain of entries, each an int mask over ``interner``
+    or a tuple whose first item is one; ``automata`` holds the automata
+    the search ran on.  Nothing is decoded on the search path: only
+    :mod:`repro.core.certificate` reads an invariant, through
+    :meth:`entries`.  ``pathway`` names the check that applies:
+    ``"tree"`` or ``"word"`` for the Datalog containment searches,
+    ``"automata"`` for the generic tree-automaton search.
+    """
+
+    pathway: str
+    chains: Dict[Hashable, list]
+    interner: Interner
+    automata: Tuple
+
+    def entries(self, key: Hashable) -> List[FrozenSet]:
+        """The certified subsets at *key*, decoded to state objects."""
+        return [
+            self.interner.subset_of(entry if isinstance(entry, int) else entry[0])
+            for entry in self.chains.get(key, ())
+        ]

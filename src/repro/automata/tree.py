@@ -24,11 +24,12 @@ Substrate results implemented here:
   right-hand automaton, and only on demand).
 
 The hot loops (productivity fixpoint, profile propagation, antichain
-subsumption) run on the bitset kernel of :mod:`repro.automata.kernel`
-by default: states are interned to dense ids and profiles are int
-bitmasks, so subset checks are single word operations.  The original
-frozenset implementation is kept as the reference path, selectable via
-:class:`~repro.automata.kernel.KernelConfig`.
+subsumption) run on the bitset kernel of :mod:`repro.automata.kernel`:
+states are interned to dense ids and profiles are int bitmasks, so
+subset checks are single word operations.  A containment search that
+finds no counterexample returns its final antichain as an
+:class:`~repro.automata.kernel.Invariant`, which
+:mod:`repro.core.certificate` checks independently.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence
 
 from ..budget import check_deadline
 from ..datalog.errors import ValidationError
-from .kernel import BitAntichain, Interner, KernelConfig, resolve_kernel, thaw_witness
+from .kernel import BitAntichain, Interner, Invariant, thaw_witness
 
 State = Hashable
 Symbol = Hashable
@@ -213,37 +214,17 @@ class TreeAutomaton:
     # Proposition 4.5: nonemptiness.
     # ------------------------------------------------------------------
 
-    def productive_states(self, kernel: Optional[KernelConfig] = None) -> FrozenSet[State]:
+    def productive_states(self) -> FrozenSet[State]:
         """States that root an accepting run on some tree (the paper's
-        ``accept(A)`` set), computed as a bottom-up fixpoint.
+        ``accept(A)`` set), computed as a bottom-up fixpoint on
+        interned state ids and an int bitmask.
 
         Cached on the (frozen) automaton: repeated ``is_empty()`` /
-        ``find_tree()`` calls reuse the first computation.  The fixpoint
-        runs on interned state ids and an int bitmask under the bitset
-        kernel (default), and on the original frozenset loop under the
-        reference backend (both produce the same set, so the cache is
-        backend-agnostic).
+        ``find_tree()`` calls reuse the first computation.
         """
         cached = self.__dict__.get("_productive")
         if cached is not None:
             return cached
-        if not resolve_kernel(kernel).bitset:
-            productive_ref: Set[State] = set()
-            changed_ref = True
-            while changed_ref:
-                check_deadline()
-                changed_ref = False
-                for (state, _symbol), tuples in self.transitions.items():
-                    if state in productive_ref:
-                        continue
-                    for tuple_ in tuples:
-                        if all(q in productive_ref for q in tuple_):
-                            productive_ref.add(state)
-                            changed_ref = True
-                            break
-            result = frozenset(productive_ref)
-            object.__setattr__(self, "_productive", result)
-            return result
         interner = Interner()
         edges: List[Tuple[int, int]] = []  # (state id, needed-children mask)
         for (state, _symbol), tuples in self.transitions.items():
@@ -272,13 +253,13 @@ class TreeAutomaton:
         object.__setattr__(self, "_productive", result)
         return result
 
-    def is_empty(self, kernel: Optional[KernelConfig] = None) -> bool:
+    def is_empty(self) -> bool:
         """True iff T(A) is empty (Proposition 4.5, polynomial time)."""
-        return not (self.productive_states(kernel=kernel) & self.initial)
+        return not (self.productive_states() & self.initial)
 
-    def find_tree(self, kernel: Optional[KernelConfig] = None) -> Optional[LabeledTree]:
+    def find_tree(self) -> Optional[LabeledTree]:
         """A smallest witness tree in T(A), or None when empty."""
-        if self.is_empty(kernel=kernel):
+        if self.is_empty():
             return None
         witness: Dict[State, LabeledTree] = {}
         changed = True
@@ -428,17 +409,13 @@ class BottomUpDeterministic:
     def complement(self) -> "BottomUpDeterministic":
         return BottomUpDeterministic(self.source, not self.complemented)
 
-    def reachable_subsets(self, max_subsets: Optional[int] = None,
-                          kernel: Optional[KernelConfig] = None) -> FrozenSet[FrozenSet[State]]:
+    def reachable_subsets(self, max_subsets: Optional[int] = None) -> FrozenSet[FrozenSet[State]]:
         """All subset states reachable on some tree (the materialized
         determinization).  Exponential; *max_subsets* guards runaways.
 
-        Under the bitset kernel (default) subsets live as int masks and
-        are thawed to frozensets only in the returned value; the
-        frozenset reference path is kept behind the config knob.
+        Subsets live as int masks and are thawed to frozensets only in
+        the returned value.
         """
-        if not resolve_kernel(kernel).bitset:
-            return self._reachable_subsets_reference(max_subsets)
         interner = Interner()
         # (symbol, arity) -> [(state id, child-id tuple)]
         edges: Dict[Tuple[Symbol, int], List[Tuple[int, Tuple[int, ...]]]] = {}
@@ -478,41 +455,6 @@ class BottomUpDeterministic:
                             )
         return frozenset(interner.subset_of(mask) for mask in subsets)
 
-    def _reachable_subsets_reference(self, max_subsets: Optional[int]) -> FrozenSet[FrozenSet[State]]:
-        by_symbol: Dict[Symbol, List[Tuple[State, Tuple[State, ...]]]] = {}
-        for (state, symbol), tuples in self.source.transitions.items():
-            for tuple_ in tuples:
-                by_symbol.setdefault(symbol, []).append((state, tuple_))
-
-        subsets: Set[FrozenSet[State]] = set()
-        changed = True
-        while changed:
-            check_deadline()
-            changed = False
-            for symbol, edges in by_symbol.items():
-                arities = {len(tuple_) for _, tuple_ in edges}
-                for arity in arities:
-                    pool = sorted(subsets, key=repr)
-                    combos: List[Tuple[FrozenSet[State], ...]] = [()]
-                    for _ in range(arity):
-                        combos = [prefix + (u,) for prefix in combos for u in pool]
-                    for combo in combos:
-                        target = frozenset(
-                            state
-                            for state, tuple_ in edges
-                            if len(tuple_) == arity
-                            and all(q in u for q, u in zip(tuple_, combo))
-                        )
-                        if target not in subsets:
-                            subsets.add(target)
-                            changed = True
-                            if max_subsets is not None and len(subsets) > max_subsets:
-                                raise ValidationError(
-                                    "subset construction exceeded "
-                                    f"{max_subsets} states"
-                                )
-        return frozenset(subsets)
-
 
 def complement(automaton: TreeAutomaton) -> BottomUpDeterministic:
     """The complement of T(A) as a deterministic bottom-up automaton."""
@@ -523,58 +465,10 @@ def complement(automaton: TreeAutomaton) -> BottomUpDeterministic:
 # Proposition 4.6 workload: containment via bottom-up profiles.
 # ----------------------------------------------------------------------
 
-class _Antichain:
-    """Per-key antichains of minimal frozensets with witness payloads
-    (reference-path pruning structure)."""
-
-    def __init__(self):
-        self._chains: Dict[State, List[Tuple[FrozenSet[State], LabeledTree]]] = {}
-
-    def dominated(self, key: State, subset: FrozenSet[State]) -> bool:
-        return any(known <= subset for known, _ in self._chains.get(key, ()))
-
-    def insert(self, key: State, subset: FrozenSet[State], witness: LabeledTree) -> bool:
-        """Insert unless dominated; evict dominated entries.  Returns
-        True when the profile was genuinely new."""
-        if self.dominated(key, subset):
-            return False
-        chain = self._chains.setdefault(key, [])
-        chain[:] = [(known, w) for known, w in chain if not subset <= known]
-        chain.append((subset, witness))
-        return True
-
-    def items(self, key: State):
-        return list(self._chains.get(key, ()))
-
-    def keys(self):
-        return list(self._chains.keys())
-
-    def total(self) -> int:
-        return sum(len(chain) for chain in self._chains.values())
-
-
 def find_counterexample_tree(left: TreeAutomaton, right: TreeAutomaton,
-                             use_antichain: bool = True,
-                             kernel: Optional[KernelConfig] = None) -> Optional[LabeledTree]:
-    """A tree in T(left) - T(right), or None when contained.
-
-    Works bottom-up over *profiles* ``(p, U)``: p is a left state that
-    accepts some witness tree t and U is the exact set of right states
-    accepting the same t.  A profile with p initial-in-left and U
-    disjoint from right's initial states yields a counterexample.  With
-    ``use_antichain`` profiles dominated by a subset profile are pruned
-    (sound because the profile successor map is monotone in U); without
-    it the full exact profile space is explored (ablation mode).
-
-    ``kernel`` selects the bitset kernel (default) or the frozenset
-    reference path; both explore the same space and agree on verdicts.
-    """
-    config = resolve_kernel(kernel)
-    if config.bitset:
-        return _find_counterexample_tree_bitset(
-            left, right, use_antichain, config.memoize
-        )
-    return _find_counterexample_tree_reference(left, right, use_antichain)
+                             use_antichain: bool = True) -> Optional[LabeledTree]:
+    """A tree in T(left) - T(right), or None when contained."""
+    return search_tree_inclusion(left, right, use_antichain)[0]
 
 
 def _thaw_witness(node: Tuple) -> LabeledTree:
@@ -582,9 +476,22 @@ def _thaw_witness(node: Tuple) -> LabeledTree:
     return thaw_witness(node, LabeledTree)
 
 
-def _find_counterexample_tree_bitset(left: TreeAutomaton, right: TreeAutomaton,
-                                     use_antichain: bool,
-                                     memoize: bool) -> Optional[LabeledTree]:
+def search_tree_inclusion(left: TreeAutomaton, right: TreeAutomaton,
+                          use_antichain: bool = True,
+                          ) -> Tuple[Optional[LabeledTree], Optional[Invariant]]:
+    """Decide T(left) subseteq T(right): ``(counterexample, None)`` or
+    ``(None, invariant)``.
+
+    Works bottom-up over *profiles* ``(p, U)``: p is a left state that
+    accepts some witness tree t and U is the exact set of right states
+    accepting the same t.  A profile with p initial-in-left and U
+    disjoint from right's initial states yields a counterexample.  With
+    ``use_antichain`` profiles dominated by a subset profile are pruned
+    (sound because the profile successor map is monotone in U); without
+    it the full exact profile space is explored (ablation mode).  When
+    no counterexample exists, the final profiles are the
+    :class:`~repro.automata.kernel.Invariant` that proves it.
+    """
     by_symbol_left = left.edges_by_symbol()
     interner = Interner()
     # (symbol, arity) -> [(state bit, child-id tuple)]
@@ -601,10 +508,9 @@ def _find_counterexample_tree_bitset(left: TreeAutomaton, right: TreeAutomaton,
 
     def right_profile(symbol: Symbol, child_masks: Tuple[int, ...]) -> int:
         key = (symbol, child_masks)
-        if memoize:
-            cached = profile_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = profile_cache.get(key)
+        if cached is not None:
+            return cached
         mask = 0
         for bit, childs in right_edges.get((symbol, len(child_masks)), ()):
             if mask & bit:
@@ -614,8 +520,7 @@ def _find_counterexample_tree_bitset(left: TreeAutomaton, right: TreeAutomaton,
                     break
             else:
                 mask |= bit
-        if memoize:
-            profile_cache[key] = mask
+        profile_cache[key] = mask
         return mask
 
     chains = BitAntichain()
@@ -641,7 +546,7 @@ def _find_counterexample_tree_bitset(left: TreeAutomaton, right: TreeAutomaton,
                     subset = right_profile(symbol, child_masks)
                     witness = (symbol, tuple(entry[1] for entry in combo))
                     if state in left_initial and not (subset & right_initial):
-                        return _thaw_witness(witness)
+                        return _thaw_witness(witness), None
                     if use_antichain:
                         if chains.insert(state, subset, witness):
                             changed = True
@@ -651,83 +556,26 @@ def _find_counterexample_tree_bitset(left: TreeAutomaton, right: TreeAutomaton,
                             seen_exact.add(key)
                             chains.append(state, subset, witness)
                             changed = True
-    return None
-
-
-def _find_counterexample_tree_reference(left: TreeAutomaton, right: TreeAutomaton,
-                                        use_antichain: bool) -> Optional[LabeledTree]:
-    by_symbol_left = left.edges_by_symbol()
-    by_symbol_right = right.edges_by_symbol()
-
-    chains = _Antichain()
-    seen_exact: Set[Tuple[State, FrozenSet[State]]] = set()
-
-    def right_profile(symbol: Symbol, child_profiles: Tuple[FrozenSet[State], ...]) -> FrozenSet[State]:
-        arity = len(child_profiles)
-        return frozenset(
-            state
-            for state, tuple_ in by_symbol_right.get(symbol, ())
-            if len(tuple_) == arity
-            and all(q in u for q, u in zip(tuple_, child_profiles))
-        )
-
-    changed = True
-    while changed:
-        check_deadline()
-        changed = False
-        for symbol, edges in by_symbol_left.items():
-            for state, tuple_ in edges:
-                if tuple_:
-                    options = [chains.items(q) for q in tuple_]
-                    if any(not opts for opts in options):
-                        continue
-                    combos: List[Tuple[Tuple[FrozenSet[State], LabeledTree], ...]] = [()]
-                    for opts in options:
-                        combos = [prefix + (entry,) for prefix in combos for entry in opts]
-                else:
-                    combos = [()]
-                for combo in combos:
-                    child_subsets = tuple(entry[0] for entry in combo)
-                    child_witnesses = tuple(entry[1] for entry in combo)
-                    subset = right_profile(symbol, child_subsets)
-                    witness = LabeledTree(symbol, child_witnesses)
-                    if state in left.initial and not (subset & right.initial):
-                        return witness
-                    if use_antichain:
-                        if chains.insert(state, subset, witness):
-                            changed = True
-                    else:
-                        key = (state, subset)
-                        if key not in seen_exact:
-                            seen_exact.add(key)
-                            chains._chains.setdefault(state, []).append((subset, witness))
-                            changed = True
-    return None
+    return None, Invariant("automata", chains._chains, interner, (left, right))
 
 
 def contained_in(left: TreeAutomaton, right: TreeAutomaton,
-                 use_antichain: bool = True,
-                 kernel: Optional[KernelConfig] = None) -> bool:
+                 use_antichain: bool = True) -> bool:
     """T(left) subseteq T(right) (Proposition 4.6 workload)."""
-    return find_counterexample_tree(
-        left, right, use_antichain=use_antichain, kernel=kernel
-    ) is None
+    return find_counterexample_tree(left, right, use_antichain) is None
 
 
 def contained_in_union(left: TreeAutomaton,
-                       rights: Sequence[TreeAutomaton],
-                       kernel: Optional[KernelConfig] = None) -> bool:
+                       rights: Sequence[TreeAutomaton]) -> bool:
     """T(left) subseteq union of T(right_i)."""
     if not rights:
-        return left.is_empty(kernel=kernel)
+        return left.is_empty()
     combined = rights[0]
     for automaton in rights[1:]:
         combined = combined.union(automaton)
-    return contained_in(left, combined, kernel=kernel)
+    return contained_in(left, combined)
 
 
-def equivalent(left: TreeAutomaton, right: TreeAutomaton,
-               kernel: Optional[KernelConfig] = None) -> bool:
+def equivalent(left: TreeAutomaton, right: TreeAutomaton) -> bool:
     """Language equality via mutual containment."""
-    return (contained_in(left, right, kernel=kernel)
-            and contained_in(right, left, kernel=kernel))
+    return contained_in(left, right) and contained_in(right, left)

@@ -13,10 +13,10 @@ States may be arbitrary hashable objects; symbols likewise.
 
 The subset-heavy procedures (determinization and the antichain
 containment search) run on the bitset kernel of
-:mod:`repro.automata.kernel` by default -- right-hand states interned
-to dense ids, subsets as int bitmasks, per-(state, symbol) successor
-masks memoized -- with the frozenset implementation kept as the
-reference path behind :class:`~repro.automata.kernel.KernelConfig`.
+:mod:`repro.automata.kernel`: right-hand states interned to dense ids,
+subsets as int bitmasks, per-(state, symbol) successor masks memoized.
+The complement-and-intersect route is the independent oracle for the
+antichain search.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..budget import check_deadline
-from .kernel import Interner, KernelConfig, resolve_kernel
+from .kernel import Interner
 
 State = Hashable
 Symbol = Hashable
@@ -206,40 +206,15 @@ class NFA:
             table[(interner.intern(source), symbol)] = interner.mask_of(targets)
         return table
 
-    def determinize(self, kernel: Optional[KernelConfig] = None) -> "NFA":
+    def determinize(self) -> "NFA":
         """An equivalent deterministic automaton (subset construction).
 
         Only subsets reachable from the initial subset are built; the
         empty subset acts as an explicit sink so the result is complete
-        over the alphabet (required for complementation).  The bitset
-        kernel runs the construction on int masks and thaws them to the
-        public frozenset states at the end.
+        over the alphabet (required for complementation).  The
+        construction runs on int masks and thaws them to the public
+        frozenset states at the end.
         """
-        config = resolve_kernel(kernel)
-        if config.bitset:
-            return self._determinize_bitset()
-        start = frozenset(self.initial)
-        subsets: Set[FrozenSet[State]] = {start}
-        frontier: List[FrozenSet[State]] = [start]
-        transitions: Dict[Tuple[State, Symbol], FrozenSet[State]] = {}
-        while frontier:
-            check_deadline()
-            subset = frontier.pop()
-            for symbol in self.alphabet:
-                target = self.step(subset, symbol)
-                transitions[(subset, symbol)] = frozenset([target])
-                if target not in subsets:
-                    subsets.add(target)
-                    frontier.append(target)
-        return NFA(
-            alphabet=self.alphabet,
-            states=frozenset(subsets),
-            initial=frozenset([start]),
-            accepting=frozenset(s for s in subsets if s & self.accepting),
-            transitions=transitions,
-        )
-
-    def _determinize_bitset(self) -> "NFA":
         interner = Interner()
         successors = self.successor_masks(interner)
         start = interner.mask_of(self.initial)
@@ -322,8 +297,7 @@ def contained_in_via_complement(left: NFA, right: NFA) -> bool:
     return left.intersection(right.complement()).is_empty()
 
 
-def contained_in(left: NFA, right: NFA,
-                 kernel: Optional[KernelConfig] = None) -> bool:
+def contained_in(left: NFA, right: NFA) -> bool:
     """L(left) subseteq L(right) by forward antichain search.
 
     Explores pairs ``(p, V)`` where p is a *left* state reachable on
@@ -333,20 +307,11 @@ def contained_in(left: NFA, right: NFA,
     an already-seen V for the same p are pruned (their successors can
     only be larger, hence harder to turn into counterexamples).
     """
-    return find_counterexample_word(left, right, kernel=kernel) is None
+    return find_counterexample_word(left, right) is None
 
 
-def find_counterexample_word(left: NFA, right: NFA,
-                             kernel: Optional[KernelConfig] = None) -> Optional[List[Symbol]]:
+def find_counterexample_word(left: NFA, right: NFA) -> Optional[List[Symbol]]:
     """A word in L(left) - L(right), or None when contained."""
-    config = resolve_kernel(kernel)
-    if config.bitset:
-        return _find_counterexample_word_bitset(left, right, config.memoize)
-    return _find_counterexample_word_reference(left, right)
-
-
-def _find_counterexample_word_bitset(left: NFA, right: NFA,
-                                     memoize: bool) -> Optional[List[Symbol]]:
     interner = Interner()
     successors = right.successor_masks(interner)
     start_v = interner.mask_of(right.initial)
@@ -357,10 +322,9 @@ def _find_counterexample_word_bitset(left: NFA, right: NFA,
 
     def step(mask: int, symbol: Symbol) -> int:
         key = (mask, symbol)
-        if memoize:
-            cached = step_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = step_cache.get(key)
+        if cached is not None:
+            return cached
         image = 0
         remaining = mask
         while remaining:
@@ -369,8 +333,7 @@ def _find_counterexample_word_bitset(left: NFA, right: NFA,
             succ = successors.get((low.bit_length() - 1, symbol))
             if succ:
                 image |= succ
-        if memoize:
-            step_cache[key] = image
+        step_cache[key] = image
         return image
 
     antichains: Dict[State, List[int]] = {}
@@ -406,57 +369,19 @@ def _find_counterexample_word_bitset(left: NFA, right: NFA,
     return None
 
 
-def _find_counterexample_word_reference(left: NFA, right: NFA) -> Optional[List[Symbol]]:
-    start_v = frozenset(right.initial)
-    antichains: Dict[State, List[FrozenSet[State]]] = {}
-
-    def dominated(state: State, subset: FrozenSet[State]) -> bool:
-        return any(known <= subset for known in antichains.get(state, ()))
-
-    def insert(state: State, subset: FrozenSet[State]) -> None:
-        chain = antichains.setdefault(state, [])
-        chain[:] = [known for known in chain if not subset <= known]
-        chain.append(subset)
-
-    frontier: List[Tuple[State, FrozenSet[State], List[Symbol]]] = []
-    for p in left.initial:
-        if p in left.accepting and not (start_v & right.accepting):
-            return []
-        insert(p, start_v)
-        frontier.append((p, start_v, []))
-
-    while frontier:
-        check_deadline()
-        p, v, word = frontier.pop(0)
-        for symbol in left.alphabet:
-            next_v = right.step(v, symbol)
-            for q in left.successors(p, symbol):
-                if dominated(q, next_v):
-                    continue
-                next_word = word + [symbol]
-                if q in left.accepting and not (next_v & right.accepting):
-                    return next_word
-                insert(q, next_v)
-                frontier.append((q, next_v, next_word))
-    return None
-
-
-def contained_in_union(left: NFA, rights: Sequence[NFA],
-                       kernel: Optional[KernelConfig] = None) -> bool:
+def contained_in_union(left: NFA, rights: Sequence[NFA]) -> bool:
     """L(left) subseteq union of the rights (pairwise union, then antichain)."""
     if not rights:
         return left.is_empty()
     combined = rights[0]
     for automaton in rights[1:]:
         combined = combined.union(automaton)
-    return contained_in(left, combined, kernel=kernel)
+    return contained_in(left, combined)
 
 
-def equivalent(left: NFA, right: NFA,
-               kernel: Optional[KernelConfig] = None) -> bool:
+def equivalent(left: NFA, right: NFA) -> bool:
     """Language equality via mutual containment."""
-    return (contained_in(left, right, kernel=kernel)
-            and contained_in(right, left, kernel=kernel))
+    return contained_in(left, right) and contained_in(right, left)
 
 
 def enumerate_words(automaton: NFA, max_length: int,

@@ -1,11 +1,10 @@
 """Ambient-session plumbing: the ContextVar and the cache scopes.
 
-Every decision procedure in this package resolves three ambient
-things when the caller does not pass them explicitly: a kernel
-configuration, an evaluation engine, and the memoization tables behind
-the ``shared_*`` automaton factories and the columnar EDB images.
-Historically all three were process-global mutable state
-(``set_default_kernel``, the module-level default engine, ``lru_cache``
+Every decision procedure in this package resolves two ambient things
+when the caller does not pass them explicitly: an evaluation engine,
+and the memoization tables behind the ``shared_*`` automaton factories
+and the columnar EDB images.  Historically both were process-global
+mutable state (the module-level default engine, ``lru_cache``
 factories), which races when two threads want different
 configurations.
 

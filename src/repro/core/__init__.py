@@ -8,6 +8,7 @@ from .boundedness import (
     decide_boundedness,
     search_boundedness,
 )
+from .certificate import CertificateError, check_invariant, witness_refutes
 from .containment import (
     contained_in_cq,
     contained_in_nonrecursive,
@@ -65,12 +66,14 @@ __all__ = [
     "BoundednessResult",
     "CQAutomaton",
     "CQState",
+    "CertificateError",
     "ContainmentResult",
     "EquivalenceResult",
     "InstanceEnumerator",
     "Label",
     "PTreeAutomaton",
     "bounded_at_depth",
+    "check_invariant",
     "clear_shared_caches",
     "contained_in_cq",
     "contained_in_nonrecursive",
@@ -101,4 +104,5 @@ __all__ = [
     "to_chain_form",
     "ucq_contained_in_datalog",
     "warm_shared_caches",
+    "witness_refutes",
 ]

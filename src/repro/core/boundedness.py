@@ -20,12 +20,12 @@ continues deeper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
 from typing import Dict, Optional
 
-from ..automata.kernel import KernelConfig
+from ..automata.kernel import Invariant
 from ..cq.canonical import canonical_database
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.engine import Engine, evaluate
@@ -42,20 +42,23 @@ class BoundednessResult:
     ``bounded`` is True / False / None (None = unknown: unbounded or
     bound exceeds ``max_depth``).  On success ``depth`` is the
     certified bound and ``witness_union`` the equivalent union of
-    conjunctive queries (a nonrecursive rewriting of the program).
+    conjunctive queries (a nonrecursive rewriting of the program);
+    ``invariant`` is the certificate of the containment in that union
+    when the automata search decided it.
     """
 
     bounded: Optional[bool]
     depth: Optional[int] = None
     witness_union: Optional[UnionOfConjunctiveQueries] = None
+    invariant: Optional[Invariant] = field(default=None, repr=False,
+                                           compare=False)
 
     def __bool__(self):
         return bool(self.bounded)
 
 
 def bounded_at_depth(program: Program, goal: str, depth: int,
-                     method: str = "auto",
-                     kernel: Optional[KernelConfig] = None) -> bool:
+                     method: str = "auto") -> bool:
     """Is Pi equivalent to its expansions of height <= depth?
 
     Only the forward containment is checked; the union of expansions is
@@ -66,8 +69,8 @@ def bounded_at_depth(program: Program, goal: str, depth: int,
         # No expansion exists at all: the goal relation is empty, which
         # is trivially bounded.
         return True
-    return decide_containment_in_ucq(program, goal, union, method=method,
-                                     kernel=kernel).contained
+    return decide_containment_in_ucq(program, goal, union,
+                                     method=method).contained
 
 
 _PROBE_LIMIT = 64        # cap on probed expansions per depth
@@ -104,7 +107,6 @@ def _engine_refutes_depth(program: Program, goal: str, depth: int,
 def search_boundedness(program: Program, goal: str, max_depth: int = 4,
                        method: str = "auto",
                        engine: Optional[Engine] = None,
-                       kernel: Optional[KernelConfig] = None,
                        timings: Optional[Dict[str, float]] = None,
                        stats: Optional[Dict[str, int]] = None) -> BoundednessResult:
     """The boundedness-search implementation (explicit configuration).
@@ -147,20 +149,19 @@ def search_boundedness(program: Program, goal: str, max_depth: int = 4,
                 continue
         started = perf_counter()
         containments_run += 1
-        contained = decide_containment_in_ucq(program, goal, union,
-                                              method=method,
-                                              kernel=kernel).contained
+        forward = decide_containment_in_ucq(program, goal, union,
+                                            method=method)
         containment_s += perf_counter() - started
-        if contained:
+        if forward.contained:
             return _finish(BoundednessResult(bounded=True, depth=depth,
-                                             witness_union=union))
+                                             witness_union=union,
+                                             invariant=forward.invariant))
     return _finish(BoundednessResult(bounded=None))
 
 
 def decide_boundedness(program: Program, goal: str, max_depth: int = 4,
                        method: str = "auto",
-                       engine: Optional[Engine] = None,
-                       kernel: Optional[KernelConfig] = None) -> BoundednessResult:
+                       engine: Optional[Engine] = None) -> BoundednessResult:
     """Search for a boundedness certificate up to ``max_depth``.
 
     Returns ``bounded=True`` with the certified depth and the
@@ -181,5 +182,4 @@ def decide_boundedness(program: Program, goal: str, max_depth: int = 4,
     from ..session import current_session
 
     return current_session().bounded(program, goal, max_depth=max_depth,
-                                     method=method, engine=engine,
-                                     kernel=kernel).raw
+                                     method=method, engine=engine).raw

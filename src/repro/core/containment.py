@@ -16,8 +16,8 @@ nonrecursive Pi'  in  recursive Pi     unfold Pi', then the above
 =====================================  ==============================
 
 Two layers live here.  The ``decide_*`` functions are the
-implementations: they take explicit ``kernel=``/``engine=``
-configuration and are what :class:`repro.session.Session` calls.  The
+implementations: they take explicit ``engine=`` configuration and are
+what :class:`repro.session.Session` calls.  The
 historical free functions (:func:`contained_in_ucq`,
 :func:`cq_contained_in_datalog`, ...) are thin shims that delegate to
 the ambient session -- same signatures, same return types, now
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..automata.kernel import KernelConfig
 from ..cq.canonical import canonical_database
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.database import Database
@@ -54,8 +53,7 @@ def _session():
 def decide_containment_in_ucq(program: Program, goal: str,
                               union: UnionOfConjunctiveQueries,
                               method: str = "auto",
-                              use_antichain: bool = True,
-                              kernel: Optional[KernelConfig] = None) -> ContainmentResult:
+                              use_antichain: bool = True) -> ContainmentResult:
     """Decide ``Q_Pi subseteq union`` (Theorem 5.12) -- the method
     dispatcher: ``"tree"`` forces the tree-automaton pathway,
     ``"word"`` the word-automaton pathway (chain-form programs only),
@@ -65,10 +63,10 @@ def decide_containment_in_ucq(program: Program, goal: str,
         raise ValidationError(f"unknown containment method {method!r}")
     if method == "word" or (method == "auto" and is_chain_program(program)):
         return datalog_contained_in_ucq_linear(
-            program, goal, union, use_antichain=use_antichain, kernel=kernel
+            program, goal, union, use_antichain=use_antichain
         )
     return datalog_contained_in_ucq(program, goal, union,
-                                    use_antichain=use_antichain, kernel=kernel)
+                                    use_antichain=use_antichain)
 
 
 def decide_cq_in_datalog(theta: ConjunctiveQuery, program: Program,
@@ -118,43 +116,37 @@ def decide_nonrecursive_in_datalog(nonrecursive: Program,
 def contained_in_ucq(program: Program, goal: str,
                      union: UnionOfConjunctiveQueries,
                      method: str = "auto",
-                     use_antichain: bool = True,
-                     kernel: Optional[KernelConfig] = None) -> ContainmentResult:
+                     use_antichain: bool = True) -> ContainmentResult:
     """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
-    Delegates to the ambient :class:`repro.session.Session`;
-    ``kernel=None`` means the session's kernel.  ``method``: ``"tree"``
+    Delegates to the ambient :class:`repro.session.Session`.
+    ``method``: ``"tree"``
     forces the tree-automaton pathway, ``"word"`` the word-automaton
     pathway (chain-form programs only), ``"auto"`` picks the word
     pathway when available.
     """
     return _session().contains(program, goal, union, method=method,
-                               use_antichain=use_antichain,
-                               kernel=kernel).raw
+                               use_antichain=use_antichain).raw
 
 
 def contained_in_cq(program: Program, goal: str, theta: ConjunctiveQuery,
                     method: str = "auto",
-                    use_antichain: bool = True,
-                    kernel: Optional[KernelConfig] = None) -> ContainmentResult:
+                    use_antichain: bool = True) -> ContainmentResult:
     """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
     return _session().contains_cq(program, goal, theta, method=method,
-                                  use_antichain=use_antichain,
-                                  kernel=kernel).raw
+                                  use_antichain=use_antichain).raw
 
 
 def contained_in_nonrecursive(program: Program, goal: str,
                               nonrecursive: Program,
                               nonrecursive_goal: Optional[str] = None,
-                              method: str = "auto",
-                              kernel: Optional[KernelConfig] = None) -> ContainmentResult:
+                              method: str = "auto") -> ContainmentResult:
     """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
     (Theorem 6.4): rewrite Pi' as a union of conjunctive queries (the
     potentially exponential step whose necessity Section 6 proves) and
     decide containment in the union."""
     return _session().contains_nonrecursive(
-        program, goal, nonrecursive, nonrecursive_goal,
-        method=method, kernel=kernel).raw
+        program, goal, nonrecursive, nonrecursive_goal, method=method).raw
 
 
 def cq_contained_in_datalog(theta: ConjunctiveQuery, program: Program,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Optional
 
-from ..automata.kernel import KernelConfig
+from ..automata.kernel import Invariant
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.analysis import is_recursive
 from ..datalog.engine import Engine
@@ -41,7 +41,8 @@ class EquivalenceResult:
     When the programs differ, exactly one direction fails:
     ``forward_holds`` reports ``Pi subseteq Pi'`` (with
     ``forward_witness`` a proof tree of Pi not covered by Pi' when it
-    fails) and ``backward_holds`` reports ``Pi' subseteq Pi``.
+    fails, ``invariant`` its certificate when it holds) and
+    ``backward_holds`` reports ``Pi' subseteq Pi``.
     """
 
     equivalent: bool
@@ -49,6 +50,8 @@ class EquivalenceResult:
     backward_holds: bool
     forward_witness: Optional[ExpansionTree] = None
     stats: Dict[str, int] = field(default_factory=dict)
+    invariant: Optional[Invariant] = field(default=None, repr=False,
+                                           compare=False)
 
     def __bool__(self):
         return self.equivalent
@@ -64,7 +67,6 @@ def decide_equivalence(program: Program, nonrecursive: Program, goal: str,
                        nonrecursive_goal: Optional[str] = None,
                        method: str = "auto",
                        engine: Optional[Engine] = None,
-                       kernel: Optional[KernelConfig] = None,
                        timings: Optional[Dict[str, float]] = None) -> EquivalenceResult:
     """The Theorem 6.5 implementation (explicit configuration).
 
@@ -90,8 +92,7 @@ def decide_equivalence(program: Program, nonrecursive: Program, goal: str,
     backward = decide_ucq_in_datalog(union, program, goal, engine=engine)
     _stamp(timings, "backward_s", started)
     started = perf_counter()
-    forward = decide_containment_in_ucq(program, goal, union,
-                                        method=method, kernel=kernel)
+    forward = decide_containment_in_ucq(program, goal, union, method=method)
     _stamp(timings, "forward_s", started)
     stats = dict(forward.stats)
     stats["union_disjuncts"] = len(union)
@@ -102,6 +103,7 @@ def decide_equivalence(program: Program, nonrecursive: Program, goal: str,
         backward_holds=backward,
         forward_witness=forward.witness,
         stats=stats,
+        invariant=forward.invariant,
     )
 
 
@@ -109,7 +111,6 @@ def decide_equivalence_to_ucq(program: Program, goal: str,
                               union: UnionOfConjunctiveQueries,
                               method: str = "auto",
                               engine: Optional[Engine] = None,
-                              kernel: Optional[KernelConfig] = None,
                               timings: Optional[Dict[str, float]] = None) -> EquivalenceResult:
     """The Theorem 5.12 form of the problem (explicit configuration)."""
     program.require_goal(goal)
@@ -117,8 +118,7 @@ def decide_equivalence_to_ucq(program: Program, goal: str,
     backward = decide_ucq_in_datalog(union, program, goal, engine=engine)
     _stamp(timings, "backward_s", started)
     started = perf_counter()
-    forward = decide_containment_in_ucq(program, goal, union,
-                                        method=method, kernel=kernel)
+    forward = decide_containment_in_ucq(program, goal, union, method=method)
     _stamp(timings, "forward_s", started)
     return EquivalenceResult(
         equivalent=forward.contained and backward,
@@ -126,6 +126,7 @@ def decide_equivalence_to_ucq(program: Program, goal: str,
         backward_holds=backward,
         forward_witness=forward.witness,
         stats=dict(forward.stats),
+        invariant=forward.invariant,
     )
 
 
@@ -133,8 +134,7 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
                                   goal: str,
                                   nonrecursive_goal: Optional[str] = None,
                                   method: str = "auto",
-                                  engine: Optional[Engine] = None,
-                                  kernel: Optional[KernelConfig] = None) -> EquivalenceResult:
+                                  engine: Optional[Engine] = None) -> EquivalenceResult:
     """Decide ``Pi == Pi'`` for a (possibly recursive) Pi and a
     nonrecursive Pi' (Theorem 6.5).
 
@@ -143,26 +143,24 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
     recursive (use two containment calls directly for that undecidable
     case at your own peril -- the paper proves general Datalog
     equivalence undecidable [Shm87]).  Delegates to the ambient
-    :class:`repro.session.Session`; ``engine``/``kernel`` override the
-    session's configuration for this call.
+    :class:`repro.session.Session`; ``engine`` overrides the session's
+    engine for this call.
     """
     from ..session import current_session
 
     return current_session().equivalent_to_nonrecursive(
         program, nonrecursive, goal, nonrecursive_goal,
-        method=method, engine=engine, kernel=kernel).raw
+        method=method, engine=engine).raw
 
 
 def equivalent_to_ucq(program: Program, goal: str,
                       union: UnionOfConjunctiveQueries,
                       method: str = "auto",
-                      engine: Optional[Engine] = None,
-                      kernel: Optional[KernelConfig] = None) -> EquivalenceResult:
+                      engine: Optional[Engine] = None) -> EquivalenceResult:
     """Decide ``Pi == union`` directly against a union of conjunctive
     queries (the Theorem 5.12 form of the problem).  Delegates to the
     ambient :class:`repro.session.Session`."""
     from ..session import current_session
 
     return current_session().equivalent_to_ucq(
-        program, goal, union, method=method, engine=engine,
-        kernel=kernel).raw
+        program, goal, union, method=method, engine=engine).raw

@@ -21,14 +21,14 @@ Antichain pruning keeps only minimal U per goal atom: the profile
 successor map is monotone in U and the failure condition is downward
 closed, so pruning preserves completeness (ablation: ``use_antichain``).
 
-The fixpoint runs on the bitset kernel by default: live B-states are
-interned to dense ids after the forward closure, every U is an int
-bitmask, the per-``(goal atom, label)`` successor structure is
-compiled to id tuples once, and profile images are memoized per child
-profile combination.  The frozenset implementation is kept as the
-reference path behind :class:`~repro.automata.kernel.KernelConfig`;
-both paths sweep the same transitions in the same order and return
-identical verdicts.
+The fixpoint runs on the bitset kernel: live B-states are interned to
+dense ids after the forward closure, every U is an int bitmask, the
+per-``(goal atom, label)`` successor structure is compiled to id tuples
+once, and profile images are memoized per child profile combination.
+When no counterexample exists, the final profiles are returned as an
+:class:`~repro.automata.kernel.Invariant` that
+:mod:`repro.core.certificate` checks without the search's memo or
+round scheduler.
 
 This procedure realizes the doubly exponential upper bound of
 Theorem 5.12; the matching lower bound (Section 5.3) shows the blowup
@@ -38,9 +38,9 @@ is unavoidable in general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..automata.kernel import Interner, KernelConfig, resolve_kernel, thaw_witness
+from ..automata.kernel import Interner, Invariant, thaw_witness
 from ..budget import check_deadline
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.atoms import Atom
@@ -59,13 +59,17 @@ class ContainmentResult:
 
     ``contained`` is the verdict; when False, ``witness`` is a proof
     tree in ptrees(Q, Pi) admitting no strong containment mapping from
-    any disjunct (Theorem 5.8's certificate).  ``stats`` carries search
-    metrics for the benchmarks.
+    any disjunct (Theorem 5.8's certificate).  When True,
+    ``invariant`` is the search's final antichain, the certificate
+    that :func:`repro.core.certificate.check_invariant` verifies.
+    ``stats`` carries search metrics for the benchmarks.
     """
 
     contained: bool
     witness: Optional[ExpansionTree] = None
     stats: Dict[str, int] = field(default_factory=dict)
+    invariant: Optional[Invariant] = field(default=None, repr=False,
+                                           compare=False)
 
     def __bool__(self):
         return self.contained
@@ -140,52 +144,18 @@ class _UnionAutomaton:
         return len(self._known)
 
 
-class _ProfileChains:
-    """Per-goal-atom antichains of (U, witness) profiles (reference
-    path; U is a frozenset of B-states)."""
-
-    def __init__(self, use_antichain: bool):
-        self._chains: Dict[Atom, List[Tuple[FrozenSet[BState], ExpansionTree, int]]] = {}
-        self._use_antichain = use_antichain
-
-    def entries(self, atom: Atom):
-        return self._chains.get(atom, [])
-
-    def insert(self, atom: Atom, subset: FrozenSet[BState],
-               witness: ExpansionTree, generation: int) -> bool:
-        chain = self._chains.setdefault(atom, [])
-        if self._use_antichain:
-            if any(known <= subset for known, _, _ in chain):
-                return False
-            chain[:] = [entry for entry in chain if not subset <= entry[0]]
-        else:
-            if any(known == subset for known, _, _ in chain):
-                return False
-        chain.append((subset, witness, generation))
-        return True
-
-    def total(self) -> int:
-        return sum(len(chain) for chain in self._chains.values())
-
-
 def datalog_contained_in_ucq(program: Program, goal: str,
                              union: UnionOfConjunctiveQueries,
-                             use_antichain: bool = True,
-                             kernel: Optional[KernelConfig] = None) -> ContainmentResult:
+                             use_antichain: bool = True) -> ContainmentResult:
     """Decide ``Q_Pi(D) subseteq union(D)`` for all D (Theorem 5.12).
 
     Complete and sound for arbitrary (recursive) programs; runs in time
-    doubly exponential in the input in the worst case.  ``kernel``
-    selects the bitset kernel (default) or the frozenset reference.
+    doubly exponential in the input in the worst case.
     """
-    config = resolve_kernel(kernel)
     ptrees = shared_ptree_automaton(program, goal)
     bunion = _UnionAutomaton(program, goal, union)
     bunion.close(ptrees)
-    if config.bitset:
-        return _profile_search_bitset(ptrees, bunion, goal, use_antichain,
-                                      config.memoize)
-    return _profile_search_reference(ptrees, bunion, goal, use_antichain)
+    return _profile_search_bitset(ptrees, bunion, goal, use_antichain)
 
 
 def _base_stats(ptrees: PTreeAutomaton, bunion: _UnionAutomaton,
@@ -207,8 +177,7 @@ def _thaw_expansion(node: Tuple) -> ExpansionTree:
 
 
 def _profile_search_bitset(ptrees: PTreeAutomaton, bunion: _UnionAutomaton,
-                           goal: str, use_antichain: bool,
-                           memoize: bool) -> ContainmentResult:
+                           goal: str, use_antichain: bool) -> ContainmentResult:
     goal_transitions = ptrees.transitions_list()
     stats = _base_stats(ptrees, bunion, goal_transitions)
 
@@ -240,10 +209,9 @@ def _profile_search_bitset(ptrees: PTreeAutomaton, bunion: _UnionAutomaton,
     def accepting_mask(atom: Atom, label: Label,
                        child_masks: Tuple[int, ...]) -> int:
         edges, memo = edges_for(atom, label)
-        if memoize:
-            cached = memo.get(child_masks)
-            if cached is not None:
-                return cached
+        cached = memo.get(child_masks)
+        if cached is not None:
+            return cached
         mask = 0
         for bit, id_tuples in edges:
             if mask & bit:
@@ -255,8 +223,7 @@ def _profile_search_bitset(ptrees: PTreeAutomaton, bunion: _UnionAutomaton,
                 else:
                     mask |= bit
                     break
-        if memoize:
-            memo[child_masks] = mask
+        memo[child_masks] = mask
         return mask
 
     initial_masks: Dict[Atom, int] = {}
@@ -318,61 +285,8 @@ def _profile_search_bitset(ptrees: PTreeAutomaton, bunion: _UnionAutomaton,
         if not changed:
             break
     stats["profiles"] = sum(len(c) for c in chains.values())
-    return ContainmentResult(True, None, stats)
-
-
-def _profile_search_reference(ptrees: PTreeAutomaton, bunion: _UnionAutomaton,
-                              goal: str, use_antichain: bool) -> ContainmentResult:
-    chains = _ProfileChains(use_antichain)
-    goal_transitions = ptrees.transitions_list()
-    stats = _base_stats(ptrees, bunion, goal_transitions)
-
-    def accepting_b_states(atom: Atom, label: Label,
-                           child_subsets: Tuple[FrozenSet[BState], ...]) -> FrozenSet[BState]:
-        result: Set[BState] = set()
-        for q in bunion.states_for_atom(atom):
-            for children in bunion.successors(q, label):
-                if len(children) != len(child_subsets):
-                    continue
-                if all(child in subset for child, subset in zip(children, child_subsets)):
-                    result.add(q)
-                    break
-        return frozenset(result)
-
-    def is_counterexample(atom: Atom, subset: FrozenSet[BState]) -> bool:
-        if atom.predicate != goal:
-            return False
-        return not any(q in subset for q in bunion.initial_states(atom))
-
-    generation = 0
-    while True:
-        check_deadline()
-        generation += 1
-        stats["rounds"] = generation
-        changed = False
-        for atom, label, children in goal_transitions:
-            if children:
-                options = [chains.entries(child) for child in children]
-                if any(not opts for opts in options):
-                    continue
-                combos = _fresh_combos(options, generation)
-            else:
-                combos = [()] if generation == 1 else []
-            for combo in combos:
-                child_subsets = tuple(entry[0] for entry in combo)
-                witness = ExpansionTree(
-                    label.atom, label.rule, tuple(entry[1] for entry in combo)
-                )
-                subset = accepting_b_states(atom, label, child_subsets)
-                if is_counterexample(atom, subset):
-                    stats["profiles"] = chains.total()
-                    return ContainmentResult(False, witness, stats)
-                if chains.insert(atom, subset, witness, generation):
-                    changed = True
-        if not changed:
-            break
-    stats["profiles"] = chains.total()
-    return ContainmentResult(True, None, stats)
+    return ContainmentResult(True, None, stats,
+                             Invariant("tree", chains, interner, (ptrees, bunion)))
 
 
 def _fresh_combos(options: List[List[Tuple]], generation: int) -> Iterator[Tuple]:
@@ -405,9 +319,8 @@ def _fresh_combos(options: List[List[Tuple]], generation: int) -> Iterator[Tuple
 
 def datalog_contained_in_cq(program: Program, goal: str,
                             theta: ConjunctiveQuery,
-                            use_antichain: bool = True,
-                            kernel: Optional[KernelConfig] = None) -> ContainmentResult:
+                            use_antichain: bool = True) -> ContainmentResult:
     """Containment in a single conjunctive query (Corollary 5.7)."""
     union = UnionOfConjunctiveQueries([theta], theta.arity)
     return datalog_contained_in_ucq(program, goal, union,
-                                    use_antichain=use_antichain, kernel=kernel)
+                                    use_antichain=use_antichain)

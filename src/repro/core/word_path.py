@@ -18,14 +18,17 @@ blow up the program; the tree pathway never needs it.
 The search is the forward antichain of Proposition 4.3: pairs
 ``(goal atom, V)`` where V is the set of union-automaton states
 reachable on the path so far; a path ending in an all-EDB label with
-no accepting V-member is a counterexample.
+no accepting V-member is a counterexample.  When none exists, the
+final antichain is returned as an
+:class:`~repro.automata.kernel.Invariant` for
+:mod:`repro.core.certificate` to check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..automata.kernel import Interner, KernelConfig, resolve_kernel
+from ..automata.kernel import Interner, Invariant
 from ..budget import check_deadline
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.analysis import is_linear, recursive_body_atoms, recursive_predicates
@@ -40,7 +43,7 @@ from ..trees.expansion import ExpansionTree
 from .cq_automaton import CQAutomaton, CQState, shared_cq_automaton
 from .instances import Label
 from .ptree_automaton import PTreeAutomaton, shared_ptree_automaton
-from .tree_containment import BState, ContainmentResult
+from .tree_containment import ContainmentResult
 
 
 def is_chain_program(program: Program) -> bool:
@@ -106,33 +109,25 @@ def _slice_without_goal(program: Program, predicate: str) -> Program:
 
 def datalog_contained_in_ucq_linear(program: Program, goal: str,
                                     union: UnionOfConjunctiveQueries,
-                                    use_antichain: bool = True,
-                                    kernel: Optional[KernelConfig] = None) -> ContainmentResult:
+                                    use_antichain: bool = True) -> ContainmentResult:
     """Containment for chain-form programs via word automata.
 
     Raises :class:`NotLinearError` when some rule has more than one IDB
     body atom (use :func:`to_chain_form` first, or the tree pathway).
-    ``kernel`` selects the bitset kernel (default) or the frozenset
-    reference path.
     """
     if not is_chain_program(program):
         raise NotLinearError(
             "word pathway requires chain form (at most one IDB atom per body); "
             "call to_chain_form() or use the tree pathway"
         )
-    config = resolve_kernel(kernel)
     ptrees = shared_ptree_automaton(program, goal)
     automata = [shared_cq_automaton(program, goal, theta) for theta in union]
-    if config.bitset:
-        return _linear_search_bitset(ptrees, automata, use_antichain,
-                                     config.memoize)
-    return _linear_search_reference(ptrees, automata, use_antichain)
+    return _linear_search_bitset(ptrees, automata, use_antichain)
 
 
 def _linear_search_bitset(ptrees: PTreeAutomaton,
                           automata: List[CQAutomaton],
-                          use_antichain: bool,
-                          memoize: bool) -> ContainmentResult:
+                          use_antichain: bool) -> ContainmentResult:
     """The forward antichain on the bitset kernel: B-states are
     interned to dense ids as discovered, V subsets are int masks, and
     per-(B-state, label) successor masks / leaf verdicts are memoized
@@ -187,12 +182,11 @@ def _linear_search_bitset(ptrees: PTreeAutomaton,
                     remaining ^= low
                     bid = low.bit_length() - 1
                     key = (bid, label)
-                    verdict = leaf_accepts.get(key) if memoize else None
+                    verdict = leaf_accepts.get(key)
                     if verdict is None:
                         index, state = interner.object_of(bid)
                         verdict = automata[index].accepts_leaf(state, label)
-                        if memoize:
-                            leaf_accepts[key] = verdict
+                        leaf_accepts[key] = verdict
                     if verdict:
                         accepted = True
                         break
@@ -211,87 +205,19 @@ def _linear_search_bitset(ptrees: PTreeAutomaton,
                 remaining ^= low
                 bid = low.bit_length() - 1
                 key = (bid, label)
-                succ = succ_masks.get(key) if memoize else None
+                succ = succ_masks.get(key)
                 if succ is None:
                     index, state = interner.object_of(bid)
                     succ = 0
                     for children in automata[index].successors_cached(state, label):
                         succ |= 1 << interner.intern((index, children[0]))
-                    if memoize:
-                        succ_masks[key] = succ
+                    succ_masks[key] = succ
                 next_mask |= succ
             if insert(child, next_mask):
                 frontier.append((child, next_mask, path + (label,)))
     stats["ptree_states"] = len(chains)
-    return ContainmentResult(True, None, stats)
-
-
-def _linear_search_reference(ptrees: PTreeAutomaton,
-                             automata: List[CQAutomaton],
-                             use_antichain: bool) -> ContainmentResult:
-
-    def initial_v(root: Atom) -> FrozenSet[BState]:
-        states: Set[BState] = set()
-        for index, automaton in enumerate(automata):
-            state = automaton.initial_state(root)
-            if state is not None:
-                states.add((index, state))
-        return frozenset(states)
-
-    # Forward antichain search over (goal atom, V) pairs.
-    chains: Dict[Atom, List[FrozenSet[BState]]] = {}
-    stats = {"pairs": 0, "ptree_states": 0}
-
-    def dominated(atom: Atom, subset: FrozenSet[BState]) -> bool:
-        return any(known <= subset for known in chains.get(atom, ()))
-
-    def insert(atom: Atom, subset: FrozenSet[BState]) -> bool:
-        if use_antichain:
-            if dominated(atom, subset):
-                return False
-            chain = chains.setdefault(atom, [])
-            chain[:] = [known for known in chain if not subset <= known]
-            chain.append(subset)
-            return True
-        chain = chains.setdefault(atom, [])
-        if subset in chain:
-            return False
-        chain.append(subset)
-        return True
-
-    frontier: List[Tuple[Atom, FrozenSet[BState], Tuple[Label, ...]]] = []
-    for root in ptrees.initial_atoms():
-        subset = initial_v(root)
-        if insert(root, subset):
-            frontier.append((root, subset, ()))
-
-    while frontier:
-        check_deadline()
-        atom, subset, path = frontier.pop()
-        stats["pairs"] += 1
-        for label in ptrees.enumerator.labels_for(atom):
-            if label.is_leaf():
-                accepted = any(
-                    automata[index].accepts_leaf(state, label)
-                    for index, state in subset
-                )
-                if not accepted:
-                    witness = _path_to_tree(path + (label,))
-                    stats["ptree_states"] = len(chains)
-                    return ContainmentResult(False, witness, stats)
-                continue
-            if len(label.idb_atoms) != 1:
-                raise NotLinearError(f"non-chain label {label} encountered")
-            child = label.idb_atoms[0]
-            next_subset: Set[BState] = set()
-            for index, state in subset:
-                for children in automata[index].successors(state, label):
-                    next_subset.add((index, children[0]))
-            frozen = frozenset(next_subset)
-            if insert(child, frozen):
-                frontier.append((child, frozen, path + (label,)))
-    stats["ptree_states"] = len(chains)
-    return ContainmentResult(True, None, stats)
+    return ContainmentResult(True, None, stats,
+                             Invariant("word", chains, interner, (ptrees, automata)))
 
 
 def _path_to_tree(path: Tuple[Label, ...]) -> ExpansionTree:

@@ -6,8 +6,9 @@ Three layers, one loop:
   (programs from :mod:`repro.workloads.generators`, EDBs from the six
   edge families) and runs each through the full configuration matrix
   -- the columnar and interpretive backends x naive/semi-naive
-  against the interpretive naive oracle, both automaton kernels
-  against the frozenset reference and the constructed ground truth;
+  against the interpretive naive oracle; decisions once, through the
+  certificate checker or witness refutation and against the
+  constructed ground truth;
 * :mod:`~repro.fuzz.shrinker` delta-debugs a diverging case to a
   1-minimal reproducer (rules, body atoms, facts, union disjuncts);
 * :mod:`~repro.fuzz.regressions` persists the minimized case as a
@@ -20,19 +21,20 @@ fuzz`` and the CI fuzz job are thin wrappers around it.  See
 """
 
 from .harness import (
+    DECISION_CELL,
     EVAL_BASELINE,
     EVAL_MATRIX,
     EVAL_MATRIX_QUICK,
-    KERNEL_BASELINE,
-    KERNEL_MATRIX,
     KIND_ROTATION,
     Divergence,
     FuzzCase,
     analysis_divergences,
     baseline_verdict,
+    decision_outcome,
     decision_verdict,
     draw_case,
     evaluation_verdict,
+    proof_divergences,
     run_case,
 )
 from .regressions import (
@@ -48,26 +50,27 @@ from .shrinker import ddmin, shrink_case, shrink_divergence, still_diverges
 from .sweep import FuzzReport, planted_fault, run_fuzz
 
 __all__ = [
+    "DECISION_CELL",
     "Divergence",
     "EVAL_BASELINE",
     "EVAL_MATRIX",
     "EVAL_MATRIX_QUICK",
     "FuzzCase",
     "FuzzReport",
-    "KERNEL_BASELINE",
-    "KERNEL_MATRIX",
     "KIND_ROTATION",
     "analysis_divergences",
     "baseline_verdict",
     "case_from_dict",
     "case_to_dict",
     "ddmin",
+    "decision_outcome",
     "decision_verdict",
     "default_regressions_dir",
     "draw_case",
     "evaluation_verdict",
     "load_regression",
     "planted_fault",
+    "proof_divergences",
     "register_regressions",
     "run_case",
     "run_fuzz",

@@ -13,8 +13,12 @@ configuration matrix and reports every :class:`Divergence`:
   row counts and process-independent row checksums -- against the
   interpretive naive engine, the repo's reference semantics;
 * **decision** cases (containment / boundedness / equivalence) run
-  both automaton kernels and compare verdicts against the frozenset
-  reference kernel *and* against the ground truth the generator
+  once and are checked from both sides: a positive containment's
+  invariant goes through the certificate checker
+  (:func:`~repro.core.certificate.check_invariant`), a negative one's
+  witness is refuted on its counterexample database
+  (:func:`~repro.core.certificate.witness_refutes`),
+  and the verdict is compared against the ground truth the generator
   attached by construction;
 * every case additionally runs the **analyzer soundness
   differential** (:func:`analysis_divergences`): the static analyzer
@@ -40,7 +44,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..automata.kernel import KernelConfig
+from ..core.certificate import CertificateError, check_invariant, witness_refutes
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -50,7 +54,7 @@ from ..datalog.parser import parse_program
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Variable
-from ..datalog.unfold import expansion_union
+from ..datalog.unfold import expansion_union, unfold_nonrecursive
 from ..session import rows_checksum
 from ..workloads import generators as gen
 from ..workloads.scenarios import kind_runner
@@ -79,14 +83,8 @@ EVAL_MATRIX_QUICK = {
     if label.endswith("-seminaive") or label == EVAL_BASELINE
 }
 
-#: Kernel cells of the decision differential.  ``frozenset`` is the
-#: reference kernel and the baseline.
-KERNEL_MATRIX: Dict[str, KernelConfig] = {
-    "frozenset": KernelConfig(backend="frozenset"),
-    "bitset": KernelConfig(backend="bitset"),
-}
-
-KERNEL_BASELINE = "frozenset"
+#: The label of a decision case's one cell.
+DECISION_CELL = "decision"
 
 #: Case kinds in draw rotation: evaluation every other draw (it has
 #: the widest config matrix), the three decision kinds interleaved.
@@ -121,8 +119,11 @@ class Divergence:
     """One observed mismatch: a matrix cell whose verdict differs from
     the baseline cell (``against="baseline"``), a baseline verdict
     contradicting the constructed ground truth
-    (``against="expected"``), or a static-analyzer claim contradicted
-    by the real procedures (``against="analyzer"``)."""
+    (``against="expected"``), a positive containment whose invariant
+    the checker rejects (``against="certificate"``), a negative one
+    whose witness does not refute it (``against="witness"``), or a
+    static-analyzer claim contradicted by the real procedures
+    (``against="analyzer"``)."""
 
     case: FuzzCase
     label: str
@@ -298,8 +299,7 @@ def draw_case(seed: int, index: int) -> FuzzCase:
 # Differential execution.
 # ----------------------------------------------------------------------
 
-#: One shared engine for the decision kinds' evaluation probes (the
-#: kernel is the differential axis there, not the engine).
+#: One shared engine for the decision kinds' evaluation probes.
 _PROBE_ENGINE = Engine(EngineConfig())
 
 
@@ -327,9 +327,10 @@ def evaluation_verdict(case: FuzzCase, config: EngineConfig) -> Dict:
     return verdict
 
 
-def decision_verdict(case: FuzzCase, kernel: KernelConfig) -> Dict:
-    """The verdict of a decision case on one kernel cell, via the same
-    kind runners the scenario registry uses."""
+def decision_outcome(case: FuzzCase) -> Tuple[Dict, object]:
+    """The verdict of a decision case and the procedure's own result
+    (which carries the invariant or the witness), via the same kind
+    runners the scenario registry uses."""
     payload: Dict = {"program": case.program, "goal": case.goal}
     if case.kind == "containment":
         payload["union"] = case.union
@@ -338,8 +339,48 @@ def decision_verdict(case: FuzzCase, kernel: KernelConfig) -> Dict:
         payload["nonrecursive_goal"] = case.nonrecursive_goal
     elif case.kind == "boundedness":
         payload["max_depth"] = case.max_depth
-    verdict, _stats = kind_runner(case.kind)(payload, _PROBE_ENGINE, kernel)
-    return verdict
+    verdict, _stats, result = kind_runner(case.kind)(payload, _PROBE_ENGINE)
+    return verdict, result
+
+
+def decision_verdict(case: FuzzCase) -> Dict:
+    """The verdict of a decision case."""
+    return decision_outcome(case)[0]
+
+
+def proof_divergences(case: FuzzCase, verdict: Dict,
+                      result) -> List[Divergence]:
+    """Check a decision from both sides.
+
+    A forward containment that holds must come with an invariant the
+    certificate checker accepts (``against="certificate"``); one that
+    fails must come with a witness whose counterexample database
+    refutes it (``against="witness"``).
+    Boundedness checks the invariant of its certified depth; an
+    unknown boundedness verdict carries neither.
+    """
+    if case.kind == "boundedness":
+        holds, union = result.bounded, result.witness_union
+    elif case.kind == "equivalence":
+        holds = result.forward_holds
+        union = unfold_nonrecursive(case.nonrecursive,
+                                    case.nonrecursive_goal or case.goal)
+    else:
+        holds, union = result.contained, case.union
+    if holds:
+        try:
+            if result.invariant is None:
+                raise CertificateError("closure", "no invariant returned")
+            check_invariant(result.invariant)
+        except CertificateError as exc:
+            return [Divergence(case=case, label="checker",
+                               against="certificate", verdict=verdict,
+                               reference={"certificate": str(exc)})]
+    elif case.kind != "boundedness" and not witness_refutes(
+            case.program, case.goal, union, result):
+        return [Divergence(case=case, label="oracle", against="witness",
+                           verdict=verdict, reference={"refuted": False})]
+    return []
 
 
 def analysis_divergences(case: FuzzCase) -> List[Divergence]:
@@ -410,8 +451,8 @@ def analysis_divergences(case: FuzzCase) -> List[Divergence]:
     if certificate is not None:
         payload = {"program": case.program, "goal": case.goal,
                    "max_depth": certificate["depth_bound"]}
-        verdict, _stats = kind_runner("boundedness")(
-            payload, _PROBE_ENGINE, KERNEL_MATRIX[KERNEL_BASELINE])
+        verdict, _stats, _result = kind_runner("boundedness")(
+            payload, _PROBE_ENGINE)
         if verdict.get("bounded") is not True:
             divergences.append(Divergence(
                 case=case, label="bounded-certificate", against="analyzer",
@@ -428,12 +469,14 @@ def run_case(case: FuzzCase, *, matrix: str = "full",
     """Run *case* through its configuration matrix.
 
     Returns ``(verdicts, divergences)``: the per-cell verdicts and
-    every mismatch -- cells against the baseline cell, the baseline
-    against the case's constructed ground truth when the generator
-    attached one, and the analyzer soundness differential
-    (:func:`analysis_divergences`).
+    every mismatch -- evaluation cells against the baseline cell, a
+    decision against its invariant or witness
+    (:func:`proof_divergences`), the baseline against the case's
+    constructed ground truth when the generator attached one, and the
+    analyzer soundness differential (:func:`analysis_divergences`).
     """
     verdicts: Dict[str, Dict] = {}
+    divergences: List[Divergence] = []
     if case.kind == "evaluation":
         cells = EVAL_MATRIX if matrix == "full" else EVAL_MATRIX_QUICK
         baseline_label = EVAL_BASELINE
@@ -441,12 +484,12 @@ def run_case(case: FuzzCase, *, matrix: str = "full",
             verdict = evaluation_verdict(case, config)
             verdicts[label] = mutate(case, label, verdict) if mutate else verdict
     else:
-        baseline_label = KERNEL_BASELINE
-        for label, kernel in KERNEL_MATRIX.items():
-            verdict = decision_verdict(case, kernel)
-            verdicts[label] = mutate(case, label, verdict) if mutate else verdict
+        baseline_label = DECISION_CELL
+        verdict, result = decision_outcome(case)
+        divergences.extend(proof_divergences(case, verdict, result))
+        verdicts[baseline_label] = (mutate(case, baseline_label, verdict)
+                                    if mutate else verdict)
 
-    divergences: List[Divergence] = []
     baseline = verdicts[baseline_label]
     for label, verdict in verdicts.items():
         if label != baseline_label and verdict != baseline:
@@ -468,7 +511,7 @@ def baseline_verdict(case: FuzzCase) -> Dict:
     ground truth of minimized regression scenarios)."""
     if case.kind == "evaluation":
         return evaluation_verdict(case, EVAL_MATRIX[EVAL_BASELINE])
-    return decision_verdict(case, KERNEL_MATRIX[KERNEL_BASELINE])
+    return decision_verdict(case)
 
 
 def with_program(case: FuzzCase, program: Program) -> FuzzCase:

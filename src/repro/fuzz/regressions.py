@@ -15,9 +15,10 @@ runner pick it up like any hand-written scenario.  The lifecycle:
    minimized input through the full matrix forever after.
 
 Expected verdicts are **recorded from the reference cell at write
-time** (interpretive-naive engine / frozenset kernel): the regression
-asserts "every cell agrees with the reference on this input", which is
-precisely the differential property that was violated.
+time** (the interpretive-naive engine for evaluation cases, the one
+decision cell otherwise): the regression asserts "every cell agrees
+with the reference on this input", which is precisely the
+differential property that was violated.
 """
 
 from __future__ import annotations

@@ -13,15 +13,15 @@ instead of batch aborts, via four cooperating pieces:
   home of the error taxonomy (:func:`classify_failure`,
   :data:`ERROR_CATEGORIES`).
 * :mod:`repro.resilience.ladder` -- the degradation ladder: which
-  cheaper (engine, kernel) rung a failed job retries on
-  (columnar -> interpretive; bitset -> frozenset).
+  cheaper engine a failed evaluation job retries on
+  (columnar -> interpretive).
 * :mod:`repro.resilience.chaos` -- deterministic fault injection
   (crash / hang / memory / corrupt, keyed by scenario, per-process job
   index, and attempt number) that the resilience tests and the CI
   chaos job use to prove every recovery path end-to-end.
 * universal deadlines live in :mod:`repro.budget` (the cooperative
   ``check_deadline`` tier threaded through the fixpoint loops and
-  antichain kernels); this package consumes them.
+  antichain searches); this package consumes them.
 
 :class:`ResilienceConfig` bundles the knobs the batch runner threads
 through: per-job deadline, retry budget, whether the ladder is
@@ -37,7 +37,7 @@ from typing import Optional
 
 from .chaos import (ChaosSchedule, Fault, PayloadCorruption,
                     SimulatedWorkerCrash, parse_schedule)
-from .ladder import ENGINE_CHAIN, KERNEL_CHAIN, ladder_rungs, rung_label
+from .ladder import ENGINE_CHAIN, ladder_rungs
 from .supervisor import (ERROR_CATEGORIES, Quarantined, RetryPolicy,
                          SupervisedOutcome, classify_failure,
                          run_supervised)
@@ -47,7 +47,6 @@ __all__ = [
     "ENGINE_CHAIN",
     "ERROR_CATEGORIES",
     "Fault",
-    "KERNEL_CHAIN",
     "PayloadCorruption",
     "Quarantined",
     "ResilienceConfig",
@@ -58,7 +57,6 @@ __all__ = [
     "ladder_rungs",
     "parse_schedule",
     "run_supervised",
-    "rung_label",
 ]
 
 
@@ -70,7 +68,7 @@ class ResilienceConfig:
     scenario's own ``budget_s`` by taking the tighter of the two);
     ``max_attempts`` bounds total tries per job across ladder rungs
     and supervisor resubmissions; ``ladder=False`` pins every retry to
-    the job's own (engine, kernel); ``chaos=None`` means "read the
+    the job's own engine; ``chaos=None`` means "read the
     ``REPRO_CHAOS`` environment variable", which is also how a
     schedule survives pool respawns; ``stall_timeout_s`` arms the
     supervisor's heartbeat watchdog.  Instances are immutable and

@@ -1,16 +1,15 @@
 """Parallel batch runner for the scenario registry.
 
-``python -m repro.runner`` shards the scenario matrix (scenario x
-engine x kernel) across worker processes with a warm/cold cache
-lifecycle; :mod:`repro.runner.batch` is the library API and
-:mod:`repro.runner.trajectory` the ``BENCH_*.json`` writer.  See
-``docs/BENCHMARKS.md``.
+``python -m repro scenarios`` (:mod:`repro.runner.cli`) shards the
+scenario matrix (scenario x engine) across worker processes with a
+warm/cold cache lifecycle; :mod:`repro.runner.batch` is the library
+API and :mod:`repro.runner.trajectory` the ``BENCH_*.json`` writer.
+See ``docs/BENCHMARKS.md``.
 """
 
 from .batch import (
     CACHE_MODES,
     ENGINE_CONFIGS,
-    KERNEL_CONFIGS,
     Job,
     build_jobs,
     execute_job,
@@ -32,7 +31,6 @@ __all__ = [
     "CACHE_MODES",
     "ENGINE_CONFIGS",
     "Job",
-    "KERNEL_CONFIGS",
     "PLANS_TRAJECTORY",
     "append_trajectory",
     "build_jobs",

@@ -2,23 +2,22 @@
 
 This module turns the scenario registry
 (:mod:`repro.workloads.scenarios`) into a **job matrix** -- scenario x
-:class:`~repro.datalog.engine.EngineConfig` x
-:class:`~repro.automata.kernel.KernelConfig` -- and executes it either
+:class:`~repro.datalog.engine.EngineConfig` -- and executes it either
 serially or sharded across a :class:`concurrent.futures.ProcessPoolExecutor`.
 
 Design points (each load-bearing for correctness or fairness):
 
 * **Deterministic job ordering.**  Jobs are sorted by ``(scenario,
-  engine, kernel)`` and results are returned in job order regardless
+  engine)`` and results are returned in job order regardless
   of which worker finished first, so a parallel run is comparable to a
   serial run entry-by-entry (``verdicts`` below, and the differential
   test in ``tests/test_runner.py``).
-* **Jobs travel by name.**  A job is four strings; workers rebuild
+* **Jobs travel by name.**  A job is three strings; workers rebuild
   payloads from the registry, so nothing heavyweight crosses the
   process boundary and every worker constructs bit-identical inputs.
 * **Scenario-affine sharding.**  Jobs are grouped by scenario and the
   groups are dealt round-robin across workers, so all cells of one
-  scenario (both kernels, both engines) land in the same process and
+  scenario (both engines) land in the same process and
   share its ``shared_*`` caches -- the same reuse a serial run gets.
   Sharding whole groups (rather than ``pool.map`` over single jobs)
   is what makes N workers genuinely divide the work: the expensive
@@ -46,9 +45,9 @@ Design points (each load-bearing for correctness or fairness):
   in isolation, with bounded attempts and quarantine records
   (``Decision.error`` set, exit code 2 from the CLI) for jobs that
   never succeed.  A :class:`~repro.resilience.ResilienceConfig` adds
-  per-job deadlines, the degradation ladder (failed jobs retry one
-  rung down: columnar -> interpretive, bitset ->
-  frozenset), and deterministic chaos injection for the fault tests.
+  per-job deadlines, the degradation ladder (failed evaluation jobs
+  retry one rung down: columnar -> interpretive), and deterministic
+  chaos injection for the fault tests.
 """
 
 from __future__ import annotations
@@ -59,14 +58,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..automata.kernel import KernelConfig
 from ..budget import disarm_alarm, time_budget
 from ..datalog.engine import EngineConfig
 from ..resilience import (
     ResilienceConfig,
     classify_failure,
     ladder_rungs,
-    rung_label,
     run_supervised,
 )
 from ..resilience import chaos as _chaos
@@ -87,12 +84,6 @@ ENGINE_CONFIGS: Dict[str, EngineConfig] = {
     "interpretive": EngineConfig(compiled=False),
 }
 
-#: Named kernel configurations the matrix can range over.
-KERNEL_CONFIGS: Dict[str, KernelConfig] = {
-    "bitset": KernelConfig(backend="bitset"),
-    "frozenset": KernelConfig(backend="frozenset"),
-}
-
 CACHE_MODES = ("warm", "cold")
 
 
@@ -103,21 +94,18 @@ class Job:
 
     scenario: str
     engine: str
-    kernel: str
     cache: str = "warm"
 
 
 def build_jobs(scenarios: Sequence[str],
                engines: Sequence[str] = ("columnar",),
-               kernels: Sequence[str] = ("bitset", "frozenset"),
                cache: str = "warm") -> List[Job]:
     """The deterministic job matrix for *scenarios*.
 
-    Decision scenarios (containment / equivalence / boundedness) range
-    over *kernels* -- the automaton backend is what their verdicts
-    exercise -- and run on the first engine (the engine only powers
-    probes and backward containments).  Evaluation and magic scenarios
-    range over *engines* and ignore the kernel.  ``cache`` is stamped
+    Decision scenarios (containment / equivalence / boundedness) run
+    once, on the first engine (the engine only powers probes and
+    backward containments).  Evaluation and magic scenarios range over
+    *engines*.  ``cache`` is stamped
     on every job; mixing modes inside one batch is deliberately not
     offered (it would reintroduce the unfair sharing this layer
     exists to prevent).
@@ -135,22 +123,17 @@ def build_jobs(scenarios: Sequence[str],
         if label not in ENGINE_CONFIGS:
             raise ValueError(f"unknown engine {label!r}; "
                              f"known: {sorted(ENGINE_CONFIGS)}")
-    for label in kernels:
-        if label not in KERNEL_CONFIGS:
-            raise ValueError(f"unknown kernel {label!r}; "
-                             f"known: {sorted(KERNEL_CONFIGS)}")
     jobs: List[Job] = []
     for name in scenarios:
         scenario = get_scenario(name)
         if scenario.kind in DECISION_KINDS:
-            jobs.extend(Job(name, engines[0], kernel, cache)
-                        for kernel in kernels)
+            jobs.append(Job(name, engines[0], cache))
         else:
             scenario_engines = engines
             if {"scale", "stress"} & set(scenario.tags):
                 columnar = [e for e in engines if e != "interpretive"]
                 scenario_engines = columnar or engines
-            jobs.extend(Job(name, engine, kernels[0], cache)
+            jobs.extend(Job(name, engine, cache)
                         for engine in scenario_engines)
     return sorted(jobs)
 
@@ -161,17 +144,13 @@ def build_jobs(scenarios: Sequence[str],
 
 # Per-process warm sessions, one per engine label: reused across warm
 # jobs so compiled plans and automaton caches amortize, discarded (and
-# replaced by fresh private sessions) in cold mode.  Decision jobs all
-# run on the matrix's first engine, so the kernel-neutral automaton
-# caches are shared across that scenario's kernel cells exactly as a
-# serial run would share them.
+# replaced by fresh private sessions) in cold mode.
 _SESSIONS: Dict[str, Session] = {}
 
 
 def worker_session(label: str, cache: str = "warm",
                    sessions: Optional[Dict[str, Session]] = None,
-                   name: str = "runner",
-                   kernel: Optional[str] = None) -> Session:
+                   name: str = "runner") -> Session:
     """The per-worker :class:`~repro.session.Session` for an engine
     label: reused across warm jobs (compiled plans and automaton
     caches amortize), fresh and private in cold mode.
@@ -179,22 +158,17 @@ def worker_session(label: str, cache: str = "warm",
     *sessions* overrides the store the warm sessions live in (default:
     this module's per-process dict) -- the decision service passes a
     per-thread store so its thread-executor workers stay isolated
-    while sharing this lifecycle.  *kernel* pins the session's kernel
-    config (and joins the store key), so decisions report the exact
-    (engine, kernel) fingerprint; ``None`` keeps the batch runner's
-    behaviour of one session per engine with per-call kernels.
+    while sharing this lifecycle.
     """
-    key = label if kernel is None else f"{label}/{kernel}"
-    kernel_config = None if kernel is None else KERNEL_CONFIGS[kernel]
     if cache == "cold":
-        return Session(engine=ENGINE_CONFIGS[label], kernel=kernel_config,
-                       cache="private", name=f"{name}-cold-{key}")
+        return Session(engine=ENGINE_CONFIGS[label], cache="private",
+                       name=f"{name}-cold-{label}")
     store = _SESSIONS if sessions is None else sessions
-    session = store.get(key)
+    session = store.get(label)
     if session is None:
-        session = store[key] = Session(
-            engine=ENGINE_CONFIGS[label], kernel=kernel_config,
-            cache="private", name=f"{name}-{key}")
+        session = store[label] = Session(
+            engine=ENGINE_CONFIGS[label], cache="private",
+            name=f"{name}-{label}")
         # A freshly spawned (or respawned) worker skips cold start
         # when a warm-state snapshot for this config is on disk
         # (no-op unless REPRO_SNAPSHOT_DIR / --snapshot-dir is set).
@@ -206,10 +180,10 @@ def _session_for(label: str, cache: str) -> Session:
     return worker_session(label, cache)
 
 
-def _run_cell(job: Job, engine_label: str, kernel_label: str,
+def _run_cell(job: Job, engine_label: str,
               deadline: Optional[float] = None) -> Decision:
-    """Run *job*'s scenario on an explicit (engine, kernel) -- the
-    job's own configuration normally, a ladder rung on degraded
+    """Run *job*'s scenario on an explicit engine -- the job's own
+    engine normally, a ladder rung on degraded
     retries.  ``meta`` always carries the *requested* cell (the batch
     reassembles results by it); :attr:`~repro.session.Decision.degraded_to`
     records the answering rung when they differ."""
@@ -217,16 +191,13 @@ def _run_cell(job: Job, engine_label: str, kernel_label: str,
     if job.cache == "cold":
         _SESSIONS.clear()
     session = _session_for(engine_label, job.cache)
-    kernel = KERNEL_CONFIGS[kernel_label]
     start = time.perf_counter()
-    decision = session.run_scenario(scenario, kernel=kernel,
-                                    deadline=deadline)
+    decision = session.run_scenario(scenario, deadline=deadline)
     seconds = time.perf_counter() - start
     decision.meta.update({
         "scenario": job.scenario,
         "kind": scenario.kind,
         "engine": job.engine,
-        "kernel": job.kernel,
         "cache": job.cache,
         "seconds": round(seconds, 6),
         "pid": os.getpid(),
@@ -244,7 +215,7 @@ def run_decision(job: Job) -> Decision:
     (``certificate``/``raw``) is stripped so decisions pickle cheaply
     across the process pool.
     """
-    return _run_cell(job, job.engine, job.kernel)
+    return _run_cell(job, job.engine)
 
 
 def quarantine_decision(job: Job, *, attempts: int, category: str,
@@ -266,7 +237,6 @@ def quarantine_decision(job: Job, *, attempts: int, category: str,
             "scenario": job.scenario,
             "kind": kind,
             "engine": job.engine,
-            "kernel": job.kernel,
             "cache": job.cache,
             "seconds": 0.0,
             "pid": os.getpid(),
@@ -293,16 +263,14 @@ def run_job_resilient(job: Job, resilience: ResilienceConfig,
                 else _chaos.from_env())
     decision_kind = get_scenario(job.scenario).kind in DECISION_KINDS
     if resilience.ladder:
-        rungs = ladder_rungs(job.engine, job.kernel, decision_kind)
+        rungs = ladder_rungs(job.engine, decision_kind)
     else:
-        rungs = [(job.engine, job.kernel)]
-    requested = rung_label(job.engine, job.kernel)
+        rungs = [job.engine]
     failures: List[str] = []
     last_category = "error"
     rung_index = 0
     while attempt <= resilience.max_attempts:
-        engine_label, kernel_label = rungs[min(rung_index,
-                                               len(rungs) - 1)]
+        engine_label = rungs[min(rung_index, len(rungs) - 1)]
         _beat()
         nth = _chaos.next_job_index()
         try:
@@ -312,11 +280,10 @@ def run_job_resilient(job: Job, resilience: ResilienceConfig,
             with time_budget(resilience.deadline_s):
                 _chaos.inject(job.scenario, nth, attempt,
                               schedule=schedule)
-                decision = _run_cell(job, engine_label, kernel_label,
+                decision = _run_cell(job, engine_label,
                                      deadline=resilience.deadline_s)
         except Exception as exc:
-            failures.append(f"attempt {attempt} "
-                            f"[{engine_label}/{kernel_label}] "
+            failures.append(f"attempt {attempt} [{engine_label}] "
                             f"{classify_failure(exc)}: {exc}")
             last_category = classify_failure(exc)
             attempt += 1
@@ -325,9 +292,8 @@ def run_job_resilient(job: Job, resilience: ResilienceConfig,
         finally:
             _beat()
         decision.attempts = attempt
-        answered = rung_label(engine_label, kernel_label)
-        if answered != requested:
-            decision.degraded_to = answered
+        if engine_label != job.engine:
+            decision.degraded_to = engine_label
         if failures:
             decision.stats.setdefault("retried_after", list(failures))
         return decision
@@ -350,10 +316,10 @@ def run_shard(jobs: Sequence[Job],
 
     In warm mode each scenario's session caches are pre-built once
     (before its first job, via :meth:`~repro.session.Session.warm`) so
-    the recorded per-job seconds are steady-state -- without this, the
-    first kernel's seconds would absorb one-time kernel-neutral
-    automaton construction that later kernels reuse for free.  Cold
-    jobs get fresh sessions in :func:`run_decision` instead.
+    the recorded per-job seconds are steady-state -- without this, a
+    scenario's job would absorb one-time automaton construction and
+    plan compilation.  Cold jobs get fresh sessions in
+    :func:`run_decision` instead.
 
     With a *resilience* config, jobs run through
     :func:`run_job_resilient` (chaos injection, deadline, degradation
@@ -457,7 +423,7 @@ def run_batch(jobs: Sequence[Job], workers: int = 1,
             initializer=_worker_init,
             stall_timeout_s=config.stall_timeout_s,
             job_key=lambda job: f"{job.scenario}/{job.engine}/"
-                                f"{job.kernel}/{job.cache}",
+                                f"{job.cache}",
         )
         records = list(outcome.results)
         records.extend(
@@ -465,18 +431,18 @@ def run_batch(jobs: Sequence[Job], workers: int = 1,
                                 category=q.category, message=q.message)
             for q in outcome.quarantined
         )
-    by_key = {(r["scenario"], r["engine"], r["kernel"], r["cache"]): r
+    by_key = {(r["scenario"], r["engine"], r["cache"]): r
               for r in records}
-    return [by_key[(j.scenario, j.engine, j.kernel, j.cache)] for j in jobs]
+    return [by_key[(j.scenario, j.engine, j.cache)] for j in jobs]
 
 
-def verdicts(records: Sequence[Dict]) -> List[Tuple[str, str, str, str]]:
-    """The comparable core of a batch: ``(scenario, engine, kernel,
+def verdicts(records: Sequence[Dict]) -> List[Tuple[str, str, str]]:
+    """The comparable core of a batch: ``(scenario, engine,
     repr(verdict))`` per record, in order.  Two runs of the same matrix
     -- serial vs parallel, N vs M workers -- must produce equal lists
     (asserted by ``tests/test_runner.py`` and the CLI's
     ``--verify-serial``)."""
-    return [(r["scenario"], r["engine"], r["kernel"], repr(r["verdict"]))
+    return [(r["scenario"], r["engine"], repr(r["verdict"]))
             for r in records]
 
 

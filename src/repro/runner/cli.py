@@ -1,24 +1,20 @@
-"""``python -m repro.runner`` -- the scenario-matrix CLI.
+"""``python -m repro scenarios`` -- the scenario-matrix CLI.
 
-(Also reachable as ``python -m repro scenarios``, the unified CLI's
-subcommand; this module remains the implementation and a stable
-alias.)
-
-Runs the scenario registry across engine/kernel configurations,
-serially or sharded over worker processes, checks every verdict
+Runs the scenario registry across engine configurations, serially or
+sharded over worker processes, checks every verdict
 against constructed ground truth, and appends trajectory records to
 ``BENCH_automata.json`` (decision scenarios) and ``BENCH_plans.json``
 (evaluation / magic scenarios).
 
 Examples::
 
-    python -m repro.runner --list
-    python -m repro.runner --scenarios tag:bench --workers 4
-    python -m repro.runner --scenarios kind:boundedness --kernels bitset
-    python -m repro.runner --scenarios tag:bench --cache cold --no-write
-    python -m repro.runner --scenarios tag:bench --workers 4 --verify-serial
-    python -m repro.runner --scenarios tag:scale --engines columnar
-    python -m repro.runner --scenarios tag:bench --deadline 30 \
+    python -m repro scenarios --list
+    python -m repro scenarios --scenarios tag:bench --workers 4
+    python -m repro scenarios --scenarios kind:boundedness
+    python -m repro scenarios --scenarios tag:bench --cache cold --no-write
+    python -m repro scenarios --scenarios tag:bench --workers 4 --verify-serial
+    python -m repro scenarios --scenarios tag:scale --engines columnar
+    python -m repro scenarios --scenarios tag:bench --deadline 30 \
         --chaos "crash:scenario=eval_tc_grid_10x10,attempt=1"
 
 Exit status: 0 when every job answered and matched ground truth
@@ -35,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -44,7 +39,6 @@ from ..resilience import ERROR_CATEGORIES, ResilienceConfig, parse_schedule
 from ..resilience.chaos import CHAOS_ENV
 from .batch import (
     ENGINE_CONFIGS,
-    KERNEL_CONFIGS,
     build_jobs,
     run_batch,
     select_scenarios,
@@ -64,9 +58,9 @@ REPO_ROOT = find_repo_root()
 
 def _parse_args(argv=None):
     parser = argparse.ArgumentParser(
-        prog="python -m repro.runner",
+        prog="python -m repro scenarios",
         description="Batch scenario runner: decision + evaluation matrix "
-                    "across engine and kernel configurations.",
+                    "across engine configurations.",
     )
     parser.add_argument("--scenarios", default="all",
                         help="'all', 'kind:<kind>', 'tag:<tag>', or a "
@@ -77,9 +71,6 @@ def _parse_args(argv=None):
                         help="comma list from {%s}, or 'both'/'all' for "
                              "every config (default: all)"
                              % ", ".join(sorted(ENGINE_CONFIGS)))
-    parser.add_argument("--kernels", default="both",
-                        help="comma list from {%s}, or 'both'/'all' "
-                             "(default: both)" % ", ".join(sorted(KERNEL_CONFIGS)))
     parser.add_argument("--cache", choices=("warm", "cold"), default="warm",
                         help="cache lifecycle: warm (pre-built shared "
                              "caches) or cold (cleared before every job)")
@@ -100,7 +91,7 @@ def _parse_args(argv=None):
                         help="total tries per job before quarantine "
                              "(default: 3)")
     parser.add_argument("--no-ladder", action="store_true",
-                        help="retry failed jobs on their own rung "
+                        help="retry failed jobs on their own engine "
                              "instead of degrading down the ladder")
     parser.add_argument("--chaos", default=None, metavar="SPEC",
                         help="fault-injection schedule, e.g. "
@@ -173,11 +164,9 @@ def main(argv=None) -> int:
         return 0
 
     engines = _labels(args.engines, ENGINE_CONFIGS)
-    kernels = _labels(args.kernels, KERNEL_CONFIGS)
-    jobs = build_jobs(names, engines=engines, kernels=kernels,
-                      cache=args.cache)
-    print(f"repro.runner: {len(names)} scenarios -> {len(jobs)} jobs "
-          f"(engines {engines}, kernels {kernels}, cache {args.cache}, "
+    jobs = build_jobs(names, engines=engines, cache=args.cache)
+    print(f"repro scenarios: {len(names)} scenarios -> {len(jobs)} jobs "
+          f"(engines {engines}, cache {args.cache}, "
           f"workers {args.workers})")
     cores = os.cpu_count() or 1
     if args.workers > cores:
@@ -207,7 +196,7 @@ def main(argv=None) -> int:
         if record.get("degraded_to"):
             extra += f"  degraded_to={record['degraded_to']}"
         print(f"  {flag} {record['scenario']:32s} "
-              f"{record['engine']:12s} {record['kernel']:10s} "
+              f"{record['engine']:12s} "
               f"{record['seconds']*1000:9.1f}ms  {record['verdict']}"
               f"{extra}")
     print(f"total wall-clock {wall:.2f}s "
@@ -236,7 +225,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         meta = run_metadata(REPO_ROOT)
         runner_meta = {"workers": args.workers, "cache": args.cache,
-                       "engines": engines, "kernels": kernels,
+                       "engines": engines,
                        "wall_s": round(wall, 3), "source": "repro.runner"}
         decision = [r for r in records if r["kind"] in DECISION_KINDS]
         evaluation = [r for r in records if r["kind"] not in DECISION_KINDS]
@@ -259,6 +248,3 @@ def main(argv=None) -> int:
         return 2
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

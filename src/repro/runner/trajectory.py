@@ -1,6 +1,6 @@
 """Machine-readable benchmark trajectories (``BENCH_*.json``).
 
-Shared by ``python -m repro.runner`` and the standalone
+Shared by ``python -m repro scenarios`` and the standalone
 ``benchmarks/run_bench.py``: run metadata (commit, interpreter,
 machine) and append-only JSON trajectory files, so performance and
 verdict records accumulate across commits in one place.  The schema is

@@ -224,10 +224,10 @@ def service_execute(op: str, payload: Dict[str, Any], attempt: int,
     schedule = (parse_schedule(chaos_spec) if chaos_spec is not None
                 else _chaos.from_env())
     nth = _chaos.next_job_index()
-    # One session per (engine, kernel) pair, so every decision reports
-    # the exact config fingerprint the coalescing key was derived from.
+    # One session per engine, so every decision reports the exact
+    # config fingerprint the coalescing key was derived from.
     session = worker_session(request.engine, sessions=_sessions(),
-                             name="service", kernel=request.kernel)
+                             name="service")
     with warnings.catch_warnings():
         # Thread-executor deadlines are cooperative-tier only; the
         # decision loops are instrumented, so degradation is expected
@@ -254,8 +254,6 @@ def service_execute(op: str, payload: Dict[str, Any], attempt: int,
                 raise ReproError(f"op {op!r} is not executable")
     decision.meta.setdefault("op", op)
     decision.meta.setdefault("engine", request.engine)
-    if op != "eval":
-        decision.meta.setdefault("kernel", request.kernel)
     # The batch runner's wire shape: payloads stay in the worker.
     return decision.without_payload().record()
 

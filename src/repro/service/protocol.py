@@ -15,12 +15,12 @@ the wire -- that is what makes the coalescing key honest)::
                              | "boundedness",
      "program": <datalog source>, "goal": <predicate>,
      ...kind-specific fields...,
-     "method": "auto", "engine": "columnar", "kernel": "bitset",
-     "deadline_s": null, "id": null}
+     "method": "auto", "engine": "columnar", "deadline_s": null,
+     "id": null}
     {"op": "eval", "program": ..., "db": <ground facts source>,
      "goal": ..., "max_stages": null, "engine": ..., "deadline_s": ...}
     {"op": "scenario", "scenario": <registry name>, "engine": ...,
-     "kernel": ..., "deadline_s": ...}
+     "deadline_s": ...}
     {"op": "status"}
     {"op": "shutdown"}
 
@@ -49,7 +49,7 @@ Error categories are the resilience taxonomy (``timeout`` / ``memory``
 
 The **coalescing key** of a request is
 ``sha1(config fingerprint + ":" + canonical payload JSON)`` -- the
-:attr:`~repro.session.Session.fingerprint` of the (engine, kernel)
+:attr:`~repro.session.Session.fingerprint` of the engine
 configuration the request will run under, joined with the normalized
 payload.  Two requests coalesce exactly when a single computation is
 guaranteed to produce bit-identical decision records for both.
@@ -64,7 +64,7 @@ from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..resilience import ERROR_CATEGORIES
-from ..runner.batch import ENGINE_CONFIGS, KERNEL_CONFIGS
+from ..runner.batch import ENGINE_CONFIGS
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -142,10 +142,6 @@ class Request:
         return self.payload.get("engine", "columnar")
 
     @property
-    def kernel(self) -> str:
-        return self.payload.get("kernel", "bitset")
-
-    @property
     def deadline_s(self) -> Optional[float]:
         return self.payload.get("deadline_s")
 
@@ -186,17 +182,12 @@ def _choice(value: str, choices, what: str) -> str:
     return value
 
 
-def _config_fields(fields: Mapping, what: str, *,
-                   kernel: bool = True) -> Dict[str, Any]:
+def _config_fields(fields: Mapping, what: str) -> Dict[str, Any]:
     payload: Dict[str, Any] = {
         "engine": _choice(
             _optional(fields, "engine", str, what, "columnar"),
             ENGINE_CONFIGS, "engine"),
     }
-    if kernel:
-        payload["kernel"] = _choice(
-            _optional(fields, "kernel", str, what, "bitset"),
-            KERNEL_CONFIGS, "kernel")
     deadline = _optional(fields, "deadline_s", (int, float), what)
     if deadline is not None:
         if deadline <= 0:
@@ -290,7 +281,7 @@ def _decode_eval(fields: Mapping) -> Dict[str, Any]:
         if stages < 1:
             raise ProtocolError(f"eval max_stages must be >= 1, got {stages}")
         payload["max_stages"] = stages
-    payload.update(_config_fields(fields, "eval", kernel=False))
+    payload.update(_config_fields(fields, "eval"))
     return payload
 
 
@@ -310,10 +301,10 @@ def _decode_scenario(fields: Mapping) -> Dict[str, Any]:
 _KNOWN_FIELDS = {
     "decide": {"id", "op", "kind", "program", "goal", "method",
                "nonrecursive", "nonrecursive_goal", "union", "union_goal",
-               "union_depth", "max_depth", "engine", "kernel", "deadline_s"},
+               "union_depth", "max_depth", "engine", "deadline_s"},
     "eval": {"id", "op", "program", "db", "goal", "max_stages", "engine",
              "deadline_s"},
-    "scenario": {"id", "op", "scenario", "engine", "kernel", "deadline_s"},
+    "scenario": {"id", "op", "scenario", "engine", "deadline_s"},
     "status": {"id", "op"},
     "shutdown": {"id", "op"},
 }
@@ -334,8 +325,8 @@ def decode_request(line: Union[str, bytes]) -> Request:
 
         >>> request = decode_request(
         ...     '{"op": "scenario", "scenario": "bounded_buys"}')
-        >>> request.op, request.payload["scenario"], request.kernel
-        ('scenario', 'bounded_buys', 'bitset')
+        >>> request.op, request.payload["scenario"], request.engine
+        ('scenario', 'bounded_buys', 'columnar')
         >>> decode_request('{"op": "warp"}')
         Traceback (most recent call last):
             ...
@@ -374,15 +365,14 @@ expected one of ['decide', 'eval', 'scenario', 'shutdown', 'status']
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def fingerprint_for(engine: str, kernel: str) -> str:
-    """The Session config fingerprint of an (engine label, kernel
-    label) pair -- what the service's worker sessions for that pair
-    report as :attr:`~repro.session.Decision.fingerprint`, computed
-    without building an engine."""
+def fingerprint_for(engine: str) -> str:
+    """The Session config fingerprint of an engine label -- what the
+    service's worker sessions for that engine report as
+    :attr:`~repro.session.Decision.fingerprint`, computed without
+    building an engine."""
     from ..session import CachePolicy, config_fingerprint
 
-    return config_fingerprint(ENGINE_CONFIGS[engine],
-                              KERNEL_CONFIGS[kernel], CachePolicy())
+    return config_fingerprint(ENGINE_CONFIGS[engine], CachePolicy())
 
 
 def canonical_payload(request: Request) -> str:
@@ -399,16 +389,16 @@ def coalesce_key(request: Request) -> str:
 
         >>> a = decode_request('{"op": "scenario", '
         ...                    '"scenario": "bounded_buys"}')
-        >>> b = decode_request('{"op": "scenario", "kernel": "bitset", '
+        >>> b = decode_request('{"op": "scenario", "engine": "columnar", '
         ...                    '"scenario": "bounded_buys", "id": "x9"}')
         >>> coalesce_key(a) == coalesce_key(b)   # id never participates
         True
-        >>> c = decode_request('{"op": "scenario", "kernel": "frozenset",'
+        >>> c = decode_request('{"op": "scenario", "engine": "interpretive",'
         ...                    ' "scenario": "bounded_buys"}')
         >>> coalesce_key(a) == coalesce_key(c)   # config does
         False
     """
-    blob = (f"{request.op}:{fingerprint_for(request.engine, request.kernel)}"
+    blob = (f"{request.op}:{fingerprint_for(request.engine)}"
             f":{canonical_payload(request)}")
     return hashlib.sha1(blob.encode()).hexdigest()
 

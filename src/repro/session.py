@@ -4,10 +4,9 @@ The paper's decision procedures (containment in a UCQ, Theorem 5.12;
 equivalence to a nonrecursive program, Theorem 6.5; the boundedness
 semi-decision) plus bottom-up evaluation and the scenario registry
 used to be reachable only as free functions with divergent signatures
--- ``kernel=`` threaded by hand, the engine picked by a process-global
-default, three unrelated result dataclasses.  A :class:`Session` owns
-that configuration (an :class:`~repro.datalog.engine.EngineConfig`, a
-:class:`~repro.automata.kernel.KernelConfig`, and a
+-- the engine picked by a process-global default, three unrelated
+result dataclasses.  A :class:`Session` owns that configuration (an
+:class:`~repro.datalog.engine.EngineConfig` and a
 :class:`CachePolicy`) together with its caches (compiled plans,
 automaton factories, EDB images -- a private
 :class:`~repro.context.CacheScope` per session), and exposes every
@@ -46,7 +45,6 @@ from time import perf_counter
 from typing import Any, Dict, Iterator, Mapping, Optional
 
 from . import context as _context
-from .automata.kernel import KernelConfig
 from .budget import BudgetExhausted, time_budget
 from .core import boundedness as _boundedness
 from .core import containment as _containment
@@ -101,15 +99,13 @@ class CachePolicy:
             )
 
 
-def config_fingerprint(engine: "EngineConfig", kernel: KernelConfig,
-                       cache: "CachePolicy") -> str:
-    """The stable digest of a (engine, kernel, cache-policy)
-    configuration triple -- what :attr:`Session.fingerprint` reports,
-    computable without constructing a session (the decision service
-    derives coalescing keys from it)."""
+def config_fingerprint(engine: "EngineConfig", cache: "CachePolicy") -> str:
+    """The stable digest of an (engine, cache-policy) configuration
+    pair -- what :attr:`Session.fingerprint` reports, computable
+    without constructing a session (the decision service derives
+    coalescing keys from it)."""
     config = {
         "engine": asdict(engine),
-        "kernel": asdict(kernel),
         "cache": asdict(cache),
     }
     blob = repr(sorted(
@@ -153,8 +149,9 @@ class Decision:
     error-taxonomy category of a job that was quarantined after
     exhausting its retries (``None`` for a real verdict); ``attempts``
     counts the tries that produced this decision (1 = first try);
-    ``degraded_to`` names the ladder rung (``"engine/kernel"``) that
-    answered when it was not the requested configuration.  All three
+    ``degraded_to`` names the ladder rung (an engine label such as
+    ``"interpretive"``) that answered when it was not the requested
+    configuration.  All three
     round-trip through :meth:`record`.
 
     ``raw`` is the legacy result object
@@ -277,7 +274,7 @@ class Session:
     """A configured, isolated entry point to every decision procedure.
 
     A session owns an engine configuration (and hence a compiled-plan
-    cache), a kernel configuration, and a cache policy; its decision
+    cache) and a cache policy; its decision
     methods activate the session in the ambient
     :class:`contextvars.ContextVar` for the duration of the call, so
     every cache the procedures consult (automaton factories, EDB
@@ -293,7 +290,6 @@ class Session:
     """
 
     def __init__(self, engine: Optional[Any] = None,
-                 kernel: Optional[KernelConfig] = None,
                  cache: Optional[Any] = None,
                  name: Optional[str] = None):
         if isinstance(engine, Engine):
@@ -306,7 +302,6 @@ class Session:
             raise ValidationError(
                 f"engine must be an Engine or EngineConfig, got {engine!r}"
             )
-        self.kernel = kernel or KernelConfig()
         if isinstance(cache, str):
             cache = CachePolicy(scope=cache)
         self.cache_policy = cache or CachePolicy()
@@ -332,10 +327,9 @@ class Session:
 
     @property
     def config(self) -> Dict[str, Any]:
-        """The JSON-able configuration triple the fingerprint hashes."""
+        """The JSON-able configuration pair the fingerprint hashes."""
         return {
             "engine": asdict(self.engine_config),
-            "kernel": asdict(self.kernel),
             "cache": asdict(self.cache_policy),
         }
 
@@ -347,17 +341,14 @@ class Session:
         ``cache`` policy dict participates)."""
         if self._fingerprint is None:
             self._fingerprint = config_fingerprint(
-                self.engine_config, self.kernel, self.cache_policy)
+                self.engine_config, self.cache_policy)
         return self._fingerprint
 
     def with_config(self, *, engine: Optional[Any] = None,
-                    kernel: Optional[KernelConfig] = None,
                     cache: Optional[Any] = None,
                     name: Optional[str] = None) -> "Session":
         """A derived session: overridden fields are replaced, the rest
-        -- including the live cache scope and engine -- are shared.
-        (:func:`~repro.automata.kernel.set_default_kernel` uses this to
-        swap the ambient kernel without discarding warm caches.)"""
+        -- including the live cache scope and engine -- are shared."""
         derived = Session.__new__(Session)
         if engine is None:
             derived._engine = self._engine
@@ -368,7 +359,6 @@ class Session:
         else:
             derived.engine_config = engine
             derived._engine = Engine(engine)
-        derived.kernel = kernel or self.kernel
         if isinstance(cache, str):
             cache = CachePolicy(scope=cache)
         derived.cache_policy = cache or self.cache_policy
@@ -387,7 +377,7 @@ class Session:
 
     def __repr__(self):
         return (f"Session({self.name!r}, engine={self.engine_config}, "
-                f"kernel={self.kernel}, cache={self.cache_policy})")
+                f"cache={self.cache_policy})")
 
     # ------------------------------------------------------------------
     # Activation: make this session the ambient one.
@@ -469,14 +459,12 @@ class Session:
                  union: UnionOfConjunctiveQueries, *,
                  method: str = "auto", use_antichain: bool = True,
                  use_certificates: bool = False,
-                 kernel: Optional[KernelConfig] = None,
                  deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
         ``method`` is ``"auto"`` / ``"tree"`` / ``"word"`` as in
-        :func:`repro.core.contained_in_ucq`; ``kernel`` overrides the
-        session kernel for this call; ``deadline`` bounds the call's
-        wall clock (every decision method takes one).  On
+        :func:`repro.core.contained_in_ucq`; ``deadline`` bounds the
+        call's wall clock (every decision method takes one).  On
         non-containment the ``certificate`` is the witness proof tree.
 
         ``use_certificates=True`` consults the static analyzer first:
@@ -490,12 +478,11 @@ class Session:
             if "chain" in report.classes:
                 method = "word"
                 analysis_meta["method"] = "word"
-        kernel = kernel or self.kernel
         start = perf_counter()
         with self._deadline(deadline), self.activated():
             result = _containment.decide_containment_in_ucq(
                 program, goal, union, method=method,
-                use_antichain=use_antichain, kernel=kernel,
+                use_antichain=use_antichain,
             )
         decision = self._decision(
             "containment", {"contained": result.contained},
@@ -510,19 +497,17 @@ class Session:
     def contains_cq(self, program: Program, goal: str,
                     theta: ConjunctiveQuery, *, method: str = "auto",
                     use_antichain: bool = True,
-                    kernel: Optional[KernelConfig] = None,
                     deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
         union = UnionOfConjunctiveQueries([theta], theta.arity)
         return self.contains(program, goal, union, method=method,
-                             use_antichain=use_antichain, kernel=kernel,
+                             use_antichain=use_antichain,
                              deadline=deadline)
 
     def contains_nonrecursive(self, program: Program, goal: str,
                               nonrecursive: Program,
                               nonrecursive_goal: Optional[str] = None, *,
                               method: str = "auto",
-                              kernel: Optional[KernelConfig] = None,
                               deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
         (Theorem 6.4): unfold Pi' to a UCQ, then decide containment."""
@@ -530,7 +515,7 @@ class Session:
         union = unfold_nonrecursive(nonrecursive, nonrecursive_goal or goal)
         unfold_s = perf_counter() - start
         decision = self.contains(program, goal, union, method=method,
-                                 kernel=kernel, deadline=deadline)
+                                 deadline=deadline)
         decision.timings["unfold_s"] = round(unfold_s, 6)
         decision.stats.setdefault("union_disjuncts", len(union))
         return decision
@@ -593,7 +578,6 @@ class Session:
                                    nonrecursive_goal: Optional[str] = None, *,
                                    method: str = "auto",
                                    engine: Optional[Engine] = None,
-                                   kernel: Optional[KernelConfig] = None,
                                    deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == Pi'`` for nonrecursive Pi' (Theorem 6.5),
         with per-phase timings (``unfold_s`` / ``backward_s`` /
@@ -603,8 +587,7 @@ class Session:
             result = _equivalence.decide_equivalence(
                 program, nonrecursive, goal,
                 nonrecursive_goal=nonrecursive_goal, method=method,
-                engine=engine or self._engine, kernel=kernel or self.kernel,
-                timings=timings,
+                engine=engine or self._engine, timings=timings,
             )
         return self._decision(
             "equivalence",
@@ -619,15 +602,13 @@ class Session:
                           union: UnionOfConjunctiveQueries, *,
                           method: str = "auto",
                           engine: Optional[Engine] = None,
-                          kernel: Optional[KernelConfig] = None,
                           deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == union`` (the Theorem 5.12 form)."""
         timings: Dict[str, float] = {}
         with self._deadline(deadline), self.activated():
             result = _equivalence.decide_equivalence_to_ucq(
                 program, goal, union, method=method,
-                engine=engine or self._engine, kernel=kernel or self.kernel,
-                timings=timings,
+                engine=engine or self._engine, timings=timings,
             )
         return self._decision(
             "equivalence",
@@ -641,7 +622,6 @@ class Session:
     def bounded(self, program: Program, goal: str, max_depth: int = 4, *,
                 method: str = "auto", use_certificates: bool = False,
                 engine: Optional[Engine] = None,
-                kernel: Optional[KernelConfig] = None,
                 deadline: Optional[float] = None) -> Decision:
         """Search for a boundedness certificate up to ``max_depth``
         (semi-decision; ``bounded`` is True or None=unknown).  The
@@ -683,8 +663,7 @@ class Session:
             # they cannot churn this session's plan cache.
             result = _boundedness.search_boundedness(
                 program, goal, max_depth=max_depth, method=method,
-                engine=engine, kernel=kernel or self.kernel,
-                timings=timings, stats=stats,
+                engine=engine, timings=timings, stats=stats,
             )
         return self._decision(
             "boundedness",
@@ -803,7 +782,6 @@ class Session:
     # ------------------------------------------------------------------
 
     def run_scenario(self, scenario, *, engine: Optional[Engine] = None,
-                     kernel: Optional[KernelConfig] = None,
                      deadline: Optional[float] = None) -> Decision:
         """Execute a registry scenario (by name or object) under this
         session and check its verdict against constructed ground truth
@@ -837,8 +815,8 @@ class Session:
             with self._deadline(deadline), self.activated(), \
                     time_budget(budget):
                 self._adopt_scenario_image(scenario.name, payload)
-                verdict, stats = _scenarios.kind_runner(scenario.kind)(
-                    payload, engine or self._engine, kernel or self.kernel)
+                verdict, stats, _result = _scenarios.kind_runner(
+                    scenario.kind)(payload, engine or self._engine)
         except BudgetExhausted as exhausted:
             self.clear_caches()
             if budget is None or exhausted.seconds != budget:
@@ -930,9 +908,9 @@ class Session:
         return save_snapshot(self, directory, scenarios)
 
     def _warm_scenario(self, scenario) -> None:
-        """Warm the kernel-neutral caches one scenario's decision will
-        hit: containment payloads carry their union, equivalence
-        unfolds its nonrecursive program, and the boundedness search
+        """Warm the caches one scenario's decision will hit:
+        containment payloads carry their union, equivalence unfolds
+        its nonrecursive program, and the boundedness search
         probes the expansion unions of every depth up to its
         ``max_depth``.  Evaluation scenarios warm their columnar EDB
         image instead (adopted from the session's image bank when one
@@ -1026,8 +1004,7 @@ def default_session() -> Session:
 
 def current_session() -> Session:
     """The ambient session: the innermost active one (``with
-    session:`` / ``session.activated()``), else the context's default
-    (as adjusted by :func:`~repro.automata.kernel.set_default_kernel`),
+    session:`` / ``session.activated()``), else the context's default,
     else :func:`default_session`."""
     return _context.current_session()
 

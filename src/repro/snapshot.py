@@ -36,7 +36,7 @@ Lifecycle rules (each asserted by ``tests/test_snapshot.py``):
   when the scenario is next run (:func:`repro.datalog.columns.adopt_image`).
 
 The snapshot directory is configured per process: explicitly via the
-``--snapshot-dir`` flags (``repro serve``, ``repro.runner``) or the
+``--snapshot-dir`` flags (``repro serve``, ``repro scenarios``) or the
 ``REPRO_SNAPSHOT_DIR`` environment variable; both end up in the
 environment, so spawned pool workers inherit the setting for free.
 """

@@ -23,9 +23,8 @@ kind             verdict (JSON-serializable, process-independent)
                  derived-fact counts land in ``stats``)
 ===============  ====================================================
 
-``run_scenario(scenario, engine=..., kernel=...)`` executes a scenario
-under an explicit :class:`~repro.datalog.engine.Engine` and
-:class:`~repro.automata.kernel.KernelConfig` and returns the ambient
+``run_scenario(scenario, engine=...)`` executes a scenario under an
+explicit :class:`~repro.datalog.engine.Engine` and returns the ambient
 session's :class:`~repro.session.Decision` -- dict-compatible, so
 ``result["verdict"]`` / ``result["ok"]`` / ``result["stats"]`` read as
 before; the caller owns cache lifecycle.  Scenarios are rebuilt from
@@ -42,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..automata.kernel import KernelConfig
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.engine import Engine
 from ..datalog.magic import derived_fact_count, magic_query
@@ -67,8 +65,8 @@ from . import generators as gen
 
 KINDS = ("containment", "equivalence", "boundedness", "evaluation", "magic")
 
-#: Kinds decided by the automaton stack (the kernel matters); the
-#: remaining kinds run on the evaluation engine (the engine matters).
+#: Kinds decided by the automaton stack; the remaining kinds run on
+#: the evaluation engine (the engine matters).
 DECISION_KINDS = ("containment", "equivalence", "boundedness")
 
 
@@ -187,47 +185,47 @@ def scenario_names(kind: Optional[str] = None,
 # Per-kind execution.
 #
 # The runners call the ``decide_*`` implementations with explicit
-# engine/kernel configuration; :meth:`repro.session.Session.run_scenario`
+# engine configuration; :meth:`repro.session.Session.run_scenario`
 # invokes them inside the session's activation, so the shared caches
 # they touch resolve to that session's scope.
 # ----------------------------------------------------------------------
 
-def _run_containment(payload, engine, kernel):
+def _run_containment(payload, engine):
     result = decide_containment_in_ucq(payload["program"], payload["goal"],
                                        payload["union"],
-                                       method=payload.get("method", "auto"),
-                                       kernel=kernel)
-    return {"contained": result.contained}, dict(result.stats)
+                                       method=payload.get("method", "auto"))
+    return {"contained": result.contained}, dict(result.stats), result
 
 
-def _run_equivalence(payload, engine, kernel):
+def _run_equivalence(payload, engine):
     result = decide_equivalence(
         payload["program"], payload["nonrecursive"], payload["goal"],
         nonrecursive_goal=payload.get("nonrecursive_goal"),
-        engine=engine, kernel=kernel,
+        engine=engine,
     )
     verdict = {"equivalent": result.equivalent,
                "forward": result.forward_holds,
                "backward": result.backward_holds}
-    return verdict, dict(result.stats)
+    return verdict, dict(result.stats), result
 
 
-def _run_boundedness(payload, engine, kernel):
+def _run_boundedness(payload, engine):
     result = search_boundedness(payload["program"], payload["goal"],
                                 max_depth=payload.get("max_depth", 3),
-                                engine=engine, kernel=kernel)
-    return {"bounded": result.bounded, "depth": result.depth}, {}
+                                engine=engine)
+    return {"bounded": result.bounded, "depth": result.depth}, {}, result
 
 
-def _run_evaluation(payload, engine, kernel):
+def _run_evaluation(payload, engine):
     engine = engine or Engine()
     program, goal = payload["program"], payload["goal"]
     program.require_goal(goal)
     result = engine.evaluate(program, payload["database"])
-    return {"count": result.count(goal), "checksum": result.checksum(goal)}, {}
+    verdict = {"count": result.count(goal), "checksum": result.checksum(goal)}
+    return verdict, {}, result
 
 
-def _run_magic(payload, engine, kernel):
+def _run_magic(payload, engine):
     rows = magic_query(payload["program"], payload["database"],
                        payload["goal"], payload["adornment"],
                        payload["bindings"], engine=engine)
@@ -236,7 +234,7 @@ def _run_magic(payload, engine, kernel):
                                 payload["bindings"], engine=engine)
     verdict = {"rows": len(rows),
                "magic_beats_direct": counts["magic"] < counts["direct"]}
-    return verdict, dict(counts)
+    return verdict, dict(counts), rows
 
 
 _RUNNERS = {
@@ -249,30 +247,30 @@ _RUNNERS = {
 
 
 def kind_runner(kind: str) -> Callable:
-    """The execution function for *kind*: ``fn(payload, engine, kernel)
-    -> (verdict, stats)``.  Exposed for harnesses (``run_bench.py``)
-    that time the bare decision call under explicit configurations
-    without the :func:`run_scenario` wrapper."""
+    """The execution function for *kind*: ``fn(payload, engine) ->
+    (verdict, stats, result)``, where *result* is the procedure's own
+    outcome (a :class:`~repro.core.tree_containment.ContainmentResult`,
+    an :class:`~repro.datalog.engine.EvaluationResult`, ...).  Exposed
+    for harnesses (``run_bench.py``, the fuzz harness) that run the
+    bare decision call without the :func:`run_scenario` wrapper."""
     return _RUNNERS[kind]
 
 
 def run_scenario(scenario: Scenario,
-                 engine: Optional[Engine] = None,
-                 kernel: Optional[KernelConfig] = None):
+                 engine: Optional[Engine] = None):
     """Execute *scenario* and check its verdict against ground truth.
 
     Delegates to the ambient session
     (:meth:`repro.session.Session.run_scenario`) and returns its
     :class:`~repro.session.Decision` -- dict-compatible, so
     ``result["verdict"]`` / ``result["ok"]`` / ``result["stats"]``
-    keep working.  ``engine``/``kernel`` override the session's
-    configuration for this run; cache lifecycle belongs to the caller
+    keep working.  ``engine`` overrides the session's engine for this
+    run; cache lifecycle belongs to the caller
     (:mod:`repro.runner`).
     """
     from ..session import current_session
 
-    return current_session().run_scenario(scenario, engine=engine,
-                                          kernel=kernel)
+    return current_session().run_scenario(scenario, engine=engine)
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,15 @@ The happy-path registry (:mod:`repro.workloads.scenarios`) exercises
 the decision procedures where they succeed.  This module registers the
 opposite regime -- the *lower-bound* instances of Sections 5.3 and 6
 (:mod:`repro.lowerbounds`) and the Example 6.1 succinctness family --
-so the antichain/bitset kernels are measured exactly where the paper
-proves the problems get hard:
+so the antichain searches are measured exactly where the paper proves
+the problems get hard:
 
 * **Decidable edge.** ``stress_space_bounded_probe`` runs the
   boundedness semi-decision at depth 1 on the Section 5.3 EXPSPACE
   encoding (no certificate: the chain program is unbounded), and
   ``stress_dist_equiv_3v2`` decides that ``dist(3)`` (paths of length
   8) is not ``dist(2)`` (length 4) -- both finish in seconds and give
-  real verdicts under both kernels.
+  real verdicts.
 * **Budgeted wall.** The full containment questions of the encodings
   (Pi in Theta, Theorem 5.13; Pi in the unfolded Pi', Theorem 6.4 on
   the Section 6 pair) are EXPSPACE-hard *by construction*: even the
@@ -121,7 +121,7 @@ register(Scenario(
     kind="equivalence",
     description="Example 6.1 succinctness wall: dist(3) (paths of length "
                 "8) vs dist(2) (length 4) -- decidable but seconds-scale, "
-                "the largest dist pair both kernels still finish",
+                "the largest dist pair the search still finishes",
     build=lambda: {"program": dist(3), "nonrecursive": dist(2),
                    "goal": "dist3", "nonrecursive_goal": "dist2"},
     expected={"equivalent": False, "forward": False, "backward": False},

@@ -1,36 +1,36 @@
-"""Differential coverage for the bitset automaton kernel.
+"""Coverage for the bitset automaton kernel against independent oracles.
 
-Every decision procedure ships two backends -- the bitset kernel
-(interned states, bitmask subsets, memoized transitions) and the
-original frozenset reference path.  These tests pin down that the two
-agree: identical verdicts (and search statistics, where deterministic)
-across the program library, randomized automata, and both containment
-pathways, with every returned counterexample independently validated.
+Every search runs on the bitset kernel (interned states, bitmask
+subsets, memoized transitions).  Each one is checked against something
+that does not share its bookkeeping: NFA inclusion against the
+complement-and-intersect construction, tree inclusion and the Datalog
+containment pathways against the certificate checker
+(:mod:`repro.core.certificate`) on positive verdicts and against
+membership / counterexample databases on negative ones, and the
+subset constructions against enumerated words and trees.
 """
 
+import itertools
 import random
 
 import pytest
 
-from repro.automata.kernel import (
-    BitAntichain,
-    Interner,
-    KernelConfig,
-    default_kernel,
-    iter_bits,
-    resolve_kernel,
-    set_default_kernel,
-)
+from repro.automata.kernel import BitAntichain, Interner, iter_bits
 from repro.automata.tree import (
+    BottomUpDeterministic,
     LabeledTree,
     TreeAutomaton,
-    find_counterexample_tree,
     path_tree,
+    search_tree_inclusion,
 )
-from repro.automata.tree import contained_in as tree_contained_in
-from repro.automata.word import NFA, enumerate_words, find_counterexample_word
-from repro.automata.word import contained_in as nfa_contained_in
+from repro.automata.word import (
+    NFA,
+    contained_in_via_complement,
+    enumerate_words,
+    find_counterexample_word,
+)
 from repro.core.boundedness import decide_boundedness
+from repro.core.certificate import check_invariant
 from repro.core.containment import contained_in_ucq, counterexample_database
 from repro.core.ptree_automaton import PTreeAutomaton
 from repro.core.tree_containment import datalog_contained_in_ucq
@@ -38,7 +38,6 @@ from repro.core.word_path import datalog_contained_in_ucq_linear
 from repro.cq.canonical import evaluate_ucq
 from repro.cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.datalog.engine import evaluate
-from repro.datalog.errors import ValidationError
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.unfold import expansion_union, unfold_nonrecursive
 from repro.programs import (
@@ -50,11 +49,6 @@ from repro.programs import (
     widget_certified,
 )
 
-BITSET = KernelConfig(backend="bitset")
-BITSET_NOMEMO = KernelConfig(backend="bitset", memoize=False)
-REFERENCE = KernelConfig(backend="frozenset")
-
-
 def cq(head: str, *body: str) -> ConjunctiveQuery:
     return ConjunctiveQuery(parse_atom(head), tuple(parse_atom(b) for b in body))
 
@@ -64,26 +58,6 @@ def cq(head: str, *body: str) -> ConjunctiveQuery:
 # ----------------------------------------------------------------------
 
 class TestKernelPrimitives:
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValidationError):
-            KernelConfig(backend="simd")
-
-    def test_config_is_frozen(self):
-        import dataclasses
-
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            KernelConfig().backend = "frozenset"
-
-    def test_default_kernel_roundtrip(self):
-        previous = set_default_kernel(REFERENCE)
-        try:
-            assert default_kernel() is REFERENCE
-            assert resolve_kernel(None) is REFERENCE
-            assert resolve_kernel(BITSET) is BITSET
-        finally:
-            set_default_kernel(previous)
-        assert default_kernel() is previous
-
     def test_interner_ids_are_dense_and_stable(self):
         interner = Interner(["a", "b"])
         assert interner.id_of("a") == 0
@@ -114,7 +88,7 @@ class TestKernelPrimitives:
 
 
 # ----------------------------------------------------------------------
-# Generic tree automata: bitset vs reference.
+# Generic tree automata against the checker and enumerated trees.
 # ----------------------------------------------------------------------
 
 def random_nta(rng: random.Random) -> TreeAutomaton:
@@ -137,23 +111,28 @@ def random_nta(rng: random.Random) -> TreeAutomaton:
 class TestTreeAutomatonDifferential:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_containment_agrees(self, seed):
+        # A counterexample is checked by membership, a positive verdict
+        # by the certificate checker on the returned invariant.
         rng = random.Random(seed)
         left, right = random_nta(rng), random_nta(rng)
-        reference = find_counterexample_tree(left, right, kernel=REFERENCE)
-        for config in (BITSET, BITSET_NOMEMO):
-            witness = find_counterexample_tree(left, right, kernel=config)
-            assert (witness is None) == (reference is None)
-            if witness is not None:
-                assert left.accepts(witness)
-                assert not right.accepts(witness)
+        witness, invariant = search_tree_inclusion(left, right)
+        if witness is not None:
+            assert invariant is None
+            assert left.accepts(witness)
+            assert not right.accepts(witness)
+        else:
+            check_invariant(invariant)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_exact_mode_agrees_with_antichain(self, seed):
         rng = random.Random(seed)
         left, right = random_nta(rng), random_nta(rng)
-        pruned = tree_contained_in(left, right, use_antichain=True, kernel=BITSET)
-        exact = tree_contained_in(left, right, use_antichain=False, kernel=BITSET)
-        assert pruned == exact
+        pruned = search_tree_inclusion(left, right, use_antichain=True)
+        exact = search_tree_inclusion(left, right, use_antichain=False)
+        assert (pruned[0] is None) == (exact[0] is None)
+        for _witness, invariant in (pruned, exact):
+            if invariant is not None:
+                check_invariant(invariant)
 
     def test_productive_states_cached_and_correct(self):
         rng = random.Random(11)
@@ -164,27 +143,48 @@ class TestTreeAutomatonDifferential:
         assert automaton.is_empty() == (not (first & automaton.initial))
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_productive_states_reference_backend_agrees(self, seed):
-        # Two identical automata (same seed), one evaluated under each
-        # default backend: the cached productive sets must agree.
-        left = random_nta(random.Random(seed))
-        right = random_nta(random.Random(seed))
-        assert left.transitions == right.transitions
-        previous = set_default_kernel(REFERENCE)
-        try:
-            reference = left.productive_states()
-        finally:
-            set_default_kernel(previous)
-        assert reference == right.productive_states()
+    def test_productive_states_match_witness_trees(self, seed):
+        # A state is productive iff some tree is accepted from it: a
+        # productive state yields a find_tree witness that accepts(),
+        # and an unproductive one accepts no tree of depth <= |states|
+        # (a productive state always has a witness that shallow).
+        automaton = random_nta(random.Random(seed))
+        productive = automaton.productive_states()
+        depth = len(automaton.states) + 1
+        for state in automaton.states:
+            rooted = TreeAutomaton(automaton.alphabet, automaton.states,
+                                   frozenset([state]), automaton.transitions)
+            if state in productive:
+                tree = rooted.find_tree()
+                assert tree is not None and rooted.accepts(tree)
+            else:
+                assert not rooted.enumerate_trees(depth, limit=1)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_reachable_subsets_agree_across_kernels(self, seed):
-        from repro.automata.tree import BottomUpDeterministic
-
-        rng = random.Random(seed)
-        det = BottomUpDeterministic(random_nta(rng))
-        assert det.reachable_subsets(max_subsets=512, kernel=BITSET) == \
-            det.reachable_subsets(max_subsets=512, kernel=REFERENCE)
+    def test_reachable_subsets_match_enumerated_trees(self, seed):
+        # Close a set of representative trees under every (symbol,
+        # arity) the automaton reads, keyed by state_of() -- the
+        # bottom-up acceptance of concrete trees.
+        det = BottomUpDeterministic(random_nta(random.Random(seed)))
+        shapes = sorted({(symbol, len(tuple_))
+                         for (_, symbol), tuples in det.source.transitions.items()
+                         for tuple_ in tuples})
+        representatives = {}
+        changed = True
+        while changed:
+            changed = False
+            pool = list(representatives.values())
+            for symbol, arity in shapes:
+                combos = [()]
+                for _ in range(arity):
+                    combos = [c + (t,) for c in combos for t in pool]
+                for combo in combos:
+                    tree = LabeledTree(symbol, combo)
+                    subset = det.state_of(tree)
+                    if subset not in representatives:
+                        representatives[subset] = tree
+                        changed = True
+        assert det.reachable_subsets(max_subsets=512) == set(representatives)
 
     def test_reachable_subsets_matches_seed_semantics(self):
         # left_comb from the tree-automata tests: the subset automaton
@@ -235,7 +235,7 @@ class TestDeepTrees:
 
 
 # ----------------------------------------------------------------------
-# Word automata: bitset vs reference.
+# Word automata against complementation and enumerated words.
 # ----------------------------------------------------------------------
 
 def random_nfa(rng: random.Random, states: int = 3) -> NFA:
@@ -258,26 +258,27 @@ def random_nfa(rng: random.Random, states: int = 3) -> NFA:
 class TestWordAutomatonDifferential:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_containment_agrees(self, seed):
+        # The antichain search against complement-and-intersect.
         rng = random.Random(seed)
         left, right = random_nfa(rng), random_nfa(rng)
-        reference = find_counterexample_word(left, right, kernel=REFERENCE)
-        for config in (BITSET, BITSET_NOMEMO):
-            witness = find_counterexample_word(left, right, kernel=config)
-            assert (witness is None) == (reference is None)
-            if witness is not None:
-                assert left.accepts(witness)
-                assert not right.accepts(witness)
+        witness = find_counterexample_word(left, right)
+        assert (witness is None) == contained_in_via_complement(left, right)
+        if witness is not None:
+            assert left.accepts(witness)
+            assert not right.accepts(witness)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_determinize_identical_across_kernels(self, seed):
+    def test_determinize_preserves_language(self, seed):
         rng = random.Random(seed)
         nfa = random_nfa(rng)
-        bitset = nfa.determinize(kernel=BITSET)
-        reference = nfa.determinize(kernel=REFERENCE)
-        assert bitset.states == reference.states
-        assert bitset.initial == reference.initial
-        assert bitset.accepting == reference.accepting
-        assert bitset.transitions == reference.transitions
+        dfa = nfa.determinize()
+        assert len(dfa.initial) == 1
+        assert all(len(targets) == 1 for targets in dfa.transitions.values())
+        assert len(dfa.transitions) == len(dfa.states) * len(dfa.alphabet)
+        assert set(enumerate_words(dfa, 6)) == set(enumerate_words(nfa, 6))
+        for length in range(5):
+            for word in itertools.product("ab", repeat=length):
+                assert dfa.accepts(word) == nfa.accepts(word)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_complement_language_unchanged(self, seed):
@@ -294,7 +295,9 @@ class TestWordAutomatonDifferential:
 
 
 # ----------------------------------------------------------------------
-# The decision stack: program containment / boundedness.
+# The decision stack: program containment / boundedness, every
+# positive verdict through the certificate checker and every negative
+# one through its counterexample database.
 # ----------------------------------------------------------------------
 
 def covering_union() -> UnionOfConjunctiveQueries:
@@ -330,15 +333,13 @@ class TestContainmentDifferential:
     def test_tree_pathway_agrees(self, name, make_program, goal, make_union):
         program = make_program()
         union = make_union(program)
-        bitset = datalog_contained_in_ucq(program, goal, union, kernel=BITSET)
-        reference = datalog_contained_in_ucq(program, goal, union, kernel=REFERENCE)
-        assert bitset.contained == reference.contained
-        # Both backends sweep the same transitions in the same order,
-        # so the search statistics must agree exactly.
-        assert bitset.stats == reference.stats
-        for result in (bitset, reference):
-            if not result.contained:
-                self._check_refutation(result, program, goal, union)
+        result = datalog_contained_in_ucq(program, goal, union)
+        if result.contained:
+            assert result.invariant.pathway == "tree"
+            check_invariant(result.invariant)
+        else:
+            assert result.invariant is None
+            self._check_refutation(result, program, goal, union)
 
     @staticmethod
     def _check_refutation(result, program, goal, union):
@@ -351,58 +352,47 @@ class TestContainmentDifferential:
     def test_word_pathway_agrees(self, depth):
         program = transitive_closure()
         union = expansion_union(program, "p", depth)
-        bitset = datalog_contained_in_ucq_linear(program, "p", union, kernel=BITSET)
-        reference = datalog_contained_in_ucq_linear(program, "p", union, kernel=REFERENCE)
-        assert bitset.contained == reference.contained == False
-        for result in (bitset, reference):
-            self._check_refutation(result, program, "p", union)
+        result = datalog_contained_in_ucq_linear(program, "p", union)
+        assert not result.contained
+        self._check_refutation(result, program, "p", union)
 
     def test_word_pathway_positive_case_agrees(self):
         program = buys_bounded()
         union = expansion_union(program, "buys", 2)
-        bitset = contained_in_ucq(program, "buys", union, method="word", kernel=BITSET)
-        reference = contained_in_ucq(program, "buys", union, method="word",
-                                     kernel=REFERENCE)
-        assert bitset.contained and reference.contained
+        word = contained_in_ucq(program, "buys", union, method="word")
+        tree = contained_in_ucq(program, "buys", union, method="tree")
+        assert word.contained and tree.contained
+        assert word.invariant.pathway == "word"
+        for result in (word, tree):
+            check_invariant(result.invariant)
 
-    def test_antichain_ablation_agrees_across_kernels(self):
+    def test_antichain_ablation_agrees(self):
         program = transitive_closure()
         union = expansion_union(program, "p", 2)
         for use_antichain in (True, False):
-            bitset = datalog_contained_in_ucq(
-                program, "p", union, use_antichain=use_antichain, kernel=BITSET
-            )
-            reference = datalog_contained_in_ucq(
-                program, "p", union, use_antichain=use_antichain, kernel=REFERENCE
-            )
-            assert bitset.contained == reference.contained == False
+            result = datalog_contained_in_ucq(
+                program, "p", union, use_antichain=use_antichain)
+            assert not result.contained
+            self._check_refutation(result, program, "p", union)
+        program = buys_bounded()
+        union = expansion_union(program, "buys", 2)
+        for use_antichain in (True, False):
+            result = datalog_contained_in_ucq(
+                program, "buys", union, use_antichain=use_antichain)
+            assert result.contained
+            check_invariant(result.invariant)
 
     def test_nonrecursive_equivalence_agrees(self):
         from repro.core.equivalence import is_equivalent_to_nonrecursive
 
         program = buys_bounded()
         rewriting = buys_bounded_rewriting()
-        bitset = is_equivalent_to_nonrecursive(program, rewriting, "buys",
-                                               kernel=BITSET)
-        reference = is_equivalent_to_nonrecursive(program, rewriting, "buys",
-                                                  kernel=REFERENCE)
-        assert bitset.equivalent == reference.equivalent == True
+        result = is_equivalent_to_nonrecursive(program, rewriting, "buys")
+        assert result.equivalent
+        check_invariant(result.invariant)
 
     def test_boundedness_agrees(self):
         program = buys_bounded()
-        bitset = decide_boundedness(program, "buys", max_depth=3, kernel=BITSET)
-        reference = decide_boundedness(program, "buys", max_depth=3,
-                                       kernel=REFERENCE)
-        assert bitset.bounded and reference.bounded
-        assert bitset.depth == reference.depth == 2
-
-    def test_default_kernel_is_bitset_and_switchable(self):
-        assert default_kernel().bitset
-        program = transitive_closure()
-        union = expansion_union(program, "p", 1)
-        previous = set_default_kernel(REFERENCE)
-        try:
-            result = datalog_contained_in_ucq(program, "p", union)
-        finally:
-            set_default_kernel(previous)
-        assert not result.contained
+        result = decide_boundedness(program, "buys", max_depth=3)
+        assert result.bounded and result.depth == 2
+        check_invariant(result.invariant)

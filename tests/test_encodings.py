@@ -10,8 +10,8 @@ exactly the corrupted traces.
 
 import pytest
 
-from repro.automata.kernel import KernelConfig
 from repro.core.boundedness import search_boundedness
+from repro.core.certificate import witness_refutes
 from repro.core.containment import decide_containment_in_ucq
 from repro.cq.homomorphism import find_homomorphism
 from repro.datalog.analysis import is_linear, is_nonrecursive, is_recursive
@@ -232,46 +232,38 @@ class TestNonrecEncoding:
 
 # ----------------------------------------------------------------------
 # Verdicts, not just shapes: the decision procedures run on the
-# encoded machines at the sizes where they terminate, under both
-# automaton kernels.  (The full EXPSPACE containment questions are
+# encoded machines at the sizes where they terminate.  (The full
+# EXPSPACE containment questions are
 # infeasible by construction -- those live in the budgeted tag:stress
 # tier, repro.workloads.stress -- but the decidable edges give real
 # verdicts here.)
 # ----------------------------------------------------------------------
-
-BOTH_KERNELS = [KernelConfig(backend="bitset"),
-                KernelConfig(backend="frozenset")]
-
 
 class TestEncodingVerdicts:
     @pytest.fixture(scope="class")
     def tiny_enc(self):
         return encode_deterministic(tiny_accepting_machine(), 1)
 
-    @pytest.mark.parametrize("kernel", BOTH_KERNELS, ids=lambda k: k.backend)
-    def test_space_encoding_is_unbounded(self, machine, kernel):
+    def test_space_encoding_is_unbounded(self, machine):
         # The Section 5.3 chain program threads the counter through an
         # unbounded recursion: no boundedness certificate exists at any
         # depth, so the semi-decision must come back empty-handed.
         enc = encode_deterministic(machine, 1)
-        result = search_boundedness(enc.program, "c", max_depth=1,
-                                    kernel=kernel)
+        result = search_boundedness(enc.program, "c", max_depth=1)
         assert result.bounded is None and result.depth is None
 
-    @pytest.mark.parametrize("kernel", BOTH_KERNELS, ids=lambda k: k.backend)
-    def test_space_encoding_not_contained_in_truncation(self, tiny_enc,
-                                                        kernel):
+    def test_space_encoding_not_contained_in_truncation(self, tiny_enc):
         # Deeper expansions of the chain program exist (one per counter
         # step), so Pi is not contained in its own depth-1 expansion
-        # union: the kernels must find the counterexample expansion.
+        # union: the search must find the counterexample expansion, and
+        # its counterexample database must refute the containment.
         # This is the largest containment question on the encodings
-        # that both kernels still answer (seconds-scale; the Theta
-        # direction of Theorem 5.13 is the budgeted stress tier).
-        result = decide_containment_in_ucq(
-            tiny_enc.program, "c",
-            expansion_union(tiny_enc.program, "c", 1),
-            kernel=kernel)
+        # that still answers (seconds-scale; the Theta direction of
+        # Theorem 5.13 is the budgeted stress tier).
+        union = expansion_union(tiny_enc.program, "c", 1)
+        result = decide_containment_in_ucq(tiny_enc.program, "c", union)
         assert result.contained is False
+        assert witness_refutes(tiny_enc.program, "c", union, result)
 
     @pytest.mark.parametrize("corrupt_at", [-1, 0])
     def test_trace_verdict_matches_oracle_on_all_engines(self, corrupt_at):

@@ -29,7 +29,6 @@ from repro.budget import (
 from repro.resilience import (
     ENGINE_CHAIN,
     ERROR_CATEGORIES,
-    KERNEL_CHAIN,
     ChaosSchedule,
     Fault,
     PayloadCorruption,
@@ -39,13 +38,11 @@ from repro.resilience import (
     classify_failure,
     ladder_rungs,
     parse_schedule,
-    rung_label,
 )
 from repro.resilience import chaos
-from repro.runner import __main__ as runner_cli
+from repro.runner import cli as runner_cli
 from repro.runner.batch import (
     ENGINE_CONFIGS,
-    KERNEL_CONFIGS,
     Job,
     _worker_init,
     build_jobs,
@@ -57,13 +54,16 @@ from repro.runner.batch import (
 from repro.session import Session
 from repro.datalog.parser import parse_program
 
-# One decision + one containment scenario: small enough for repeated
-# pool spawns, rich enough to cover both decision-kind ladder axes.
+# One boundedness + one containment scenario: small enough for
+# repeated pool spawns.
 SMALL = ["bounded_buys", "contain_tc_trunc2"]
 
+#: A small evaluation scenario: the kind that degrades down the ladder.
+EVAL = "eval_sg_tree_d5"
 
-def small_jobs(kernels=("bitset", "frozenset"), scenarios=SMALL):
-    return build_jobs(scenarios, engines=("columnar",), kernels=kernels)
+
+def small_jobs(scenarios=SMALL):
+    return build_jobs(scenarios, engines=("columnar",))
 
 
 # ----------------------------------------------------------------------
@@ -142,27 +142,22 @@ def test_hang_fault_is_cut_by_the_deadline():
 # ----------------------------------------------------------------------
 
 def test_ladder_rungs_axes():
-    # Decision kinds degrade the kernel axis from their own position.
-    assert ladder_rungs("columnar", "bitset", decision=True) == [
-        ("columnar", "bitset"), ("columnar", "frozenset")]
-    assert ladder_rungs("columnar", "frozenset", decision=True) == [
-        ("columnar", "frozenset")]
-    # Evaluation kinds degrade the engine axis.
-    assert ladder_rungs("columnar", "bitset", decision=False) == [
-        ("columnar", "bitset"), ("interpretive", "bitset")]
+    # Evaluation kinds degrade the engine axis from their own position.
+    assert ladder_rungs("columnar", decision=False) == [
+        "columnar", "interpretive"]
+    assert ladder_rungs("interpretive", decision=False) == ["interpretive"]
+    # Decision kinds keep one rung and retry on it.
+    assert ladder_rungs("columnar", decision=True) == ["columnar"]
     # Unknown labels degrade nowhere: retry in place.
-    assert ladder_rungs("custom", "bitset", decision=False) == [
-        ("custom", "bitset")]
-    assert rung_label("columnar", "bitset") == "columnar/bitset"
-    assert ENGINE_CHAIN[0] == "columnar" and KERNEL_CHAIN[-1] == "frozenset"
+    assert ladder_rungs("custom", decision=False) == ["custom"]
+    assert ENGINE_CHAIN[0] == "columnar"
     # Every rung is a configuration the runner can build.
     assert set(ENGINE_CHAIN) == set(ENGINE_CONFIGS)
-    assert set(KERNEL_CHAIN) == set(KERNEL_CONFIGS)
 
 
 def test_backoff_is_deterministic_and_bounded():
     policy = RetryPolicy(backoff_base_s=0.05, backoff_max_s=2.0)
-    key = "bounded_buys/columnar/bitset/warm"
+    key = "bounded_buys/columnar/warm"
     assert policy.backoff(key, 0) == 0.0
     series = [policy.backoff(key, n) for n in range(1, 8)]
     assert series == [policy.backoff(key, n) for n in range(1, 8)]
@@ -254,26 +249,33 @@ def test_session_deadline_fires_off_main_thread():
 # ----------------------------------------------------------------------
 
 def test_memory_fault_recovers_on_a_degraded_rung():
-    jobs = small_jobs(kernels=("bitset",), scenarios=["bounded_buys"])
+    jobs = small_jobs(scenarios=[EVAL])
     config = ResilienceConfig(chaos=parse_schedule(
-        "memory:scenario=bounded_buys,attempt=1"))
+        f"memory:scenario={EVAL},attempt=1"))
     clean = run_shard(jobs)
     [decision] = run_shard(jobs, resilience=config)
     assert decision.ok is True
     assert decision.attempts == 2
-    assert decision.degraded_to == "columnar/frozenset"
+    assert decision.degraded_to == "interpretive"
     assert decision["verdict"] == clean[0]["verdict"]
     assert any("memory" in entry
                for entry in decision.stats["retried_after"])
     # The record survives a JSON round-trip with the new fields.
     record = json.loads(json.dumps(decision.record()))
     assert record["attempts"] == 2
-    assert record["degraded_to"] == "columnar/frozenset"
+    assert record["degraded_to"] == "interpretive"
     assert "error" not in record
+    # A decision job retries on its own (only) rung.
+    config = ResilienceConfig(chaos=parse_schedule(
+        "memory:scenario=bounded_buys,attempt=1"))
+    [decision] = run_shard(small_jobs(scenarios=["bounded_buys"]),
+                           resilience=config)
+    assert decision.ok is True and decision.attempts == 2
+    assert decision.degraded_to is None
 
 
 def test_wildcard_crash_quarantines_after_max_attempts():
-    jobs = small_jobs(kernels=("bitset",), scenarios=["bounded_buys"])
+    jobs = small_jobs(scenarios=["bounded_buys"])
     config = ResilienceConfig(max_attempts=3, backoff_base_s=0.001,
                               chaos=parse_schedule(
                                   "crash:scenario=bounded_buys,attempt=*"))
@@ -288,7 +290,7 @@ def test_wildcard_crash_quarantines_after_max_attempts():
 
 
 def test_hang_fault_is_bounded_and_recovered_serially():
-    jobs = small_jobs(kernels=("bitset",), scenarios=["bounded_buys"])
+    jobs = small_jobs(scenarios=["bounded_buys"])
     config = ResilienceConfig(deadline_s=0.3, backoff_base_s=0.001,
                               chaos=parse_schedule(
                                   "hang:scenario=bounded_buys,attempt=1,"
@@ -304,7 +306,7 @@ def test_hang_fault_is_bounded_and_recovered_serially():
 
 def test_quarantine_decision_shape():
     decision = quarantine_decision(
-        Job("bounded_buys", "columnar", "bitset", "warm"),
+        Job("bounded_buys", "columnar", "warm"),
         attempts=3, category="crash", message="worker died")
     record = json.loads(json.dumps(decision.record()))
     assert record["kind"] == "boundedness"
@@ -321,7 +323,7 @@ def test_pool_crash_mid_shard_completes_and_matches_serial():
     """A worker really dying (``os._exit``) mid-batch must not abort
     the run -- and the recovered verdicts must be bit-identical to a
     clean serial execution."""
-    jobs = small_jobs(kernels=("bitset",))
+    jobs = small_jobs()
     clean = run_batch(jobs, workers=1)
     config = ResilienceConfig(backoff_base_s=0.001,
                               chaos=parse_schedule(
@@ -335,7 +337,7 @@ def test_pool_crash_mid_shard_completes_and_matches_serial():
 
 
 def test_pool_wildcard_crash_quarantines_without_charging_neighbors():
-    jobs = small_jobs(kernels=("bitset",))
+    jobs = small_jobs()
     config = ResilienceConfig(max_attempts=2, backoff_base_s=0.001,
                               chaos=parse_schedule(
                                   "crash:scenario=bounded_buys,attempt=*"))
@@ -372,12 +374,11 @@ def test_worker_init_disarms_stale_itimer():
 
 def test_cli_recovers_and_exits_zero(capsys):
     code = runner_cli.main([
-        "--scenarios", "bounded_buys", "--engines", "columnar",
-        "--kernels", "bitset", "--no-write",
-        "--chaos", "memory:scenario=bounded_buys,attempt=1"])
+        "--scenarios", EVAL, "--engines", "columnar", "--no-write",
+        "--chaos", f"memory:scenario={EVAL},attempt=1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "attempts=2" in out and "degraded_to=columnar/frozenset" in out
+    assert "attempts=2" in out and "degraded_to=interpretive" in out
     assert "error summary:" in out and "answered degraded: 1" in out
 
 
@@ -385,7 +386,7 @@ def test_cli_quarantine_exits_two_and_writes_artifact(tmp_path, capsys):
     artifact = tmp_path / "quarantine.json"
     code = runner_cli.main([
         "--scenarios", "bounded_buys", "--engines", "columnar",
-        "--kernels", "bitset", "--no-write", "--max-attempts", "2",
+        "--no-write", "--max-attempts", "2",
         "--chaos", "crash:scenario=bounded_buys,attempt=*",
         "--quarantine-out", str(artifact)])
     out = capsys.readouterr().out

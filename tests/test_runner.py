@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.runner import __main__ as runner_cli
+from repro.runner import cli as runner_cli
 from repro.runner.batch import (
     Job,
     build_jobs,
@@ -31,8 +31,7 @@ SMALL = ["bounded_buys", "contain_tc_trunc2", "contain_chain_w1",
 
 
 def test_build_jobs_matrix_shape():
-    jobs = build_jobs(scenario_names(), engines=("columnar", "interpretive"),
-                      kernels=("bitset", "frozenset"))
+    jobs = build_jobs(scenario_names(), engines=("columnar", "interpretive"))
     decision = [n for n in scenario_names()
                 if REGISTRY[n].kind in DECISION_KINDS]
     other = [n for n in scenario_names()
@@ -41,19 +40,18 @@ def test_build_jobs_matrix_shape():
     # engine (one cell instead of two); everything else gets the full
     # cross.
     dropped = [n for n in other if {"scale", "stress"} & set(REGISTRY[n].tags)]
-    assert len(jobs) == 2 * len(decision) + 2 * len(other) - len(dropped)
+    assert len(jobs) == len(decision) + 2 * len(other) - len(dropped)
+    # Decision scenarios run once, on the first engine.
+    assert {j.engine for j in jobs if j.scenario in decision} == {"columnar"}
     # Deterministic: building twice gives the same ordered list.
     assert jobs == build_jobs(scenario_names(),
-                              engines=("columnar", "interpretive"),
-                              kernels=("bitset", "frozenset"))
+                              engines=("columnar", "interpretive"))
     assert jobs == sorted(jobs)
 
 
 def test_build_jobs_validates_labels():
     with pytest.raises(ValueError, match="unknown engine"):
         build_jobs(SMALL, engines=("turbo",))
-    with pytest.raises(ValueError, match="unknown kernel"):
-        build_jobs(SMALL, kernels=("quantum",))
     with pytest.raises(ValueError, match="unknown cache mode"):
         build_jobs(SMALL, cache="lukewarm")
 
@@ -97,11 +95,12 @@ def test_shard_jobs_keeps_scenario_groups_whole():
 
 
 def test_execute_job_record_shape():
-    record = execute_job(Job("bounded_buys", "columnar", "bitset", "warm"))
+    record = execute_job(Job("bounded_buys", "columnar", "warm"))
     assert record["ok"] is True
     assert record["kind"] == "boundedness"
     assert record["verdict"] == {"bounded": True, "depth": 2}
     assert record["seconds"] > 0
+    assert "kernel" not in record
     json.dumps(record)  # trajectory-serializable
 
 
@@ -115,8 +114,7 @@ def test_cold_jobs_match_warm_jobs():
 def test_parallel_matches_serial():
     """The acceptance property: identical verdicts, in identical order,
     serial vs sharded across processes."""
-    jobs = build_jobs(SMALL, engines=("columnar",),
-                      kernels=("bitset", "frozenset"))
+    jobs = build_jobs(SMALL, engines=("columnar",))
     serial = run_batch(jobs, workers=1)
     parallel = run_batch(jobs, workers=2)
     assert verdicts(serial) == verdicts(parallel)
@@ -134,8 +132,7 @@ def test_parallel_speedup_on_multicore():
     """
     import time
 
-    jobs = build_jobs(SMALL, engines=("columnar", "interpretive"),
-                      kernels=("bitset", "frozenset"))
+    jobs = build_jobs(SMALL, engines=("columnar", "interpretive"))
     serial = run_batch(jobs, workers=1)
     parallel = run_batch(jobs, workers=2)
     assert verdicts(serial) == verdicts(parallel)
@@ -153,8 +150,7 @@ def test_parallel_speedup_on_multicore():
     # even columnar, so the wall-clock matrix excludes both tiers.
     names = [n for n in scenario_names()
              if not {"scale", "stress"} & set(REGISTRY[n].tags)]
-    jobs = build_jobs(names, engines=("columnar", "interpretive"),
-                      kernels=("bitset", "frozenset"))
+    jobs = build_jobs(names, engines=("columnar", "interpretive"))
     start = time.perf_counter()
     serial = run_batch(jobs, workers=1)
     serial_wall = time.perf_counter() - start
@@ -174,11 +170,10 @@ def test_cli_list(capsys):
 
 def test_cli_small_matrix(capsys):
     code = runner_cli.main(["--scenarios", "bounded_buys,contain_tc_trunc2",
-                            "--kernels", "both", "--workers", "1",
-                            "--no-write"])
+                            "--workers", "1", "--no-write"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "4 jobs" in out
+    assert "2 jobs" in out
     assert "FAIL" not in out
 
 

@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.runner.batch import ENGINE_CONFIGS, KERNEL_CONFIGS
+from repro.runner.batch import ENGINE_CONFIGS
 from repro.service import PoolConfig, ServiceConfig, start_in_thread
 from repro.service.client import ServiceClient
 from repro.session import Session
@@ -57,8 +57,7 @@ def _serve(sock_path, **pool_kwargs):
 def _serial_record(scenario: str) -> dict:
     """The scenario's decision record from a fresh serial Session --
     the ground truth served responses must match bit-for-bit."""
-    session = Session(engine=ENGINE_CONFIGS["columnar"],
-                      kernel=KERNEL_CONFIGS["bitset"], cache="private",
+    session = Session(engine=ENGINE_CONFIGS["columnar"], cache="private",
                       name="serial-control")
     return session.run_scenario(scenario).without_payload().record()
 
@@ -114,8 +113,7 @@ def test_coalescing_single_computation(sock_path):
     # ... confirmed at the Session layer: the cache-miss delta is one
     # run's worth, not n runs' worth (and the serial control says how
     # much one run's worth is).
-    serial = Session(engine=ENGINE_CONFIGS["columnar"],
-                     kernel=KERNEL_CONFIGS["bitset"], cache="private",
+    serial = Session(engine=ENGINE_CONFIGS["columnar"], cache="private",
                      name="coalesce-control")
     serial.run_scenario("bounded_buys")
     one_run = sum(cache["misses"]
@@ -130,7 +128,7 @@ def test_coalescing_single_computation(sock_path):
 
 
 def test_distinct_fingerprints_never_coalesce(sock_path):
-    """The same question under different kernel configs is a different
+    """The same question under different engine configs is a different
     computation -- no coalescing across config fingerprints."""
     with _serve(sock_path,
                 chaos="hang:scenario=bounded_buys,attempt=*,seconds=0.3"):
@@ -138,9 +136,9 @@ def test_distinct_fingerprints_never_coalesce(sock_path):
             before = client.request({"op": "status"})["status"]
             responses = client.request_many([
                 {"op": "scenario", "scenario": "bounded_buys",
-                 "kernel": "bitset"},
+                 "engine": "columnar"},
                 {"op": "scenario", "scenario": "bounded_buys",
-                 "kernel": "frozenset"},
+                 "engine": "interpretive"},
             ])
             after = client.request({"op": "status"})["status"]
     assert [r["type"] for r in responses] == ["decision", "decision"]
@@ -410,8 +408,8 @@ def test_served_records_match_serial_sessions(sock_path):
         assert _stable_view(response["decision"]) == \
             _stable_view(_serial_record(name))
         record = response["decision"]  # meta flattens into the record
-        assert (record["op"], record["engine"], record["kernel"]) == \
-            ("scenario", "columnar", "bitset")
+        assert (record["op"], record["engine"]) == ("scenario", "columnar")
+        assert "kernel" not in record
 
 
 # ----------------------------------------------------------------------
@@ -447,22 +445,23 @@ def test_result_cache_replays_without_pool_dispatch(sock_path):
 
 def test_result_cache_distinguishes_configs(sock_path):
     """The cache key is the full coalescing key, so the same scenario
-    under a different kernel config is a miss, not a poisoned hit."""
+    under a different engine config is a miss, not a poisoned hit."""
     with _serve(sock_path, result_cache=32):
         with ServiceClient(socket_path=sock_path) as client:
-            bitset = client.request({"op": "scenario",
-                                     "scenario": "bounded_buys",
-                                     "kernel": "bitset"})
-            frozen = client.request({"op": "scenario",
-                                     "scenario": "bounded_buys",
-                                     "kernel": "frozenset"})
+            columnar = client.request({"op": "scenario",
+                                       "scenario": "bounded_buys",
+                                       "engine": "columnar"})
+            interpretive = client.request({"op": "scenario",
+                                           "scenario": "bounded_buys",
+                                           "engine": "interpretive"})
             status = client.request({"op": "status"})["status"]
-    assert bitset["cached"] is False and frozen["cached"] is False
+    assert columnar["cached"] is False and interpretive["cached"] is False
     assert status["result_cache"]["hits"] == 0
     assert status["result_cache"]["size"] == 2
-    assert bitset["decision"]["verdict"] == frozen["decision"]["verdict"]
-    assert bitset["decision"]["fingerprint"] != \
-        frozen["decision"]["fingerprint"]
+    assert columnar["decision"]["verdict"] == \
+        interpretive["decision"]["verdict"]
+    assert columnar["decision"]["fingerprint"] != \
+        interpretive["decision"]["fingerprint"]
 
 
 def test_result_cache_never_stores_failures(sock_path):
@@ -510,8 +509,7 @@ def test_respawned_worker_restores_snapshot(sock_path, tmp_path):
     stays bit-identical."""
     from repro.snapshot import save_snapshot, set_snapshot_dir
 
-    writer = Session(engine=ENGINE_CONFIGS["columnar"],
-                     kernel=KERNEL_CONFIGS["bitset"], cache="private",
+    writer = Session(engine=ENGINE_CONFIGS["columnar"], cache="private",
                      name="snapshot-writer")
     assert writer.run_scenario("bounded_buys").ok
     assert save_snapshot(writer, tmp_path) is not None

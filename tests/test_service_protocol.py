@@ -62,7 +62,7 @@ VALID_REQUESTS = [
     ("decide_containment_depth",
      json.dumps({"op": "decide", "kind": "containment",
                  "program": BUYS, "union_depth": 2, "goal": "buys",
-                 "engine": "interpretive", "kernel": "frozenset"})),
+                 "engine": "interpretive"})),
     ("decide_boundedness",
      json.dumps({"op": "decide", "kind": "boundedness",
                  "program": BUYS, "goal": "buys", "deadline_s": 30})),
@@ -77,7 +77,7 @@ VALID_REQUESTS = [
                  "id": "s1"})),
     ("scenario_defaults_spelled_out",
      json.dumps({"op": "scenario", "scenario": "bounded_buys",
-                 "engine": "columnar", "kernel": "bitset"})),
+                 "engine": "columnar"})),
     ("status", json.dumps({"op": "status", "id": 0})),
     ("shutdown", json.dumps({"op": "shutdown"})),
 ]
@@ -126,9 +126,13 @@ MALFORMED_REQUESTS = [
     ("retired_engine_compiled", json.dumps({"op": "scenario",
                                             "scenario": "bounded_buys",
                                             "engine": "compiled"})),
-    ("bad_kernel", json.dumps({"op": "scenario",
-                               "scenario": "bounded_buys",
-                               "kernel": "quantum"})),
+    # The retired automaton-kernel knob: any value is an unknown field.
+    ("retired_kernel_field", json.dumps({"op": "scenario",
+                                         "scenario": "bounded_buys",
+                                         "kernel": "bitset"})),
+    ("decide_retired_kernel_field",
+     json.dumps({"op": "decide", "kind": "boundedness", "program": BUYS,
+                 "goal": "buys", "kernel": "frozenset"})),
     ("bad_deadline", json.dumps({"op": "scenario",
                                  "scenario": "bounded_buys",
                                  "deadline_s": 0})),
@@ -168,7 +172,7 @@ FIXED_RECORD = {
     "fingerprint": "0123456789abcdef",
     "checksum": "feedface",
     "attempts": 1,
-    "meta": {"op": "scenario", "engine": "columnar", "kernel": "bitset",
+    "meta": {"op": "scenario", "engine": "columnar",
              "scenario": "bounded_buys"},
 }
 
@@ -317,7 +321,7 @@ def test_defaults_make_coalescing_honest():
         {"op": "scenario", "scenario": "bounded_buys"}))
     spelled = decode_request(json.dumps(
         {"op": "scenario", "scenario": "bounded_buys",
-         "engine": "columnar", "kernel": "bitset", "id": "different"}))
+         "engine": "columnar", "id": "different"}))
     assert dict(bare.payload) == dict(spelled.payload)
     assert coalesce_key(bare) == coalesce_key(spelled)
 
@@ -325,22 +329,20 @@ def test_defaults_make_coalescing_honest():
 def test_distinct_configs_never_share_a_key():
     keys = set()
     for engine in ("columnar", "interpretive"):
-        for kernel in ("bitset", "frozenset"):
-            keys.add(coalesce_key(decode_request(json.dumps(
-                {"op": "scenario", "scenario": "bounded_buys",
-                 "engine": engine, "kernel": kernel}))))
-    assert len(keys) == 4
+        keys.add(coalesce_key(decode_request(json.dumps(
+            {"op": "scenario", "scenario": "bounded_buys",
+             "engine": engine}))))
+    assert len(keys) == 2
 
 
 def test_fingerprint_matches_session():
     """The protocol's precomputed config fingerprint is the one a real
     Session of that configuration reports."""
-    from repro.runner.batch import ENGINE_CONFIGS, KERNEL_CONFIGS
+    from repro.runner.batch import ENGINE_CONFIGS
     from repro.session import Session
 
-    session = Session(engine=ENGINE_CONFIGS["interpretive"],
-                      kernel=KERNEL_CONFIGS["frozenset"])
-    assert fingerprint_for("interpretive", "frozenset") == session.fingerprint
+    session = Session(engine=ENGINE_CONFIGS["interpretive"])
+    assert fingerprint_for("interpretive") == session.fingerprint
 
 
 def test_every_op_has_a_request_case():

@@ -10,8 +10,8 @@ The load-bearing properties of the API redesign:
   timings + config fingerprint);
 * **Compatibility** -- the legacy free functions keep their exact
   signatures and return types while delegating to the ambient session,
-  and the ambient defaults (``set_default_kernel``) are per-context
-  rather than process-global mutable state.
+  and the ambient session is per-context rather than process-global
+  mutable state.
 """
 
 import inspect
@@ -24,14 +24,12 @@ import pytest
 from repro import (
     CachePolicy,
     Decision,
-    KernelConfig,
     Session,
     current_session,
     default_session,
     parse_program,
     use_session,
 )
-from repro.automata.kernel import default_kernel, set_default_kernel
 from repro.context import GLOBAL_SCOPE
 from repro.core import (
     ContainmentResult,
@@ -61,25 +59,27 @@ def _tc_union(depth=2):
 # Isolation.
 # ----------------------------------------------------------------------
 
-def test_sessions_with_different_kernels_agree_without_cache_bleed():
-    bitset = Session(kernel=KernelConfig(backend="bitset"), name="s-bitset")
-    frozen = Session(kernel=KernelConfig(backend="frozenset"), name="s-frozen")
+def test_sessions_with_different_engines_agree_without_cache_bleed():
+    columnar = Session(engine=EngineConfig(), name="s-columnar")
+    interpretive = Session(engine=EngineConfig(compiled=False),
+                           name="s-interpretive")
     union = _tc_union()
 
-    first = bitset.contains(TC, "p", union)
-    second = frozen.contains(TC, "p", union)
+    first = columnar.contains(TC, "p", union)
+    second = interpretive.contains(TC, "p", union)
 
-    # Bit-identical verdicts AND search stats across backends.
+    # Bit-identical verdicts AND search stats across sessions.
     assert first.verdict == second.verdict == {"contained": False}
     assert first.stats == second.stats
+    assert first.fingerprint != second.fingerprint
 
     # Each session built its own automata (misses in its own scope)...
-    for session in (bitset, frozen):
+    for session in (columnar, interpretive):
         scope = session.cache_stats()["scope"]
         assert scope["core.ptree_automaton"]["misses"] == 1
         assert scope["core.cq_automaton"]["misses"] == len(union)
     # ... and neither borrowed from the other: zero hits anywhere.
-    for session in (bitset, frozen):
+    for session in (columnar, interpretive):
         for counters in session.cache_stats()["scope"].values():
             assert counters["hits"] == 0
 
@@ -150,18 +150,16 @@ def test_cache_policy_shared_uses_global_scope():
 # ----------------------------------------------------------------------
 
 def test_activation_makes_session_ambient():
-    session = Session(kernel=KernelConfig(backend="frozenset"),
+    session = Session(engine=EngineConfig(compiled=False),
                       name="s-ambient")
-    # Outside any activation the ambient session is the default one
-    # (or a set_default_kernel-derived twin sharing its caches).
+    # Outside any activation the ambient session is the default one.
     assert current_session().caches is default_session().caches
     ambient_before = current_session()
     with use_session(session):
         assert current_session() is session
-        assert default_kernel().backend == "frozenset"
         assert default_engine() is session.engine
     assert current_session() is ambient_before
-    assert default_kernel().backend == "bitset"
+    assert default_engine() is not session.engine
 
 
 def test_free_functions_run_inside_ambient_session():
@@ -171,43 +169,6 @@ def test_free_functions_run_inside_ambient_session():
     assert isinstance(result, ContainmentResult)
     # The work landed in the session's scope, not the global one.
     assert session.caches.total_entries() > 0
-
-
-def test_set_default_kernel_is_per_thread():
-    """Two threads flip the default kernel concurrently; each observes
-    only its own setting (the historical module-global raced here)."""
-    barrier = threading.Barrier(2, timeout=10)
-    seen = {}
-
-    def worker(label, backend):
-        set_default_kernel(KernelConfig(backend=backend))
-        barrier.wait()  # both threads have set their default
-        seen[label] = default_kernel().backend
-        barrier.wait()  # hold until both have read
-
-    threads = [
-        threading.Thread(target=worker, args=("a", "bitset")),
-        threading.Thread(target=worker, args=("b", "frozenset")),
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert seen == {"a": "bitset", "b": "frozenset"}
-    # The main thread's default never moved.
-    assert default_kernel().backend == "bitset"
-
-
-def test_set_default_kernel_round_trips_in_context():
-    previous = set_default_kernel(KernelConfig(backend="frozenset"))
-    try:
-        assert default_kernel().backend == "frozenset"
-        # Free functions pick the ambient default up.
-        result = contained_in_ucq(TC, "p", _tc_union(1))
-        assert result.contained is False
-    finally:
-        set_default_kernel(previous)
-    assert default_kernel().backend == previous.backend
 
 
 # ----------------------------------------------------------------------
@@ -327,12 +288,12 @@ def test_containment_certificate_converts_to_counterexample():
 
 
 def test_fingerprint_stable_and_config_sensitive():
-    a = Session(kernel=KernelConfig(backend="bitset"))
-    b = Session(kernel=KernelConfig(backend="bitset"))
-    c = Session(kernel=KernelConfig(backend="frozenset"))
+    a = Session(engine=EngineConfig())
+    b = Session(engine=EngineConfig())
+    c = Session(engine=EngineConfig(compiled=False))
     assert a.fingerprint == b.fingerprint
     assert a.fingerprint != c.fingerprint
-    assert a.config["kernel"]["backend"] == "bitset"
+    assert sorted(a.config) == ["cache", "engine"]
 
 
 # ----------------------------------------------------------------------
@@ -342,12 +303,12 @@ def test_fingerprint_stable_and_config_sensitive():
 def test_legacy_signatures_are_pinned():
     expected = {
         contained_in_ucq: ["program", "goal", "union", "method",
-                           "use_antichain", "kernel"],
+                           "use_antichain"],
         is_equivalent_to_nonrecursive: ["program", "nonrecursive", "goal",
                                         "nonrecursive_goal", "method",
-                                        "engine", "kernel"],
+                                        "engine"],
         decide_boundedness: ["program", "goal", "max_depth", "method",
-                             "engine", "kernel"],
+                             "engine"],
     }
     for function, parameters in expected.items():
         assert list(inspect.signature(function).parameters) == parameters

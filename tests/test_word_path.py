@@ -117,18 +117,16 @@ class TestWordContainment:
         assert a.contained == b.contained
 
 
-def test_kernels_agree_on_ptree_states():
-    """Both word-pathway kernels report the distinct goal atoms their
-    antichain reached as ``ptree_states`` -- the same, nonzero count."""
-    from repro.automata.kernel import KernelConfig
+def test_word_pathway_reports_ptree_states():
+    """The word pathway reports the distinct goal atoms its antichain
+    reached as ``ptree_states`` (nonzero), and its witness refutes the
+    containment on its counterexample database."""
+    from repro.core.certificate import witness_refutes
     from repro.workloads.scenarios import get_scenario
 
     payload = get_scenario("contain_tc_trunc2_word").build()
     args = (payload["program"], payload["goal"], payload["union"])
-    bitset = datalog_contained_in_ucq_linear(
-        *args, kernel=KernelConfig(backend="bitset"))
-    reference = datalog_contained_in_ucq_linear(
-        *args, kernel=KernelConfig(backend="frozenset"))
-    assert bitset.contained == reference.contained == False  # noqa: E712
-    assert bitset.stats == reference.stats
-    assert bitset.stats["ptree_states"] > 0
+    result = datalog_contained_in_ucq_linear(*args)
+    assert result.contained is False
+    assert result.stats["ptree_states"] > 0
+    assert witness_refutes(*args, result)

@@ -7,13 +7,14 @@ Covers the two properties the subsystem exists to provide:
   state);
 * **ground truth** -- the labels the generators attach by construction
   (bounded/unbounded, contained/not, expected evaluation rows) agree
-  with the decision procedures under BOTH automaton kernels.
+  with the decision procedures, whose positive verdicts pass the
+  certificate checker.
 """
 
 import pytest
 
-from repro.automata.kernel import KernelConfig
 from repro.core.boundedness import decide_boundedness
+from repro.core.certificate import check_invariant
 from repro.core.containment import contained_in_ucq
 from repro.core.equivalence import is_equivalent_to_nonrecursive
 from repro.datalog.printer import program_to_source
@@ -34,9 +35,6 @@ from repro.workloads import (
     sirup_covering_union,
     unbounded_program,
 )
-
-BOTH_KERNELS = [KernelConfig(backend="bitset"), KernelConfig(backend="frozenset")]
-
 
 # ----------------------------------------------------------------------
 # Determinism.
@@ -94,34 +92,34 @@ def test_scenario_builds_deterministic():
 
 
 # ----------------------------------------------------------------------
-# Ground truth, both kernels.
+# Ground truth.
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("kernel", BOTH_KERNELS, ids=lambda k: k.backend)
-def test_generated_pairs_ground_truth(kernel):
+def test_generated_pairs_ground_truth():
     for program, goal, is_bounded in bounded_unbounded_pairs(4, seed=42):
-        result = decide_boundedness(program, goal, max_depth=3, kernel=kernel)
+        result = decide_boundedness(program, goal, max_depth=3)
         if is_bounded:
             assert result.bounded is True and result.depth == 2
+            check_invariant(result.invariant)
         else:
             assert result.bounded is None
 
 
-@pytest.mark.parametrize("kernel", BOTH_KERNELS, ids=lambda k: k.backend)
-def test_bounded_pair_equivalence_ground_truth(kernel):
+def test_bounded_pair_equivalence_ground_truth():
     program = bounded_program(2, seed=17)
     rewriting = bounded_rewriting(2, seed=17)
-    result = is_equivalent_to_nonrecursive(program, rewriting, "p",
-                                           kernel=kernel)
+    result = is_equivalent_to_nonrecursive(program, rewriting, "p")
     assert result.equivalent
+    check_invariant(result.invariant)
 
 
-@pytest.mark.parametrize("kernel", BOTH_KERNELS, ids=lambda k: k.backend)
 @pytest.mark.parametrize("seed", [1, 7])
-def test_sirup_covering_ground_truth(kernel, seed):
+def test_sirup_covering_ground_truth(seed):
     program = sirup(1, seed=seed)
     union = sirup_covering_union(1, seed=seed)
-    assert contained_in_ucq(program, "p", union, kernel=kernel).contained
+    result = contained_in_ucq(program, "p", union)
+    assert result.contained
+    check_invariant(result.invariant)
 
 
 def test_structural_oracles_agree():
@@ -154,16 +152,14 @@ def test_unknown_scenario_error_lists_names():
 # discards it as unraisable; repro.budget re-fires until one sticks, so
 # the discarded raise is benign noise -- see tests/test_budget.py.
 @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
-@pytest.mark.parametrize("kernel", BOTH_KERNELS, ids=lambda k: k.backend)
-def test_all_decision_scenarios_hit_ground_truth(kernel):
+def test_all_decision_scenarios_hit_ground_truth():
     """Every registered decision scenario's verdict matches its
-    constructed expectation under both kernels (the registry's core
-    guarantee; evaluation/magic kinds are covered kernel-independently
-    in test_runner.py)."""
+    constructed expectation (the registry's core guarantee;
+    evaluation/magic kinds are covered in test_runner.py)."""
     for name in scenario_names():
         scenario = get_scenario(name)
         if scenario.kind not in DECISION_KINDS:
             continue
-        result = run_scenario(scenario, kernel=kernel)
-        assert result["ok"], (name, kernel.backend, result["verdict"],
+        result = run_scenario(scenario)
+        assert result["ok"], (name, result["verdict"],
                               dict(scenario.expected))
