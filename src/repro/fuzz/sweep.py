@@ -40,7 +40,7 @@ from .shrinker import shrink_case, still_diverges
 #: Fault kinds chaos mode rotates through (``crash`` is excluded: in
 #: the in-process sweep it would raise like any other fault, proving
 #: nothing the others don't; the process-pool crash path is the
-#: runner supervisor's test).
+#: worker pool's test).
 CHAOS_KINDS = ("memory", "hang", "corrupt")
 
 #: Deadline that cuts a planted hang (the hang loop calls

@@ -13,7 +13,7 @@ Fault kinds and what they exercise:
 
 ``crash``
     Worker death.  Inside a pool worker the process ``os._exit``\\ s,
-    producing the real ``BrokenProcessPool`` the supervisor must
+    producing the real ``BrokenProcessPool`` the worker pool must
     recover from; in the driver process (serial runs, unit tests) a
     :class:`SimulatedWorkerCrash` is raised instead so the test
     process survives while the same retry/quarantine path runs.
@@ -70,7 +70,7 @@ CHAOS_ENV = "REPRO_CHAOS"
 _FAULT_KINDS = ("crash", "hang", "memory", "corrupt")
 
 #: Exit status of a chaos-crashed worker (distinctive in core dumps /
-#: supervisor logs; any abnormal exit breaks the pool identically).
+#: pool logs; any abnormal exit breaks the pool identically).
 CRASH_EXIT_CODE = 23
 
 
@@ -201,7 +201,7 @@ _JOB_COUNTER = 0
 
 def mark_worker() -> None:
     """Record that this process is a pool worker (called by the
-    supervisor's worker initializer): ``crash`` faults really exit."""
+    worker pool's initializer): ``crash`` faults really exit."""
     global _IN_WORKER
     _IN_WORKER = True
 

@@ -3,7 +3,8 @@
 This module turns the scenario registry
 (:mod:`repro.workloads.scenarios`) into a **job matrix** -- scenario x
 :class:`~repro.datalog.engine.EngineConfig` -- and executes it either
-serially or sharded across a :class:`concurrent.futures.ProcessPoolExecutor`.
+serially or sharded across the process pool of
+:mod:`repro.resilience.pool`.
 
 Design points (each load-bearing for correctness or fairness):
 
@@ -39,35 +40,34 @@ Design points (each load-bearing for correctness or fairness):
 * **Self-checking.**  Every job's verdict is compared against the
   scenario's constructed ground truth; a batch with any ``ok=False``
   entry exits nonzero from the CLI.
-* **Resilience.**  The parallel path runs under the
-  :mod:`repro.resilience` supervisor: a worker crash no longer aborts
-  the batch -- the pool is respawned and the dead shard's jobs retry
-  in isolation, with bounded attempts and quarantine records
-  (``Decision.error`` set, exit code 2 from the CLI) for jobs that
-  never succeed.  A :class:`~repro.resilience.ResilienceConfig` adds
-  per-job deadlines, the degradation ladder (failed evaluation jobs
-  retry one rung down: columnar -> interpretive), and deterministic
-  chaos injection for the fault tests.
+* **Resilience.**  Every job runs through the attempt loop of
+  :mod:`repro.resilience.pool` (per-job deadline, chaos injection,
+  the degradation ladder -- failed evaluation jobs retry one rung
+  down: columnar -> interpretive -- and in-place quarantine), and the
+  parallel path is a client of its :class:`~repro.resilience.WorkerPool`:
+  a worker crash no longer aborts the batch -- the pool is respawned
+  and the dead shard's jobs retry alone, with bounded attempts and
+  quarantine records (``Decision.error`` set, exit code 2 from the
+  CLI) for jobs that never succeed.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..budget import disarm_alarm, time_budget
 from ..datalog.engine import EngineConfig
 from ..resilience import (
-    ResilienceConfig,
-    classify_failure,
+    PoolConfig,
+    Quarantined,
+    WorkerPool,
+    attempt_loop,
     ladder_rungs,
-    run_supervised,
 )
-from ..resilience import chaos as _chaos
-from ..resilience.supervisor import beat as _beat
 from ..session import Decision, Session
 from ..snapshot import configured_dir, restore_session, save_snapshot
 from ..workloads.scenarios import (
@@ -244,63 +244,30 @@ def quarantine_decision(job: Job, *, attempts: int, category: str,
     )
 
 
-def run_job_resilient(job: Job, resilience: ResilienceConfig,
-                      attempt: int = 1) -> Decision:
-    """Run one job under the resilience policy: chaos injection, the
-    per-job deadline, and the degradation ladder.
+def _job_key(job: Job) -> str:
+    return f"{job.scenario}/{job.engine}/{job.cache}"
 
-    Tries start at *attempt* (>1 when the supervisor resubmits a job
-    whose worker died) and walk the ladder one rung per failure --
-    staying on the last rung once the ladder is exhausted -- until a
-    try succeeds or ``max_attempts`` total tries are spent, at which
-    point the job is quarantined in place.  Worker death is the one
-    failure this function cannot absorb: a ``crash`` fault inside a
-    real pool worker exits the process and becomes the supervisor's
-    problem (in a serial run it raises and is retried here like any
-    other failure).
-    """
-    schedule = (resilience.chaos if resilience.chaos is not None
-                else _chaos.from_env())
+
+def _quarantine(job: Job, failure: Quarantined) -> Decision:
+    return quarantine_decision(job, attempts=failure.attempts,
+                               category=failure.category,
+                               message=failure.message)
+
+
+def _attempt(job: Job, config: PoolConfig,
+             first_attempt: int = 1) -> Decision:
+    """Run one job through the pool's attempt loop: chaos injection,
+    the per-job deadline, and the degradation ladder (evaluation jobs
+    walk it one rung per failure); a job whose tries run out comes
+    back as its quarantine record."""
     decision_kind = get_scenario(job.scenario).kind in DECISION_KINDS
-    if resilience.ladder:
-        rungs = ladder_rungs(job.engine, decision_kind)
-    else:
-        rungs = [job.engine]
-    failures: List[str] = []
-    last_category = "error"
-    rung_index = 0
-    while attempt <= resilience.max_attempts:
-        engine_label = rungs[min(rung_index, len(rungs) - 1)]
-        _beat()
-        nth = _chaos.next_job_index()
-        try:
-            # The outer budget covers chaos injection too: a planted
-            # hang is interruptible by the same deadline as the cell
-            # it delays.
-            with time_budget(resilience.deadline_s):
-                _chaos.inject(job.scenario, nth, attempt,
-                              schedule=schedule)
-                decision = _run_cell(job, engine_label,
-                                     deadline=resilience.deadline_s)
-        except Exception as exc:
-            failures.append(f"attempt {attempt} [{engine_label}] "
-                            f"{classify_failure(exc)}: {exc}")
-            last_category = classify_failure(exc)
-            attempt += 1
-            rung_index += 1
-            continue
-        finally:
-            _beat()
-        decision.attempts = attempt
-        if engine_label != job.engine:
-            decision.degraded_to = engine_label
-        if failures:
-            decision.stats.setdefault("retried_after", list(failures))
-        return decision
-    return quarantine_decision(
-        job, attempts=attempt - 1, category=last_category,
-        message="; ".join(failures),
-    )
+    outcome = attempt_loop(
+        partial(_run_cell, job), ladder_rungs(job.engine, decision_kind),
+        config, key=_job_key(job), label=job.scenario,
+        deadline_s=config.deadline_s, first_attempt=first_attempt)
+    if isinstance(outcome, Quarantined):
+        return _quarantine(job, outcome)
+    return outcome
 
 
 def execute_job(job: Job) -> Dict:
@@ -311,7 +278,7 @@ def execute_job(job: Job) -> Dict:
 
 
 def run_shard(jobs: Sequence[Job],
-              resilience: Optional[ResilienceConfig] = None) -> List[Decision]:
+              config: Optional[PoolConfig] = None) -> List[Decision]:
     """Execute a shard of jobs in the current process, in order.
 
     In warm mode each scenario's session caches are pre-built once
@@ -319,23 +286,17 @@ def run_shard(jobs: Sequence[Job],
     the recorded per-job seconds are steady-state -- without this, a
     scenario's job would absorb one-time automaton construction and
     plan compilation.  Cold jobs get fresh sessions in
-    :func:`run_decision` instead.
-
-    With a *resilience* config, jobs run through
-    :func:`run_job_resilient` (chaos injection, deadline, degradation
-    ladder, in-place quarantine); without one, failures propagate as
-    they always did.
+    :func:`_run_cell` instead.  Each job runs through the attempt loop
+    under *config* (default :class:`~repro.resilience.PoolConfig`).
     """
+    config = config or PoolConfig()
     decisions: List[Decision] = []
     warmed: set = set()
     for job in jobs:
         if job.cache == "warm" and job.scenario not in warmed:
             _session_for(job.engine, job.cache).warm(scenario=job.scenario)
             warmed.add(job.scenario)
-        if resilience is None:
-            decisions.append(run_decision(job))
-        else:
-            decisions.append(run_job_resilient(job, resilience))
+        decisions.append(_attempt(job, config))
     if configured_dir():
         # Persist this worker's warm sessions for the next run (or a
         # respawned successor).  Concurrent shards racing on one key
@@ -345,24 +306,13 @@ def run_shard(jobs: Sequence[Job],
     return decisions
 
 
-def _run_isolated(job: Job, attempt: int,
-                  resilience: ResilienceConfig) -> Decision:
-    """Supervisor retry entry point: one job, alone, in whatever
-    worker picks it up (warm its scenario first so the cache mode's
-    semantics survive the respawn)."""
+def run_job(job: Job, config: PoolConfig, first_attempt: int) -> Decision:
+    """The pool's resubmission entry point: one job, alone, in
+    whatever worker picks it up (warm its scenario first so the cache
+    mode's semantics survive the respawn)."""
     if job.cache == "warm":
         _session_for(job.engine, job.cache).warm(scenario=job.scenario)
-    return run_job_resilient(job, resilience, attempt=attempt)
-
-
-def _worker_init() -> None:
-    """Pool-worker initializer (runs on every spawn *and* respawn):
-    a respawned worker must not inherit a dying incarnation's armed
-    itimer -- a stale alarm would kill its first retried job at an
-    arbitrary point -- and must know it is a worker so ``crash``
-    faults really exit."""
-    disarm_alarm()
-    _chaos.mark_worker()
+    return _attempt(job, config, first_attempt)
 
 
 def shard_jobs(jobs: Sequence[Job], workers: int) -> List[List[Job]]:
@@ -392,48 +342,59 @@ def shard_jobs(jobs: Sequence[Job], workers: int) -> List[List[Job]]:
 
 
 def run_batch(jobs: Sequence[Job], workers: int = 1,
-              resilience: Optional[ResilienceConfig] = None) -> List[Decision]:
+              config: Optional[PoolConfig] = None) -> List[Decision]:
     """Execute *jobs*, serially (``workers <= 1``) or sharded across a
-    supervised process pool, returning
+    process :class:`~repro.resilience.WorkerPool`, returning
     :class:`~repro.session.Decision` objects **in job order** either
     way.  Decisions are dict-compatible, so consumers index
     ``record["verdict"]`` etc. unchanged; call ``.record()`` for a
     plain JSON dict.
 
-    The parallel path is always supervised (worker crashes respawn the
-    pool and retry the dead shard's jobs instead of aborting the
-    batch); *resilience* tunes the policy -- deadline, retry budget,
-    ladder, chaos schedule -- and additionally arms the serial path's
-    per-job recovery.  Jobs that exhaust their retries come back as
+    *config* sets the per-job deadline, retry budget and chaos
+    schedule (default :class:`~repro.resilience.PoolConfig`); the pool
+    width is *workers*.  Jobs that exhaust their retries come back as
     quarantine records (``Decision.error`` set), never as a missing
     row.
     """
     jobs = list(jobs)
+    config = config or PoolConfig()
     if workers <= 1:
-        records = run_shard(jobs, resilience)
+        records = run_shard(jobs, config)
     else:
-        config = resilience or ResilienceConfig()
-        shards = shard_jobs(jobs, workers)
-        outcome = run_supervised(
-            shards,
-            partial(run_shard, resilience=config),
-            partial(_run_isolated, resilience=config),
-            max_workers=len(shards),
-            policy=config.policy(),
-            initializer=_worker_init,
-            stall_timeout_s=config.stall_timeout_s,
-            job_key=lambda job: f"{job.scenario}/{job.engine}/"
-                                f"{job.cache}",
-        )
-        records = list(outcome.results)
-        records.extend(
-            quarantine_decision(q.job, attempts=q.attempts,
-                                category=q.category, message=q.message)
-            for q in outcome.quarantined
-        )
+        records = asyncio.run(_run_pool(shard_jobs(jobs, workers), config))
     by_key = {(r["scenario"], r["engine"], r["cache"]): r
               for r in records}
     return [by_key[(j.scenario, j.engine, j.cache)] for j in jobs]
+
+
+async def _run_pool(shards: List[List[Job]],
+                    config: PoolConfig) -> List[Decision]:
+    """Wave 0 submits each shard once; a shard whose worker died has
+    each of its jobs resubmitted alone at attempt 2 (the death was
+    every job's first try)."""
+    pool = WorkerPool(replace(config, workers=len(shards),
+                              executor="process"))
+
+    async def run_alone(job: Job, death: Quarantined) -> Decision:
+        if config.max_attempts < 2:
+            return _quarantine(job, death)
+        try:
+            return await pool.run(run_job, job, config, key=_job_key(job),
+                                  first_attempt=2)
+        except Quarantined as failure:
+            return _quarantine(job, failure)
+
+    async def run_wave(shard: List[Job]) -> List[Decision]:
+        try:
+            return await pool.submit(run_shard, shard, config)
+        except Quarantined as death:
+            return [await run_alone(job, death) for job in shard]
+
+    try:
+        results = await asyncio.gather(*map(run_wave, shards))
+    finally:
+        await pool.shutdown()
+    return [decision for shard in results for decision in shard]
 
 
 def verdicts(records: Sequence[Dict]) -> List[Tuple[str, str, str]]:

@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from ..resilience import ERROR_CATEGORIES, ResilienceConfig, parse_schedule
+from ..resilience import ERROR_CATEGORIES, PoolConfig
 from ..resilience.chaos import CHAOS_ENV
 from .batch import (
     ENGINE_CONFIGS,
@@ -90,9 +90,6 @@ def _parse_args(argv=None):
     parser.add_argument("--max-attempts", type=int, default=3,
                         help="total tries per job before quarantine "
                              "(default: 3)")
-    parser.add_argument("--no-ladder", action="store_true",
-                        help="retry failed jobs on their own engine "
-                             "instead of degrading down the ladder")
     parser.add_argument("--chaos", default=None, metavar="SPEC",
                         help="fault-injection schedule, e.g. "
                              "'crash:scenario=X,attempt=1;hang:nth=2,"
@@ -108,22 +105,6 @@ def _parse_args(argv=None):
                              "config fingerprint (also read from "
                              "$REPRO_SNAPSHOT_DIR)")
     return parser.parse_args(argv)
-
-
-def _resilience_config(args) -> ResilienceConfig | None:
-    """The resilience policy implied by the CLI flags (None = legacy
-    serial behavior; the parallel path is always supervised)."""
-    wants = (args.deadline is not None or args.chaos is not None
-             or args.no_ladder or args.max_attempts != 3
-             or os.environ.get(CHAOS_ENV))
-    if not wants:
-        return None
-    return ResilienceConfig(
-        deadline_s=args.deadline,
-        max_attempts=args.max_attempts,
-        ladder=not args.no_ladder,
-        chaos=parse_schedule(args.chaos) if args.chaos else None,
-    )
 
 
 def _labels(spec: str, table: Dict) -> List[str]:
@@ -174,10 +155,10 @@ def main(argv=None) -> int:
               f"workers will time-slice; wall-clock speedup needs "
               f"workers <= cores")
 
-    resilience = _resilience_config(args)
+    config = PoolConfig(max_attempts=args.max_attempts,
+                        deadline_s=args.deadline, chaos=args.chaos)
     start = time.perf_counter()
-    decisions = run_batch(jobs, workers=args.workers,
-                          resilience=resilience)
+    decisions = run_batch(jobs, workers=args.workers, config=config)
     wall = time.perf_counter() - start
     records = [decision.record() for decision in decisions]
 
@@ -212,7 +193,7 @@ def main(argv=None) -> int:
 
     if args.verify_serial:
         serial_start = time.perf_counter()
-        serial_records = run_batch(jobs, workers=1, resilience=resilience)
+        serial_records = run_batch(jobs, workers=1, config=config)
         serial_wall = time.perf_counter() - serial_start
         if verdicts(serial_records) != verdicts(decisions):
             print("FAIL: parallel verdicts differ from serial execution")

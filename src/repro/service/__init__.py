@@ -23,10 +23,11 @@ The pieces, front to back:
 * :mod:`repro.service.coalescer` -- request coalescing: identical
   in-flight requests (same coalescing key) await one underlying
   computation and receive bit-identical decision records.
-* :mod:`repro.service.pool` -- the worker pool: per-worker Sessions
-  (process or thread executor), per-request deadlines, chaos
-  injection, bounded retries with deterministic backoff, pool respawn
-  on worker death, and quarantine as a typed error response.
+* :mod:`repro.service.pool` -- worker-side execution: per-worker
+  Sessions and per-request deadlines, run on the shared
+  :class:`~repro.resilience.WorkerPool` (process or thread executor:
+  chaos injection, bounded retries with deterministic backoff, pool
+  respawn on worker death, and quarantine as a typed error response).
 * :mod:`repro.service.server` -- the asyncio front door wiring the
   above together, plus :func:`start_in_thread` for embedding a live
   server in tests and docs.
@@ -43,10 +44,10 @@ decisions/sec into ``BENCH_service.json``.
 
 from __future__ import annotations
 
+from ..resilience import PoolConfig
 from .admission import AdmissionController
 from .cache import ResultCache
 from .coalescer import Coalescer
-from .pool import DecisionPool, PoolConfig, ServiceFailure
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -67,7 +68,6 @@ from .server import ServiceConfig, ServiceServer, start_in_thread
 __all__ = [
     "AdmissionController",
     "Coalescer",
-    "DecisionPool",
     "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
     "PoolConfig",
@@ -75,7 +75,6 @@ __all__ = [
     "Request",
     "ResultCache",
     "ServiceConfig",
-    "ServiceFailure",
     "ServiceServer",
     "coalesce_key",
     "decision_response",

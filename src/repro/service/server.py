@@ -4,7 +4,7 @@ One :class:`ServiceServer` owns the listening sockets (a unix socket,
 an optional TCP endpoint, or both), the
 :class:`~repro.service.admission.AdmissionController`, the
 :class:`~repro.service.coalescer.Coalescer`, and the
-:class:`~repro.service.pool.DecisionPool`.  Per connection it reads
+:class:`~repro.resilience.WorkerPool`.  Per connection it reads
 newline-delimited JSON requests and answers each with exactly one
 response line; requests on one connection are served **concurrently**
 (pipelining), so responses may arrive out of order -- clients match on
@@ -16,8 +16,8 @@ The request path, in order (each step a module of this package)::
            -> coalesce-join?  await the shared future, no slot used
            -> admit           full? typed overload, done
            -> coalesce-lead   publish the in-flight key
-           -> pool.submit     execute on a worker Session, retries,
-                              typed ServiceFailure after max attempts
+           -> pool.run        execute on a worker Session, retries,
+                              typed Quarantined after max attempts
            -> resolve + respond (and fan the record out to joiners)
 
 Failure containment is strictly per request: malformed lines get
@@ -38,11 +38,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
+from ..resilience import PoolConfig, Quarantined, WorkerPool
 from .admission import AdmissionController
 from .cache import ResultCache
 from .coalescer import Coalescer
-from .pool import DecisionPool, PoolConfig, ServiceFailure, \
-    worker_cache_stats
+from .pool import service_execute, worker_cache_stats
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -107,7 +107,7 @@ class ServiceServer:
         self.result_cache = ResultCache(
             capacity=config.result_cache,
             ttl_s=config.result_cache_ttl_s)
-        self.pool: Optional[DecisionPool] = None
+        self.pool: Optional[WorkerPool] = None
         self._servers = []
         self._conn_tasks: Set[asyncio.Task] = set()
         self._stop_event: Optional[asyncio.Event] = None
@@ -122,7 +122,7 @@ class ServiceServer:
     async def start(self) -> None:
         """Create the pool and bind every configured endpoint."""
         self._stop_event = asyncio.Event()
-        self.pool = DecisionPool(self.config.pool)
+        self.pool = WorkerPool(self.config.pool)
         self._started_at = time.monotonic()
         if self.config.socket_path is not None:
             self._servers.append(await asyncio.start_unix_server(
@@ -285,7 +285,7 @@ class ServiceServer:
             # record, consume no admission slot.
             try:
                 record, attempts = await asyncio.shield(shared)
-            except ServiceFailure as failure:
+            except Quarantined as failure:
                 self._errors += 1
                 await self._write(writer, lock, error_response(
                     request.id, failure.category, str(failure),
@@ -311,8 +311,10 @@ class ServiceServer:
         future = self.coalescer.lead(key)
         dispatched = time.perf_counter()
         try:
-            record = await self.pool.submit(request)
-        except ServiceFailure as failure:
+            record = (await self.pool.run(
+                service_execute, request.op, dict(request.payload), key,
+                self.config.pool, key=key)).record()
+        except Quarantined as failure:
             self.coalescer.resolve(key, error=failure)
             self._errors += 1
             await self._write(writer, lock, error_response(
@@ -321,12 +323,12 @@ class ServiceServer:
             return
         except asyncio.CancelledError:
             self.coalescer.resolve(
-                key, error=ServiceFailure("error", "server shutting down",
-                                          attempts=1))
+                key, error=Quarantined("error", "server shutting down",
+                                       attempts=1))
             raise
-        except Exception as exc:  # defense: submit() classifies its own
-            failure = ServiceFailure("error", f"{type(exc).__name__}: {exc}",
-                                     attempts=1)
+        except Exception as exc:  # defense: run() classifies its own
+            failure = Quarantined("error", f"{type(exc).__name__}: {exc}",
+                                  attempts=1)
             self.coalescer.resolve(key, error=failure)
             self._errors += 1
             await self._write(writer, lock, error_response(

@@ -23,6 +23,10 @@ Lifecycle rules (each asserted by ``tests/test_snapshot.py``):
   start; corruption additionally emits a :class:`SnapshotWarning`
   (something on disk is broken and worth a log line) while mismatch is
   silent (a different configuration's snapshot is a normal sight).
+* **Trusted files only.**  Unpickling runs code, so a file not owned
+  by the current user, or writable by group or others, is refused
+  unread (a cold start with a :class:`SnapshotWarning`).  Our own
+  writes pass: ``mkstemp`` creates them with mode 0600.
 * **Atomic writes.**  Snapshots are written to a temp file in the
   target directory and published with :func:`os.replace`, so two
   processes snapshotting the same key race to last-writer-wins and a
@@ -208,12 +212,24 @@ def save_snapshot(session, directory=None,
 
 def load_snapshot(directory, fingerprint: str) -> Optional[Dict[str, Any]]:
     """The validated snapshot payload for *fingerprint*, or ``None``
-    for every flavour of unusable: missing file (silent), corrupt or
-    truncated pickle (:class:`SnapshotWarning`), format or fingerprint
-    mismatch (silent -- it is some other configuration's state)."""
+    for every flavour of unusable: missing file (silent), a file not
+    owned by this user or writable by group or others, and a corrupt
+    or truncated pickle (:class:`SnapshotWarning`), format or
+    fingerprint mismatch (silent -- it is some other configuration's
+    state)."""
     path = snapshot_path(directory, fingerprint)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as handle:
+            # Unpickling runs code: trust only a file that nobody but
+            # this user could have written.
+            info = os.fstat(handle.fileno())
+            if info.st_uid != os.geteuid() or info.st_mode & 0o022:
+                warnings.warn(
+                    f"ignoring untrusted snapshot {path}: not owned by "
+                    f"this user, or writable by group or others",
+                    SnapshotWarning, stacklevel=2)
+                return None
+            blob = handle.read()
     except OSError:
         return None
     try:

@@ -1,5 +1,5 @@
 """The resilient execution layer: error taxonomy, deterministic
-chaos, the degradation ladder, supervised pools, and universal
+chaos, the degradation ladder, the worker pool, and universal
 deadlines (:mod:`repro.resilience` plus the runner integration).
 
 Every fault is planted deterministically through a
@@ -10,6 +10,7 @@ right category and attempt count.  Pool tests keep the matrix tiny --
 this suite must stay fast on single-core CI runners.
 """
 
+import asyncio
 import json
 import signal
 import threading
@@ -32,26 +33,29 @@ from repro.resilience import (
     ChaosSchedule,
     Fault,
     PayloadCorruption,
-    ResilienceConfig,
+    PoolConfig,
+    Quarantined,
     RetryPolicy,
     SimulatedWorkerCrash,
+    WorkerPool,
+    attempt_loop,
     classify_failure,
     ladder_rungs,
     parse_schedule,
 )
 from repro.resilience import chaos
+from repro.resilience.pool import _worker_init
 from repro.runner import cli as runner_cli
 from repro.runner.batch import (
     ENGINE_CONFIGS,
     Job,
-    _worker_init,
     build_jobs,
     quarantine_decision,
     run_batch,
     run_shard,
     verdicts,
 )
-from repro.session import Session
+from repro.session import Decision, Session
 from repro.datalog.parser import parse_program
 
 # One boundedness + one containment scenario: small enough for
@@ -250,10 +254,9 @@ def test_session_deadline_fires_off_main_thread():
 
 def test_memory_fault_recovers_on_a_degraded_rung():
     jobs = small_jobs(scenarios=[EVAL])
-    config = ResilienceConfig(chaos=parse_schedule(
-        f"memory:scenario={EVAL},attempt=1"))
+    config = PoolConfig(chaos=f"memory:scenario={EVAL},attempt=1")
     clean = run_shard(jobs)
-    [decision] = run_shard(jobs, resilience=config)
+    [decision] = run_shard(jobs, config=config)
     assert decision.ok is True
     assert decision.attempts == 2
     assert decision.degraded_to == "interpretive"
@@ -266,20 +269,18 @@ def test_memory_fault_recovers_on_a_degraded_rung():
     assert record["degraded_to"] == "interpretive"
     assert "error" not in record
     # A decision job retries on its own (only) rung.
-    config = ResilienceConfig(chaos=parse_schedule(
-        "memory:scenario=bounded_buys,attempt=1"))
+    config = PoolConfig(chaos="memory:scenario=bounded_buys,attempt=1")
     [decision] = run_shard(small_jobs(scenarios=["bounded_buys"]),
-                           resilience=config)
+                           config=config)
     assert decision.ok is True and decision.attempts == 2
     assert decision.degraded_to is None
 
 
 def test_wildcard_crash_quarantines_after_max_attempts():
     jobs = small_jobs(scenarios=["bounded_buys"])
-    config = ResilienceConfig(max_attempts=3, backoff_base_s=0.001,
-                              chaos=parse_schedule(
-                                  "crash:scenario=bounded_buys,attempt=*"))
-    [decision] = run_shard(jobs, resilience=config)
+    config = PoolConfig(max_attempts=3, backoff_base_s=0.001,
+                        chaos="crash:scenario=bounded_buys,attempt=*")
+    [decision] = run_shard(jobs, config=config)
     assert decision.error == "crash"
     assert decision.attempts == 3
     assert decision.ok is None
@@ -291,12 +292,11 @@ def test_wildcard_crash_quarantines_after_max_attempts():
 
 def test_hang_fault_is_bounded_and_recovered_serially():
     jobs = small_jobs(scenarios=["bounded_buys"])
-    config = ResilienceConfig(deadline_s=0.3, backoff_base_s=0.001,
-                              chaos=parse_schedule(
-                                  "hang:scenario=bounded_buys,attempt=1,"
-                                  "seconds=30"))
+    config = PoolConfig(deadline_s=0.3, backoff_base_s=0.001,
+                        chaos="hang:scenario=bounded_buys,attempt=1,"
+                              "seconds=30")
     start = time.perf_counter()
-    [decision] = run_shard(jobs, resilience=config)
+    [decision] = run_shard(jobs, config=config)
     wall = time.perf_counter() - start
     assert wall < 10.0, f"hang was not cut by the deadline ({wall:.1f}s)"
     assert decision.ok is True and decision.attempts == 2
@@ -316,7 +316,7 @@ def test_quarantine_decision_shape():
 
 
 # ----------------------------------------------------------------------
-# The supervised pool (real worker death).
+# The worker pool (real worker death).
 # ----------------------------------------------------------------------
 
 def test_pool_crash_mid_shard_completes_and_matches_serial():
@@ -325,10 +325,9 @@ def test_pool_crash_mid_shard_completes_and_matches_serial():
     clean serial execution."""
     jobs = small_jobs()
     clean = run_batch(jobs, workers=1)
-    config = ResilienceConfig(backoff_base_s=0.001,
-                              chaos=parse_schedule(
-                                  "crash:scenario=bounded_buys,attempt=1"))
-    recovered = run_batch(jobs, workers=2, resilience=config)
+    config = PoolConfig(backoff_base_s=0.001,
+                        chaos="crash:scenario=bounded_buys,attempt=1")
+    recovered = run_batch(jobs, workers=2, config=config)
     assert verdicts(recovered) == verdicts(clean)
     assert all(r["ok"] for r in recovered)
     by_scenario = {r["scenario"]: r for r in recovered}
@@ -338,10 +337,9 @@ def test_pool_crash_mid_shard_completes_and_matches_serial():
 
 def test_pool_wildcard_crash_quarantines_without_charging_neighbors():
     jobs = small_jobs()
-    config = ResilienceConfig(max_attempts=2, backoff_base_s=0.001,
-                              chaos=parse_schedule(
-                                  "crash:scenario=bounded_buys,attempt=*"))
-    results = run_batch(jobs, workers=2, resilience=config)
+    config = PoolConfig(max_attempts=2, backoff_base_s=0.001,
+                        chaos="crash:scenario=bounded_buys,attempt=*")
+    results = run_batch(jobs, workers=2, config=config)
     by_scenario = {r["scenario"]: r for r in results}
     poisoned = by_scenario["bounded_buys"]
     assert poisoned["error"] == "crash"
@@ -349,6 +347,48 @@ def test_pool_wildcard_crash_quarantines_without_charging_neighbors():
     # The innocent scenario answered normally.
     assert by_scenario["contain_tc_trunc2"]["ok"] is True
     assert "error" not in by_scenario["contain_tc_trunc2"]
+
+
+def _labelled_job(label, config, first_attempt):
+    """A pool job: the attempt loop around a trivial decision."""
+    return attempt_loop(
+        lambda _rung, _deadline: Decision("evaluation", {"label": label}),
+        ["columnar"], config, key=label, label=label, deadline_s=None,
+        first_attempt=first_attempt)
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_worker_pool_quarantines_poison_beside_an_answering_neighbour(
+        executor):
+    """The one pool, both executors: a job crashing on every try is
+    quarantined after exactly ``max_attempts`` tries (in-worker
+    retries in thread mode, respawns and isolated resubmissions in
+    process mode) while the job submitted beside it answers."""
+    config = PoolConfig(workers=2, executor=executor, max_attempts=3,
+                        backoff_base_s=0.001,
+                        chaos="crash:scenario=poison,attempt=*")
+
+    async def drive():
+        pool = WorkerPool(config)
+        try:
+            outcomes = await asyncio.gather(
+                pool.run(_labelled_job, "poison", config, key="poison"),
+                pool.run(_labelled_job, "neighbour", config,
+                         key="neighbour"),
+                return_exceptions=True)
+        finally:
+            await pool.shutdown()
+        return outcomes, pool.stats()
+
+    (poisoned, neighbour), stats = asyncio.run(drive())
+    assert isinstance(poisoned, Quarantined)
+    assert poisoned.category == "crash"
+    assert poisoned.attempts == config.max_attempts
+    assert neighbour.verdict == {"label": "neighbour"}
+    assert stats["quarantined"] == 1 and stats["completed"] == 1
+    assert stats["retries"] >= config.max_attempts - 1
+    if executor == "process":
+        assert stats["respawns"] >= 1
 
 
 def test_worker_init_disarms_stale_itimer():
@@ -359,7 +399,7 @@ def test_worker_init_disarms_stale_itimer():
     was_worker = chaos.in_worker()
     signal.setitimer(signal.ITIMER_REAL, 60.0)
     try:
-        _worker_init()
+        _worker_init(True, None)
         assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
         assert chaos.in_worker()
     finally:

@@ -232,6 +232,35 @@ def test_simulated_crash_quarantine_thread_pool(sock_path):
     assert by_id["good"]["decision"]["ok"] is True
 
 
+def test_retry_backoff_is_keyed_per_request(sock_path, monkeypatch):
+    """Two distinct retried requests of one op sleep different
+    backoffs: the jitter is keyed on each request's coalescing key,
+    not on the op they share."""
+    from repro.resilience import RetryPolicy
+    from repro.service.protocol import coalesce_key, decode_request
+
+    sleeps = {}
+    backoff = RetryPolicy.backoff
+
+    def recording(policy, key, failures):
+        seconds = backoff(policy, key, failures)
+        if failures:
+            sleeps[key] = seconds
+        return seconds
+
+    monkeypatch.setattr(RetryPolicy, "backoff", recording)
+    requests = [{"op": "scenario", "scenario": name}
+                for name in ("bounded_buys", "contain_chain_w1")]
+    with _serve(sock_path, chaos="memory:attempt=1", backoff_base_s=0.001):
+        with ServiceClient(socket_path=sock_path) as client:
+            responses = client.request_many(requests)
+    assert [r["type"] for r in responses] == ["decision", "decision"]
+    assert [r["attempts"] for r in responses] == [2, 2]
+    keys = [coalesce_key(decode_request(json.dumps(r))) for r in requests]
+    assert sorted(sleeps) == sorted(keys)
+    assert len(set(sleeps.values())) == 2
+
+
 def test_deadline_is_a_typed_timeout(sock_path):
     """A planted hang under a request deadline surfaces as a typed
     ``timeout`` error, not a stuck connection."""
@@ -530,7 +559,7 @@ def test_respawned_worker_restores_snapshot(sock_path, tmp_path):
         warm_misses, warm = first_request_misses(
             str(tmp_path / "warm.sock"), snapshot_dir=str(tmp_path))
     finally:
-        # _thread_init installs the directory process-wide (that is
+        # _worker_init installs the directory process-wide (that is
         # how spawned process workers inherit it); undo for the rest
         # of the test run.
         set_snapshot_dir(None)

@@ -10,7 +10,9 @@ deltas asserted here are the same mechanism the service-worker
 respawn test uses).
 """
 
+import os
 import pickle
+import stat
 import threading
 import time
 
@@ -122,6 +124,29 @@ def test_truncated_snapshot_warns_and_cold_starts(warm_dir):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     with pytest.warns(SnapshotWarning):
         assert not restore_session(session, warm_dir)
+
+
+def test_own_snapshot_is_private_and_restores(warm_dir):
+    path = snapshot_path(warm_dir, Session(name="probe").fingerprint)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert restore_session(Session(name="restored"), warm_dir)
+
+
+def test_world_writable_snapshot_is_refused(warm_dir):
+    session = Session(name="victim")
+    snapshot_path(warm_dir, session.fingerprint).chmod(0o666)
+    with pytest.warns(SnapshotWarning, match="untrusted"):
+        assert not restore_session(session, warm_dir)
+    assert session.engine.plan_cache_size() == 0
+
+
+def test_foreign_owned_snapshot_is_refused(warm_dir, monkeypatch):
+    session = Session(name="victim")
+    owner = os.geteuid()
+    monkeypatch.setattr(os, "geteuid", lambda: owner + 1)
+    with pytest.warns(SnapshotWarning, match="untrusted"):
+        assert not restore_session(session, warm_dir)
+    assert session.engine.plan_cache_size() == 0
 
 
 def test_wrong_payload_shape_is_rejected(tmp_path):
