@@ -49,9 +49,9 @@ from repro.runner.trajectory import (  # noqa: E402
     append_trajectory,
     run_metadata,
 )
+from repro.session import Session  # noqa: E402
 from repro.workloads.scenarios import (  # noqa: E402
     get_scenario,
-    kind_runner,
     scenario_names,
 )
 
@@ -121,15 +121,16 @@ def time_kernel_case(name: str, fn, repeats: int):
 
 def scenario_decision_fn(name: str):
     """A ``fn()`` closure for one registry scenario: build the payload
-    once, run the scenario's decision procedure, and assert the
-    ground-truth verdict every time."""
+    and its Session once, run the scenario's decision procedure
+    (``Session.run_payload``), and assert the ground-truth verdict
+    every time."""
     scenario = get_scenario(name)
     payload = scenario.build()
-    runner = kind_runner(scenario.kind)
+    session = Session()
     expected = dict(scenario.expected)
 
     def fn():
-        verdict, _stats, _result = runner(payload, None)
+        verdict = session.run_payload(scenario.kind, payload).verdict
         assert verdict == expected, (name, verdict, expected)
 
     return fn
@@ -214,23 +215,31 @@ def automata_suite(repeats: int, smoke: bool):
     return entries
 
 
+def evaluation_verdict(session: Session, payload) -> dict:
+    """An evaluation scenario's ``{"count", "checksum"}`` verdict on
+    *session* (what ``Session.run_scenario`` checks)."""
+    decision = session.evaluate(payload["program"], payload["database"],
+                                goal=payload["goal"])
+    return {"count": decision.verdict["count"],
+            "checksum": decision.checksum}
+
+
 def plans_suite(repeats: int, smoke: bool):
     """Columnar vs interpretive engine over registry evaluation
     scenarios (each run's verdict is checked against the structural
     ground truth)."""
     print("evaluation plans (registry scenarios):")
-    columnar = Engine(EngineConfig())
-    interpretive = Engine(EngineConfig(compiled=False))
+    columnar = Session(engine=EngineConfig())
+    interpretive = Session(engine=EngineConfig(compiled=False))
     entries = []
     cases = PLANS_CASES_SMOKE if smoke else PLANS_CASES
     for name in cases:
         scenario = get_scenario(name)
         payload = scenario.build()
-        runner = kind_runner(scenario.kind)
         expected = dict(scenario.expected)
 
-        def run(engine):
-            verdict, _stats, _result = runner(payload, engine)
+        def run(session):
+            verdict = evaluation_verdict(session, payload)
             assert verdict == expected, (name, verdict, expected)
 
         columnar_s = median_seconds(lambda: run(columnar), repeats)
@@ -261,14 +270,14 @@ def scale_suite(repeats: int, smoke: bool):
     """
     print("scale tier (columnar data plane):")
     columnar = Engine(EngineConfig())
+    session = Session(engine=columnar)
     entries = []
     cases = SCALE_CASES_SMOKE if smoke else SCALE_CASES
-    runner = kind_runner("evaluation")
     for name in cases:
         scenario = get_scenario(name)
         payload = scenario.build()
         expected = dict(scenario.expected)
-        verdict, _stats, _result = runner(payload, columnar)
+        verdict = evaluation_verdict(session, payload)
         assert verdict == expected, (name, verdict, expected)
         program, database = payload["program"], payload["database"]
 

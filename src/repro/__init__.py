@@ -24,8 +24,8 @@ Quickstart (a live doctest -- ``tests/test_docs.py`` executes it):
 
 The same decision through the session facade (every decision
 procedure is a :class:`~repro.session.Session` method returning a
-uniform :class:`~repro.session.Decision`; the free functions above are
-shims onto the default session):
+uniform :class:`~repro.session.Decision`; it calls the free function
+above and wraps its result):
 
     >>> from repro import Session
     >>> decision = Session().equivalent_to_nonrecursive(
@@ -78,7 +78,6 @@ from .session import (
     Session,
     current_session,
     default_session,
-    use_session,
 )
 
 __version__ = "1.0.0"
@@ -120,5 +119,4 @@ __all__ = [
     "ucq_contained_in",
     "ucq_contained_in_datalog",
     "unfold_nonrecursive",
-    "use_session",
 ]

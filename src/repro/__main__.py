@@ -1,7 +1,6 @@
 """``python -m repro`` -- the unified CLI over the Session API.
 
-One entry point for every paper decision procedure and harness
-(the bench subcommands pass through to the ``benchmarks/`` scripts):
+One entry point for every paper decision procedure and harness:
 
 =============  ========================================================
 subcommand     what it does
@@ -26,10 +25,6 @@ subcommand     what it does
                verdicts through the certificate checker and witness
                refutation, divergences delta-debugged to minimized
                regression files
-``bench``      the trajectory benchmark suites
-               (``benchmarks/run_bench.py``)
-``bench-check``  the perf-regression smoke guard
-               (``benchmarks/check_regression.py``)
 =============  ========================================================
 
 Examples::
@@ -51,9 +46,6 @@ Examples::
         '{"op": "scenario", "scenario": "bounded_buys"}'
     python -m repro scenarios --scenarios tag:bench --workers 4
     python -m repro fuzz --seed 0 --iterations 50
-    python -m repro bench --smoke --out /tmp/bench-smoke
-    python -m repro bench-check --baseline BENCH_plans.json \\
-        --candidate /tmp/bench-smoke/BENCH_plans.json
 
 ``--program`` / ``--nonrecursive`` / ``--union`` / ``--db`` accept a
 file path or inline Datalog source.  Exit status: 0 on a completed
@@ -65,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import runpy
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -75,10 +66,8 @@ from .datalog.database import Database
 from .datalog.errors import ReproError
 from .datalog.parser import parse_program
 from .datalog.program import Program
-from .datalog.unfold import expansion_union, unfold_nonrecursive
 from .runner.batch import ENGINE_CONFIGS
-from .runner.trajectory import find_repo_root
-from .session import Decision, Session
+from .session import Decision, Session, decide_payload
 
 
 def _read_source(spec: str) -> str:
@@ -283,47 +272,21 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "scenarios", add_help=False,
         help="scenario-matrix batch runner (try: scenarios --help)")
-    sub.add_parser(
-        "bench", add_help=False,
-        help="trajectory benchmark suites (flags of "
-             "benchmarks/run_bench.py)")
-    sub.add_parser(
-        "bench-check", add_help=False,
-        help="perf-regression smoke guard (flags of "
-             "benchmarks/check_regression.py)")
     return parser
 
 
 def _cmd_decide(args) -> int:
-    session = _session(args)
-    program = _read_program(args.program)
-    if args.kind == "equivalence":
-        if args.nonrecursive is None:
-            print("decide equivalence requires --nonrecursive",
-                  file=sys.stderr)
-            return 2
-        decision = session.equivalent_to_nonrecursive(
-            program, _read_program(args.nonrecursive), args.goal,
-            nonrecursive_goal=args.nonrecursive_goal, method=args.method,
-            deadline=args.deadline)
-    elif args.kind == "containment":
-        if (args.union is None) == (args.union_depth is None):
-            print("decide containment requires exactly one of --union / "
-                  "--union-depth", file=sys.stderr)
-            return 2
-        if args.union is not None:
-            union = unfold_nonrecursive(_read_program(args.union),
-                                        args.union_goal or args.goal)
-        else:
-            union = expansion_union(program, args.goal, args.union_depth)
-        decision = session.contains(program, args.goal, union,
-                                    method=args.method,
-                                    deadline=args.deadline)
-    else:  # boundedness
-        decision = session.bounded(program, args.goal,
-                                   max_depth=args.max_depth,
-                                   method=args.method,
-                                   deadline=args.deadline)
+    if args.kind == "equivalence" and args.nonrecursive is None:
+        print("decide equivalence requires --nonrecursive", file=sys.stderr)
+        return 2
+    if args.kind == "containment" and \
+            (args.union is None) == (args.union_depth is None):
+        print("decide containment requires exactly one of --union / "
+              "--union-depth", file=sys.stderr)
+        return 2
+    decision = _session(args).run_payload(
+        args.kind, decide_payload(vars(args), _read_program),
+        deadline=args.deadline)
     _emit(decision, args.json)
     if args.expect is not None:
         if bool(decision) != (args.expect == "true"):
@@ -496,26 +459,6 @@ def _cmd_fuzz(args) -> int:
     return 1
 
 
-def _run_bench_script(script: str, argv: List[str]) -> int:
-    """Execute a benchmarks/ harness script in-process (they live in
-    the checkout, not the package -- located via the repo root)."""
-    path = find_repo_root() / "benchmarks" / script
-    if not path.is_file():
-        print(f"cannot find {path} -- the bench subcommands need a repo "
-              f"checkout (benchmarks/ is not installed)", file=sys.stderr)
-        return 2
-    saved_argv = sys.argv
-    sys.argv = [str(path)] + argv
-    try:
-        runpy.run_path(str(path), run_name="__main__")
-    except SystemExit as status:
-        code = status.code
-        return code if isinstance(code, int) else (0 if code is None else 1)
-    finally:
-        sys.argv = saved_argv
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Pass-through subcommands keep their own argparse (and --help).
@@ -523,10 +466,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .runner.cli import main as runner_main
 
         return runner_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _run_bench_script("run_bench.py", argv[1:])
-    if argv and argv[0] == "bench-check":
-        return _run_bench_script("check_regression.py", argv[1:])
 
     args = _parser().parse_args(argv)
     try:

@@ -10,9 +10,6 @@ from .kernel import (
     BitAntichain,
     Interner,
     Invariant,
-    clear_registered_caches,
-    register_shared_cache,
-    registered_caches,
 )
 from .word import NFA
 from .word import contained_in as nfa_contained_in
@@ -41,7 +38,6 @@ __all__ = [
     "LabeledTree",
     "NFA",
     "TreeAutomaton",
-    "clear_registered_caches",
     "complement",
     "enumerate_words",
     "find_counterexample_tree",
@@ -51,8 +47,6 @@ __all__ = [
     "nfa_contained_in_via_complement",
     "nfa_equivalent",
     "path_tree",
-    "register_shared_cache",
-    "registered_caches",
     "search_tree_inclusion",
     "tree_contained_in",
     "tree_contained_in_union",

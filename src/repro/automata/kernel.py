@@ -23,51 +23,7 @@ those loops cheap:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Tuple
-
-
-# ----------------------------------------------------------------------
-# Shared-cache lifecycle.
-# ----------------------------------------------------------------------
-#
-# Several layers keep process-wide memoization keyed on immutable
-# inputs: the rule-instance enumerator and the proof-tree / query
-# automata in ``repro.core``, and the default engine's compiled plan
-# cache in ``repro.datalog``.  Long-running services and benchmark
-# harnesses need one switch that returns the process to a cold state
-# (fair cold-start timings, memory valve), without this module knowing
-# every cache's home.  Modules register a clearer at import time;
-# ``clear_registered_caches`` is the single lifecycle hook.
-
-_CACHE_CLEARERS: List[Tuple[str, object]] = []
-
-
-def register_shared_cache(clear, name: Optional[str] = None):
-    """Register *clear* (a zero-argument callable) as a process-wide
-    cache clearer.  Returns *clear* so it can be used as a decorator.
-    Registration is idempotent per name (bound methods like
-    ``lru_cache(...).cache_clear`` are fresh objects on every attribute
-    access, so identity cannot key the registry)."""
-    label = name or getattr(clear, "__qualname__", repr(clear))
-    if all(existing != label for existing, _ in _CACHE_CLEARERS):
-        _CACHE_CLEARERS.append((label, clear))
-    return clear
-
-
-def registered_caches() -> Tuple[str, ...]:
-    """Names of the registered clearers (diagnostics / docs)."""
-    return tuple(label for label, _ in _CACHE_CLEARERS)
-
-
-def clear_registered_caches() -> None:
-    """Run every registered clearer: the process-wide cold-start hook.
-
-    ``repro.core.clear_shared_caches`` delegates here, so either entry
-    point drops *all* shared caches (automata, enumerator, compiled
-    plans), not just the ones its own layer owns.
-    """
-    for _, clear in _CACHE_CLEARERS:
-        clear()
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Tuple
 
 
 def thaw_witness(node: Tuple, build) -> object:

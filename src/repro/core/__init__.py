@@ -15,18 +15,12 @@ from .containment import (
     contained_in_ucq,
     counterexample_database,
     cq_contained_in_datalog,
-    decide_containment_in_ucq,
-    decide_cq_in_datalog,
-    decide_nonrecursive_in_datalog,
-    decide_ucq_in_datalog,
     nonrecursive_contained_in_datalog,
     ucq_contained_in_datalog,
 )
 from .cq_automaton import CQAutomaton, CQState
 from .equivalence import (
     EquivalenceResult,
-    decide_equivalence,
-    decide_equivalence_to_ucq,
     equivalent_to_ucq,
     is_equivalent_to_nonrecursive,
 )
@@ -39,7 +33,6 @@ from .instances import (
     InstanceEnumerator,
     Label,
     clear_shared_caches,
-    register_core_caches,
     warm_shared_caches,
 )
 from .ptree_automaton import (
@@ -57,10 +50,6 @@ from .word_path import (
     is_chain_program,
     to_chain_form,
 )
-
-# Make the shared core caches visible to the kernel's cache-lifecycle
-# registry as soon as the core layer exists.
-register_core_caches()
 
 __all__ = [
     "BoundednessResult",
@@ -84,12 +73,6 @@ __all__ = [
     "datalog_contained_in_ucq",
     "datalog_contained_in_ucq_linear",
     "decide_boundedness",
-    "decide_containment_in_ucq",
-    "decide_cq_in_datalog",
-    "decide_equivalence",
-    "decide_equivalence_to_ucq",
-    "decide_nonrecursive_in_datalog",
-    "decide_ucq_in_datalog",
     "equivalent_to_ucq",
     "is_chain_program",
     "is_equivalent_to_nonrecursive",
@@ -98,7 +81,6 @@ __all__ = [
     "materialize_fixpoint",
     "nonrecursive_contained_in_datalog",
     "proof_tree_to_labeled_tree",
-    "register_core_caches",
     "search_boundedness",
     "theorem_5_11_via_substrate",
     "to_chain_form",

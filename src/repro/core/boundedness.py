@@ -12,7 +12,7 @@ procedure cannot certify unboundedness (no algorithm can), so it stops
 at ``max_depth`` with verdict "unknown" -- unless the structural
 shortcut below applies.
 
-As a cheap sound check, :func:`decide_boundedness` first tries the
+As a cheap sound check, :func:`search_boundedness` first tries the
 counterexample route: if for some k the truncation test fails with a
 witness, the witness rules out depth-k boundedness and the search
 continues deeper.
@@ -32,7 +32,7 @@ from ..datalog.engine import Engine, evaluate
 from ..datalog.errors import ValidationError
 from ..datalog.program import Program
 from ..datalog.unfold import expansion_union, expansions
-from .containment import decide_containment_in_ucq
+from .containment import contained_in_ucq
 
 
 @dataclass
@@ -44,7 +44,11 @@ class BoundednessResult:
     certified bound and ``witness_union`` the equivalent union of
     conjunctive queries (a nonrecursive rewriting of the program);
     ``invariant`` is the certificate of the containment in that union
-    when the automata search decided it.
+    when the automata search decided it.  ``stats`` counts the search
+    work (``depths_probed``, ``engine_refuted``, ``containments_run``)
+    and ``timings`` its seconds (``probe_s`` for the engine
+    counterexample probes, ``containment_s`` for the automata
+    containments).
     """
 
     bounded: Optional[bool]
@@ -52,6 +56,10 @@ class BoundednessResult:
     witness_union: Optional[UnionOfConjunctiveQueries] = None
     invariant: Optional[Invariant] = field(default=None, repr=False,
                                            compare=False)
+    stats: Dict[str, int] = field(default_factory=dict, repr=False,
+                                  compare=False)
+    timings: Dict[str, float] = field(default_factory=dict, repr=False,
+                                      compare=False)
 
     def __bool__(self):
         return bool(self.bounded)
@@ -69,8 +77,7 @@ def bounded_at_depth(program: Program, goal: str, depth: int,
         # No expansion exists at all: the goal relation is empty, which
         # is trivially bounded.
         return True
-    return decide_containment_in_ucq(program, goal, union,
-                                     method=method).contained
+    return contained_in_ucq(program, goal, union, method=method).contained
 
 
 _PROBE_LIMIT = 64        # cap on probed expansions per depth
@@ -106,34 +113,28 @@ def _engine_refutes_depth(program: Program, goal: str, depth: int,
 
 def search_boundedness(program: Program, goal: str, max_depth: int = 4,
                        method: str = "auto",
-                       engine: Optional[Engine] = None,
-                       timings: Optional[Dict[str, float]] = None,
-                       stats: Optional[Dict[str, int]] = None) -> BoundednessResult:
-    """The boundedness-search implementation (explicit configuration).
+                       engine: Optional[Engine] = None) -> BoundednessResult:
+    """Search for a boundedness certificate up to ``max_depth``.
 
-    When *timings* is a dict it accumulates ``probe_s`` (engine
-    counterexample probes) and ``containment_s`` (automata
-    containments); *stats* likewise collects ``depths_probed``,
-    ``engine_refuted`` and ``containments_run``.
+    Returns ``bounded=True`` with the certified depth and the
+    equivalent union when found; otherwise ``bounded=None`` (unknown --
+    boundedness is undecidable in general [GMSV93], so absence of a
+    certificate proves nothing).  Nonrecursive programs are bounded by
+    their dependence-graph depth and always certified.
+
+    For safe programs, each depth first runs the cheap counterexample
+    route through the evaluation engine: deeper expansions whose
+    canonical databases escape the candidate union refute the depth
+    without touching the automata machinery.  The probes run on
+    *engine* when given, else on a throwaway engine, so their one-off
+    candidate programs cannot churn a session's plan cache.
     """
     program.require_goal(goal)
     all_safe = all(rule.is_safe for rule in program.rules)
-    # One-off candidate programs would churn the session's plan cache;
-    # give the probes their own engine unless one was supplied.
     probe_engine = engine or Engine()
     probe_s = containment_s = 0.0
     depths_probed = engine_refuted = containments_run = 0
-
-    def _finish(result: BoundednessResult) -> BoundednessResult:
-        if timings is not None:
-            timings["probe_s"] = round(probe_s, 6)
-            timings["containment_s"] = round(containment_s, 6)
-        if stats is not None:
-            stats["depths_probed"] = depths_probed
-            stats["engine_refuted"] = engine_refuted
-            stats["containments_run"] = containments_run
-        return result
-
+    result = BoundednessResult(bounded=None)
     for depth in range(1, max_depth + 1):
         union = expansion_union(program, goal, depth)
         if not union.disjuncts:
@@ -149,37 +150,21 @@ def search_boundedness(program: Program, goal: str, max_depth: int = 4,
                 continue
         started = perf_counter()
         containments_run += 1
-        forward = decide_containment_in_ucq(program, goal, union,
-                                            method=method)
+        forward = contained_in_ucq(program, goal, union, method=method)
         containment_s += perf_counter() - started
         if forward.contained:
-            return _finish(BoundednessResult(bounded=True, depth=depth,
-                                             witness_union=union,
-                                             invariant=forward.invariant))
-    return _finish(BoundednessResult(bounded=None))
+            result = BoundednessResult(bounded=True, depth=depth,
+                                       witness_union=union,
+                                       invariant=forward.invariant)
+            break
+    result.stats = {"depths_probed": depths_probed,
+                    "engine_refuted": engine_refuted,
+                    "containments_run": containments_run}
+    result.timings = {"probe_s": round(probe_s, 6),
+                      "containment_s": round(containment_s, 6)}
+    return result
 
 
-def decide_boundedness(program: Program, goal: str, max_depth: int = 4,
-                       method: str = "auto",
-                       engine: Optional[Engine] = None) -> BoundednessResult:
-    """Search for a boundedness certificate up to ``max_depth``.
-
-    Returns ``bounded=True`` with the certified depth and the
-    equivalent union when found; otherwise ``bounded=None`` (unknown --
-    boundedness is undecidable in general [GMSV93], so absence of a
-    certificate proves nothing).  Nonrecursive programs are bounded by
-    their dependence-graph depth and always certified.
-
-    For safe programs, each depth first runs the cheap counterexample
-    route through the evaluation engine (*engine*, defaulting to the
-    session's compiled one): deeper expansions whose canonical
-    databases escape the candidate union refute the depth without
-    touching the automata machinery.
-
-    Delegates to the ambient :class:`repro.session.Session`
-    (:meth:`~repro.session.Session.bounded`).
-    """
-    from ..session import current_session
-
-    return current_session().bounded(program, goal, max_depth=max_depth,
-                                     method=method, engine=engine).raw
+#: The paper-facing name of the search (exported as
+#: ``repro.decide_boundedness``).
+decide_boundedness = search_boundedness

@@ -15,13 +15,11 @@ CQ / UCQ  in  recursive Pi             canonical database + bottom-up
 nonrecursive Pi'  in  recursive Pi     unfold Pi', then the above
 =====================================  ==============================
 
-Two layers live here.  The ``decide_*`` functions are the
-implementations: they take explicit ``engine=`` configuration and are
-what :class:`repro.session.Session` calls.  The
-historical free functions (:func:`contained_in_ucq`,
-:func:`cq_contained_in_datalog`, ...) are thin shims that delegate to
-the ambient session -- same signatures, same return types, now
-session-configured and thread-safe.
+Each function here is the implementation itself: it resolves the
+automaton caches and, when ``engine`` is not given, the evaluation
+engine from the ambient :class:`repro.session.Session`.  The session's
+decision methods call these functions and wrap their results in a
+:class:`~repro.session.Decision`.
 """
 
 from __future__ import annotations
@@ -40,24 +38,16 @@ from .tree_containment import ContainmentResult, datalog_contained_in_ucq
 from .word_path import datalog_contained_in_ucq_linear, is_chain_program
 
 
-def _session():
-    from ..session import current_session
+def contained_in_ucq(program: Program, goal: str,
+                     union: UnionOfConjunctiveQueries,
+                     method: str = "auto",
+                     use_antichain: bool = True) -> ContainmentResult:
+    """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
-    return current_session()
-
-
-# ----------------------------------------------------------------------
-# Implementations (explicit configuration; called by the Session).
-# ----------------------------------------------------------------------
-
-def decide_containment_in_ucq(program: Program, goal: str,
-                              union: UnionOfConjunctiveQueries,
-                              method: str = "auto",
-                              use_antichain: bool = True) -> ContainmentResult:
-    """Decide ``Q_Pi subseteq union`` (Theorem 5.12) -- the method
-    dispatcher: ``"tree"`` forces the tree-automaton pathway,
+    ``method``: ``"tree"`` forces the tree-automaton pathway,
     ``"word"`` the word-automaton pathway (chain-form programs only),
-    ``"auto"`` picks the word pathway when available."""
+    ``"auto"`` picks the word pathway when available.
+    """
     program.require_goal(goal)
     if method not in ("auto", "tree", "word"):
         raise ValidationError(f"unknown containment method {method!r}")
@@ -69,9 +59,30 @@ def decide_containment_in_ucq(program: Program, goal: str,
                                     use_antichain=use_antichain)
 
 
-def decide_cq_in_datalog(theta: ConjunctiveQuery, program: Program,
-                         goal: str,
-                         engine: Optional[Engine] = None) -> bool:
+def contained_in_cq(program: Program, goal: str, theta: ConjunctiveQuery,
+                    method: str = "auto",
+                    use_antichain: bool = True) -> ContainmentResult:
+    """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
+    union = UnionOfConjunctiveQueries([theta], theta.arity)
+    return contained_in_ucq(program, goal, union, method=method,
+                            use_antichain=use_antichain)
+
+
+def contained_in_nonrecursive(program: Program, goal: str,
+                              nonrecursive: Program,
+                              nonrecursive_goal: Optional[str] = None,
+                              method: str = "auto") -> ContainmentResult:
+    """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
+    (Theorem 6.4): rewrite Pi' as a union of conjunctive queries (the
+    potentially exponential step whose necessity Section 6 proves) and
+    decide containment in the union."""
+    union = unfold_nonrecursive(nonrecursive, nonrecursive_goal or goal)
+    return contained_in_ucq(program, goal, union, method=method)
+
+
+def cq_contained_in_datalog(theta: ConjunctiveQuery, program: Program,
+                            goal: str,
+                            engine: Optional[Engine] = None) -> bool:
     """Decide ``theta subseteq Q_Pi`` by the canonical-database test
     [CK86, Sa88b]: freeze theta's variables into constants, evaluate Pi
     bottom-up on the frozen body, and check that the frozen head is
@@ -92,77 +103,12 @@ def decide_cq_in_datalog(theta: ConjunctiveQuery, program: Program,
     return head_row in result.facts(goal)
 
 
-def decide_ucq_in_datalog(union: UnionOfConjunctiveQueries,
-                          program: Program, goal: str,
-                          engine: Optional[Engine] = None) -> bool:
-    """Decide ``union subseteq Q_Pi`` disjunct-wise (Theorem 2.3)."""
-    return all(decide_cq_in_datalog(theta, program, goal, engine=engine)
-               for theta in union)
-
-
-def decide_nonrecursive_in_datalog(nonrecursive: Program,
-                                   nonrecursive_goal: str,
-                                   program: Program, goal: str,
-                                   engine: Optional[Engine] = None) -> bool:
-    """Decide ``Q'_Pi' subseteq Q_Pi`` for nonrecursive Pi'."""
-    union = unfold_nonrecursive(nonrecursive, nonrecursive_goal)
-    return decide_ucq_in_datalog(union, program, goal, engine=engine)
-
-
-# ----------------------------------------------------------------------
-# The historical free functions: shims onto the ambient session.
-# ----------------------------------------------------------------------
-
-def contained_in_ucq(program: Program, goal: str,
-                     union: UnionOfConjunctiveQueries,
-                     method: str = "auto",
-                     use_antichain: bool = True) -> ContainmentResult:
-    """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
-
-    Delegates to the ambient :class:`repro.session.Session`.
-    ``method``: ``"tree"``
-    forces the tree-automaton pathway, ``"word"`` the word-automaton
-    pathway (chain-form programs only), ``"auto"`` picks the word
-    pathway when available.
-    """
-    return _session().contains(program, goal, union, method=method,
-                               use_antichain=use_antichain).raw
-
-
-def contained_in_cq(program: Program, goal: str, theta: ConjunctiveQuery,
-                    method: str = "auto",
-                    use_antichain: bool = True) -> ContainmentResult:
-    """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
-    return _session().contains_cq(program, goal, theta, method=method,
-                                  use_antichain=use_antichain).raw
-
-
-def contained_in_nonrecursive(program: Program, goal: str,
-                              nonrecursive: Program,
-                              nonrecursive_goal: Optional[str] = None,
-                              method: str = "auto") -> ContainmentResult:
-    """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
-    (Theorem 6.4): rewrite Pi' as a union of conjunctive queries (the
-    potentially exponential step whose necessity Section 6 proves) and
-    decide containment in the union."""
-    return _session().contains_nonrecursive(
-        program, goal, nonrecursive, nonrecursive_goal, method=method).raw
-
-
-def cq_contained_in_datalog(theta: ConjunctiveQuery, program: Program,
-                            goal: str,
-                            engine: Optional[Engine] = None) -> bool:
-    """Decide ``theta subseteq Q_Pi`` by the canonical-database test
-    [CK86, Sa88b] (see :func:`decide_cq_in_datalog`); ``engine``
-    overrides the ambient session's engine."""
-    return _session().cq_contained(theta, program, goal, engine=engine).raw
-
-
 def ucq_contained_in_datalog(union: UnionOfConjunctiveQueries,
                              program: Program, goal: str,
                              engine: Optional[Engine] = None) -> bool:
     """Decide ``union subseteq Q_Pi`` disjunct-wise (Theorem 2.3)."""
-    return _session().ucq_contained(union, program, goal, engine=engine).raw
+    return all(cq_contained_in_datalog(theta, program, goal, engine=engine)
+               for theta in union)
 
 
 def nonrecursive_contained_in_datalog(nonrecursive: Program,
@@ -170,8 +116,12 @@ def nonrecursive_contained_in_datalog(nonrecursive: Program,
                                       program: Program, goal: str,
                                       engine: Optional[Engine] = None) -> bool:
     """Decide ``Q'_Pi' subseteq Q_Pi`` for nonrecursive Pi'."""
-    return _session().nonrecursive_contained(
-        nonrecursive, nonrecursive_goal, program, goal, engine=engine).raw
+    union = unfold_nonrecursive(nonrecursive, nonrecursive_goal)
+    return ucq_contained_in_datalog(union, program, goal, engine=engine)
+
+
+# perfbench/spans.py patches this name (ROADMAP item 4).
+decide_nonrecursive_in_datalog = nonrecursive_contained_in_datalog
 
 
 # ----------------------------------------------------------------------

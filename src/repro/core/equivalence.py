@@ -11,10 +11,9 @@ EDB vocabulary) is decided by two containments:
   automata (Theorem 5.12), triply exponential overall because of the
   unfolding blowup (Theorem 6.5 shows this is optimal).
 
-The ``decide_*`` functions are the implementations (explicit
-configuration, optional per-phase ``timings`` capture) called by
-:class:`repro.session.Session`; the historical free functions delegate
-to the ambient session.
+Both functions here are the implementations the
+:class:`repro.session.Session` methods call; each result carries its
+per-phase wall-clock ``timings``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,9 @@ from ..datalog.errors import NotNonrecursiveError, ValidationError
 from ..datalog.program import Program
 from ..datalog.unfold import unfold_nonrecursive
 from ..trees.expansion import ExpansionTree
-from .containment import decide_containment_in_ucq, decide_ucq_in_datalog
+from .containment import contained_in_ucq
+# perfbench/spans.py patches this name (ROADMAP item 4).
+from .containment import ucq_contained_in_datalog as decide_ucq_in_datalog
 
 
 @dataclass
@@ -42,7 +43,10 @@ class EquivalenceResult:
     ``forward_holds`` reports ``Pi subseteq Pi'`` (with
     ``forward_witness`` a proof tree of Pi not covered by Pi' when it
     fails, ``invariant`` its certificate when it holds) and
-    ``backward_holds`` reports ``Pi' subseteq Pi``.
+    ``backward_holds`` reports ``Pi' subseteq Pi``.  ``timings`` holds
+    the wall-clock seconds of each phase: ``unfold_s`` (Pi' to a UCQ,
+    when Pi' was a program), ``backward_s`` (canonical-database tests)
+    and ``forward_s`` (the proof-tree-automata containment).
     """
 
     equivalent: bool
@@ -52,82 +56,11 @@ class EquivalenceResult:
     stats: Dict[str, int] = field(default_factory=dict)
     invariant: Optional[Invariant] = field(default=None, repr=False,
                                            compare=False)
+    timings: Dict[str, float] = field(default_factory=dict, repr=False,
+                                      compare=False)
 
     def __bool__(self):
         return self.equivalent
-
-
-def _stamp(timings: Optional[Dict[str, float]], key: str,
-           started: float) -> None:
-    if timings is not None:
-        timings[key] = round(perf_counter() - started, 6)
-
-
-def decide_equivalence(program: Program, nonrecursive: Program, goal: str,
-                       nonrecursive_goal: Optional[str] = None,
-                       method: str = "auto",
-                       engine: Optional[Engine] = None,
-                       timings: Optional[Dict[str, float]] = None) -> EquivalenceResult:
-    """The Theorem 6.5 implementation (explicit configuration).
-
-    When *timings* is a dict, the three phases are stamped into it:
-    ``unfold_s`` (Pi' to a UCQ), ``backward_s`` (canonical-database
-    tests) and ``forward_s`` (the proof-tree-automata containment).
-    """
-    nonrecursive_goal = nonrecursive_goal or goal
-    if is_recursive(nonrecursive):
-        raise NotNonrecursiveError(
-            "second program must be nonrecursive (general Datalog "
-            "equivalence is undecidable [Shm87])"
-        )
-    program.require_goal(goal)
-    nonrecursive.require_goal(nonrecursive_goal)
-    if program.arity[goal] != nonrecursive.arity[nonrecursive_goal]:
-        raise ValidationError("goal predicates have different arities")
-
-    started = perf_counter()
-    union = unfold_nonrecursive(nonrecursive, nonrecursive_goal)
-    _stamp(timings, "unfold_s", started)
-    started = perf_counter()
-    backward = decide_ucq_in_datalog(union, program, goal, engine=engine)
-    _stamp(timings, "backward_s", started)
-    started = perf_counter()
-    forward = decide_containment_in_ucq(program, goal, union, method=method)
-    _stamp(timings, "forward_s", started)
-    stats = dict(forward.stats)
-    stats["union_disjuncts"] = len(union)
-    stats["union_size"] = union.size()
-    return EquivalenceResult(
-        equivalent=forward.contained and backward,
-        forward_holds=forward.contained,
-        backward_holds=backward,
-        forward_witness=forward.witness,
-        stats=stats,
-        invariant=forward.invariant,
-    )
-
-
-def decide_equivalence_to_ucq(program: Program, goal: str,
-                              union: UnionOfConjunctiveQueries,
-                              method: str = "auto",
-                              engine: Optional[Engine] = None,
-                              timings: Optional[Dict[str, float]] = None) -> EquivalenceResult:
-    """The Theorem 5.12 form of the problem (explicit configuration)."""
-    program.require_goal(goal)
-    started = perf_counter()
-    backward = decide_ucq_in_datalog(union, program, goal, engine=engine)
-    _stamp(timings, "backward_s", started)
-    started = perf_counter()
-    forward = decide_containment_in_ucq(program, goal, union, method=method)
-    _stamp(timings, "forward_s", started)
-    return EquivalenceResult(
-        equivalent=forward.contained and backward,
-        forward_holds=forward.contained,
-        backward_holds=backward,
-        forward_witness=forward.witness,
-        stats=dict(forward.stats),
-        invariant=forward.invariant,
-    )
 
 
 def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
@@ -142,15 +75,29 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
     the same name.  Raises :class:`NotNonrecursiveError` when Pi' is
     recursive (use two containment calls directly for that undecidable
     case at your own peril -- the paper proves general Datalog
-    equivalence undecidable [Shm87]).  Delegates to the ambient
-    :class:`repro.session.Session`; ``engine`` overrides the session's
-    engine for this call.
+    equivalence undecidable [Shm87]).  ``engine`` runs the backward
+    canonical-database tests (default: the ambient session's engine).
     """
-    from ..session import current_session
+    nonrecursive_goal = nonrecursive_goal or goal
+    if is_recursive(nonrecursive):
+        raise NotNonrecursiveError(
+            "second program must be nonrecursive (general Datalog "
+            "equivalence is undecidable [Shm87])"
+        )
+    program.require_goal(goal)
+    nonrecursive.require_goal(nonrecursive_goal)
+    if program.arity[goal] != nonrecursive.arity[nonrecursive_goal]:
+        raise ValidationError("goal predicates have different arities")
 
-    return current_session().equivalent_to_nonrecursive(
-        program, nonrecursive, goal, nonrecursive_goal,
-        method=method, engine=engine).raw
+    started = perf_counter()
+    union = unfold_nonrecursive(nonrecursive, nonrecursive_goal)
+    unfold_s = perf_counter() - started
+    result = equivalent_to_ucq(program, goal, union, method=method,
+                               engine=engine)
+    result.stats["union_disjuncts"] = len(union)
+    result.stats["union_size"] = union.size()
+    result.timings = {"unfold_s": round(unfold_s, 6), **result.timings}
+    return result
 
 
 def equivalent_to_ucq(program: Program, goal: str,
@@ -158,9 +105,21 @@ def equivalent_to_ucq(program: Program, goal: str,
                       method: str = "auto",
                       engine: Optional[Engine] = None) -> EquivalenceResult:
     """Decide ``Pi == union`` directly against a union of conjunctive
-    queries (the Theorem 5.12 form of the problem).  Delegates to the
-    ambient :class:`repro.session.Session`."""
-    from ..session import current_session
-
-    return current_session().equivalent_to_ucq(
-        program, goal, union, method=method, engine=engine).raw
+    queries (the Theorem 5.12 form of the problem)."""
+    program.require_goal(goal)
+    started = perf_counter()
+    backward = decide_ucq_in_datalog(union, program, goal, engine=engine)
+    backward_s = perf_counter() - started
+    started = perf_counter()
+    forward = contained_in_ucq(program, goal, union, method=method)
+    forward_s = perf_counter() - started
+    return EquivalenceResult(
+        equivalent=forward.contained and backward,
+        forward_holds=forward.contained,
+        backward_holds=backward,
+        forward_witness=forward.witness,
+        stats=dict(forward.stats),
+        invariant=forward.invariant,
+        timings={"backward_s": round(backward_s, 6),
+                 "forward_s": round(forward_s, 6)},
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
-from ..context import current_scope
+from ..context import current_scope, current_session
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..datalog.rules import Rule
@@ -176,44 +176,16 @@ def shared_enumerator(program: Program) -> InstanceEnumerator:
     )
 
 
-def register_core_caches() -> None:
-    """Register the default session's caches with the kernel's
-    cache-lifecycle registry: the global cache scope (automaton
-    factories, EDB images) and the default engine's compiled-plan
-    cache.  Imported lazily to avoid import cycles; registration is
-    idempotent (the core package calls this at import time, and
-    :func:`clear_shared_caches` re-asserts it)."""
-    from ..automata.kernel import register_shared_cache
-    from ..context import GLOBAL_SCOPE
-    from ..datalog.engine import clear_default_plan_cache
-
-    register_shared_cache(GLOBAL_SCOPE.clear, "context.global_scope")
-    register_shared_cache(clear_default_plan_cache,
-                          "datalog.default_plan_cache")
-
-
 def clear_shared_caches() -> None:
     """Drop the ambient session's caches (automaton caches, EDB
-    images, compiled plans).
+    images, compiled plans): :meth:`repro.session.Session.clear_caches`
+    on the ambient session.
 
     This is the cold-start hook of the benchmark harness and the batch
     runner (:mod:`repro.runner`), and a memory valve for long-running
-    services.  It delegates to
-    :meth:`repro.session.Session.clear_caches` on the ambient session;
-    for the default session that also runs
-    :func:`repro.automata.kernel.clear_registered_caches`, so caches
-    registered by other layers are dropped too.
+    services.
     """
-    from ..context import current_session
-
-    session = current_session()
-    if session is None:  # mid-import fallback: clear the registry
-        from ..automata.kernel import clear_registered_caches
-
-        register_core_caches()
-        clear_registered_caches()
-        return
-    session.clear_caches()
+    current_session().clear_caches()
 
 
 def warm_shared_caches(program: Program, goal: str, union=None) -> None:

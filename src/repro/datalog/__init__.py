@@ -12,7 +12,6 @@ from .engine import (
     Engine,
     EngineConfig,
     EvaluationResult,
-    clear_default_plan_cache,
     default_engine,
     evaluate,
     naive_evaluate,
@@ -22,7 +21,6 @@ from .engine import (
 from .plan import JoinPlan, PlanCache, compile_program
 from .columns import (
     ColumnStore,
-    clear_edb_images,
     columnar_naive,
     columnar_seminaive,
     edb_image,
@@ -84,8 +82,6 @@ __all__ = [
     "UnsafeProgramError",
     "ValidationError",
     "Variable",
-    "clear_default_plan_cache",
-    "clear_edb_images",
     "columnar_naive",
     "columnar_seminaive",
     "compile_program",

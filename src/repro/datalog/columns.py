@@ -80,7 +80,6 @@ __all__ = [
     "ColumnStore",
     "EdbImage",
     "adopt_image",
-    "clear_edb_images",
     "columnar_naive",
     "columnar_seminaive",
     "edb_image",
@@ -264,23 +263,6 @@ class EdbImage:
 #: caches.
 _IMAGES_TABLE = "datalog.edb_images"
 _MAX_IMAGES = 64
-
-
-def __getattr__(name):
-    # Backward compatibility: the image table used to be the module
-    # global ``_EDB_IMAGES``.  Expose the ambient scope's live table
-    # under the old name (scopes clear tables in place, so a reference
-    # bound at import time stays truthful for the default session).
-    if name == "_EDB_IMAGES":
-        return _current_scope().table(_IMAGES_TABLE)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def clear_edb_images() -> None:
-    """Drop the ambient scope's cached :class:`EdbImage` entries
-    (cold-start hook; the default session's scope is also cleared by
-    :func:`repro.core.clear_shared_caches`)."""
-    _current_scope().table(_IMAGES_TABLE).clear()
 
 
 def edb_image(database: Database) -> EdbImage:

@@ -368,43 +368,17 @@ class Engine:
         return len(self._plans)
 
 
-#: The process seed engine: wrapped by the default session, and the
-#: pre-session fallback while the package is still importing.
-_DEFAULT_ENGINE = Engine()
-
-
-def process_default_engine() -> Engine:
-    """The process seed engine (the one the default session wraps).
-
-    Internal plumbing for :mod:`repro.session`; everything else should
-    use :func:`default_engine`, which is session-aware.
-    """
-    return _DEFAULT_ENGINE
-
-
 def default_engine() -> Engine:
     """The ambient session's engine (used by :func:`evaluate`).
 
     Resolution goes through the ambient :class:`~repro.session.Session`
     held in a :class:`contextvars.ContextVar`, so concurrent sessions
     with different engine configurations do not share a mutable module
-    global.
+    global.  While the package is still importing (no session exists
+    yet) a throwaway engine answers.
     """
     session = _current_session()
-    return session.engine if session is not None else _DEFAULT_ENGINE
-
-
-def clear_default_plan_cache() -> None:
-    """Drop the *default session's* compiled-plan cache.
-
-    Registered with the kernel's shared-cache registry (see
-    :func:`repro.core.register_core_caches`), so
-    :func:`repro.core.clear_shared_caches` -- the cold-start hook of
-    the benchmark harness and batch runner -- resets compiled plans
-    along with the automaton caches.  Session-private plan caches are
-    cleared by :meth:`repro.session.Session.clear_caches` instead.
-    """
-    _DEFAULT_ENGINE.clear_plans()
+    return session.engine if session is not None else Engine()
 
 
 def evaluate(program: Program, database: Database,

@@ -55,9 +55,8 @@ from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Variable
 from ..datalog.unfold import expansion_union, unfold_nonrecursive
-from ..session import rows_checksum
+from ..session import current_session, rows_checksum
 from ..workloads import generators as gen
-from ..workloads.scenarios import kind_runner
 
 #: Engine cells of the evaluation differential (label -> config).
 #: ``interpretive-naive`` is the oracle: the per-tuple evaluator
@@ -329,8 +328,9 @@ def evaluation_verdict(case: FuzzCase, config: EngineConfig) -> Dict:
 
 def decision_outcome(case: FuzzCase) -> Tuple[Dict, object]:
     """The verdict of a decision case and the procedure's own result
-    (which carries the invariant or the witness), via the same kind
-    runners the scenario registry uses."""
+    (which carries the invariant or the witness), via the ambient
+    session's :meth:`~repro.session.Session.run_payload` -- the path
+    the scenario registry uses."""
     payload: Dict = {"program": case.program, "goal": case.goal}
     if case.kind == "containment":
         payload["union"] = case.union
@@ -339,8 +339,9 @@ def decision_outcome(case: FuzzCase) -> Tuple[Dict, object]:
         payload["nonrecursive_goal"] = case.nonrecursive_goal
     elif case.kind == "boundedness":
         payload["max_depth"] = case.max_depth
-    verdict, _stats, result = kind_runner(case.kind)(payload, _PROBE_ENGINE)
-    return verdict, result
+    decision = current_session().run_payload(case.kind, payload,
+                                             engine=_PROBE_ENGINE)
+    return decision.verdict, decision.raw
 
 
 def decision_verdict(case: FuzzCase) -> Dict:
@@ -451,8 +452,8 @@ def analysis_divergences(case: FuzzCase) -> List[Divergence]:
     if certificate is not None:
         payload = {"program": case.program, "goal": case.goal,
                    "max_depth": certificate["depth_bound"]}
-        verdict, _stats, _result = kind_runner("boundedness")(
-            payload, _PROBE_ENGINE)
+        verdict = current_session().run_payload(
+            "boundedness", payload, engine=_PROBE_ENGINE).verdict
         if verdict.get("bounded") is not True:
             divergences.append(Divergence(
                 case=case, label="bounded-certificate", against="analyzer",

@@ -33,11 +33,9 @@ from typing import Any, Dict, List, Optional
 from ..datalog.database import Database
 from ..datalog.errors import ReproError
 from ..datalog.parser import parse_program
-from ..datalog.program import Program
-from ..datalog.unfold import expansion_union, unfold_nonrecursive
 from ..resilience import PoolConfig, attempt_loop
 from ..runner.batch import worker_session
-from ..session import Decision
+from ..session import Decision, decide_payload
 from .protocol import Request
 
 __all__ = [
@@ -105,30 +103,6 @@ def database_from_source(source: str) -> Database:
     return Database.from_atoms(atoms)
 
 
-def _run_decide(session, payload: Dict[str, Any],
-                deadline: Optional[float]):
-    program: Program = parse_program(payload["program"])
-    goal = payload["goal"]
-    method = payload["method"]
-    kind = payload["kind"]
-    if kind == "equivalence":
-        return session.equivalent_to_nonrecursive(
-            program, parse_program(payload["nonrecursive"]), goal,
-            nonrecursive_goal=payload.get("nonrecursive_goal"),
-            method=method, deadline=deadline)
-    if kind == "containment":
-        if "union" in payload:
-            union = unfold_nonrecursive(
-                parse_program(payload["union"]),
-                payload.get("union_goal") or goal)
-        else:
-            union = expansion_union(program, goal, payload["union_depth"])
-        return session.contains(program, goal, union, method=method,
-                                deadline=deadline)
-    return session.bounded(program, goal, max_depth=payload["max_depth"],
-                           method=method, deadline=deadline)
-
-
 def service_execute(op: str, payload: Dict[str, Any], key: str,
                     config: PoolConfig, first_attempt: int) -> Any:
     """Execute one request in the current worker: the payload-stripped
@@ -147,15 +121,15 @@ def service_execute(op: str, payload: Dict[str, Any], key: str,
 
     def call(_rung: str, deadline: Optional[float]) -> Decision:
         if op == "decide":
-            decision = _run_decide(session, payload, deadline)
+            decision = session.run_payload(
+                payload["kind"], decide_payload(payload), deadline=deadline)
         elif op == "eval":
             # Count and checksum only: the goal rows would be stripped
             # from the record anyway, so never build them.
-            program = parse_program(payload["program"])
-            database = database_from_source(payload["db"])
-            program.require_goal(payload["goal"])
             decision = session.evaluate(
-                program, database, max_stages=payload.get("max_stages"),
+                parse_program(payload["program"]),
+                database_from_source(payload["db"]),
+                max_stages=payload.get("max_stages"),
                 goal=payload["goal"], deadline=deadline)
         elif op == "scenario":
             decision = session.run_scenario(payload["scenario"],

@@ -14,11 +14,13 @@ entry point as a method returning one uniform :class:`Decision`.
 
 Two sessions are fully isolated: different backends, separate caches,
 zero bleed -- the enabling step for concurrent multi-config serving.
-The *default* session wraps the historical process-global state (the
-default engine, the global cache scope) and is held in a
-:class:`contextvars.ContextVar`, so the legacy free functions -- which
-now delegate here -- keep their exact behavior while becoming
-thread-safe.
+The ambient session is held in a :class:`contextvars.ContextVar`; the
+*default* one owns the process-global cache scope.  The free functions
+of :mod:`repro.core` are the procedures themselves: they resolve
+caches and engine from the ambient session, and the session methods
+call them.  :meth:`Session.run_payload` is the one dispatcher from a
+payload kind to a decision method; the scenario runner, the CLI, the
+service workers and the fuzz harness all go through it.
 
     >>> from repro import Session, parse_program
     >>> session = Session()
@@ -52,12 +54,9 @@ from .core import equivalence as _equivalence
 from .core.instances import warm_shared_caches as _warm_caches
 from .cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from .datalog.database import Database
-from .datalog.engine import (
-    Engine,
-    EngineConfig,
-    process_default_engine,
-)
+from .datalog.engine import Engine, EngineConfig
 from .datalog.errors import UnsafeProgramError, ValidationError
+from .datalog.parser import parse_program
 from .datalog.program import Program
 from .datalog.result import rows_checksum
 from .datalog.unfold import expansion_union, unfold_nonrecursive
@@ -68,9 +67,9 @@ __all__ = [
     "Session",
     "config_fingerprint",
     "current_session",
+    "decide_payload",
     "default_session",
     "rows_checksum",
-    "use_session",
 ]
 
 _CACHE_SCOPES = ("private", "shared")
@@ -154,12 +153,12 @@ class Decision:
     configuration.  All three
     round-trip through :meth:`record`.
 
-    ``raw`` is the legacy result object
+    ``raw`` is the procedure's own result object
     (:class:`~repro.core.tree_containment.ContainmentResult`,
     :class:`~repro.core.equivalence.EquivalenceResult`,
-    :class:`~repro.core.boundedness.BoundednessResult`, ...) that the
-    delegating shims hand back, so pre-session call sites keep their
-    exact return types.
+    :class:`~repro.core.boundedness.BoundednessResult`, the goal rows
+    of :meth:`Session.query`, ...), e.g. for reading a certificate's
+    invariant.
 
     Decisions are dict-compatible for the batch runner's trajectory
     records: ``decision["verdict"]`` reads from :meth:`record`.
@@ -344,37 +343,6 @@ class Session:
                 self.engine_config, self.cache_policy)
         return self._fingerprint
 
-    def with_config(self, *, engine: Optional[Any] = None,
-                    cache: Optional[Any] = None,
-                    name: Optional[str] = None) -> "Session":
-        """A derived session: overridden fields are replaced, the rest
-        -- including the live cache scope and engine -- are shared."""
-        derived = Session.__new__(Session)
-        if engine is None:
-            derived._engine = self._engine
-            derived.engine_config = self.engine_config
-        elif isinstance(engine, Engine):
-            derived._engine = engine
-            derived.engine_config = engine.config
-        else:
-            derived.engine_config = engine
-            derived._engine = Engine(engine)
-        if isinstance(cache, str):
-            cache = CachePolicy(scope=cache)
-        derived.cache_policy = cache or self.cache_policy
-        derived.name = name or self.name
-        if cache is None:
-            derived.caches = self.caches
-            derived._snapshot_images = self._snapshot_images
-        elif derived.cache_policy.scope == "shared":
-            derived.caches = _context.GLOBAL_SCOPE
-            derived._snapshot_images = {}
-        else:
-            derived.caches = _context.CacheScope(derived.name)
-            derived._snapshot_images = {}
-        derived._fingerprint = None
-        return derived
-
     def __repr__(self):
         return (f"Session({self.name!r}, engine={self.engine_config}, "
                 f"cache={self.cache_policy})")
@@ -480,7 +448,7 @@ class Session:
                 analysis_meta["method"] = "word"
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            result = _containment.decide_containment_in_ucq(
+            result = _containment.contained_in_ucq(
                 program, goal, union, method=method,
                 use_antichain=use_antichain,
             )
@@ -531,7 +499,7 @@ class Session:
         test [CK86, Sa88b], on this session's engine."""
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            held = _containment.decide_cq_in_datalog(
+            held = _containment.cq_contained_in_datalog(
                 theta, program, goal, engine=engine or self._engine)
         return self._decision(
             "containment", {"contained": held},
@@ -545,7 +513,7 @@ class Session:
         """Decide ``union subseteq Q_Pi`` disjunct-wise (Theorem 2.3)."""
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            held = _containment.decide_ucq_in_datalog(
+            held = _containment.ucq_contained_in_datalog(
                 union, program, goal, engine=engine or self._engine)
         return self._decision(
             "containment", {"contained": held},
@@ -561,6 +529,8 @@ class Session:
         """Decide ``Q'_Pi' subseteq Q_Pi`` for nonrecursive Pi'."""
         start = perf_counter()
         with self._deadline(deadline), self.activated():
+            # The perfbench-patched name of
+            # nonrecursive_contained_in_datalog (ROADMAP item 4).
             held = _containment.decide_nonrecursive_in_datalog(
                 nonrecursive, nonrecursive_goal, program, goal,
                 engine=engine or self._engine)
@@ -582,21 +552,13 @@ class Session:
         """Decide ``Pi == Pi'`` for nonrecursive Pi' (Theorem 6.5),
         with per-phase timings (``unfold_s`` / ``backward_s`` /
         ``forward_s``)."""
-        timings: Dict[str, float] = {}
         with self._deadline(deadline), self.activated():
-            result = _equivalence.decide_equivalence(
+            result = _equivalence.is_equivalent_to_nonrecursive(
                 program, nonrecursive, goal,
                 nonrecursive_goal=nonrecursive_goal, method=method,
-                engine=engine or self._engine, timings=timings,
+                engine=engine or self._engine,
             )
-        return self._decision(
-            "equivalence",
-            {"equivalent": result.equivalent,
-             "forward": result.forward_holds,
-             "backward": result.backward_holds},
-            stats=result.stats, timings=timings,
-            certificate=result.forward_witness, raw=result,
-        )
+        return self._equivalence_decision(result)
 
     def equivalent_to_ucq(self, program: Program, goal: str,
                           union: UnionOfConjunctiveQueries, *,
@@ -604,18 +566,20 @@ class Session:
                           engine: Optional[Engine] = None,
                           deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == union`` (the Theorem 5.12 form)."""
-        timings: Dict[str, float] = {}
         with self._deadline(deadline), self.activated():
-            result = _equivalence.decide_equivalence_to_ucq(
+            result = _equivalence.equivalent_to_ucq(
                 program, goal, union, method=method,
-                engine=engine or self._engine, timings=timings,
+                engine=engine or self._engine,
             )
+        return self._equivalence_decision(result)
+
+    def _equivalence_decision(self, result) -> Decision:
         return self._decision(
             "equivalence",
             {"equivalent": result.equivalent,
              "forward": result.forward_holds,
              "backward": result.backward_holds},
-            stats=result.stats, timings=timings,
+            stats=result.stats, timings=result.timings,
             certificate=result.forward_witness, raw=result,
         )
 
@@ -655,20 +619,18 @@ class Session:
                 )
                 decision.meta["analysis"] = cert
                 return decision
-        timings: Dict[str, float] = {}
-        stats: Dict[str, int] = {}
         with self._deadline(deadline), self.activated():
             # engine=None deliberately stays None: the search gives its
             # one-off candidate programs a throwaway probe engine so
             # they cannot churn this session's plan cache.
             result = _boundedness.search_boundedness(
                 program, goal, max_depth=max_depth, method=method,
-                engine=engine, timings=timings, stats=stats,
+                engine=engine,
             )
         return self._decision(
             "boundedness",
             {"bounded": result.bounded, "depth": result.depth},
-            stats=stats, timings=timings,
+            stats=result.stats, timings=result.timings,
             certificate=result.witness_union, raw=result,
         )
 
@@ -706,6 +668,8 @@ class Session:
         the verdict gains ``count`` and the decision a row
         ``checksum`` over the goal relation.
         """
+        if goal is not None:
+            program.require_goal(goal)
         start = perf_counter()
         try:
             with self._deadline(deadline), self.activated():
@@ -742,7 +706,6 @@ class Session:
               deadline: Optional[float] = None) -> Decision:
         """The relation ``goal_Pi(D)``: an evaluation decision whose
         ``raw`` is the frozenset of goal rows."""
-        program.require_goal(goal)
         decision = self.evaluate(program, database, max_stages=max_stages,
                                  goal=goal, engine=engine,
                                  deadline=deadline)
@@ -778,14 +741,59 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # Scenario execution.
+    # Payload dispatch and scenario execution.
     # ------------------------------------------------------------------
+
+    def run_payload(self, kind: str, payload: Mapping[str, Any], *,
+                    engine: Optional[Engine] = None,
+                    deadline: Optional[float] = None) -> Decision:
+        """Run the decision method for *kind* on a scenario-shaped
+        *payload* (built objects, as :meth:`Scenario.build
+        <repro.workloads.scenarios.Scenario>` returns them):
+
+        ===============  ==============================================
+        kind             method (payload keys)
+        ===============  ==============================================
+        ``containment``  :meth:`contains` (``union``)
+        ``equivalence``  :meth:`equivalent_to_nonrecursive`
+                         (``nonrecursive``, ``nonrecursive_goal``)
+        ``boundedness``  :meth:`bounded` (``max_depth``)
+        ``magic``        :meth:`magic` (``database``, ``adornment``,
+                         ``bindings``)
+        ===============  ==============================================
+
+        Every kind reads ``program`` and ``goal``; the automata kinds
+        also read an optional ``method``.
+        """
+        program, goal = payload["program"], payload["goal"]
+        method = payload.get("method", "auto")
+        if kind == "containment":
+            return self.contains(program, goal, payload["union"],
+                                 method=method, deadline=deadline)
+        if kind == "equivalence":
+            return self.equivalent_to_nonrecursive(
+                program, payload["nonrecursive"], goal,
+                payload.get("nonrecursive_goal"), method=method,
+                engine=engine, deadline=deadline)
+        if kind == "boundedness":
+            return self.bounded(program, goal, payload.get("max_depth", 4),
+                                method=method, engine=engine,
+                                deadline=deadline)
+        if kind == "magic":
+            return self.magic(program, payload["database"], goal,
+                              payload["adornment"], payload["bindings"],
+                              engine=engine, deadline=deadline)
+        raise ValidationError(f"unknown payload kind {kind!r}")
 
     def run_scenario(self, scenario, *, engine: Optional[Engine] = None,
                      deadline: Optional[float] = None) -> Decision:
         """Execute a registry scenario (by name or object) under this
         session and check its verdict against constructed ground truth
-        (``decision.ok``).
+        (``decision.ok``).  Evaluation scenarios run :meth:`evaluate`
+        (verdict ``{"count", "checksum"}``), every other kind
+        :meth:`run_payload`; the decision keeps that method's stats and
+        timings and adds ``build_s`` (payload build) and ``decide_s``
+        (everything after it).  The payload objects are dropped.
 
         Scenarios carrying a ``budget_s`` (the ``tag:stress`` tier's
         provably-infeasible lower-bound instances) run under a
@@ -802,10 +810,10 @@ class Session:
         so :class:`~repro.budget.BudgetExhausted` propagates for the
         resilience layer to classify.
         """
-        from .workloads import scenarios as _scenarios
+        from .workloads.scenarios import get_scenario
 
         if isinstance(scenario, str):
-            scenario = _scenarios.get_scenario(scenario)
+            scenario = get_scenario(scenario)
         budget = getattr(scenario, "budget_s", None)
         start = perf_counter()
         payload = scenario.build()
@@ -815,23 +823,33 @@ class Session:
             with self._deadline(deadline), self.activated(), \
                     time_budget(budget):
                 self._adopt_scenario_image(scenario.name, payload)
-                verdict, stats, _result = _scenarios.kind_runner(
-                    scenario.kind)(payload, engine or self._engine)
+                if scenario.kind == "evaluation":
+                    decision = self.evaluate(
+                        payload["program"], payload["database"],
+                        goal=payload["goal"], engine=engine)
+                    verdict = {"count": decision.verdict.get("count"),
+                               "checksum": decision.checksum}
+                else:
+                    decision = self.run_payload(scenario.kind, payload,
+                                                engine=engine)
+                    verdict = decision.verdict
         except BudgetExhausted as exhausted:
             self.clear_caches()
             if budget is None or exhausted.seconds != budget:
                 raise
-            verdict, stats = {"budget_exhausted": True}, {"budget_s": budget}
+            verdict = {"budget_exhausted": True}
+            decision = self._decision(scenario.kind, verdict,
+                                      stats={"budget_s": budget})
         else:
             self._stash_scenario_image(scenario.name, payload)
         decide_s = perf_counter() - start
-        return self._decision(
-            scenario.kind, verdict,
+        return replace(
+            decision, verdict=verdict,
             ok=(verdict == dict(scenario.expected)),
-            stats=stats,
-            timings={"build_s": build_s, "decide_s": decide_s},
-            checksum=verdict.get("checksum"),
-            meta={"scenario": scenario.name},
+            timings={**decision.timings, "build_s": round(build_s, 6),
+                     "decide_s": round(decide_s, 6)},
+            checksum=verdict.get("checksum"), certificate=None, raw=None,
+            meta={**decision.meta, "scenario": scenario.name},
         )
 
     # ------------------------------------------------------------------
@@ -958,17 +976,9 @@ class Session:
     def clear_caches(self) -> None:
         """Return this session to a cold state: drop its cache scope
         (automaton factories, EDB images) and its engine's compiled
-        plans.  On the default session this also runs every clearer in
-        the kernel's shared-cache registry, preserving the historical
-        ``clear_shared_caches()`` contract."""
+        plans."""
         self.caches.clear()
         self._engine.clear_plans()
-        if self.caches is _context.GLOBAL_SCOPE:
-            from .automata.kernel import clear_registered_caches
-            from .core.instances import register_core_caches
-
-            register_core_caches()
-            clear_registered_caches()
 
     def cache_stats(self) -> Dict[str, Any]:
         """Observability hook: per-table ``{"size", "hits", "misses"}``
@@ -986,10 +996,9 @@ class Session:
 # ----------------------------------------------------------------------
 
 def _make_default_session() -> Session:
-    """The default session wraps the historical process-global state:
-    the process default engine and the global cache scope."""
-    return Session(engine=process_default_engine(),
-                   cache=CachePolicy(scope="shared"), name="default")
+    """The default session: the default engine configuration over the
+    process-global cache scope."""
+    return Session(cache=CachePolicy(scope="shared"), name="default")
 
 
 _context.register_default_session_factory(_make_default_session)
@@ -997,8 +1006,8 @@ _context.register_default_session_factory(_make_default_session)
 
 def default_session() -> Session:
     """The process default session (created lazily, exactly once).
-    Its caches are the process-global scope; the legacy free functions
-    delegate to it when no session is active."""
+    Its caches are the process-global scope; the free functions run
+    against it when no session is active."""
     return _context.default_session()
 
 
@@ -1009,9 +1018,31 @@ def current_session() -> Session:
     return _context.current_session()
 
 
-@contextmanager
-def use_session(session: Session) -> Iterator[Session]:
-    """Make *session* ambient for the ``with`` block (alias for
-    ``session.activated()`` that reads well at call sites)."""
-    with session.activated() as active:
-        yield active
+def decide_payload(fields: Mapping[str, Any],
+                   read_program=parse_program) -> Dict[str, Any]:
+    """The :meth:`Session.run_payload` payload of a source-level
+    ``decide`` request -- the CLI's flags or the service's wire fields
+    (``kind``, ``program``, ``goal``, ``method``, ``nonrecursive``,
+    ``nonrecursive_goal``, ``union``, ``union_goal``, ``union_depth``,
+    ``max_depth``).  Programs are read by *read_program*; a containment
+    target is the ``union`` program unfolded at ``union_goal``
+    (default: ``goal``), else the program's own depth-``union_depth``
+    expansion union."""
+    program, goal = read_program(fields["program"]), fields["goal"]
+    payload: Dict[str, Any] = {
+        "program": program, "goal": goal,
+        "method": fields.get("method", "auto"),
+        "max_depth": fields.get("max_depth", 4),
+    }
+    if fields.get("nonrecursive") is not None:
+        payload["nonrecursive"] = read_program(fields["nonrecursive"])
+        payload["nonrecursive_goal"] = fields.get("nonrecursive_goal")
+    if fields["kind"] == "containment":
+        if fields.get("union") is not None:
+            payload["union"] = unfold_nonrecursive(
+                read_program(fields["union"]),
+                fields.get("union_goal") or goal)
+        else:
+            payload["union"] = expansion_union(program, goal,
+                                               fields["union_depth"])
+    return payload

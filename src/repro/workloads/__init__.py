@@ -47,7 +47,6 @@ from .scenarios import (
     REGISTRY,
     Scenario,
     get_scenario,
-    kind_runner,
     register,
     rows_checksum,
     run_scenario,
@@ -71,7 +70,6 @@ __all__ = [
     "get_scenario",
     "grid_edges",
     "guarded_chain",
-    "kind_runner",
     "power_law_edges",
     "random_graph_edges",
     "random_program",

@@ -23,9 +23,10 @@ kind             verdict (JSON-serializable, process-independent)
                  derived-fact counts land in ``stats``)
 ===============  ====================================================
 
-``run_scenario(scenario, engine=...)`` executes a scenario under an
-explicit :class:`~repro.datalog.engine.Engine` and returns the ambient
-session's :class:`~repro.session.Decision` -- dict-compatible, so
+``run_scenario(scenario, engine=...)`` executes a scenario on the
+ambient session (:meth:`repro.session.Session.run_scenario`, which
+hands the payload to :meth:`~repro.session.Session.run_payload`) and
+returns its :class:`~repro.session.Decision` -- dict-compatible, so
 ``result["verdict"]`` / ``result["ok"]`` / ``result["stats"]`` read as
 before; the caller owns cache lifecycle.  Scenarios are rebuilt from
 the registry *by name* inside worker processes, so nothing here needs
@@ -41,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
+# perfbench/spans.py patches this name (ROADMAP item 4).
+from ..core.boundedness import search_boundedness  # noqa: F401
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.engine import Engine
-from ..datalog.magic import derived_fact_count, magic_query
 from ..datalog.unfold import expansion_union
 from ..programs.library import (
     buys_bounded,
@@ -57,9 +59,6 @@ from ..programs.library import (
     widget_certified,
     widget_certified_rewriting,
 )
-from ..core.boundedness import search_boundedness
-from ..core.containment import decide_containment_in_ucq
-from ..core.equivalence import decide_equivalence
 from ..session import rows_checksum
 from . import generators as gen
 
@@ -181,86 +180,11 @@ def scenario_names(kind: Optional[str] = None,
 # ``EvaluationResult.checksum``, which feeds the same encoding.
 
 
-# ----------------------------------------------------------------------
-# Per-kind execution.
-#
-# The runners call the ``decide_*`` implementations with explicit
-# engine configuration; :meth:`repro.session.Session.run_scenario`
-# invokes them inside the session's activation, so the shared caches
-# they touch resolve to that session's scope.
-# ----------------------------------------------------------------------
-
-def _run_containment(payload, engine):
-    result = decide_containment_in_ucq(payload["program"], payload["goal"],
-                                       payload["union"],
-                                       method=payload.get("method", "auto"))
-    return {"contained": result.contained}, dict(result.stats), result
-
-
-def _run_equivalence(payload, engine):
-    result = decide_equivalence(
-        payload["program"], payload["nonrecursive"], payload["goal"],
-        nonrecursive_goal=payload.get("nonrecursive_goal"),
-        engine=engine,
-    )
-    verdict = {"equivalent": result.equivalent,
-               "forward": result.forward_holds,
-               "backward": result.backward_holds}
-    return verdict, dict(result.stats), result
-
-
-def _run_boundedness(payload, engine):
-    result = search_boundedness(payload["program"], payload["goal"],
-                                max_depth=payload.get("max_depth", 3),
-                                engine=engine)
-    return {"bounded": result.bounded, "depth": result.depth}, {}, result
-
-
-def _run_evaluation(payload, engine):
-    engine = engine or Engine()
-    program, goal = payload["program"], payload["goal"]
-    program.require_goal(goal)
-    result = engine.evaluate(program, payload["database"])
-    verdict = {"count": result.count(goal), "checksum": result.checksum(goal)}
-    return verdict, {}, result
-
-
-def _run_magic(payload, engine):
-    rows = magic_query(payload["program"], payload["database"],
-                       payload["goal"], payload["adornment"],
-                       payload["bindings"], engine=engine)
-    counts = derived_fact_count(payload["program"], payload["database"],
-                                payload["goal"], payload["adornment"],
-                                payload["bindings"], engine=engine)
-    verdict = {"rows": len(rows),
-               "magic_beats_direct": counts["magic"] < counts["direct"]}
-    return verdict, dict(counts), rows
-
-
-_RUNNERS = {
-    "containment": _run_containment,
-    "equivalence": _run_equivalence,
-    "boundedness": _run_boundedness,
-    "evaluation": _run_evaluation,
-    "magic": _run_magic,
-}
-
-
-def kind_runner(kind: str) -> Callable:
-    """The execution function for *kind*: ``fn(payload, engine) ->
-    (verdict, stats, result)``, where *result* is the procedure's own
-    outcome (a :class:`~repro.core.tree_containment.ContainmentResult`,
-    an :class:`~repro.datalog.engine.EvaluationResult`, ...).  Exposed
-    for harnesses (``run_bench.py``, the fuzz harness) that run the
-    bare decision call without the :func:`run_scenario` wrapper."""
-    return _RUNNERS[kind]
-
-
 def run_scenario(scenario: Scenario,
                  engine: Optional[Engine] = None):
     """Execute *scenario* and check its verdict against ground truth.
 
-    Delegates to the ambient session
+    Runs on the ambient session
     (:meth:`repro.session.Session.run_scenario`) and returns its
     :class:`~repro.session.Decision` -- dict-compatible, so
     ``result["verdict"]`` / ``result["ok"]`` / ``result["stats"]``

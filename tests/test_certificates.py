@@ -23,7 +23,6 @@ from repro.cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.unfold import expansion_union
 from repro.programs import buys_bounded
-from repro.workloads import scenarios
 from repro.workloads.scenarios import DECISION_KINDS, REGISTRY, get_scenario
 
 from .test_bitset_kernel import TREE_CASES
@@ -74,18 +73,18 @@ FORK_UNION = [cq("r(X)", "a(X)", "b(X)"),
 @pytest.fixture
 def captured(monkeypatch):
     """Record ``(program, goal, union, result)`` for every containment
-    the scenario runners decide, including the ones inside equivalence
+    the scenario runs decide, including the ones inside equivalence
     and boundedness."""
     calls = []
-    decide = containment_module.decide_containment_in_ucq
+    decide = containment_module.contained_in_ucq
 
     def spy(program, goal, union, **kwargs):
         result = decide(program, goal, union, **kwargs)
         calls.append((program, goal, union, result))
         return result
 
-    for module in (scenarios, equivalence, boundedness):
-        monkeypatch.setattr(module, "decide_containment_in_ucq", spy)
+    for module in (containment_module, equivalence, boundedness):
+        monkeypatch.setattr(module, "contained_in_ucq", spy)
     return calls
 
 

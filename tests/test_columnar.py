@@ -22,10 +22,9 @@ import pytest
 from repro.core.instances import clear_shared_caches
 from repro.datalog.columns import (
     ColumnStore,
-    _EDB_IMAGES,
+    _IMAGES_TABLE,
     _pack,
     _unpack,
-    clear_edb_images,
     edb_image,
 )
 from repro.datalog.database import Database
@@ -35,7 +34,7 @@ from repro.datalog.magic import derived_fact_count, magic_query, magic_rewrite
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant
 from repro.programs.library import plain_transitive_closure
-from repro.session import Session, rows_checksum
+from repro.session import Session, current_session, rows_checksum
 from repro.workloads import generators as gen
 from repro.workloads.scenarios import (
     REGISTRY,
@@ -205,7 +204,7 @@ def test_unique_index_specialization():
 
 
 def test_edb_image_cache_and_invalidation():
-    clear_edb_images()
+    current_session().clear_caches()
     db = gen.edges_database(gen.chain_edges(4), ("e",))
     first = edb_image(db)
     assert edb_image(db) is first  # cached by identity + version
@@ -218,9 +217,10 @@ def test_edb_image_cache_and_invalidation():
 def test_image_cache_registered_with_shared_caches():
     db = gen.edges_database(gen.chain_edges(3), ("e",))
     edb_image(db)
-    assert _EDB_IMAGES
-    clear_shared_caches()  # the registered cold-start hook
-    assert not _EDB_IMAGES
+    images = current_session().caches.table(_IMAGES_TABLE)
+    assert images
+    clear_shared_caches()  # the cold-start hook
+    assert not images
 
 
 def test_column_store_seed_rows_are_private():

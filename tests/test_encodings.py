@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.boundedness import search_boundedness
 from repro.core.certificate import witness_refutes
-from repro.core.containment import decide_containment_in_ucq
+from repro.core.containment import contained_in_ucq
 from repro.cq.homomorphism import find_homomorphism
 from repro.datalog.analysis import is_linear, is_nonrecursive, is_recursive
 from repro.datalog.engine import Engine, EngineConfig, evaluate
@@ -261,7 +261,7 @@ class TestEncodingVerdicts:
         # that still answers (seconds-scale; the Theta direction of
         # Theorem 5.13 is the budgeted stress tier).
         union = expansion_union(tiny_enc.program, "c", 1)
-        result = decide_containment_in_ucq(tiny_enc.program, "c", union)
+        result = contained_in_ucq(tiny_enc.program, "c", union)
         assert result.contained is False
         assert witness_refutes(tiny_enc.program, "c", union, result)
 

@@ -108,7 +108,7 @@ class TestCacheRule:
                 return key
 
             register_shared_cache(lookup.cache_clear, "mod.lookup")
-        """) == []
+        """) == ["L002"]
 
     def test_bare_decorator_and_attribute_form(self):
         assert _codes("""

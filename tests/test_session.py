@@ -28,7 +28,6 @@ from repro import (
     current_session,
     default_session,
     parse_program,
-    use_session,
 )
 from repro.context import GLOBAL_SCOPE
 from repro.core import (
@@ -155,7 +154,7 @@ def test_activation_makes_session_ambient():
     # Outside any activation the ambient session is the default one.
     assert current_session().caches is default_session().caches
     ambient_before = current_session()
-    with use_session(session):
+    with session:
         assert current_session() is session
         assert default_engine() is session.engine
     assert current_session() is ambient_before

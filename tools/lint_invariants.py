@@ -10,11 +10,12 @@ Four invariants, each with a stable code:
   the EXPTIME-hard decision procedures spend unbounded time; a loop
   the cooperative deadline tier cannot interrupt silently defeats
   ``time_budget`` (see ``src/repro/budget.py``).
-* **L002 unregistered lru_cache** -- every ``functools.lru_cache``
-  must have its ``cache_clear`` registered via
-  ``register_shared_cache`` in the same module, or warm-state
-  snapshot restore and the test-isolation fixtures cannot reset it
-  (see ``src/repro/automata/kernel.py``).
+* **L002 lru_cache** -- no ``functools.lru_cache``: a module-level
+  memo table is process-global state that no session owns, so
+  ``Session.clear_caches()``, snapshot restore and the test-isolation
+  fixtures cannot reset it.  Memoize in the ambient session's
+  :class:`~repro.context.CacheScope` instead
+  (``current_scope().memo(...)``).
 * **L003 bare except** -- ``except:`` swallows ``KeyboardInterrupt``
   and the deadline alarm's exception; catch something.
 * **L004 unsorted __all__** -- module-level ``__all__`` literals must
@@ -105,26 +106,6 @@ def _decorator_is_lru_cache(node: ast.AST) -> bool:
     return isinstance(target, ast.Attribute) and target.attr == "lru_cache"
 
 
-def _registered_cache_names(tree: ast.Module) -> Set[str]:
-    """Function names whose ``.cache_clear`` is passed to a
-    ``register_shared_cache(...)`` call anywhere in the module."""
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        callee = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
-        if callee != "register_shared_cache":
-            continue
-        for arg in node.args:
-            if (isinstance(arg, ast.Attribute)
-                    and arg.attr == "cache_clear"
-                    and isinstance(arg.value, ast.Name)):
-                names.add(arg.value.id)
-    return names
-
-
 def _sorted_all_violation(node: ast.Assign) -> Optional[str]:
     """The L004 message for a module-level ``__all__`` literal, or
     None when the invariant holds (or is not statically checkable)."""
@@ -149,11 +130,9 @@ def _sorted_all_violation(node: ast.Assign) -> Optional[str]:
 
 
 class _Linter(ast.NodeVisitor):
-    def __init__(self, path: str, source_lines: List[str],
-                 registered_caches: Set[str]):
+    def __init__(self, path: str, source_lines: List[str]):
         self.path = path
         self.source_lines = source_lines
-        self.registered_caches = registered_caches
         self.scope: List[str] = []
         self.violations: List[Violation] = []
 
@@ -201,17 +180,16 @@ class _Linter(ast.NodeVisitor):
                 f"cannot interrupt it")
         self.generic_visit(node)
 
-    # -- L002: unregistered lru_cache ----------------------------------
+    # -- L002: lru_cache -----------------------------------------------
 
     def _check_lru_cache(self, node) -> None:
         for decorator in node.decorator_list:
-            if _decorator_is_lru_cache(decorator) \
-                    and node.name not in self.registered_caches:
+            if _decorator_is_lru_cache(decorator):
                 self._report(
                     "L002", decorator.lineno,
-                    f"lru_cache on {node.name!r} is not registered via "
-                    f"register_shared_cache({node.name}.cache_clear); "
-                    f"snapshot restore cannot reset it",
+                    f"lru_cache on {node.name!r} is process-global state "
+                    f"no session can clear; memoize in the ambient "
+                    f"CacheScope (current_scope().memo) instead",
                     qualname=self.qualname + "." + node.name
                     if self.scope else node.name)
 
@@ -238,8 +216,7 @@ class _Linter(ast.NodeVisitor):
 def lint_source(source: str, path: str) -> List[Violation]:
     """All violations in *source* (reported under *path*)."""
     tree = ast.parse(source, filename=path)
-    linter = _Linter(path, source.splitlines(),
-                     _registered_cache_names(tree))
+    linter = _Linter(path, source.splitlines())
     linter.visit(tree)
     return sorted(linter.violations, key=lambda v: (v.line, v.code))
 
