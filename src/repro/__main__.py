@@ -85,18 +85,6 @@ def _read_program(spec: str) -> Program:
     return parse_program(_read_source(spec))
 
 
-def _read_database(spec: str) -> Database:
-    """A facts file/literal: ground, body-less rules (``e(a, b).``)."""
-    program = parse_program(_read_source(spec))
-    atoms = []
-    for rule in program.rules:
-        if rule.body or rule.head.variable_set():
-            raise ReproError(
-                f"--db expects ground facts only, got rule {rule}")
-        atoms.append(rule.head)
-    return Database.from_atoms(atoms)
-
-
 def _session(args) -> Session:
     return Session(engine=ENGINE_CONFIGS[args.engine], name="cli")
 
@@ -353,9 +341,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_eval(args) -> int:
     session = _session(args)
-    decision = session.query(_read_program(args.program),
-                             _read_database(args.db), args.goal,
-                             max_stages=args.max_stages,
+    database = Database.from_source(_read_source(args.db))
+    decision = session.query(_read_program(args.program), database,
+                             args.goal, max_stages=args.max_stages,
                              deadline=args.deadline)
     _emit(decision, args.json)
     if not args.json:

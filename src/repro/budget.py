@@ -4,55 +4,26 @@ The paper's decision procedures are EXPTIME-hard (nonrecursive
 containment is EXPTIME-complete, boundedness is undecidable in
 general), so a long-running system *will* see individual decisions
 overrun any budget.  This module delivers deterministic "ran out of
-budget" outcomes through two cooperating enforcement tiers:
-
-**Precise tier (SIGALRM).**  ``signal.setitimer`` + ``SIGALRM``
-interrupts a pure-Python decision procedure mid-flight without
-threading the deadline through every loop.  Signals are delivered to
-the main thread only, so this tier covers pytest, the CLI, and the
-batch runner's worker processes (whose shards run on their main
-threads) -- but *not* helper threads or platforms without
-``setitimer``.
-
-**Cooperative tier (check hooks).**  :func:`time_budget` always
-installs the deadline in a :class:`contextvars.ContextVar`
+budget" outcomes with one mechanism: :func:`time_budget` installs the
+deadline in a :class:`contextvars.ContextVar`
 (tightest-enclosing-deadline-wins), and the hot loops of the
-evaluation and decision stack -- the plan/columnar fixpoint drivers,
-the antichain kernels, the profile searches -- call
-:func:`check_deadline` once per iteration.  The check is one
+evaluation and decision stack -- the fixpoint drivers and the
+interpretive join, the antichain and profile searches, rule-instance
+enumeration, query-automaton successor construction -- call
+:func:`check_deadline` once per outer iteration.  The check is one
 ContextVar read plus one clock read, so it is free when no deadline is
-armed, and it fires on *any* thread: a ``Session`` decision given a
-``deadline=`` times out cleanly off the main thread too.
+armed, and it fires the same way on a main thread, a worker thread and
+a pool process.
 
-When only the cooperative tier can enforce (non-main thread, or no
-``setitimer``), the budget is *degraded*: code that never reaches an
-instrumented loop cannot be interrupted.  That used to be silent;
-now it is a loud :class:`BudgetEnforcementWarning`, and an
-:class:`UnenforceableBudgetError` under ``strict=True``.
-
-Implementation notes (each is load-bearing):
-
-* The previous ``SIGALRM`` disposition and any pending itimer are
-  restored on exit, so nested budgets compose (the inner budget wins
-  while active, the outer one resumes with its remaining time).
-* The itimer is armed with a small *repeat interval*, not one-shot.
-  CPython discards exceptions that escape a ``gc.callbacks`` hook
-  (they go to ``sys.unraisablehook``), so a handler raise that lands
-  while the main thread happens to be inside a GC callback -- e.g.
-  Hypothesis' ``gc_cumulative_time`` hook -- is silently swallowed; a
-  one-shot alarm is then spent and the block runs forever.  The
-  interval re-fires until one raise lands in an interruptible frame.
-* :func:`disarm_alarm` exists for process-pool worker initializers: a
-  worker respawned after a crash must not inherit a dying worker's
-  armed itimer, or the first retried job would be killed by a stale
-  alarm (see :mod:`repro.resilience`).
+Hooks sit at outer-iteration granularity and never inside the update
+of a shared memo: a raise leaves every cache either without the entry
+or with a complete one.  Code that never reaches a hook cannot be
+interrupted, so a loop whose single pass can outlast a deadline needs
+its own hook.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from time import monotonic
@@ -68,31 +39,6 @@ class BudgetExhausted(Exception):
         self.seconds = seconds
 
 
-class BudgetEnforcementWarning(UserWarning):
-    """A budget was requested where only cooperative enforcement is
-    available (non-main thread, or no ``setitimer``): code outside the
-    instrumented loops cannot be interrupted."""
-
-
-class UnenforceableBudgetError(Exception):
-    """Raised by ``time_budget(..., strict=True)`` instead of degrading
-    to cooperative-only enforcement."""
-
-
-def budgets_enforceable() -> bool:
-    """True when the *precise* tier can enforce here: main thread, and
-    the platform has ``signal.setitimer``.  The cooperative tier
-    (:func:`check_deadline`) is available everywhere regardless."""
-    return (
-        hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-
-
-# ----------------------------------------------------------------------
-# Cooperative tier: the ambient deadline and its check hook.
-# ----------------------------------------------------------------------
-
 #: The tightest active deadline of this context: ``(expires_at,
 #: seconds)`` with ``expires_at`` on the monotonic clock, or None.
 _DEADLINE: ContextVar[Optional[Tuple[float, float]]] = ContextVar(
@@ -101,47 +47,33 @@ _DEADLINE: ContextVar[Optional[Tuple[float, float]]] = ContextVar(
 
 
 def check_deadline() -> None:
-    """Cooperative enforcement hook: raise :class:`BudgetExhausted`
-    when the ambient :func:`time_budget` deadline has passed.
+    """Raise :class:`BudgetExhausted` when the ambient
+    :func:`time_budget` deadline has passed.
 
     One ContextVar read when no deadline is armed, so the fixpoint
-    drivers and antichain kernels call it once per outer iteration at
-    negligible cost.  Works on any thread -- this is what makes
-    ``Session`` deadlines universal rather than main-thread-only.
+    drivers and search kernels call it once per outer iteration at
+    negligible cost.  The exception carries the *seconds* of the
+    budget that fired (the tightest enclosing one).
     """
     entry = _DEADLINE.get()
     if entry is not None and monotonic() >= entry[0]:
         raise BudgetExhausted(entry[1])
 
 
-def deadline_remaining() -> Optional[float]:
-    """Seconds left on the ambient deadline (None when unarmed;
-    0.0 once expired)."""
-    entry = _DEADLINE.get()
-    if entry is None:
-        return None
-    return max(0.0, entry[0] - monotonic())
-
-
-def disarm_alarm() -> None:
-    """Cancel any pending itimer and restore the default ``SIGALRM``
-    disposition (no-op off the main thread).
-
-    Pool-worker initializers call this on (re)spawn so a retried job
-    cannot inherit an armed timer from the incarnation that died
-    mid-budget -- without it, a stale alarm would kill the first job
-    of the respawned worker at an arbitrary point.
-    """
-    if not budgets_enforceable():
-        return
-    signal.setitimer(signal.ITIMER_REAL, 0.0)
-    signal.signal(signal.SIGALRM, signal.SIG_DFL)
-
-
 @contextmanager
-def _cooperative_deadline(seconds: float) -> Iterator[None]:
-    """Install the cooperative deadline for the block, tightest
-    enclosing deadline wins."""
+def time_budget(seconds: Optional[float]) -> Iterator[None]:
+    """Run the block under a wall-clock budget of *seconds*.
+
+    ``None`` (or a non-positive value) disables the budget.  Nested
+    budgets compose by tightest-wins: an inner budget looser than the
+    time an enclosing one has left changes nothing.  When the budget
+    fires, :class:`BudgetExhausted` propagates out of the block from
+    the next :func:`check_deadline` hook.
+    """
+    if seconds is None or seconds <= 0:
+        yield
+        return
+    seconds = float(seconds)
     expires = monotonic() + seconds
     outer = _DEADLINE.get()
     entry = outer if (outer is not None and outer[0] <= expires) \
@@ -151,80 +83,3 @@ def _cooperative_deadline(seconds: float) -> Iterator[None]:
         yield
     finally:
         _DEADLINE.reset(token)
-
-
-@contextmanager
-def _sigalrm_budget(seconds: float) -> Iterator[None]:
-    """The precise tier: arm SIGALRM for the block (main thread only)."""
-
-    def _expire(signum, frame):
-        raise BudgetExhausted(seconds)
-
-    # Repeat interval: a raise that lands inside a GC callback is
-    # swallowed by the interpreter (see module docstring), so keep
-    # ticking until one raise sticks.
-    interval = min(0.1, float(seconds))
-    previous_handler = signal.signal(signal.SIGALRM, _expire)
-    previous_timer = signal.setitimer(
-        signal.ITIMER_REAL, float(seconds), interval
-    )
-    try:
-        yield
-    finally:
-        while True:
-            try:
-                remaining = signal.setitimer(signal.ITIMER_REAL, 0.0)[0]
-                break
-            except BudgetExhausted:
-                # A tick landed between the block ending and the
-                # disarm; the block's outcome is already decided.
-                continue
-        signal.signal(signal.SIGALRM, previous_handler)
-        outer = previous_timer[0]
-        if outer > 0:
-            # Resume an enclosing budget with the time it has left
-            # (what it had when we started, minus what this block used).
-            used = max(0.0, seconds - remaining) if remaining else seconds
-            signal.setitimer(
-                signal.ITIMER_REAL,
-                max(0.001, outer - used),
-                min(0.1, outer),
-            )
-
-
-@contextmanager
-def time_budget(seconds: Optional[float], *,
-                strict: bool = False) -> Iterator[None]:
-    """Run the block under a wall-clock budget of *seconds*.
-
-    ``None`` (or a non-positive value) disables the budget.  When the
-    budget fires, :class:`BudgetExhausted` propagates out of the block.
-
-    Both tiers are armed when available: the cooperative deadline
-    (always -- any thread, consulted by :func:`check_deadline` in the
-    instrumented loops) and the precise ``SIGALRM`` itimer (main
-    thread with ``setitimer`` only).  Where only the cooperative tier
-    applies, a :class:`BudgetEnforcementWarning` is emitted -- code
-    outside instrumented loops cannot be interrupted there -- and
-    ``strict=True`` raises :class:`UnenforceableBudgetError` instead
-    of degrading.
-    """
-    if seconds is None or seconds <= 0:
-        yield
-        return
-    precise = budgets_enforceable()
-    if not precise:
-        message = (
-            f"wall-clock budget of {seconds}s is enforced cooperatively "
-            f"only (non-main thread or no setitimer): code that never "
-            f"reaches a check_deadline() hook cannot be interrupted"
-        )
-        if strict:
-            raise UnenforceableBudgetError(message)
-        warnings.warn(message, BudgetEnforcementWarning, stacklevel=3)
-    with _cooperative_deadline(float(seconds)):
-        if precise:
-            with _sigalrm_budget(float(seconds)):
-                yield
-        else:
-            yield

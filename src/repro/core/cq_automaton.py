@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..budget import check_deadline
 from ..context import current_scope
 from ..cq.query import ConjunctiveQuery
 from ..datalog.atoms import Atom
@@ -300,6 +301,7 @@ class CQAutomaton:
             return ((),) if partitions else ()
         found: Dict[Tuple[CQState, ...], None] = {}
         for rest, mapping1 in partitions:
+            check_deadline()
             for assignment in product(range(len(children)), repeat=len(rest)):
                 spans = [0] * len(children)
                 betas = [0] * len(children)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterator, List, Tuple
 
+from ..budget import check_deadline
 from ..context import current_scope, current_session
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
@@ -128,6 +129,7 @@ class InstanceEnumerator:
         body_templates = [template(atom) for atom in rule.body]
         is_idb = [atom.predicate in self._idb for atom in rule.body]
         for values in product(self._space, repeat=len(free)):
+            check_deadline()
             head = _build(head_template, values)
             if head != head_atom:
                 # The head unification bound a term-space variable (the

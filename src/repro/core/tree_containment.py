@@ -266,6 +266,7 @@ def _profile_search_bitset(ptrees: PTreeAutomaton, bunion: _UnionAutomaton,
         stats["rounds"] = generation
         changed = False
         for atom, label, children in goal_transitions:
+            check_deadline()
             if children:
                 options = [chains.get(child, ()) for child in children]
                 if any(not opts for opts in options):

@@ -174,6 +174,7 @@ def _linear_search_bitset(ptrees: PTreeAutomaton,
         atom, mask, path = frontier.pop()
         stats["pairs"] += 1
         for label in ptrees.enumerator.labels_for(atom):
+            check_deadline()
             if label.is_leaf():
                 accepted = False
                 remaining = mask

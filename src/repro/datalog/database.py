@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
+from ..budget import check_deadline
 from .atoms import Atom
 from .errors import ArityError, ValidationError
+from .parser import parse_program
 from .terms import Constant
 
 Fact = Tuple[str, Tuple[Constant, ...]]
@@ -26,6 +28,14 @@ Fact = Tuple[str, Tuple[Constant, ...]]
 def _bare(row: Iterable) -> tuple:
     """*row* with every :class:`Constant` unwrapped to its value."""
     return tuple(v.value if isinstance(v, Constant) else v for v in row)
+
+
+def _checked(items: Iterable) -> Iterator:
+    """*items*, checking the deadline before each: wrapping a
+    10^5-fact relation in :class:`Constant` views outlasts one."""
+    for item in items:
+        check_deadline()
+        yield item
 
 
 def _arity_error(predicate: str, known: int, other: int) -> ArityError:
@@ -72,6 +82,19 @@ class Database:
             db.add_atom(atom)
         return db
 
+    @classmethod
+    def from_source(cls, source: str) -> "Database":
+        """Parse a facts literal: ground, body-less Datalog rules
+        (``e(a, b). e(b, c).``)."""
+        atoms = []
+        for rule in parse_program(source).rules:
+            if rule.body or rule.head.variable_set():
+                raise ValidationError(
+                    f"a facts literal holds ground facts only, "
+                    f"got rule {rule}")
+            atoms.append(rule.head)
+        return cls.from_atoms(atoms)
+
     def add(self, predicate: str, row: Iterable) -> None:
         """Insert one tuple; :class:`Constant` entries are stored as
         their bare values."""
@@ -117,8 +140,9 @@ class Database:
         O(1)."""
         view = self._frozen.get(predicate)
         if view is None:
-            view = frozenset(tuple(map(Constant, row))
-                             for row in self._relations.get(predicate, ()))
+            view = frozenset(_checked(
+                tuple(map(Constant, row))
+                for row in self._relations.get(predicate, ())))
             self._frozen[predicate] = view
         return view
 
@@ -163,7 +187,7 @@ class Database:
         for rows in self._relations.values():
             for row in rows:
                 values.update(row)
-        view = frozenset(map(Constant, values))
+        view = frozenset(_checked(map(Constant, values)))
         self._domain = (self._version, view)
         return view
 

@@ -79,6 +79,7 @@ class _Store:
         self._rows: Dict[str, Set[Row]] = {}
         self._indexes: Dict[Tuple[str, int], Dict[Constant, Set[Row]]] = {}
         for predicate, row in database.facts():
+            check_deadline()
             self._rows.setdefault(predicate, set()).add(row)
 
     def rows(self, predicate: str) -> Set[Row]:
@@ -160,10 +161,12 @@ def _apply_rule(rule: Rule, store: _Store, domain: List[Constant],
         if source is not None or index_position is None:
             rows = source if source is not None else store.rows(atom.predicate)
             for binding in bindings:
+                check_deadline()
                 next_bindings.extend(_match_rows(atom, rows, binding))
         else:
             arg = atom.args[index_position]
             for binding in bindings:
+                check_deadline()
                 value = binding[arg] if is_variable(arg) else arg
                 rows = store.candidates(atom.predicate, index_position, value)
                 next_bindings.extend(_match_rows(atom, rows, binding))
@@ -175,6 +178,7 @@ def _apply_rule(rule: Rule, store: _Store, domain: List[Constant],
     derived: Set[Row] = set()
     head = rule.head
     for binding in bindings:
+        check_deadline()
         missing = [v for v in head.variable_set() if v not in binding]
         if missing:
             # Unsafe rule: instantiate unbound head variables over the

@@ -20,9 +20,9 @@ instead of batch aborts, via three cooperating pieces:
   (crash / hang / memory / corrupt, keyed by scenario, per-process job
   index, and attempt number) that the resilience tests and the CI
   chaos job use to prove every recovery path end-to-end.
-* universal deadlines live in :mod:`repro.budget` (the cooperative
-  ``check_deadline`` tier threaded through the fixpoint loops and
-  antichain searches); this package consumes them.
+* deadlines live in :mod:`repro.budget` (the ``check_deadline``
+  hooks threaded through the fixpoint loops and searches); this
+  package consumes them.
 """
 
 from __future__ import annotations

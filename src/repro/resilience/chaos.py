@@ -20,9 +20,9 @@ Fault kinds and what they exercise:
 ``hang``
     A stuck decision: a loop that spins for ``seconds`` calling
     :func:`repro.budget.check_deadline` -- the shape of a hot
-    instrumented loop that has stopped making progress.  The
-    cooperative deadline tier must interrupt it; without a deadline it
-    eventually completes (so planted hangs also measure watchdogs).
+    instrumented loop that has stopped making progress.  A deadline
+    must interrupt it; without one it eventually completes (so planted
+    hangs also measure watchdogs).
 ``memory``
     ``MemoryError`` mid-decision (the EXPTIME blow-up case), which the
     degradation ladder must absorb by retrying a cheaper rung.
@@ -249,8 +249,8 @@ def inject(scenario: str, nth: int, attempt: int, *,
         raise PayloadCorruption(
             f"chaos: corrupted payload planted on {scenario!r} "
             f"(attempt {attempt})")
-    # hang: a stuck-but-instrumented loop; the cooperative deadline
-    # tier must interrupt it (BudgetExhausted), else it completes.
+    # hang: a stuck-but-instrumented loop; a deadline must interrupt
+    # it (BudgetExhausted), else it completes.
     end = time.monotonic() + fault.seconds
     while time.monotonic() < end:
         check_deadline()

@@ -30,15 +30,13 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..budget import (BudgetEnforcementWarning, BudgetExhausted,
-                      disarm_alarm, time_budget)
+from ..budget import BudgetExhausted, time_budget
 from ..snapshot import set_snapshot_dir
 from . import chaos
 from .chaos import PayloadCorruption, SimulatedWorkerCrash, parse_schedule
@@ -182,25 +180,22 @@ class PoolConfig:
 def _worker_init(process: bool, snapshot_dir: Optional[str]) -> None:
     """The initializer of every spawned and respawned worker.
 
-    A process worker must not inherit a dying incarnation's armed
-    itimer (a stale alarm would kill its first job at an arbitrary
-    point) and must know it is a worker so chaos ``crash`` faults
-    really exit.  Thread workers share the submitting process, so they
-    get neither.  Both install the snapshot directory, so their
-    sessions restore warm state instead of cold-starting."""
+    A process worker must know it is a worker so chaos ``crash``
+    faults really exit; thread workers share the submitting process,
+    so they are not marked.  Both install the snapshot directory, so
+    their sessions restore warm state instead of cold-starting."""
     if process:
-        disarm_alarm()
         chaos.mark_worker()
     if snapshot_dir is not None:
         set_snapshot_dir(snapshot_dir)
 
 
-def attempt_loop(call: Callable[[str, Optional[float]], Any],
+def attempt_loop(call: Callable[[str], Any],
                  rungs: Sequence[str], config: PoolConfig, *, key: str,
                  label: str, deadline_s: Optional[float],
                  first_attempt: int = 1) -> Any:
-    """Try ``call(rung, deadline_s)`` until it answers or the tries
-    run out.
+    """Try ``call(rung)`` under a *deadline_s* budget until it
+    answers or the tries run out.
 
     Tries are numbered from *first_attempt* (above 1 when the pool
     resubmits after a worker death) up to ``config.max_attempts`` and
@@ -223,16 +218,11 @@ def attempt_loop(call: Callable[[str, Optional[float]], Any],
         rung = rungs[min(index, len(rungs) - 1)]
         nth = chaos.next_job_index()
         try:
-            with warnings.catch_warnings():
-                # Thread workers get the cooperative deadline tier
-                # only; the decision loops are instrumented, so that
-                # is expected, not warning-worthy per try.
-                warnings.simplefilter("ignore", BudgetEnforcementWarning)
-                # The budget covers chaos injection too: a planted
-                # hang is cut by the same deadline as the call.
-                with time_budget(deadline_s):
-                    chaos.inject(label, nth, attempt, schedule=schedule)
-                    result = call(rung, deadline_s)
+            # The budget covers chaos injection too: a planted hang is
+            # cut by the same deadline as the call.
+            with time_budget(deadline_s):
+                chaos.inject(label, nth, attempt, schedule=schedule)
+                result = call(rung)
         except Exception as exc:
             category = classify_failure(exc)
             failures.append(f"attempt {attempt} [{rung}] {category}: "

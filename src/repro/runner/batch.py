@@ -180,8 +180,7 @@ def _session_for(label: str, cache: str) -> Session:
     return worker_session(label, cache)
 
 
-def _run_cell(job: Job, engine_label: str,
-              deadline: Optional[float] = None) -> Decision:
+def _run_cell(job: Job, engine_label: str) -> Decision:
     """Run *job*'s scenario on an explicit engine -- the job's own
     engine normally, a ladder rung on degraded
     retries.  ``meta`` always carries the *requested* cell (the batch
@@ -192,7 +191,7 @@ def _run_cell(job: Job, engine_label: str,
         _SESSIONS.clear()
     session = _session_for(engine_label, job.cache)
     start = time.perf_counter()
-    decision = session.run_scenario(scenario, deadline=deadline)
+    decision = session.run_scenario(scenario)
     seconds = time.perf_counter() - start
     decision.meta.update({
         "scenario": job.scenario,

@@ -85,8 +85,7 @@ def _parse_args(argv=None):
     parser.add_argument("--no-write", action="store_true",
                         help="skip the trajectory write (CI smoke)")
     parser.add_argument("--deadline", type=float, default=None,
-                        help="per-job wall-clock deadline in seconds "
-                             "(enforced on and off the main thread)")
+                        help="per-job wall-clock deadline in seconds")
     parser.add_argument("--max-attempts", type=int, default=3,
                         help="total tries per job before quarantine "
                              "(default: 3)")

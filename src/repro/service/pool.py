@@ -18,9 +18,8 @@ the backoff jitter is keyed on the request's coalescing key.  The one
 rung is the request's own engine: a served record's fingerprint must
 match its coalescing key, so the service never degrades.
 
-Process workers get the precise SIGALRM deadline tier (pool jobs run
-on worker main threads); thread workers get the cooperative tier only,
-and there chaos ``crash`` faults raise
+A deadline fires the same way under both executors; under the thread
+executor chaos ``crash`` faults raise
 :class:`~repro.resilience.SimulatedWorkerCrash` instead of killing
 anything.
 """
@@ -28,7 +27,7 @@ anything.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..datalog.database import Database
 from ..datalog.errors import ReproError
@@ -39,7 +38,6 @@ from ..session import Decision, decide_payload
 from .protocol import Request
 
 __all__ = [
-    "database_from_source",
     "service_execute",
     "worker_cache_stats",
 ]
@@ -90,19 +88,6 @@ def worker_cache_stats() -> List[Dict[str, Any]]:
     ]
 
 
-def database_from_source(source: str) -> Database:
-    """An ``eval`` request's ``db`` field: ground, body-less rules
-    (``e(a, b).``), parsed with the normal Datalog front end."""
-    program = parse_program(source)
-    atoms = []
-    for rule in program.rules:
-        if rule.body or rule.head.variable_set():
-            raise ReproError(
-                f"'db' expects ground facts only, got rule {rule}")
-        atoms.append(rule.head)
-    return Database.from_atoms(atoms)
-
-
 def service_execute(op: str, payload: Dict[str, Any], key: str,
                     config: PoolConfig, first_attempt: int) -> Any:
     """Execute one request in the current worker: the payload-stripped
@@ -119,21 +104,20 @@ def service_execute(op: str, payload: Dict[str, Any], key: str,
     session = worker_session(request.engine, sessions=_sessions(),
                              name="service")
 
-    def call(_rung: str, deadline: Optional[float]) -> Decision:
+    def call(_rung: str) -> Decision:
         if op == "decide":
-            decision = session.run_payload(
-                payload["kind"], decide_payload(payload), deadline=deadline)
+            decision = session.run_payload(payload["kind"],
+                                           decide_payload(payload))
         elif op == "eval":
             # Count and checksum only: the goal rows would be stripped
             # from the record anyway, so never build them.
             decision = session.evaluate(
                 parse_program(payload["program"]),
-                database_from_source(payload["db"]),
+                Database.from_source(payload["db"]),
                 max_stages=payload.get("max_stages"),
-                goal=payload["goal"], deadline=deadline)
+                goal=payload["goal"])
         elif op == "scenario":
-            decision = session.run_scenario(payload["scenario"],
-                                            deadline=deadline)
+            decision = session.run_scenario(payload["scenario"])
         else:  # pragma: no cover - the server routes control ops
             raise ReproError(f"op {op!r} is not executable")
         decision.meta.setdefault("op", op)

@@ -402,16 +402,12 @@ class Session:
     @contextmanager
     def _deadline(self, seconds: Optional[float]) -> Iterator[None]:
         """Run the block under a per-call deadline (``None`` = no
-        deadline).  Enforced by both budget tiers -- the cooperative
-        ``check_deadline`` hooks in the fixpoint/antichain loops make
-        this work off the main thread too.  When the deadline fires,
-        this session's caches are dropped before the
-        :class:`~repro.budget.BudgetExhausted` propagates, since the
-        interrupt may have landed inside a cache-entry construction.
+        deadline of its own; an enclosing one still applies).  When
+        any budget fires inside the block, this session's caches are
+        dropped before the :class:`~repro.budget.BudgetExhausted`
+        propagates, since the interrupt may have landed inside a
+        cache-entry construction.
         """
-        if seconds is None:
-            yield
-            return
         try:
             with time_budget(seconds):
                 yield
@@ -834,7 +830,7 @@ class Session:
                                                 engine=engine)
                     verdict = decision.verdict
         except BudgetExhausted as exhausted:
-            self.clear_caches()
+            # self._deadline has already dropped the caches.
             if budget is None or exhausted.seconds != budget:
                 raise
             verdict = {"budget_exhausted": True}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -86,3 +87,24 @@ def random_graph_database(rng: random.Random, nodes: int = 5,
     if len(db) == 0:
         db.add(edge_pred, (names[0], names[min(1, nodes - 1)]))
     return db
+
+
+def run_in_thread(fn, timeout: float = 30.0):
+    """``fn()`` on a worker thread; returns its result or raises its
+    exception.  A wedged thread fails the test instead of hanging it
+    (it is a daemon, so it cannot keep the interpreter alive)."""
+    box = {}
+
+    def runner():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - relayed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=runner, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), f"worker thread still running after {timeout}s"
+    if "error" in box:
+        raise box["error"]
+    return box.get("result")

@@ -12,21 +12,11 @@ this suite must stay fast on single-core CI runners.
 
 import asyncio
 import json
-import signal
-import threading
 import time
-import warnings
 
 import pytest
 
-from repro.budget import (
-    BudgetEnforcementWarning,
-    BudgetExhausted,
-    UnenforceableBudgetError,
-    budgets_enforceable,
-    check_deadline,
-    time_budget,
-)
+from repro.budget import BudgetExhausted, check_deadline, time_budget
 from repro.resilience import (
     ENGINE_CHAIN,
     ERROR_CATEGORIES,
@@ -44,7 +34,6 @@ from repro.resilience import (
     parse_schedule,
 )
 from repro.resilience import chaos
-from repro.resilience.pool import _worker_init
 from repro.runner import cli as runner_cli
 from repro.runner.batch import (
     ENGINE_CONFIGS,
@@ -57,6 +46,8 @@ from repro.runner.batch import (
 )
 from repro.session import Decision, Session
 from repro.datalog.parser import parse_program
+
+from .conftest import run_in_thread
 
 # One boundedness + one containment scenario: small enough for
 # repeated pool spawns.
@@ -171,67 +162,23 @@ def test_backoff_is_deterministic_and_bounded():
 
 
 # ----------------------------------------------------------------------
-# Budgets off the main thread (the loud-degradation satellite).
+# Deadlines off the main thread.
 # ----------------------------------------------------------------------
-
-def _in_thread(fn):
-    box = {}
-
-    def runner():
-        try:
-            box["result"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - relayed to the test
-            box["error"] = exc
-
-    thread = threading.Thread(target=runner)
-    thread.start()
-    thread.join(timeout=30)
-    assert not thread.is_alive(), "worker thread wedged"
-    if "error" in box:
-        raise box["error"]
-    return box.get("result")
-
-
-def test_budget_off_main_thread_warns_loudly():
-    def body():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with time_budget(5.0):
-                pass
-        return caught
-
-    caught = _in_thread(body)
-    assert any(issubclass(w.category, BudgetEnforcementWarning)
-               for w in caught)
-    assert "cooperatively" in str(caught[0].message)
-
-
-def test_budget_off_main_thread_strict_raises():
-    def body():
-        with time_budget(5.0, strict=True):
-            pass
-
-    with pytest.raises(UnenforceableBudgetError):
-        _in_thread(body)
-
 
 def test_cooperative_deadline_fires_off_main_thread():
     def body():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BudgetEnforcementWarning)
-            with time_budget(0.1):
-                while True:
-                    check_deadline()
-                    time.sleep(0.005)
+        with time_budget(0.1):
+            while True:
+                check_deadline()
+                time.sleep(0.005)
 
     with pytest.raises(BudgetExhausted):
-        _in_thread(body)
+        run_in_thread(body)
 
 
 def test_session_deadline_fires_off_main_thread():
-    """``deadline=`` on a Session decision is honored where SIGALRM
-    cannot reach: the instrumented antichain loops hit the
-    cooperative hook."""
+    """``deadline=`` on a Session decision is honored off the main
+    thread: the instrumented antichain loops hit the hook."""
     program = parse_program(
         """
         buys(X, Y) :- likes(X, Y).
@@ -240,12 +187,10 @@ def test_session_deadline_fires_off_main_thread():
     )
 
     def body():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BudgetEnforcementWarning)
-            Session().bounded(program, "buys", deadline=1e-6)
+        Session().bounded(program, "buys", deadline=1e-6)
 
     with pytest.raises(BudgetExhausted):
-        _in_thread(body)
+        run_in_thread(body)
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +297,7 @@ def test_pool_wildcard_crash_quarantines_without_charging_neighbors():
 def _labelled_job(label, config, first_attempt):
     """A pool job: the attempt loop around a trivial decision."""
     return attempt_loop(
-        lambda _rung, _deadline: Decision("evaluation", {"label": label}),
+        lambda _rung: Decision("evaluation", {"label": label}),
         ["columnar"], config, key=label, label=label, deadline_s=None,
         first_attempt=first_attempt)
 
@@ -389,23 +334,6 @@ def test_worker_pool_quarantines_poison_beside_an_answering_neighbour(
     assert stats["retries"] >= config.max_attempts - 1
     if executor == "process":
         assert stats["respawns"] >= 1
-
-
-def test_worker_init_disarms_stale_itimer():
-    """The respawn bugfix: a worker inheriting a dying incarnation's
-    armed itimer must disarm it before its first job."""
-    if not budgets_enforceable():
-        pytest.skip("needs the main thread + setitimer")
-    was_worker = chaos.in_worker()
-    signal.setitimer(signal.ITIMER_REAL, 60.0)
-    try:
-        _worker_init(True, None)
-        assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
-        assert chaos.in_worker()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        chaos._IN_WORKER = was_worker  # don't leak worker-mode into
-        # later tests: a planted crash would then really exit pytest.
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,7 @@ def sock_path(tmp_path):
 
 def _serve(sock_path, **pool_kwargs):
     """An embedded thread-executor server (the deterministic mode:
-    chaos crashes simulate, deadlines are cooperative-tier)."""
+    chaos crashes simulate instead of killing a process)."""
     pool_kwargs.setdefault("workers", 1)
     pool_kwargs.setdefault("executor", "thread")
     config = ServiceConfig(
@@ -275,6 +275,23 @@ def test_deadline_is_a_typed_timeout(sock_path):
     assert response["type"] == "error"
     assert response["error"] == "timeout"
     assert elapsed < 10.0  # interrupted the 30s hang, not waited it out
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_deadline_cuts_an_infeasible_decision(sock_path, executor):
+    """A request deadline tighter than the scenario's own 1.5 s budget
+    cuts a real (unplanted) infeasible decision promptly, under both
+    executors: the same deadline fires on any thread."""
+    with _serve(sock_path, executor=executor, max_attempts=1):
+        with ServiceClient(socket_path=sock_path, timeout=30.0) as client:
+            started = time.perf_counter()
+            response = client.request({
+                "op": "scenario", "scenario": "stress_space_containment_n1",
+                "deadline_s": 0.5})
+            elapsed = time.perf_counter() - started
+    assert response["type"] == "error"
+    assert response["error"] == "timeout"
+    assert elapsed < 2.0, f"timeout answered after {elapsed:.2f}s"
 
 
 # ----------------------------------------------------------------------

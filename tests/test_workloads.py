@@ -147,11 +147,6 @@ def test_unknown_scenario_error_lists_names():
         get_scenario("no_such_scenario")
 
 
-# Budgeted tag:stress scenarios may have a SIGALRM raise land inside a
-# gc.callbacks hook (e.g. Hypothesis's timing hook), where CPython
-# discards it as unraisable; repro.budget re-fires until one sticks, so
-# the discarded raise is benign noise -- see tests/test_budget.py.
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 def test_all_decision_scenarios_hit_ground_truth():
     """Every registered decision scenario's verdict matches its
     constructed expectation (the registry's core guarantee;

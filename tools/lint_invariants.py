@@ -8,7 +8,7 @@ Four invariants, each with a stable code:
   ``changed``, ``delta``, ``work``, ...) must call
   ``check_deadline()`` somewhere in its body.  These loops are where
   the EXPTIME-hard decision procedures spend unbounded time; a loop
-  the cooperative deadline tier cannot interrupt silently defeats
+  no deadline can interrupt silently defeats
   ``time_budget`` (see ``src/repro/budget.py``).
 * **L002 lru_cache** -- no ``functools.lru_cache``: a module-level
   memo table is process-global state that no session owns, so
@@ -17,7 +17,7 @@ Four invariants, each with a stable code:
   :class:`~repro.context.CacheScope` instead
   (``current_scope().memo(...)``).
 * **L003 bare except** -- ``except:`` swallows ``KeyboardInterrupt``
-  and the deadline alarm's exception; catch something.
+  and ``BudgetExhausted``; catch something.
 * **L004 unsorted __all__** -- module-level ``__all__`` literals must
   be ASCII-sorted so export diffs stay reviewable.
 
@@ -176,8 +176,7 @@ class _Linter(ast.NodeVisitor):
             self._report(
                 "L001", node.lineno,
                 f"fixpoint loop over {', '.join(hot)} never calls "
-                f"check_deadline(); the cooperative deadline tier "
-                f"cannot interrupt it")
+                f"check_deadline(); no deadline can interrupt it")
         self.generic_visit(node)
 
     # -- L002: lru_cache -----------------------------------------------
@@ -199,7 +198,7 @@ class _Linter(ast.NodeVisitor):
         if node.type is None:
             self._report("L003", node.lineno,
                          "bare 'except:' swallows KeyboardInterrupt "
-                         "and the deadline alarm")
+                         "and BudgetExhausted")
         self.generic_visit(node)
 
     # -- L004: unsorted __all__ ----------------------------------------
