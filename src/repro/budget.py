@@ -9,8 +9,9 @@ deadline in a :class:`contextvars.ContextVar`
 (tightest-enclosing-deadline-wins), and the hot loops of the
 evaluation and decision stack -- the fixpoint drivers and the
 interpretive join, the antichain and profile searches, rule-instance
-enumeration, query-automaton successor construction -- call
-:func:`check_deadline` once per outer iteration.  The check is one
+enumeration, query-automaton successor construction, expansion
+enumeration and unfolding, the parser -- call :func:`check_deadline`
+once per outer iteration.  The check is one
 ContextVar read plus one clock read, so it is free when no deadline is
 armed, and it fires the same way on a main thread, a worker thread and
 a pool process.

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..budget import check_deadline
 from .atoms import Atom
 from .errors import ParseError
 from .program import Program
@@ -66,6 +67,10 @@ def _tokenize(source: str) -> List[_Token]:
             column += 2
             continue
         if ch in "(),.":
+            if ch == ".":
+                # Once per statement: a 1 MiB facts literal takes
+                # seconds to read.
+                check_deadline()
             tokens.append(_Token("symbol", ch, line, column))
             i += 1
             column += 1
@@ -170,6 +175,7 @@ class _Parser:
     def parse_program(self) -> Program:
         rules: List[Rule] = []
         while self._peek().kind != "eof":
+            check_deadline()
             rules.append(self.parse_rule())
         return Program(rules)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..budget import check_deadline
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from .analysis import is_recursive, slice_for_goal, topological_order
 from .atoms import Atom
@@ -73,6 +74,7 @@ def unfold_nonrecursive(program: Program, goal: str,
                     continue
                 next_states: List[Tuple[Substitution, Tuple[Atom, ...]]] = []
                 for subst, collected in states:
+                    check_deadline()
                     call = apply_to_atom(atom, subst)
                     for template in templates.get(atom.predicate, ()):
                         renamed = _rename_query(template, factory)
@@ -84,6 +86,7 @@ def unfold_nonrecursive(program: Program, goal: str,
                 if not states:
                     break
             for subst, collected in states:
+                check_deadline()
                 head = apply_to_atom(fresh_rule.head, subst)
                 body = apply_to_atoms(collected, subst)
                 expansions_for.append(ConjunctiveQuery(head, body))
@@ -93,6 +96,7 @@ def unfold_nonrecursive(program: Program, goal: str,
     factory.avoid(v.name for v in head.variable_set())
     disjuncts: List[ConjunctiveQuery] = []
     for template in templates.get(goal, ()):
+        check_deadline()
         renamed = _rename_query(template, factory)
         unified = unify_tuples(renamed.head.args, head.args, {})
         if unified is None:
@@ -133,6 +137,7 @@ def expansions(program: Program, goal: str, max_height: int,
             return
         call = apply_to_atom(atom, subst)
         for rule in program.rules_for(atom.predicate):
+            check_deadline()
             fresh_rule = rule.rename_apart(factory)
             unified = unify_tuples(fresh_rule.head.args, call.args, subst)
             if unified is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
 
@@ -108,3 +109,16 @@ def run_in_thread(fn, timeout: float = 30.0):
     if "error" in box:
         raise box["error"]
     return box.get("result")
+
+
+@pytest.fixture
+def frozen_heap():
+    """Move every object the test process already holds into the
+    collector's permanent generation for the test's duration, so a
+    wall-clock assertion times the code under test rather than a full
+    collection over the heap earlier tests left behind (several
+    million objects late in the suite, about 2 s per pass; a forked
+    pool worker inherits the same heap)."""
+    gc.freeze()
+    yield
+    gc.unfreeze()

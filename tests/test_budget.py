@@ -72,6 +72,7 @@ TIGHTEST_WINS_CELLS = [
 ]
 
 
+@pytest.mark.usefixtures("frozen_heap")
 @pytest.mark.parametrize("on_thread", [False, True],
                          ids=["main", "worker"])
 @pytest.mark.parametrize("name,engine", TIGHTEST_WINS_CELLS,
@@ -103,6 +104,7 @@ def test_budgeted_scenario_reports_exhaustion_as_its_verdict():
     assert result["ok"] is True  # exhaustion IS the expected verdict
 
 
+@pytest.mark.usefixtures("frozen_heap")
 def test_budgeted_scenario_reports_exhaustion_on_a_worker_thread():
     scenario = get_scenario("stress_space_containment_n1")
     started = time.monotonic()

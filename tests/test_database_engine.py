@@ -36,6 +36,17 @@ class TestDatabase:
         with pytest.raises(ValidationError):
             db.add_atom(make_atom("p", "X"))
 
+    def test_from_source_reads_ground_facts(self):
+        db = Database.from_source("e(a, b). e(b, c). f(1).")
+        assert db == Database.from_facts(
+            [("e", ("a", "b")), ("e", ("b", "c")), ("f", (1,))])
+
+    @pytest.mark.parametrize("source", ["p(X).", "p(a) :- q(a)."])
+    def test_from_source_rejects_rules_and_variables(self, source):
+        with pytest.raises(ValidationError,
+                           match="a facts literal holds ground facts only"):
+            Database.from_source(source)
+
     def test_active_domain(self):
         db = Database.from_facts([("e", ("a", "b")), ("f", ("c",))])
         assert db.active_domain() == {Constant("a"), Constant("b"), Constant("c")}

@@ -277,6 +277,7 @@ def test_deadline_is_a_typed_timeout(sock_path):
     assert elapsed < 10.0  # interrupted the 30s hang, not waited it out
 
 
+@pytest.mark.usefixtures("frozen_heap")
 @pytest.mark.parametrize("executor", ["thread", "process"])
 def test_deadline_cuts_an_infeasible_decision(sock_path, executor):
     """A request deadline tighter than the scenario's own 1.5 s budget
@@ -288,6 +289,42 @@ def test_deadline_cuts_an_infeasible_decision(sock_path, executor):
             response = client.request({
                 "op": "scenario", "scenario": "stress_space_containment_n1",
                 "deadline_s": 0.5})
+            elapsed = time.perf_counter() - started
+    assert response["type"] == "error"
+    assert response["error"] == "timeout"
+    assert elapsed < 2.0, f"timeout answered after {elapsed:.2f}s"
+
+
+#: Nonlinear transitive closure: the number of expansions grows doubly
+#: exponentially with the height, so a deep expansion union cannot be
+#: built within any deadline.
+_BRANCHING = "p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,Z), p(Z,Y).\n"
+
+#: A nonrecursive program whose unfolding at ``q10`` has 2^(2^10)
+#: disjuncts (the Section 6 blowup).
+_DOUBLING = "\n".join(
+    ["q0(X,Y) :- e(X,Y).", "q0(X,Y) :- f(X,Y)."]
+    + [f"q{i}(X,Y) :- q{i - 1}(X,Z), q{i - 1}(Z,Y)." for i in range(1, 11)])
+
+
+@pytest.mark.usefixtures("frozen_heap")
+@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("fields", [
+    {"kind": "boundedness", "max_depth": 12},
+    {"kind": "containment", "union_depth": 8},
+    {"kind": "containment", "union": _DOUBLING, "union_goal": "q10"},
+], ids=["boundedness_max_depth", "containment_union_depth",
+        "containment_unfolded_union"])
+def test_deadline_cuts_a_deep_decide_request(sock_path, executor, fields):
+    """The client picks the depths of a ``decide`` request, so building
+    its expansion union or unfolding its nonrecursive target is part of
+    the budgeted work: a deadline cuts it there, on both executors."""
+    with _serve(sock_path, executor=executor, max_attempts=1):
+        with ServiceClient(socket_path=sock_path, timeout=30.0) as client:
+            started = time.perf_counter()
+            response = client.request({
+                "op": "decide", "program": _BRANCHING, "goal": "p",
+                "deadline_s": 0.5, **fields})
             elapsed = time.perf_counter() - started
     assert response["type"] == "error"
     assert response["error"] == "timeout"
@@ -384,6 +421,26 @@ def test_malformed_lines_do_not_kill_the_connection(sock_path):
 
             response = client.request({"op": "scenario",
                                        "scenario": "bounded_buys"})
+            assert response["type"] == "decision"
+
+
+@pytest.mark.parametrize("db", ["e(X, b).", "e(a, b) :- f(a)."])
+def test_eval_rejects_a_facts_literal_with_rules(sock_path, db):
+    """An ``eval`` whose ``db`` is not ground facts gets a typed error
+    naming the offending rule; the connection keeps serving."""
+    with _serve(sock_path, max_attempts=1):
+        with ServiceClient(socket_path=sock_path) as client:
+            response = client.request({
+                "op": "eval", "id": "bad-db", "goal": "p",
+                "program": "p(X, Y) :- e(X, Y).", "db": db})
+            assert (response["type"], response["error"]) == \
+                ("error", "error")
+            assert response["id"] == "bad-db"
+            assert "a facts literal holds ground facts only" in \
+                response["message"]
+            response = client.request({
+                "op": "eval", "goal": "p",
+                "program": "p(X, Y) :- e(X, Y).", "db": "e(a, b)."})
             assert response["type"] == "decision"
 
 
