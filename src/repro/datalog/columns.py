@@ -15,13 +15,17 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   stores (``str`` hashes are computed in C and cached), never by
   :class:`Constant` objects.  The extensional part is built once per
   :class:`Database` into an immutable :class:`EdbImage` (C-level
-  ``itemgetter`` transpose, bulk ``map`` interning) and cached, so
-  repeated evaluations over the same database -- fixpoint probes,
-  benchmark repeats, magic counts -- skip re-interning entirely.  The
-  image cache lives in the ambient session's cache scope
-  (:mod:`repro.context`), so ``clear_shared_caches()`` /
-  ``Session.clear_caches()`` (cold benchmark mode) drop it along with
-  the automaton caches and two live sessions never share images.
+  ``itemgetter`` transpose, one distinct-values set pass per relation,
+  bulk ``map`` interning) and cached, so repeated evaluations over the
+  same database -- fixpoint probes, benchmark repeats, magic counts --
+  skip re-interning entirely.  The image cache lives in the ambient
+  session's cache scope (:mod:`repro.context`), so
+  ``clear_shared_caches()`` / ``Session.clear_caches()`` (cold
+  benchmark mode) drop it along with the automaton caches and two live
+  sessions never share images.  The active domain is never maintained
+  row by row: it is the image's extensional ids plus the program's
+  resolved constants, gathered only for programs with unsafe rules
+  (:meth:`ColumnStore.domain`).
 * **Batch execution of join plans.**  :func:`execute_batch_fused` runs
   a :class:`~repro.datalog.plan.ResolvedPlan` over a whole frontier at
   once.  The frontier is a set of register *columns*; each plan step
@@ -165,12 +169,12 @@ class EdbImage:
     """The immutable columnar form of one :class:`Database`.
 
     Holds the interner (``ids``/``values``, keyed by bare values),
-    per-relation id columns, the extensional active domain, and
-    lazily-built hash indexes.  Shared across evaluations:
-    :class:`ColumnStore` copies only what it mutates (the domain set
-    and any relation a program derives into).  The interner is
-    deliberately *shared and append-only* -- later programs may add
-    their constants, which never invalidates existing columns.
+    per-relation id columns, the extensional active domain (the ids
+    the build handed out), and lazily-built hash indexes.  Shared
+    across evaluations: :class:`ColumnStore` copies only the relations
+    a program derives into.  The interner is deliberately *shared and
+    append-only* -- later programs may add their constants, which never
+    invalidates existing columns and never enters ``domain``.
     """
 
     __slots__ = ("ids", "values", "cols", "counts", "domain", "indexes",
@@ -185,7 +189,6 @@ class EdbImage:
         self.values: List[object] = []
         self.cols: Dict[str, Tuple[array, ...]] = {}
         self.counts: Dict[str, int] = {}
-        self.domain: Set[int] = set()
         self.indexes: Dict[Tuple[str, int], Dict[int, List[int]]] = {}
         # Materialized-view cache of the fused path: (predicate, arity,
         # base, packed keyset) -> frozenset of constant rows.  Keyed by
@@ -195,25 +198,26 @@ class EdbImage:
         self.version = database.version()
         ids, values = self.ids, self.values
         for predicate, rows in database.relations():
+            check_deadline()
             if not rows:
                 continue
             # C-level transpose: one itemgetter pass per column (two
             # iterations of an unmodified set visit rows in one order).
             columns = [list(map(itemgetter(position), rows))
                        for position in range(database.arity(predicate))]
-            int_cols: List[array] = []
-            for column in columns:
-                # Distinct unseen values only, numbered in C.
-                missing = list(set(column).difference(ids))
-                ids.update(zip(missing, range(len(values),
-                                              len(values) + len(missing))))
-                values.extend(missing)
-                # (Building the array from a list takes its bulk path.)
-                int_col = array("q", list(map(ids.__getitem__, column)))
-                int_cols.append(int_col)
-                self.domain.update(int_col)
-            self.cols[predicate] = tuple(int_cols)
+            # The relation's distinct unseen values, numbered in C.
+            missing = list(set().union(*columns).difference(ids))
+            ids.update(zip(missing, range(len(values),
+                                          len(values) + len(missing))))
+            values.extend(missing)
+            # (Building the array from a list takes its bulk path.)
+            self.cols[predicate] = tuple(
+                array("q", list(map(ids.__getitem__, column)))
+                for column in columns)
             self.counts[predicate] = len(rows)
+        # The interner started empty and every value above came from a
+        # column, so the extensional active domain is every id so far.
+        self.domain: Set[int] = set(range(len(values)))
 
     def __getstate__(self):
         # Snapshot support: indexes and materialized views are derived
@@ -353,18 +357,18 @@ class ColumnStore:
     against it through :meth:`resolve`.
     """
 
-    __slots__ = ("_image", "_idb", "_ids", "_values", "_domain", "_cols",
+    __slots__ = ("_image", "_idb", "_ids", "_values", "_constants", "_cols",
                  "_counts", "_keys", "_indexes", "_arity", "base")
 
     def __init__(self, database: Database, idb: Iterable[str]):
         image = edb_image(database)
         self._image = image
         self._idb = frozenset(idb)
-        # The interner is shared (append-only); the domain is private
-        # (programs add their constants and derived values to it).
+        # The interner is shared (append-only); the program's constants
+        # are private (they join this evaluation's active domain only).
         self._ids = image.ids
         self._values = image.values
-        self._domain: Set[int] = set(image.domain)
+        self._constants: Set[int] = set()
         self._cols: Dict[str, List[List[int]]] = {}
         self._counts: Dict[str, int] = {}
         self._keys: Dict[str, Set[int]] = {}
@@ -389,7 +393,7 @@ class ColumnStore:
             ident = len(self._values)
             self._ids[value] = ident
             self._values.append(value)
-        self._domain.add(ident)
+        self._constants.add(ident)
         return ident
 
     # -- relation access ----------------------------------------------
@@ -453,9 +457,9 @@ class ColumnStore:
     def add_keys(self, predicate: str, keys: Iterable[int],
                  arity: int) -> Optional[Batch]:
         """Insert rows (given by packed key); maintain columns, the
-        keyset, registered indexes, and the domain; return the
-        genuinely fresh rows as a :class:`Batch` (``None`` when every
-        row was already present)."""
+        keyset and registered indexes; return the genuinely fresh rows
+        as a :class:`Batch` (``None`` when every row was already
+        present)."""
         existing = self.keyset(predicate)
         fresh = set(keys).difference(existing)
         if not fresh:
@@ -469,10 +473,8 @@ class ColumnStore:
             self._counts[predicate] = 0
         start = self._counts[predicate]
         count = len(fresh_keys)
-        domain = self._domain
         for column, fresh_column in zip(cols, fresh_cols):
             column.extend(fresh_column)
-            domain.update(fresh_column)
         self._counts[predicate] = start + count
         self._arity.setdefault(predicate, arity)
         for (pred, position), index in self._indexes.items():
@@ -486,25 +488,26 @@ class ColumnStore:
 
     def domain(self) -> List[int]:
         """The active domain, deterministically ordered (only consulted
-        when some rule is unsafe)."""
-        return sorted(self._domain)
+        when some rule is unsafe).
+
+        A derived row's ids come from body rows, head constants or this
+        domain, so derivation never widens it: the image's extensional
+        domain plus the program's constants is the whole of it, fixed
+        once every plan is resolved.  Constants that other programs
+        appended to the shared interner stay out.
+        """
+        return sorted(self._image.domain.union(self._constants))
 
     @property
     def idb(self) -> frozenset:
         """The predicates this store derives into."""
         return self._idb
 
-    def value_rows(self, predicate: str) -> List[tuple]:
-        """The relation as bare-value tuples gathered from the id
-        columns (C-level ``zip`` over ``map``); builds no
-        :class:`Constant`."""
-        if not self.count(predicate):
-            return []
-        cols = self.cols(predicate)
-        if not cols:  # 0-ary relation with at least one (empty) row
-            return [()]
+    def value_columns(self, predicate: str) -> List[Iterable]:
+        """The relation's columns as bare values, read lazily off the
+        id columns (C-level ``map``); builds no :class:`Constant`."""
         getter = self._values.__getitem__
-        return list(zip(*[map(getter, col) for col in cols]))
+        return [map(getter, col) for col in self.cols(predicate)]
 
     def unintern_rows(self, predicate: str):
         """The relation as a frozenset of constant tuples -- C-level
@@ -907,11 +910,11 @@ def columnar_naive(program: Program, database: Database,
     full = _resolved_plans(program, store, cache)
     store.seal()
     needs_domain = any(rplan.unsafe_regs for _, _, _, rplan in full)
+    domain = store.domain() if needs_domain else ()
     stage = 0
     fixpoint = False
     while max_stages is None or stage < max_stages:
         check_deadline()
-        domain = store.domain() if needs_domain else ()
         derived: Dict[str, Tuple[Set[int], int]] = {}
         for _, head_predicate, arity, rplan in full:
             keys = execute_batch_fused(rplan, store, domain,
@@ -987,7 +990,6 @@ def columnar_seminaive(program: Program, database: Database,
 
     while any(delta.values()) and (max_stages is None or stage < max_stages):
         check_deadline()
-        domain = store.domain() if needs_domain else ()
         new_delta: Dict[str, Optional[Batch]] = {p: None for p in idb}
         changed = False
         for (rule, head_predicate, arity, _), variants in zip(full, delta_plans):

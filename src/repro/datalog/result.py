@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, FrozenSet, Optional, Tuple
 
+from ..budget import check_deadline
 from .database import Database
 from .terms import Constant
 
@@ -58,7 +59,7 @@ class EvaluationResult:
 
     Built either from eager *idb* rows or from a columnar *store*
     (anything with ``idb``, ``count``, ``unintern_rows`` and
-    ``value_rows``); in the latter case rows are un-interned per
+    ``value_columns``); in the latter case rows are un-interned per
     predicate on first request and cached.
     """
 
@@ -103,7 +104,18 @@ class EvaluationResult:
         :class:`Constant` is built."""
         if self._store is None or predicate not in self._predicates:
             return rows_checksum(self.facts(predicate))
-        return _digest(sorted(self._store.value_rows(predicate)))
+        columns = self._store.value_columns(predicate)
+        check_deadline()
+        if len(columns) == 1:
+            # Distinct 1-tuples sort as their values do: sort the bare
+            # values and wrap them only for the repr.
+            rows = list(zip(sorted(columns[0])))
+        elif columns:
+            rows = sorted(zip(*columns))
+        else:  # nothing derived, or a 0-ary relation's one empty row
+            rows = [()] if self._store.count(predicate) else []
+        check_deadline()
+        return _digest(rows)
 
     def as_database(self, base: Optional[Database] = None) -> Database:
         """The derived facts as a database, optionally merged onto *base*."""

@@ -296,7 +296,8 @@ def bounded_unbounded_pairs(count: int, seed: int = 0) -> List[Tuple[Program, st
 
 def chain_edges(length: int) -> List[Edge]:
     """``v0 -> v1 -> ... -> v<length>``."""
-    return [(f"v{i}", f"v{i+1}") for i in range(length)]
+    names = [f"v{i}" for i in range(length + 1)]
+    return list(zip(names, names[1:]))
 
 
 def tree_edges(depth: int, branching: int) -> List[Edge]:
@@ -317,13 +318,15 @@ def tree_edges(depth: int, branching: int) -> List[Edge]:
 
 def grid_edges(rows: int, cols: int) -> List[Edge]:
     """Right/down edges of a *rows* x *cols* grid (monotone paths)."""
+    names = [[f"g{r}_{c}" for c in range(cols)] for r in range(rows)]
     edges: List[Edge] = []
-    for r in range(rows):
-        for c in range(cols):
+    for r, row in enumerate(names):
+        below = names[r + 1] if r + 1 < rows else None
+        for c, node in enumerate(row):
             if c + 1 < cols:
-                edges.append((f"g{r}_{c}", f"g{r}_{c+1}"))
-            if r + 1 < rows:
-                edges.append((f"g{r}_{c}", f"g{r+1}_{c}"))
+                edges.append((node, row[c + 1]))
+            if below is not None:
+                edges.append((node, below[c]))
     return edges
 
 
@@ -332,15 +335,26 @@ def random_graph_edges(nodes: int, edges: int, seed: int = 0) -> List[Edge]:
     vertices, drawn deterministically from ``Random(seed)``."""
     rng = random.Random(seed)
     names = [f"u{i}" for i in range(nodes)]
-    seen: Set[Edge] = set()
+    seen: Set[int] = set()  # a * nodes + b per drawn edge a -> b
     out: List[Edge] = []
     limit = nodes * (nodes - 1)
     target = min(edges, limit)
+    # ``rng.choice(names)`` inlined: the same rejection loop over
+    # ``getrandbits(nodes.bit_length())``, so the random stream -- and
+    # with it every edge and its position -- is the one ``choice`` draws.
+    getrandbits = rng.getrandbits
+    bits = nodes.bit_length()
     while len(out) < target:
-        a, b = rng.choice(names), rng.choice(names)
-        if a != b and (a, b) not in seen:
-            seen.add((a, b))
-            out.append((a, b))
+        a = getrandbits(bits)
+        while a >= nodes:
+            a = getrandbits(bits)
+        b = getrandbits(bits)
+        while b >= nodes:
+            b = getrandbits(bits)
+        key = a * nodes + b
+        if a != b and key not in seen:
+            seen.add(key)
+            out.append((names[a], names[b]))
     return out
 
 

@@ -360,6 +360,63 @@ def test_checksum_identity_zero_ary_and_empty():
     assert result.checksum("n") == result.checksum("z") == rows_checksum(())
 
 
+#: One IDB predicate per checksum path: arities 0-3, empty relations,
+#: int and str values in different columns, and head constants (``k``,
+#: ``7``) that only the program holds, so they are interned after the
+#: image was built.
+MIXED_PROGRAM = """
+z :- e(X, Y).
+none :- e(X, X).
+one(X) :- e(X, Y).
+num(N) :- w(N, S).
+kone(k) :- e(X, Y).
+hollow(X) :- e(X, X).
+two(N, S) :- w(N, S).
+swap(S, N) :- w(N, S).
+hollow2(X, Y) :- e(X, X), e(Y, Y).
+three(X, k, N) :- e(X, Y), w(N, Y).
+seven(N, 7, S) :- w(N, S).
+"""
+
+
+@pytest.mark.parametrize("strategy", ["naive", "seminaive"])
+def test_checksum_identity_every_arity(strategy):
+    program = parse_program(MIXED_PROGRAM)
+    database = gen.edges_database(gen.chain_edges(5), ("e",))
+    database.add_rows("w", [(1, "v1"), (2, "v2"), (3, "v2"), (10, "x")])
+    image = edb_image(database)
+    assert "k" not in image.ids and 7 not in image.ids
+    result = Engine(EngineConfig(strategy=strategy)).evaluate(program,
+                                                              database)
+    assert {p: result.count(p) for p in program.idb_predicates} == {
+        "z": 1, "none": 0, "one": 5, "num": 4, "kone": 1, "hollow": 0,
+        "two": 4, "swap": 4, "hollow2": 0, "three": 3, "seven": 4}
+    _assert_lazy_surface(program, result)
+    assert result.checksum("kone") == rows_checksum([("k",)])
+    assert result.idb == INTERPRETIVE.evaluate(program, database).idb
+
+
+def test_checksum_identity_unsafe_head_on_a_cached_image():
+    """An unsafe head ranges over the database's values and the
+    program's own constants -- not over constants another program
+    appended to the shared interner of the same cached image."""
+    database = gen.edges_database(gen.chain_edges(3), ("e",))
+    image = edb_image(database)
+    other = parse_program("o(X) :- e(X, stray).\no(elsewhere) :- e(X, Y).")
+    COLUMNAR.evaluate(other, database)
+    assert {"stray", "elsewhere"} <= set(image.ids)
+    unsafe = parse_program("u(X, Y) :- e(X, Z).\nu(own, own) :- e(X, Y).\n"
+                           "s(Y) :- u(X, Y), e(Y, Z).")
+    columnar = COLUMNAR.evaluate(unsafe, database)
+    assert edb_image(database) is image
+    interpretive = INTERPRETIVE.evaluate(unsafe, database)
+    assert columnar.idb == interpretive.idb
+    assert (columnar.stages, columnar.fixpoint) == (interpretive.stages,
+                                                    interpretive.fixpoint)
+    assert columnar.count("u") == 3 * 5 + 1  # 3 sources x {v0..v3, own}
+    _assert_lazy_surface(unsafe, columnar)
+
+
 def test_count_and_checksum_never_unintern(monkeypatch):
     calls = []
     original = ColumnStore.unintern_rows

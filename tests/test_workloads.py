@@ -11,6 +11,9 @@ Covers the two properties the subsystem exists to provide:
   certificate checker.
 """
 
+import hashlib
+import random
+
 import pytest
 
 from repro.core.boundedness import decide_boundedness
@@ -24,7 +27,9 @@ from repro.workloads import (
     bounded_program,
     bounded_rewriting,
     bounded_unbounded_pairs,
+    chain_edges,
     get_scenario,
+    grid_edges,
     random_graph_edges,
     reachable_pairs,
     run_scenario,
@@ -70,6 +75,87 @@ def test_random_graph_deterministic_and_seed_sensitive():
     edges = random_graph_edges(10, 30, seed=1)
     assert len(edges) == len(set(edges)) == 30
     assert all(a != b for a, b in edges)
+
+
+# Reference implementations of the edge generators: ``rng.choice`` per
+# endpoint, node names formatted per edge.  The production generators
+# must return these lists exactly, so no scenario's input moves.
+
+def _reference_random_graph_edges(nodes, edges, seed=0):
+    rng = random.Random(seed)
+    names = [f"u{i}" for i in range(nodes)]
+    seen = set()
+    out = []
+    target = min(edges, nodes * (nodes - 1))
+    while len(out) < target:
+        a, b = rng.choice(names), rng.choice(names)
+        if a != b and (a, b) not in seen:
+            seen.add((a, b))
+            out.append((a, b))
+    return out
+
+
+def _reference_grid_edges(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append((f"g{r}_{c}", f"g{r}_{c+1}"))
+            if r + 1 < rows:
+                edges.append((f"g{r}_{c}", f"g{r+1}_{c}"))
+    return edges
+
+
+def _reference_chain_edges(length):
+    return [(f"v{i}", f"v{i+1}") for i in range(length)]
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    (16, 60),       # powers of two: nodes.bit_length() is one more
+    (64, 500),      # than (nodes - 1).bit_length()
+    (2, 2),         # the smallest graph with an edge
+    (5, 100),       # more edges asked than nodes * (nodes - 1) exist
+    (60, 180),      # eval_tc_random_s13's size
+    (1, 4), (0, 4),
+])
+@pytest.mark.parametrize("seed", [13, 29])
+def test_random_graph_edges_match_rng_choice(nodes, edges, seed):
+    assert random_graph_edges(nodes, edges, seed=seed) == \
+        _reference_random_graph_edges(nodes, edges, seed=seed)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 9), (9, 1), (3, 5), (230, 230)])
+def test_grid_edges_match_reference(rows, cols):
+    assert grid_edges(rows, cols) == _reference_grid_edges(rows, cols)
+
+
+@pytest.mark.parametrize("length", [0, 1, 100_000])
+def test_chain_edges_match_reference(length):
+    assert chain_edges(length) == _reference_chain_edges(length)
+
+
+#: sha1 of ``repr`` of each ``tag:scale`` payload's edge list, so the
+#: benchmark's inputs cannot drift without this test failing.
+SCALE_EDGE_PINS = {
+    "scale_chain_2hop_100k": (
+        lambda: chain_edges(100_000),
+        "7a99a1072cc8febc99e4b517d954da0670289a1b"),
+    "scale_random_reach_120k": (
+        lambda: random_graph_edges(60_000, 120_000, seed=29),
+        "ef62a13c7cc51b66ecd50b161f110fa1e1f5502a"),
+    "scale_grid_reach_230x230": (
+        lambda: grid_edges(230, 230),
+        "a09606584ff543610f38cfa7c8dc5e2c3b222980"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_EDGE_PINS))
+def test_scale_payload_edges_pinned(name):
+    generate, digest = SCALE_EDGE_PINS[name]
+    edges = generate()
+    assert hashlib.sha1(repr(edges).encode()).hexdigest() == digest
+    database = get_scenario(name).build()["database"]
+    assert dict(database.relations())["e"] == set(edges)
 
 
 def test_pair_stream_deterministic():
