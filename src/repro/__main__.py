@@ -203,11 +203,6 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument("--chaos", default=None,
                        help="fault-schedule spec for drills (same grammar "
                             "as REPRO_CHAOS)")
-    serve.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                       help="warm-state snapshot directory: respawned "
-                            "workers restore plans/images/automata from "
-                            "it instead of cold-starting (defaults to "
-                            "REPRO_SNAPSHOT_DIR)")
     serve.add_argument("--result-cache", type=int, default=0, metavar="N",
                        help="served-decision result cache capacity "
                             "(entries; default 0 = off).  Hits replay "
@@ -378,8 +373,7 @@ def _cmd_serve(args) -> int:
             result_cache_ttl_s=args.result_cache_ttl,
             pool=PoolConfig(workers=args.workers, executor=args.executor,
                             max_attempts=args.max_attempts,
-                            deadline_s=args.deadline, chaos=args.chaos,
-                            snapshot_dir=args.snapshot_dir))
+                            deadline_s=args.deadline, chaos=args.chaos))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -111,24 +111,6 @@ class CacheScope:
         self._hits.clear()
         self._misses.clear()
 
-    def export_tables(self) -> Dict[str, tuple]:
-        """Every table as ``{name: (entries copy, limit or None)}`` --
-        the warm-state snapshot's view of this scope.  Counters are
-        deliberately excluded: they describe this process's history,
-        not reusable state."""
-        return {
-            name: (dict(table), self._limits.get(name))
-            for name, table in self._tables.items()
-        }
-
-    def adopt_tables(self, tables: Dict[str, tuple]) -> None:
-        """Merge a snapshot's ``{name: (entries, limit)}`` export into
-        this scope.  Adopted entries land without touching hit/miss
-        counters, so a restored session's first decision shows up as
-        pure hits -- the counter delta the snapshot tests assert on."""
-        for name, (entries, limit) in tables.items():
-            self.table(name, limit).update(entries)
-
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-table ``{"size", "hits", "misses"}`` counters."""
         names = set(self._tables) | set(self._hits) | set(self._misses)

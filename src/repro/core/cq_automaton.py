@@ -89,17 +89,6 @@ class CQState:
             object.__setattr__(self, "_hash", value)
             return value
 
-    # Explicit pickle support (mirrors Label): the default slot-state
-    # protocol setattr()s into a frozen dataclass, and the cached
-    # ``_hash`` is process-local (PYTHONHASHSEED) so it must be
-    # recomputed after a snapshot restore, not carried.
-    def __getstate__(self):
-        return (self.atom, self.beta, self.mapping)
-
-    def __setstate__(self, state):
-        for name, value in zip(("atom", "beta", "mapping"), state):
-            object.__setattr__(self, name, value)
-
 
 class CQAutomaton:
     """Lazy ``A^theta(Q, Pi)`` for one conjunctive query theta."""

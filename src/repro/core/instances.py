@@ -50,19 +50,6 @@ class Label:
             object.__setattr__(self, "_hash", value)
             return value
 
-    # Explicit pickle support: the default slot-state protocol
-    # setattr()s into a frozen dataclass (FrozenInstanceError), and
-    # ``_hash`` must not travel anyway -- hashes are salted per
-    # process (PYTHONHASHSEED), so a snapshot-restored label recomputes
-    # lazily in the new process.
-    def __getstate__(self):
-        return (self.atom, self.rule, self.idb_atoms, self.edb_atoms)
-
-    def __setstate__(self, state):
-        for name, value in zip(("atom", "rule", "idb_atoms", "edb_atoms"),
-                               state):
-            object.__setattr__(self, name, value)
-
     def is_leaf(self) -> bool:
         return not self.idb_atoms
 

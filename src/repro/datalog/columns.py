@@ -219,16 +219,6 @@ class EdbImage:
         # column, so the extensional active domain is every id so far.
         self.domain: Set[int] = set(range(len(values)))
 
-    def __getstate__(self):
-        # Snapshot support: indexes and materialized views are derived
-        # caches -- carrying them keeps a restored image fully warm.
-        return (self.ids, self.values, self.cols, self.counts, self.domain,
-                self.indexes, self.frozen, self.version)
-
-    def __setstate__(self, state):
-        (self.ids, self.values, self.cols, self.counts, self.domain,
-         self.indexes, self.frozen, self.version) = state
-
     def index(self, predicate: str, position: int):
         """The (built-once) hash index on *position* of *predicate*,
         as ``(mapping, unique)``.
@@ -296,7 +286,8 @@ def edb_image(database: Database) -> EdbImage:
 
 def peek_image(database: Database, scope=None) -> Optional[EdbImage]:
     """The cached image of *database* if one is live and current --
-    never builds.  *scope* defaults to the ambient session's."""
+    never builds (a session banks it for the next run of the same
+    scenario).  *scope* defaults to the ambient session's."""
     scope = scope or _current_scope()
     entry = scope.table(_IMAGES_TABLE).get(id(database))
     if entry is not None:
@@ -307,13 +298,14 @@ def peek_image(database: Database, scope=None) -> Optional[EdbImage]:
 
 
 def adopt_image(database: Database, image: EdbImage, scope=None) -> bool:
-    """Install a previously-built *image* (snapshot-restored, or kept
-    from an earlier build of a deterministic payload) as *database*'s
-    cached image, skipping the interning pass.
+    """Install *image*, kept from an earlier build of the same
+    deterministic payload, as *database*'s cached image, skipping the
+    interning pass.
 
     Sound only when the image's logical content equals the database's;
-    callers guarantee that by construction (registry scenario payloads
-    are deterministic by contract), and a relation-shape check --
+    callers guarantee that by construction (a session adopts only an
+    image banked by the same scenario object, whose payload is
+    deterministic by contract), and a relation-shape check --
     same predicates, arities, and row counts -- guards against wiring
     mistakes.  Returns ``False`` (and installs nothing) on mismatch.
     """

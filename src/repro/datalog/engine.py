@@ -355,17 +355,6 @@ class Engine:
         """Drop this engine's compiled-plan cache."""
         self._plans.clear()
 
-    def export_plans(self):
-        """A copy of the compiled-plan table (``(rule, delta_index) ->
-        JoinPlan``) -- what :mod:`repro.snapshot` persists."""
-        return self._plans.export()
-
-    def adopt_plans(self, plans) -> None:
-        """Merge a snapshot's plan table into this engine's cache
-        (existing entries win: they are already resolved against live
-        state)."""
-        self._plans.adopt(plans)
-
     def plan_cache_size(self) -> int:
         """Number of compiled plans currently cached (diagnostics --
         the session facade reports it in ``cache_stats()``)."""

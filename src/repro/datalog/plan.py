@@ -60,15 +60,6 @@ class ResolvedPlan:
         # by :func:`repro.datalog.columns.execute_batch_fused`.
         self.fused = None
 
-    def __getstate__(self):
-        # The fused metadata is a derived cache; recompiled on demand
-        # after unpickling (snapshot restore).
-        return (self.steps, self.head_ops, self.unsafe_regs, self.nregs)
-
-    def __setstate__(self, state):
-        self.steps, self.head_ops, self.unsafe_regs, self.nregs = state
-        self.fused = None
-
 
 class JoinPlan:
     """The compile-time join program for one rule and delta position.
@@ -207,18 +198,6 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every compiled plan (cold-start / memory valve)."""
         self._plans.clear()
-
-    def export(self) -> Dict[Tuple[Rule, Optional[int]], JoinPlan]:
-        """A copy of the plan table (snapshot capture)."""
-        return dict(self._plans)
-
-    def adopt(self, plans: Dict[Tuple[Rule, Optional[int]], JoinPlan]) -> None:
-        """Merge a snapshot's plan table (existing entries win; the
-        merged table is trimmed back under ``_MAX_ENTRIES`` by the
-        normal insert-time valve)."""
-        merged = dict(plans)
-        merged.update(self._plans)
-        self._plans = merged
 
     def __len__(self):
         return len(self._plans)

@@ -6,7 +6,9 @@ between the program and the answer -- ``columnar`` (vectorized
 relation storage + batch join kernels) over ``interpretive`` (the
 direct reference interpreter).  Each step down trades speed for a
 smaller, simpler footprint, which is exactly what a job that just blew
-its memory budget or crashed a worker needs on its retry.
+its memory budget or crashed a worker needs on its retry.  A job that
+timed out retries on its own rung instead: a slower rung cannot beat
+the same deadline.
 
 Evaluation-kind jobs (evaluation / magic) degrade along the engine
 axis.  Decision-kind jobs (containment / equivalence / boundedness)

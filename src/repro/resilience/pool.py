@@ -9,10 +9,10 @@ that handles them, and the only place that spawns executors:
   injects chaos (:mod:`repro.resilience.chaos`) and calls the job on
   one ladder rung under the deadline; a failure is classified
   (:func:`classify_failure`), backed off (:class:`RetryPolicy`, jitter
-  hashed from the job key) and moves to the next rung.  The result
-  comes back stamped with ``attempts``, ``stats["retried_after"]`` and
-  ``degraded_to``, or as a :class:`Quarantined` record once
-  ``max_attempts`` tries are spent.
+  hashed from the job key) and moves to the next rung, except after a
+  timeout.  The result comes back stamped with ``attempts``,
+  ``stats["retried_after"]`` and ``degraded_to``, or as a
+  :class:`Quarantined` record once ``max_attempts`` tries are spent.
 * **Submitting side.**  :class:`WorkerPool` owns the process or thread
   executor and the one worker initializer.  Only a worker death
   escapes the attempt loop (a chaos ``crash`` in a process worker
@@ -37,7 +37,6 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..budget import BudgetExhausted, time_budget
-from ..snapshot import set_snapshot_dir
 from . import chaos
 from .chaos import PayloadCorruption, SimulatedWorkerCrash, parse_schedule
 
@@ -140,9 +139,7 @@ class PoolConfig:
     overrides it; a scenario's ``budget_s`` applies when tighter).
     ``chaos`` is a fault-schedule spec string (``None`` defers to
     ``REPRO_CHAOS`` in the worker).  ``backoff_base_s`` scales
-    :class:`RetryPolicy`'s backoff.  ``snapshot_dir`` points every
-    spawned and respawned worker at a warm-state snapshot directory
-    (:mod:`repro.snapshot`; ``None`` defers to ``REPRO_SNAPSHOT_DIR``).
+    :class:`RetryPolicy`'s backoff.
     Instances are immutable and picklable -- they ride along to
     workers.
     """
@@ -153,7 +150,6 @@ class PoolConfig:
     deadline_s: Optional[float] = None
     chaos: Optional[str] = None
     backoff_base_s: float = 0.02
-    snapshot_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.executor not in ("process", "thread"):
@@ -177,17 +173,14 @@ class PoolConfig:
 # Worker side.
 # ----------------------------------------------------------------------
 
-def _worker_init(process: bool, snapshot_dir: Optional[str]) -> None:
+def _worker_init(process: bool) -> None:
     """The initializer of every spawned and respawned worker.
 
     A process worker must know it is a worker so chaos ``crash``
     faults really exit; thread workers share the submitting process,
-    so they are not marked.  Both install the snapshot directory, so
-    their sessions restore warm state instead of cold-starting."""
+    so they are not marked."""
     if process:
         chaos.mark_worker()
-    if snapshot_dir is not None:
-        set_snapshot_dir(snapshot_dir)
 
 
 def attempt_loop(call: Callable[[str], Any],
@@ -199,7 +192,9 @@ def attempt_loop(call: Callable[[str], Any],
 
     Tries are numbered from *first_attempt* (above 1 when the pool
     resubmits after a worker death) up to ``config.max_attempts`` and
-    walk *rungs* one per failure, staying on the last.  *label* is
+    walk *rungs* one per failure, staying on the last.  A timed-out
+    try retries on its own rung: every later rung is slower, so it
+    would only time out again.  *label* is
     what chaos faults match; *key* seeds the backoff jitter.  Returns
     the call's result (a :class:`~repro.session.Decision`) with
     ``attempts``, ``degraded_to`` (when a later rung answered) and
@@ -211,11 +206,11 @@ def attempt_loop(call: Callable[[str], Any],
     policy = config.policy()
     failures: List[str] = []
     category = "error"
-    for index, attempt in enumerate(
-            range(first_attempt, config.max_attempts + 1)):
-        if index:
+    step = 0
+    for attempt in range(first_attempt, config.max_attempts + 1):
+        if failures:
             time.sleep(policy.backoff(key, attempt - 1))
-        rung = rungs[min(index, len(rungs) - 1)]
+        rung = rungs[min(step, len(rungs) - 1)]
         nth = chaos.next_job_index()
         try:
             # The budget covers chaos injection too: a planted hang is
@@ -227,6 +222,8 @@ def attempt_loop(call: Callable[[str], Any],
             category = classify_failure(exc)
             failures.append(f"attempt {attempt} [{rung}] {category}: "
                             f"{type(exc).__name__}: {exc}")
+            if category != "timeout":
+                step += 1
             continue
         result.attempts = attempt
         if rung != rungs[0]:
@@ -263,7 +260,7 @@ class WorkerPool:
 
     def _spawn(self):
         process = self.config.executor == "process"
-        initargs = (process, self.config.snapshot_dir)
+        initargs = (process,)
         if process:
             return ProcessPoolExecutor(max_workers=self.config.workers,
                                        initializer=_worker_init,

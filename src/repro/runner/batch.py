@@ -69,7 +69,6 @@ from ..resilience import (
     ladder_rungs,
 )
 from ..session import Decision, Session
-from ..snapshot import configured_dir, restore_session, save_snapshot
 from ..workloads.scenarios import (
     DECISION_KINDS,
     get_scenario,
@@ -169,10 +168,6 @@ def worker_session(label: str, cache: str = "warm",
         session = store[label] = Session(
             engine=ENGINE_CONFIGS[label], cache="private",
             name=f"{name}-{label}")
-        # A freshly spawned (or respawned) worker skips cold start
-        # when a warm-state snapshot for this config is on disk
-        # (no-op unless REPRO_SNAPSHOT_DIR / --snapshot-dir is set).
-        restore_session(session)
     return session
 
 
@@ -296,12 +291,6 @@ def run_shard(jobs: Sequence[Job],
             _session_for(job.engine, job.cache).warm(scenario=job.scenario)
             warmed.add(job.scenario)
         decisions.append(_attempt(job, config))
-    if configured_dir():
-        # Persist this worker's warm sessions for the next run (or a
-        # respawned successor).  Concurrent shards racing on one key
-        # are safe: writes are atomic, last writer wins.
-        for session in _SESSIONS.values():
-            save_snapshot(session)
     return decisions
 
 

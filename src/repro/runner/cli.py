@@ -96,13 +96,6 @@ def _parse_args(argv=None):
     parser.add_argument("--quarantine-out", type=Path, default=None,
                         help="write quarantined job records to this "
                              "JSON file (CI artifact)")
-    parser.add_argument("--snapshot-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="persist/restore warm session state "
-                             "(compiled plans, EDB images, automaton "
-                             "caches) under this directory, keyed by "
-                             "config fingerprint (also read from "
-                             "$REPRO_SNAPSHOT_DIR)")
     return parser.parse_args(argv)
 
 
@@ -133,9 +126,6 @@ def _print_error_summary(records: List[Dict]) -> None:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if args.snapshot_dir is not None:
-        from ..snapshot import set_snapshot_dir
-        set_snapshot_dir(str(args.snapshot_dir))
     names = select_scenarios(args.scenarios)
     if args.list:
         for name in names:

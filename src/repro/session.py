@@ -44,7 +44,7 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from . import context as _context
 from .budget import BudgetExhausted, time_budget
@@ -310,10 +310,10 @@ class Session:
         else:
             self.caches = _context.CacheScope(self.name)
         self._fingerprint: Optional[str] = None
-        # Scenario-name-keyed EdbImages: populated by snapshot restore
-        # and by scenario runs, consumed by later runs of the same
-        # (deterministic) scenario payload.  Registry-bounded.
-        self._snapshot_images: Dict[str, Any] = {}
+        # Scenario name -> (Scenario, EdbImage): banked by scenario
+        # runs, adopted by later runs of the same Scenario object (its
+        # payload is deterministic).  One entry per name.
+        self._scenario_images: Dict[str, Tuple[Any, Any]] = {}
 
     # ------------------------------------------------------------------
     # Configuration identity.
@@ -818,7 +818,7 @@ class Session:
         try:
             with self._deadline(deadline), self.activated(), \
                     time_budget(budget):
-                self._adopt_scenario_image(scenario.name, payload)
+                self._adopt_scenario_image(scenario, payload)
                 if scenario.kind == "evaluation":
                     decision = self.evaluate(
                         payload["program"], payload["database"],
@@ -837,7 +837,7 @@ class Session:
             decision = self._decision(scenario.kind, verdict,
                                       stats={"budget_s": budget})
         else:
-            self._stash_scenario_image(scenario.name, payload)
+            self._stash_scenario_image(scenario, payload)
         decide_s = perf_counter() - start
         return replace(
             decision, verdict=verdict,
@@ -849,31 +849,33 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # Scenario image reuse (in-session and snapshot-restored).
+    # Scenario image reuse (in-session).
     # ------------------------------------------------------------------
 
-    def _adopt_scenario_image(self, name: str, payload) -> None:
-        """Before running scenario *name*: if a columnar image of its
-        payload database is banked (from an earlier run of this
-        deterministic payload, or restored from a snapshot), install
-        it so evaluation skips the interning pass.  Shape mismatch
-        drops the banked image and falls back to a cold build."""
+    def _adopt_scenario_image(self, scenario, payload) -> None:
+        """Before running *scenario*: if a columnar image of its
+        payload database was banked by an earlier run of the same
+        :class:`Scenario` object (whose payload is deterministic),
+        install it so evaluation skips the interning pass.  A banked
+        image of another object with the same name is never adopted;
+        a shape mismatch drops the banked image."""
         database = payload.get("database") if isinstance(payload, dict) \
             else None
         if database is None:
             return
-        image = self._snapshot_images.get(name)
-        if image is None:
+        banked = self._scenario_images.get(scenario.name)
+        if banked is None or banked[0] is not scenario:
             return
         from .datalog.columns import adopt_image
 
-        if not adopt_image(database, image, scope=self.caches):
-            self._snapshot_images.pop(name, None)
+        if not adopt_image(database, banked[1], scope=self.caches):
+            self._scenario_images.pop(scenario.name, None)
 
-    def _stash_scenario_image(self, name: str, payload) -> None:
-        """After a successful scenario run: bank the image built for
-        its payload database under the scenario name, so the next run
-        (or a snapshot) reuses it.  A reference, not a copy."""
+    def _stash_scenario_image(self, scenario, payload) -> None:
+        """After a successful run of *scenario*: bank the image built
+        for its payload database with the scenario object, so the
+        next run of that object reuses it.  A reference, not a
+        copy."""
         database = payload.get("database") if isinstance(payload, dict) \
             else None
         if database is None:
@@ -882,7 +884,7 @@ class Session:
 
         image = peek_image(database, scope=self.caches)
         if image is not None:
-            self._snapshot_images[name] = image
+            self._scenario_images[scenario.name] = (scenario, image)
 
     # ------------------------------------------------------------------
     # Cache lifecycle.
@@ -890,18 +892,12 @@ class Session:
 
     def warm(self, program: Optional[Program] = None,
              goal: Optional[str] = None, union=None, *,
-             scenario=None, snapshot=None) -> "Session":
+             scenario=None) -> "Session":
         """Pre-build this session's caches: either the automaton
         caches for an explicit ``(program, goal[, union])``, or
         everything a registry ``scenario`` (name or object) will touch
         -- the unions its decision procedure actually constructs.
-        With ``snapshot=`` (a directory path), previously persisted
-        warm state for this configuration fingerprint is restored
-        first (see :mod:`repro.snapshot`), making the rest of the
-        warm-up cache hits.  Returns ``self`` for chaining."""
-        if snapshot is not None:
-            from .snapshot import restore_session
-            restore_session(self, snapshot)
+        Returns ``self`` for chaining."""
         with self.activated():
             if scenario is not None:
                 self._warm_scenario(scenario)
@@ -911,15 +907,6 @@ class Session:
                         "Session.warm(program=...) requires goal=")
                 _warm_caches(program, goal, union)
         return self
-
-    def snapshot(self, directory=None, scenarios=()) -> Optional[Any]:
-        """Persist this session's warm state (see
-        :func:`repro.snapshot.save_snapshot`): compiled plans, the
-        automaton caches, and scenario-keyed EDB images.  Returns the
-        written path, or ``None`` when no directory is configured."""
-        from .snapshot import save_snapshot
-
-        return save_snapshot(self, directory, scenarios)
 
     def _warm_scenario(self, scenario) -> None:
         """Warm the caches one scenario's decision will hit:
@@ -942,9 +929,9 @@ class Session:
                 payload = scenario.build()
                 database = payload.get("database")
                 if database is not None:
-                    self._adopt_scenario_image(scenario.name, payload)
+                    self._adopt_scenario_image(scenario, payload)
                     edb_image(database)
-                    self._stash_scenario_image(scenario.name, payload)
+                    self._stash_scenario_image(scenario, payload)
             return
         try:
             # Warming is best-effort: a budgeted (tag:stress) scenario's
@@ -971,9 +958,10 @@ class Session:
 
     def clear_caches(self) -> None:
         """Return this session to a cold state: drop its cache scope
-        (automaton factories, EDB images) and its engine's compiled
-        plans."""
+        (automaton factories, EDB images), its scenario image bank and
+        its engine's compiled plans."""
         self.caches.clear()
+        self._scenario_images.clear()
         self._engine.clear_plans()
 
     def cache_stats(self) -> Dict[str, Any]:

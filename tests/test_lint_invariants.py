@@ -166,6 +166,38 @@ class TestSortedAllRule:
 
 
 # ----------------------------------------------------------------------
+# L005: no unpickling.
+# ----------------------------------------------------------------------
+
+class TestUnpickleRule:
+    def test_flags_load_and_loads(self):
+        assert _codes("""
+            import pickle
+            def f(handle, blob):
+                return pickle.load(handle), pickle.loads(blob)
+        """) == ["L005", "L005"]
+
+    def test_flags_unpickler_and_aliases(self):
+        assert _codes("""
+            import _pickle
+            import pickle as p
+            def f(handle):
+                return p.Unpickler(handle), _pickle.loads(b"")
+        """) == ["L005", "L005"]
+
+    def test_flags_from_import(self):
+        assert _codes("from pickle import dumps, loads\n") == ["L005"]
+
+    def test_accepts_dumps_and_other_modules(self):
+        assert _codes("""
+            import json
+            import pickle
+            def f(value, text):
+                return pickle.dumps(value), json.loads(text)
+        """) == []
+
+
+# ----------------------------------------------------------------------
 # Escape hatches.
 # ----------------------------------------------------------------------
 

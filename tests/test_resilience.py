@@ -249,6 +249,19 @@ def test_hang_fault_is_bounded_and_recovered_serially():
                for entry in decision.stats["retried_after"])
 
 
+def test_timed_out_evaluation_retries_on_its_own_rung():
+    """A timeout does not walk the ladder: the slower interpretive
+    rung could only miss the same deadline again."""
+    jobs = small_jobs(scenarios=[EVAL])
+    config = PoolConfig(deadline_s=0.3, backoff_base_s=0.001,
+                        chaos=f"hang:scenario={EVAL},attempt=1,seconds=30")
+    [decision] = run_shard(jobs, config=config)
+    assert decision.ok is True and decision.attempts == 2
+    assert decision.degraded_to is None
+    assert decision.stats["retried_after"][0].startswith(
+        "attempt 1 [columnar] timeout")
+
+
 def test_quarantine_decision_shape():
     decision = quarantine_decision(
         Job("bounded_buys", "columnar", "warm"),

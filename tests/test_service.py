@@ -598,46 +598,3 @@ def test_result_cache_disabled_by_default(sock_path):
     assert status["result_cache"]["capacity"] == 0
     assert status["result_cache"]["hits"] == 0
     assert status["pool"]["submitted"] == 2
-
-
-# ----------------------------------------------------------------------
-# Snapshot-restored workers.
-# ----------------------------------------------------------------------
-
-def test_respawned_worker_restores_snapshot(sock_path, tmp_path):
-    """A worker pointed at a warm-state snapshot serves its first
-    request with measurably fewer Session cache misses than a
-    cold-started worker -- the counter-delta proof that restore
-    happened, independent of wall clocks -- and the decision record
-    stays bit-identical."""
-    from repro.snapshot import save_snapshot, set_snapshot_dir
-
-    writer = Session(engine=ENGINE_CONFIGS["columnar"], cache="private",
-                     name="snapshot-writer")
-    assert writer.run_scenario("bounded_buys").ok
-    assert save_snapshot(writer, tmp_path) is not None
-
-    def first_request_misses(sock, **extra):
-        with _serve(sock, **extra):
-            with ServiceClient(socket_path=sock) as client:
-                before = client.request({"op": "status"})["status"]
-                response = client.request({"op": "scenario",
-                                           "scenario": "bounded_buys"})
-                after = client.request({"op": "status"})["status"]
-        assert response["type"] == "decision"
-        return _scope_misses(after) - _scope_misses(before), response
-
-    try:
-        cold_misses, cold = first_request_misses(
-            str(tmp_path / "cold.sock"))
-        warm_misses, warm = first_request_misses(
-            str(tmp_path / "warm.sock"), snapshot_dir=str(tmp_path))
-    finally:
-        # _worker_init installs the directory process-wide (that is
-        # how spawned process workers inherit it); undo for the rest
-        # of the test run.
-        set_snapshot_dir(None)
-
-    assert cold_misses > 0
-    assert warm_misses < cold_misses, (warm_misses, cold_misses)
-    assert _stable_view(warm["decision"]) == _stable_view(cold["decision"])

@@ -409,3 +409,63 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["decide", "containment", "--program",
                      QUICKSTART_RECURSIVE, "--goal", "buys"]) == 2
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# The in-session scenario image bank.
+# ----------------------------------------------------------------------
+
+def _adhoc_tc(edges):
+    """An ad-hoc evaluation scenario named ``adhoc``: transitive
+    closure over *edges*, with ground truth from a graph walk."""
+    from repro.programs.library import plain_transitive_closure
+    from repro.workloads import generators as gen
+    from repro.workloads.scenarios import Scenario
+
+    expected = gen.reachable_pairs(edges)
+    return Scenario(
+        name="adhoc", kind="evaluation", description="ad-hoc closure",
+        build=lambda: {"program": plain_transitive_closure(), "goal": "p",
+                       "database": gen.edges_database(edges)},
+        expected={"count": len(expected),
+                  "checksum": rows_checksum(expected)})
+
+
+def test_same_named_scenarios_do_not_share_a_banked_image():
+    """The bank adopts an image only for the scenario object that
+    banked it: a second ``adhoc`` with other facts of the same shape
+    (one relation, three rows) is evaluated on its own facts."""
+    session = Session(name="image-bank")
+    first = session.run_scenario(_adhoc_tc([(1, 2), (2, 3), (3, 4)]))
+    second_scenario = _adhoc_tc([(1, 2), (2, 1), (5, 6)])
+    second = session.run_scenario(second_scenario)
+    fresh = Session(name="image-bank-fresh").run_scenario(second_scenario)
+    assert first.ok and second.ok
+    assert second.verdict == fresh.verdict
+    assert second.verdict["count"] == 5
+
+
+def test_warm_session_reuses_a_scenario_image():
+    """A second run of one registry scenario in a warm session adopts
+    the image its first run banked: ``datalog.edb_images`` records
+    hits and no new miss, and the checksum is the same.  After
+    ``clear_caches()`` the image is built again."""
+    session = Session(name="image-reuse")
+
+    def images():
+        return dict(session.cache_stats()["scope"]["datalog.edb_images"])
+
+    first = session.run_scenario("eval_tc_chain_120")
+    before = images()
+    second = session.run_scenario("eval_tc_chain_120")
+    after = images()
+    assert first.ok and second.ok
+    assert second.checksum == first.checksum
+    assert after["hits"] > before["hits"]
+    assert after["misses"] == before["misses"]
+    # clear_caches() returns the session to a cold state: the bank
+    # goes too, so the next run builds its image again.
+    session.clear_caches()
+    third = session.run_scenario("eval_tc_chain_120")
+    assert third.checksum == first.checksum
+    assert images()["misses"] == after["misses"] + 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """The codebase invariant linter: AST checks for the repo's own rules.
 
-Four invariants, each with a stable code:
+Five invariants, each with a stable code:
 
 * **L001 deadline-free fixpoint loop** -- a ``while`` loop whose
   condition mentions a fixpoint/worklist name (``frontier``,
@@ -12,14 +12,18 @@ Four invariants, each with a stable code:
   ``time_budget`` (see ``src/repro/budget.py``).
 * **L002 lru_cache** -- no ``functools.lru_cache``: a module-level
   memo table is process-global state that no session owns, so
-  ``Session.clear_caches()``, snapshot restore and the test-isolation
-  fixtures cannot reset it.  Memoize in the ambient session's
+  ``Session.clear_caches()`` and the test-isolation fixtures cannot
+  reset it.  Memoize in the ambient session's
   :class:`~repro.context.CacheScope` instead
   (``current_scope().memo(...)``).
 * **L003 bare except** -- ``except:`` swallows ``KeyboardInterrupt``
   and ``BudgetExhausted``; catch something.
 * **L004 unsorted __all__** -- module-level ``__all__`` literals must
   be ASCII-sorted so export diffs stay reviewable.
+* **L005 unpickling** -- no ``pickle.load``, ``pickle.loads`` or
+  ``pickle.Unpickler`` (by attribute, alias or ``from`` import):
+  unpickling runs code chosen by whoever wrote the bytes, and nothing
+  the package computes needs to be read back from them.
 
 Escape hatches, both explicit and diff-visible:
 
@@ -54,6 +58,10 @@ FIXPOINT_NAMES = frozenset({
     "agenda", "changed", "changed_ref", "delta", "frontier",
     "pending", "work", "worklist",
 })
+
+#: The pickle entry points that deserialize (L005).
+UNPICKLE_NAMES = frozenset({"load", "loads", "Unpickler"})
+_PICKLE_MODULES = frozenset({"pickle", "_pickle"})
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(\s*([A-Z0-9,\s]+?)\s*\)")
 
@@ -135,6 +143,8 @@ class _Linter(ast.NodeVisitor):
         self.source_lines = source_lines
         self.scope: List[str] = []
         self.violations: List[Violation] = []
+        # Names bound to the pickle module (L005), aliases included.
+        self.pickle_names: Set[str] = set(_PICKLE_MODULES)
 
     @property
     def qualname(self) -> str:
@@ -209,6 +219,32 @@ class _Linter(ast.NodeVisitor):
             if message:
                 self._report("L004", node.lineno, message,
                              qualname="__all__")
+        self.generic_visit(node)
+
+    # -- L005: unpickling ----------------------------------------------
+
+    def _report_unpickle(self, line: int, name: str) -> None:
+        self._report("L005", line,
+                     f"pickle.{name} runs code from the bytes it reads; "
+                     f"src/ deserializes nothing with pickle")
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name in _PICKLE_MODULES:
+                self.pickle_names.add(alias.asname or alias.name)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module in _PICKLE_MODULES:
+            for alias in node.names:
+                if alias.name in UNPICKLE_NAMES:
+                    self._report_unpickle(node.lineno, alias.name)
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (node.attr in UNPICKLE_NAMES and isinstance(node.value, ast.Name)
+                and node.value.id in self.pickle_names):
+            self._report_unpickle(node.lineno, node.attr)
         self.generic_visit(node)
 
 
