@@ -73,7 +73,6 @@ from .core import (
 )
 
 from .session import (
-    CachePolicy,
     Decision,
     Session,
     current_session,
@@ -84,7 +83,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Atom",
-    "CachePolicy",
     "ConjunctiveQuery",
     "Constant",
     "Database",

@@ -130,8 +130,8 @@ class CacheScope:
         return f"CacheScope({self.name!r}, entries={self.total_entries()})"
 
 
-#: The process-wide scope backing the default session (and any session
-#: constructed with ``CachePolicy(scope="shared")``).
+#: The process-wide scope backing the default session (every other
+#: session owns a private one).
 GLOBAL_SCOPE = CacheScope("global")
 
 #: The ambient session override.  ``None`` means "the default session".

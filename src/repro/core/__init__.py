@@ -33,7 +33,6 @@ from .instances import (
     InstanceEnumerator,
     Label,
     clear_shared_caches,
-    warm_shared_caches,
 )
 from .ptree_automaton import (
     PTreeAutomaton,
@@ -85,6 +84,5 @@ __all__ = [
     "theorem_5_11_via_substrate",
     "to_chain_form",
     "ucq_contained_in_datalog",
-    "warm_shared_caches",
     "witness_refutes",
 ]

@@ -168,32 +168,10 @@ def shared_enumerator(program: Program) -> InstanceEnumerator:
 def clear_shared_caches() -> None:
     """Drop the ambient session's caches (automaton caches, EDB
     images, compiled plans): :meth:`repro.session.Session.clear_caches`
-    on the ambient session.
+    on the ambient session.  Each is built again on first use.
 
-    This is the cold-start hook of the benchmark harness and the batch
-    runner (:mod:`repro.runner`), and a memory valve for long-running
-    services.
+    This is the cold-start hook of the benchmark harness and a memory
+    valve for long-running services.
     """
     current_session().clear_caches()
 
-
-def warm_shared_caches(program: Program, goal: str, union=None) -> None:
-    """Pre-build the ambient scope's per-program caches for
-    *program*/*goal*.
-
-    Constructs the shared enumerator and proof-tree automaton (and,
-    when a union of conjunctive queries is given, the per-disjunct
-    query automata) so subsequent decision calls start warm.  Used by
-    :meth:`repro.session.Session.warm` and the batch runner's worker
-    initializer: each
-    :class:`~concurrent.futures.ProcessPoolExecutor` worker owns its
-    own caches, which would otherwise start cold.
-    """
-    from .cq_automaton import shared_cq_automaton
-    from .ptree_automaton import shared_ptree_automaton
-
-    shared_enumerator(program)
-    shared_ptree_automaton(program, goal)
-    if union is not None:
-        for theta in union:
-            shared_cq_automaton(program, goal, theta)

@@ -20,11 +20,11 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   same database -- fixpoint probes, benchmark repeats, magic counts --
   skip re-interning entirely.  The image cache lives in the ambient
   session's cache scope (:mod:`repro.context`), so
-  ``clear_shared_caches()`` / ``Session.clear_caches()`` (cold
-  benchmark mode) drop it along with the automaton caches and two live
-  sessions never share images.  The active domain is never maintained
-  row by row: it is the image's extensional ids plus the program's
-  resolved constants, gathered only for programs with unsafe rules
+  ``clear_shared_caches()`` / ``Session.clear_caches()`` drop it
+  along with the automaton caches and two live sessions never share
+  images.  The active domain is never maintained row by row: it is
+  the image's extensional ids plus the program's resolved constants,
+  gathered only for programs with unsafe rules
   (:meth:`ColumnStore.domain`).
 * **Batch execution of join plans.**  :func:`execute_batch_fused` runs
   a :class:`~repro.datalog.plan.ResolvedPlan` over a whole frontier at
@@ -83,12 +83,10 @@ from .terms import Constant
 __all__ = [
     "ColumnStore",
     "EdbImage",
-    "adopt_image",
     "columnar_naive",
     "columnar_seminaive",
     "edb_image",
     "execute_batch_fused",
-    "peek_image",
 ]
 
 _EMPTY: tuple = ()
@@ -282,56 +280,6 @@ def edb_image(database: Database) -> EdbImage:
 
     images[key] = (weakref.ref(database, _evict), image)
     return image
-
-
-def peek_image(database: Database, scope=None) -> Optional[EdbImage]:
-    """The cached image of *database* if one is live and current --
-    never builds (a session banks it for the next run of the same
-    scenario).  *scope* defaults to the ambient session's."""
-    scope = scope or _current_scope()
-    entry = scope.table(_IMAGES_TABLE).get(id(database))
-    if entry is not None:
-        ref, image = entry
-        if ref() is database and image.version == database.version():
-            return image
-    return None
-
-
-def adopt_image(database: Database, image: EdbImage, scope=None) -> bool:
-    """Install *image*, kept from an earlier build of the same
-    deterministic payload, as *database*'s cached image, skipping the
-    interning pass.
-
-    Sound only when the image's logical content equals the database's;
-    callers guarantee that by construction (a session adopts only an
-    image banked by the same scenario object, whose payload is
-    deterministic by contract), and a relation-shape check --
-    same predicates, arities, and row counts -- guards against wiring
-    mistakes.  Returns ``False`` (and installs nothing) on mismatch.
-    """
-    relations = [(predicate, rows)
-                 for predicate, rows in database.relations() if rows]
-    if len(relations) != len(image.cols):
-        return False
-    for predicate, rows in relations:
-        cols = image.cols.get(predicate)
-        if cols is None or image.counts.get(predicate) != len(rows):
-            return False
-        if len(cols) != len(next(iter(rows))):
-            return False
-    image.version = database.version()
-    scope = scope or _current_scope()
-    images = scope.table(_IMAGES_TABLE)
-    key = id(database)
-    if len(images) >= _MAX_IMAGES:
-        images.clear()
-
-    def _evict(_ref, _images=images, _key=key):
-        _images.pop(_key, None)
-
-    images[key] = (weakref.ref(database, _evict), image)
-    scope.hit(_IMAGES_TABLE)
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,17 @@
 """Parallel batch runner for the scenario registry.
 
 ``python -m repro scenarios`` (:mod:`repro.runner.cli`) shards the
-scenario matrix (scenario x engine) across worker processes with a
-warm/cold cache lifecycle; :mod:`repro.runner.batch` is the library
-API and :mod:`repro.runner.trajectory` the ``BENCH_*.json`` writer.
+scenario matrix (scenario x engine) across worker processes, each
+running its jobs on long-lived per-engine sessions;
+:mod:`repro.runner.batch` is the library API and
+:mod:`repro.runner.trajectory` the ``BENCH_*.json`` writer.
 See ``docs/BENCHMARKS.md``.
 """
 
 from .batch import (
-    CACHE_MODES,
     ENGINE_CONFIGS,
     Job,
     build_jobs,
-    execute_job,
     run_batch,
     run_decision,
     select_scenarios,
@@ -28,13 +27,11 @@ from .trajectory import (
 
 __all__ = [
     "AUTOMATA_TRAJECTORY",
-    "CACHE_MODES",
     "ENGINE_CONFIGS",
     "Job",
     "PLANS_TRAJECTORY",
     "append_trajectory",
     "build_jobs",
-    "execute_job",
     "find_repo_root",
     "run_batch",
     "run_decision",

@@ -24,16 +24,12 @@ Design points (each load-bearing for correctness or fairness):
   is what makes N workers genuinely divide the work: the expensive
   per-program derivations happen once per scenario *somewhere*, not
   once per worker.
-* **Cache lifecycle.**  Jobs run inside per-worker
+* **Cache lifecycle.**  Jobs run inside long-lived per-worker
   :class:`~repro.session.Session` objects (one per engine label), so
   every cache a job touches -- automaton factories, EDB images,
-  compiled plans -- belongs to a session scope.  In ``warm`` mode the
-  session pre-warms each scenario's caches
-  (:meth:`~repro.session.Session.warm`) before timing its jobs, so
-  per-job seconds reflect the steady state of a long-running service.
-  In ``cold`` mode every job gets a *fresh* session (and the worker's
-  warm sessions are discarded), measuring cold-start behaviour fairly
-  without having to mutate any process-global state.
+  compiled plans -- belongs to a session scope, is built on first use
+  and is reused by the worker's later jobs.  The decision service's
+  workers (:mod:`repro.service.pool`) share this lifecycle.
 * **Decisions cross the process boundary.**  Workers return
   :class:`~repro.session.Decision` objects (payloads stripped), not
   ad-hoc tuples; the CLI serializes them via ``Decision.record()``.
@@ -83,31 +79,24 @@ ENGINE_CONFIGS: Dict[str, EngineConfig] = {
     "interpretive": EngineConfig(compiled=False),
 }
 
-CACHE_MODES = ("warm", "cold")
-
 
 @dataclass(frozen=True, order=True)
 class Job:
-    """One cell of the scenario matrix (all fields are strings, so a
+    """One cell of the scenario matrix (both fields are strings, so a
     job pickles trivially and sorts deterministically)."""
 
     scenario: str
     engine: str
-    cache: str = "warm"
 
 
 def build_jobs(scenarios: Sequence[str],
-               engines: Sequence[str] = ("columnar",),
-               cache: str = "warm") -> List[Job]:
+               engines: Sequence[str] = ("columnar",)) -> List[Job]:
     """The deterministic job matrix for *scenarios*.
 
     Decision scenarios (containment / equivalence / boundedness) run
     once, on the first engine (the engine only powers probes and
     backward containments).  Evaluation and magic scenarios range over
-    *engines*.  ``cache`` is stamped
-    on every job; mixing modes inside one batch is deliberately not
-    offered (it would reintroduce the unfair sharing this layer
-    exists to prevent).
+    *engines*.
 
     Scenarios tagged ``scale`` (10^5-fact EDBs) or ``stress`` (the
     lower-bound evaluation blow-ups) drop the interpretive engine from
@@ -116,8 +105,6 @@ def build_jobs(scenarios: Sequence[str],
     interpretive engine is honored (an explicit request), and both
     tiers can always be excluded by tag.
     """
-    if cache not in CACHE_MODES:
-        raise ValueError(f"unknown cache mode {cache!r}; expected {CACHE_MODES}")
     for label in engines:
         if label not in ENGINE_CONFIGS:
             raise ValueError(f"unknown engine {label!r}; "
@@ -126,14 +113,13 @@ def build_jobs(scenarios: Sequence[str],
     for name in scenarios:
         scenario = get_scenario(name)
         if scenario.kind in DECISION_KINDS:
-            jobs.append(Job(name, engines[0], cache))
+            jobs.append(Job(name, engines[0]))
         else:
             scenario_engines = engines
             if {"scale", "stress"} & set(scenario.tags):
                 columnar = [e for e in engines if e != "interpretive"]
                 scenario_engines = columnar or engines
-            jobs.extend(Job(name, engine, cache)
-                        for engine in scenario_engines)
+            jobs.extend(Job(name, engine) for engine in scenario_engines)
     return sorted(jobs)
 
 
@@ -141,38 +127,28 @@ def build_jobs(scenarios: Sequence[str],
 # Worker-side execution.
 # ----------------------------------------------------------------------
 
-# Per-process warm sessions, one per engine label: reused across warm
-# jobs so compiled plans and automaton caches amortize, discarded (and
-# replaced by fresh private sessions) in cold mode.
+# Per-process sessions, one per engine label, reused by every job the
+# process runs so compiled plans and automaton caches amortize.
 _SESSIONS: Dict[str, Session] = {}
 
 
-def worker_session(label: str, cache: str = "warm",
+def worker_session(label: str,
                    sessions: Optional[Dict[str, Session]] = None,
                    name: str = "runner") -> Session:
-    """The per-worker :class:`~repro.session.Session` for an engine
-    label: reused across warm jobs (compiled plans and automaton
-    caches amortize), fresh and private in cold mode.
+    """The long-lived per-worker :class:`~repro.session.Session` for
+    an engine label, created on first use.
 
-    *sessions* overrides the store the warm sessions live in (default:
+    *sessions* overrides the store the sessions live in (default:
     this module's per-process dict) -- the decision service passes a
     per-thread store so its thread-executor workers stay isolated
     while sharing this lifecycle.
     """
-    if cache == "cold":
-        return Session(engine=ENGINE_CONFIGS[label], cache="private",
-                       name=f"{name}-cold-{label}")
     store = _SESSIONS if sessions is None else sessions
     session = store.get(label)
     if session is None:
-        session = store[label] = Session(
-            engine=ENGINE_CONFIGS[label], cache="private",
-            name=f"{name}-{label}")
+        session = store[label] = Session(engine=ENGINE_CONFIGS[label],
+                                         name=f"{name}-{label}")
     return session
-
-
-def _session_for(label: str, cache: str) -> Session:
-    return worker_session(label, cache)
 
 
 def _run_cell(job: Job, engine_label: str) -> Decision:
@@ -182,9 +158,7 @@ def _run_cell(job: Job, engine_label: str) -> Decision:
     reassembles results by it); :attr:`~repro.session.Decision.degraded_to`
     records the answering rung when they differ."""
     scenario = get_scenario(job.scenario)
-    if job.cache == "cold":
-        _SESSIONS.clear()
-    session = _session_for(engine_label, job.cache)
+    session = worker_session(engine_label)
     start = time.perf_counter()
     decision = session.run_scenario(scenario)
     seconds = time.perf_counter() - start
@@ -192,7 +166,6 @@ def _run_cell(job: Job, engine_label: str) -> Decision:
         "scenario": job.scenario,
         "kind": scenario.kind,
         "engine": job.engine,
-        "cache": job.cache,
         "seconds": round(seconds, 6),
         "pid": os.getpid(),
     })
@@ -231,7 +204,6 @@ def quarantine_decision(job: Job, *, attempts: int, category: str,
             "scenario": job.scenario,
             "kind": kind,
             "engine": job.engine,
-            "cache": job.cache,
             "seconds": 0.0,
             "pid": os.getpid(),
         },
@@ -239,7 +211,7 @@ def quarantine_decision(job: Job, *, attempts: int, category: str,
 
 
 def _job_key(job: Job) -> str:
-    return f"{job.scenario}/{job.engine}/{job.cache}"
+    return f"{job.scenario}/{job.engine}"
 
 
 def _quarantine(job: Job, failure: Quarantined) -> Decision:
@@ -248,12 +220,14 @@ def _quarantine(job: Job, failure: Quarantined) -> Decision:
                                message=failure.message)
 
 
-def _attempt(job: Job, config: PoolConfig,
-             first_attempt: int = 1) -> Decision:
+def run_job(job: Job, config: PoolConfig,
+            first_attempt: int = 1) -> Decision:
     """Run one job through the pool's attempt loop: chaos injection,
     the per-job deadline, and the degradation ladder (evaluation jobs
     walk it one rung per failure); a job whose tries run out comes
-    back as its quarantine record."""
+    back as its quarantine record.  Also the pool's resubmission
+    entry point for a dead shard's jobs, run alone in whatever worker
+    picks them up."""
     decision_kind = get_scenario(job.scenario).kind in DECISION_KINDS
     outcome = attempt_loop(
         partial(_run_cell, job), ladder_rungs(job.engine, decision_kind),
@@ -264,43 +238,15 @@ def _attempt(job: Job, config: PoolConfig,
     return outcome
 
 
-def execute_job(job: Job) -> Dict:
-    """Run one job and return its JSON-serializable trajectory record
-    (the :meth:`~repro.session.Decision.record` of
-    :func:`run_decision` -- kept for callers that want plain dicts)."""
-    return run_decision(job).record()
-
-
 def run_shard(jobs: Sequence[Job],
               config: Optional[PoolConfig] = None) -> List[Decision]:
-    """Execute a shard of jobs in the current process, in order.
-
-    In warm mode each scenario's session caches are pre-built once
-    (before its first job, via :meth:`~repro.session.Session.warm`) so
-    the recorded per-job seconds are steady-state -- without this, a
-    scenario's job would absorb one-time automaton construction and
-    plan compilation.  Cold jobs get fresh sessions in
-    :func:`_run_cell` instead.  Each job runs through the attempt loop
-    under *config* (default :class:`~repro.resilience.PoolConfig`).
-    """
+    """Execute a shard of jobs in the current process, in order, each
+    through the attempt loop under *config* (default
+    :class:`~repro.resilience.PoolConfig`).  A scenario's first job
+    absorbs its one-time automaton construction and plan compilation;
+    its later jobs in this process reuse them."""
     config = config or PoolConfig()
-    decisions: List[Decision] = []
-    warmed: set = set()
-    for job in jobs:
-        if job.cache == "warm" and job.scenario not in warmed:
-            _session_for(job.engine, job.cache).warm(scenario=job.scenario)
-            warmed.add(job.scenario)
-        decisions.append(_attempt(job, config))
-    return decisions
-
-
-def run_job(job: Job, config: PoolConfig, first_attempt: int) -> Decision:
-    """The pool's resubmission entry point: one job, alone, in
-    whatever worker picks it up (warm its scenario first so the cache
-    mode's semantics survive the respawn)."""
-    if job.cache == "warm":
-        _session_for(job.engine, job.cache).warm(scenario=job.scenario)
-    return _attempt(job, config, first_attempt)
+    return [run_job(job, config) for job in jobs]
 
 
 def shard_jobs(jobs: Sequence[Job], workers: int) -> List[List[Job]]:
@@ -350,9 +296,8 @@ def run_batch(jobs: Sequence[Job], workers: int = 1,
         records = run_shard(jobs, config)
     else:
         records = asyncio.run(_run_pool(shard_jobs(jobs, workers), config))
-    by_key = {(r["scenario"], r["engine"], r["cache"]): r
-              for r in records}
-    return [by_key[(j.scenario, j.engine, j.cache)] for j in jobs]
+    by_key = {(r["scenario"], r["engine"]): r for r in records}
+    return [by_key[(j.scenario, j.engine)] for j in jobs]
 
 
 async def _run_pool(shards: List[List[Job]],

@@ -11,7 +11,6 @@ Examples::
     python -m repro scenarios --list
     python -m repro scenarios --scenarios tag:bench --workers 4
     python -m repro scenarios --scenarios kind:boundedness
-    python -m repro scenarios --scenarios tag:bench --cache cold --no-write
     python -m repro scenarios --scenarios tag:bench --workers 4 --verify-serial
     python -m repro scenarios --scenarios tag:scale --engines columnar
     python -m repro scenarios --scenarios tag:bench --deadline 30 \
@@ -71,9 +70,6 @@ def _parse_args(argv=None):
                         help="comma list from {%s}, or 'both'/'all' for "
                              "every config (default: all)"
                              % ", ".join(sorted(ENGINE_CONFIGS)))
-    parser.add_argument("--cache", choices=("warm", "cold"), default="warm",
-                        help="cache lifecycle: warm (pre-built shared "
-                             "caches) or cold (cleared before every job)")
     parser.add_argument("--verify-serial", action="store_true",
                         help="also run the matrix serially and fail on "
                              "any verdict difference")
@@ -134,10 +130,9 @@ def main(argv=None) -> int:
         return 0
 
     engines = _labels(args.engines, ENGINE_CONFIGS)
-    jobs = build_jobs(names, engines=engines, cache=args.cache)
+    jobs = build_jobs(names, engines=engines)
     print(f"repro scenarios: {len(names)} scenarios -> {len(jobs)} jobs "
-          f"(engines {engines}, cache {args.cache}, "
-          f"workers {args.workers})")
+          f"(engines {engines}, workers {args.workers})")
     cores = os.cpu_count() or 1
     if args.workers > cores:
         print(f"note: {args.workers} workers on {cores} CPU core(s) -- "
@@ -194,8 +189,7 @@ def main(argv=None) -> int:
         out_dir = args.out or REPO_ROOT
         out_dir.mkdir(parents=True, exist_ok=True)
         meta = run_metadata(REPO_ROOT)
-        runner_meta = {"workers": args.workers, "cache": args.cache,
-                       "engines": engines,
+        runner_meta = {"workers": args.workers, "engines": engines,
                        "wall_s": round(wall, 3), "source": "repro.runner"}
         decision = [r for r in records if r["kind"] in DECISION_KINDS]
         evaluation = [r for r in records if r["kind"] not in DECISION_KINDS]

@@ -47,7 +47,7 @@ __all__ = [
 # Worker-side execution (module-level: must pickle into pool workers).
 # ----------------------------------------------------------------------
 
-#: Per-thread warm session stores for the thread executor; a process
+#: Per-thread session stores for the thread executor; a process
 #: worker runs jobs on one thread, so the same indirection serves both.
 #: Every store is also registered in ``_ALL_STORES`` (keyed by thread
 #: ident) so the server's ``status`` op can aggregate cache stats

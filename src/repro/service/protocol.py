@@ -370,9 +370,9 @@ def fingerprint_for(engine: str) -> str:
     service's worker sessions for that engine report as
     :attr:`~repro.session.Decision.fingerprint`, computed without
     building an engine."""
-    from ..session import CachePolicy, config_fingerprint
+    from ..session import config_fingerprint
 
-    return config_fingerprint(ENGINE_CONFIGS[engine], CachePolicy())
+    return config_fingerprint(ENGINE_CONFIGS[engine])
 
 
 def canonical_payload(request: Request) -> str:

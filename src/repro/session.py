@@ -6,9 +6,8 @@ semi-decision) plus bottom-up evaluation and the scenario registry
 used to be reachable only as free functions with divergent signatures
 -- the engine picked by a process-global default, three unrelated
 result dataclasses.  A :class:`Session` owns that configuration (an
-:class:`~repro.datalog.engine.EngineConfig` and a
-:class:`CachePolicy`) together with its caches (compiled plans,
-automaton factories, EDB images -- a private
+:class:`~repro.datalog.engine.EngineConfig`) together with its caches
+(compiled plans, automaton factories, EDB images -- a private
 :class:`~repro.context.CacheScope` per session), and exposes every
 entry point as a method returning one uniform :class:`Decision`.
 
@@ -44,14 +43,13 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 from . import context as _context
 from .budget import BudgetExhausted, time_budget
 from .core import boundedness as _boundedness
 from .core import containment as _containment
 from .core import equivalence as _equivalence
-from .core.instances import warm_shared_caches as _warm_caches
 from .cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from .datalog.database import Database
 from .datalog.engine import Engine, EngineConfig
@@ -62,7 +60,6 @@ from .datalog.result import rows_checksum
 from .datalog.unfold import expansion_union, unfold_nonrecursive
 
 __all__ = [
-    "CachePolicy",
     "Decision",
     "Session",
     "config_fingerprint",
@@ -72,45 +69,13 @@ __all__ = [
     "rows_checksum",
 ]
 
-_CACHE_SCOPES = ("private", "shared")
 
-
-@dataclass(frozen=True)
-class CachePolicy:
-    """Cache ownership of a session.
-
-    ``scope``
-        ``"private"`` (the default): the session owns a fresh
-        :class:`~repro.context.CacheScope` -- automaton factories and
-        EDB images are isolated from every other session.
-        ``"shared"``: the session reads and writes the process-global
-        scope (what the default session does), trading isolation for
-        reuse across sessions with compatible configuration.
-    """
-
-    scope: str = "private"
-
-    def __post_init__(self):
-        if self.scope not in _CACHE_SCOPES:
-            raise ValidationError(
-                f"unknown cache scope {self.scope!r}; "
-                f"expected one of {_CACHE_SCOPES}"
-            )
-
-
-def config_fingerprint(engine: "EngineConfig", cache: "CachePolicy") -> str:
-    """The stable digest of an (engine, cache-policy) configuration
-    pair -- what :attr:`Session.fingerprint` reports, computable
-    without constructing a session (the decision service derives
-    coalescing keys from it)."""
-    config = {
-        "engine": asdict(engine),
-        "cache": asdict(cache),
-    }
-    blob = repr(sorted(
-        (section, sorted(values.items()))
-        for section, values in config.items()
-    ))
+def config_fingerprint(engine: "EngineConfig") -> str:
+    """The stable digest of an engine configuration -- what
+    :attr:`Session.fingerprint` reports, computable without
+    constructing a session (the decision service derives coalescing
+    keys from it)."""
+    blob = repr(sorted(asdict(engine).items()))
     return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
 
@@ -273,12 +238,11 @@ class Session:
     """A configured, isolated entry point to every decision procedure.
 
     A session owns an engine configuration (and hence a compiled-plan
-    cache) and a cache policy; its decision
-    methods activate the session in the ambient
-    :class:`contextvars.ContextVar` for the duration of the call, so
-    every cache the procedures consult (automaton factories, EDB
-    images) resolves to this session's scope.  Methods return
-    :class:`Decision`.
+    cache) and a private cache scope; its decision methods activate
+    the session in the ambient :class:`contextvars.ContextVar` for the
+    duration of the call, so every cache the procedures consult
+    (automaton factories, EDB images) resolves to this session's
+    scope.  Methods return :class:`Decision`.
 
         >>> from repro import Session
         >>> from repro.datalog.engine import EngineConfig
@@ -289,7 +253,6 @@ class Session:
     """
 
     def __init__(self, engine: Optional[Any] = None,
-                 cache: Optional[Any] = None,
                  name: Optional[str] = None):
         if isinstance(engine, Engine):
             self._engine = engine
@@ -301,19 +264,9 @@ class Session:
             raise ValidationError(
                 f"engine must be an Engine or EngineConfig, got {engine!r}"
             )
-        if isinstance(cache, str):
-            cache = CachePolicy(scope=cache)
-        self.cache_policy = cache or CachePolicy()
         self.name = name or f"session-{id(self):x}"
-        if self.cache_policy.scope == "shared":
-            self.caches = _context.GLOBAL_SCOPE
-        else:
-            self.caches = _context.CacheScope(self.name)
+        self.caches = _context.CacheScope(self.name)
         self._fingerprint: Optional[str] = None
-        # Scenario name -> (Scenario, EdbImage): banked by scenario
-        # runs, adopted by later runs of the same Scenario object (its
-        # payload is deterministic).  One entry per name.
-        self._scenario_images: Dict[str, Tuple[Any, Any]] = {}
 
     # ------------------------------------------------------------------
     # Configuration identity.
@@ -326,26 +279,20 @@ class Session:
 
     @property
     def config(self) -> Dict[str, Any]:
-        """The JSON-able configuration pair the fingerprint hashes."""
-        return {
-            "engine": asdict(self.engine_config),
-            "cache": asdict(self.cache_policy),
-        }
+        """The JSON-able configuration the fingerprint hashes."""
+        return {"engine": asdict(self.engine_config)}
 
     @property
     def fingerprint(self) -> str:
         """A stable digest of the configuration: two sessions with the
         same fingerprint decide identically (caches never affect
-        verdicts, so scope/name are excluded deliberately -- only the
-        ``cache`` policy dict participates)."""
+        verdicts, so the cache scope and name are excluded)."""
         if self._fingerprint is None:
-            self._fingerprint = config_fingerprint(
-                self.engine_config, self.cache_policy)
+            self._fingerprint = config_fingerprint(self.engine_config)
         return self._fingerprint
 
     def __repr__(self):
-        return (f"Session({self.name!r}, engine={self.engine_config}, "
-                f"cache={self.cache_policy})")
+        return f"Session({self.name!r}, engine={self.engine_config})"
 
     # ------------------------------------------------------------------
     # Activation: make this session the ambient one.
@@ -818,7 +765,6 @@ class Session:
         try:
             with self._deadline(deadline), self.activated(), \
                     time_budget(budget):
-                self._adopt_scenario_image(scenario, payload)
                 if scenario.kind == "evaluation":
                     decision = self.evaluate(
                         payload["program"], payload["database"],
@@ -836,8 +782,6 @@ class Session:
             verdict = {"budget_exhausted": True}
             decision = self._decision(scenario.kind, verdict,
                                       stats={"budget_s": budget})
-        else:
-            self._stash_scenario_image(scenario, payload)
         decide_s = perf_counter() - start
         return replace(
             decision, verdict=verdict,
@@ -849,119 +793,14 @@ class Session:
         )
 
     # ------------------------------------------------------------------
-    # Scenario image reuse (in-session).
-    # ------------------------------------------------------------------
-
-    def _adopt_scenario_image(self, scenario, payload) -> None:
-        """Before running *scenario*: if a columnar image of its
-        payload database was banked by an earlier run of the same
-        :class:`Scenario` object (whose payload is deterministic),
-        install it so evaluation skips the interning pass.  A banked
-        image of another object with the same name is never adopted;
-        a shape mismatch drops the banked image."""
-        database = payload.get("database") if isinstance(payload, dict) \
-            else None
-        if database is None:
-            return
-        banked = self._scenario_images.get(scenario.name)
-        if banked is None or banked[0] is not scenario:
-            return
-        from .datalog.columns import adopt_image
-
-        if not adopt_image(database, banked[1], scope=self.caches):
-            self._scenario_images.pop(scenario.name, None)
-
-    def _stash_scenario_image(self, scenario, payload) -> None:
-        """After a successful run of *scenario*: bank the image built
-        for its payload database with the scenario object, so the
-        next run of that object reuses it.  A reference, not a
-        copy."""
-        database = payload.get("database") if isinstance(payload, dict) \
-            else None
-        if database is None:
-            return
-        from .datalog.columns import peek_image
-
-        image = peek_image(database, scope=self.caches)
-        if image is not None:
-            self._scenario_images[scenario.name] = (scenario, image)
-
-    # ------------------------------------------------------------------
     # Cache lifecycle.
     # ------------------------------------------------------------------
 
-    def warm(self, program: Optional[Program] = None,
-             goal: Optional[str] = None, union=None, *,
-             scenario=None) -> "Session":
-        """Pre-build this session's caches: either the automaton
-        caches for an explicit ``(program, goal[, union])``, or
-        everything a registry ``scenario`` (name or object) will touch
-        -- the unions its decision procedure actually constructs.
-        Returns ``self`` for chaining."""
-        with self.activated():
-            if scenario is not None:
-                self._warm_scenario(scenario)
-            if program is not None:
-                if goal is None:
-                    raise ValidationError(
-                        "Session.warm(program=...) requires goal=")
-                _warm_caches(program, goal, union)
-        return self
-
-    def _warm_scenario(self, scenario) -> None:
-        """Warm the caches one scenario's decision will hit:
-        containment payloads carry their union, equivalence unfolds
-        its nonrecursive program, and the boundedness search
-        probes the expansion unions of every depth up to its
-        ``max_depth``.  Evaluation scenarios warm their columnar EDB
-        image instead (adopted from the session's image bank when one
-        is available, built and banked otherwise); their plans compile
-        on first run."""
-        from .datalog.unfold import expansion_union
-        from .workloads.scenarios import DECISION_KINDS, get_scenario
-
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        if scenario.kind not in DECISION_KINDS:
-            if self.engine_config.compiled:
-                from .datalog.columns import edb_image
-
-                payload = scenario.build()
-                database = payload.get("database")
-                if database is not None:
-                    self._adopt_scenario_image(scenario, payload)
-                    edb_image(database)
-                    self._stash_scenario_image(scenario, payload)
-            return
-        try:
-            # Warming is best-effort: a budgeted (tag:stress) scenario's
-            # caches may be as infeasible to build as its decision.
-            with time_budget(getattr(scenario, "budget_s", None)):
-                payload = scenario.build()
-                program, goal = payload["program"], payload["goal"]
-                unions = []
-                if scenario.kind == "containment":
-                    unions.append(payload["union"])
-                elif scenario.kind == "equivalence":
-                    unions.append(unfold_nonrecursive(
-                        payload["nonrecursive"],
-                        payload.get("nonrecursive_goal") or goal))
-                elif scenario.kind == "boundedness":
-                    unions.extend(
-                        expansion_union(program, goal, depth)
-                        for depth in range(1, payload.get("max_depth", 3) + 1))
-                _warm_caches(program, goal)
-                for union in unions:
-                    _warm_caches(program, goal, union)
-        except BudgetExhausted:
-            self.clear_caches()
-
     def clear_caches(self) -> None:
         """Return this session to a cold state: drop its cache scope
-        (automaton factories, EDB images), its scenario image bank and
-        its engine's compiled plans."""
+        (automaton factories, EDB images) and its engine's compiled
+        plans.  Every cache is built again on first use."""
         self.caches.clear()
-        self._scenario_images.clear()
         self._engine.clear_plans()
 
     def cache_stats(self) -> Dict[str, Any]:
@@ -981,8 +820,11 @@ class Session:
 
 def _make_default_session() -> Session:
     """The default session: the default engine configuration over the
-    process-global cache scope."""
-    return Session(cache=CachePolicy(scope="shared"), name="default")
+    process-global cache scope (every other session owns a private
+    one)."""
+    session = Session(name="default")
+    session.caches = _context.GLOBAL_SCOPE
+    return session
 
 
 _context.register_default_session_factory(_make_default_session)

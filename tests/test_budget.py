@@ -86,7 +86,7 @@ def test_tightest_caller_deadline_wins_on_every_thread(name, engine,
     def run():
         started = time.monotonic()
         with pytest.raises(BudgetExhausted) as info:
-            Session(engine=engine, cache="private").run_scenario(
+            Session(engine=engine).run_scenario(
                 name, deadline=0.3)
         return info.value.seconds, time.monotonic() - started
 
@@ -98,7 +98,7 @@ def test_tightest_caller_deadline_wins_on_every_thread(name, engine,
 def test_budgeted_scenario_reports_exhaustion_as_its_verdict():
     scenario = get_scenario("stress_space_containment_n1")
     assert scenario.budget_s is not None
-    session = Session(cache="private", name="budget-test")
+    session = Session(name="budget-test")
     result = session.run_scenario(scenario)
     assert result["verdict"] == {"budget_exhausted": True}
     assert result["ok"] is True  # exhaustion IS the expected verdict
@@ -109,6 +109,6 @@ def test_budgeted_scenario_reports_exhaustion_on_a_worker_thread():
     scenario = get_scenario("stress_space_containment_n1")
     started = time.monotonic()
     result = run_in_thread(
-        lambda: Session(cache="private").run_scenario(scenario), timeout=10)
+        lambda: Session().run_scenario(scenario), timeout=10)
     assert result["verdict"] == {"budget_exhausted": True}
     assert time.monotonic() - started < scenario.budget_s + 0.3

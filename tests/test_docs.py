@@ -92,7 +92,7 @@ def test_theory_atlas_covers_every_core_module():
 def test_benchmarks_doc_matches_registry():
     """BENCHMARKS.md documents the real verdict keys and cache hooks."""
     doc = (REPO_ROOT / "docs" / "BENCHMARKS.md").read_text()
-    for needle in ("clear_shared_caches", "warm_shared_caches",
+    for needle in ("clear_shared_caches", "cache_stats",
                    "BENCH_automata.json", "BENCH_plans.json",
                    "--verify-serial", "magic_beats_direct"):
         assert needle in doc, f"docs/BENCHMARKS.md lost mention of {needle}"

@@ -264,7 +264,7 @@ def test_timed_out_evaluation_retries_on_its_own_rung():
 
 def test_quarantine_decision_shape():
     decision = quarantine_decision(
-        Job("bounded_buys", "columnar", "warm"),
+        Job("bounded_buys", "columnar"),
         attempts=3, category="crash", message="worker died")
     record = json.loads(json.dumps(decision.record()))
     assert record["kind"] == "boundedness"

@@ -15,7 +15,7 @@ from repro.runner import cli as runner_cli
 from repro.runner.batch import (
     Job,
     build_jobs,
-    execute_job,
+    run_decision,
     run_batch,
     select_scenarios,
     shard_jobs,
@@ -52,8 +52,6 @@ def test_build_jobs_matrix_shape():
 def test_build_jobs_validates_labels():
     with pytest.raises(ValueError, match="unknown engine"):
         build_jobs(SMALL, engines=("turbo",))
-    with pytest.raises(ValueError, match="unknown cache mode"):
-        build_jobs(SMALL, cache="lukewarm")
 
 
 def test_scale_jobs_skip_interpretive_engine():
@@ -95,20 +93,13 @@ def test_shard_jobs_keeps_scenario_groups_whole():
 
 
 def test_execute_job_record_shape():
-    record = execute_job(Job("bounded_buys", "columnar", "warm"))
+    record = run_decision(Job("bounded_buys", "columnar")).record()
     assert record["ok"] is True
     assert record["kind"] == "boundedness"
     assert record["verdict"] == {"bounded": True, "depth": 2}
     assert record["seconds"] > 0
-    assert "kernel" not in record
+    assert "kernel" not in record and "cache" not in record
     json.dumps(record)  # trajectory-serializable
-
-
-def test_cold_jobs_match_warm_jobs():
-    warm = run_batch(build_jobs(SMALL, cache="warm"), workers=1)
-    cold = run_batch(build_jobs(SMALL, cache="cold"), workers=1)
-    assert [r["verdict"] for r in warm] == [r["verdict"] for r in cold]
-    assert all(r["ok"] for r in warm + cold)
 
 
 def test_parallel_matches_serial():

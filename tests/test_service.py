@@ -57,7 +57,7 @@ def _serve(sock_path, **pool_kwargs):
 def _serial_record(scenario: str) -> dict:
     """The scenario's decision record from a fresh serial Session --
     the ground truth served responses must match bit-for-bit."""
-    session = Session(engine=ENGINE_CONFIGS["columnar"], cache="private",
+    session = Session(engine=ENGINE_CONFIGS["columnar"],
                       name="serial-control")
     return session.run_scenario(scenario).without_payload().record()
 
@@ -113,7 +113,7 @@ def test_coalescing_single_computation(sock_path):
     # ... confirmed at the Session layer: the cache-miss delta is one
     # run's worth, not n runs' worth (and the serial control says how
     # much one run's worth is).
-    serial = Session(engine=ENGINE_CONFIGS["columnar"], cache="private",
+    serial = Session(engine=ENGINE_CONFIGS["columnar"],
                      name="coalesce-control")
     serial.run_scenario("bounded_buys")
     one_run = sum(cache["misses"]

@@ -22,7 +22,6 @@ import threading
 import pytest
 
 from repro import (
-    CachePolicy,
     Decision,
     Session,
     current_session,
@@ -105,23 +104,6 @@ def test_sessions_with_different_engines_agree_on_evaluation():
     assert a.checksum == rows_checksum(a.raw.facts("p"))  # ...same rows
 
 
-def test_warm_then_run_hits_session_scope():
-    session = Session(name="s-warm")
-    union = _tc_union()
-    session.warm(TC, "p", union)
-    misses_after_warm = {
-        table: counters["misses"]
-        for table, counters in session.cache_stats()["scope"].items()
-    }
-    session.contains(TC, "p", union)
-    scope = session.cache_stats()["scope"]
-    # The decision re-used every warmed automaton: no new misses.
-    for table in ("core.ptree_automaton", "core.cq_automaton",
-                  "core.enumerator"):
-        assert scope[table]["misses"] == misses_after_warm[table]
-        assert scope[table]["hits"] > 0
-
-
 def test_clear_caches_resets_scope_and_plans():
     from repro.workloads import generators as gen
 
@@ -137,11 +119,13 @@ def test_clear_caches_resets_scope_and_plans():
 
 
 def test_cache_policy_shared_uses_global_scope():
-    session = Session(cache="shared")
-    assert session.caches is GLOBAL_SCOPE
+    """Only the default session reads and writes the process-global
+    scope; every constructed session owns a private one, and there is
+    no cache-scope argument to share it."""
     assert default_session().caches is GLOBAL_SCOPE
-    with pytest.raises(ValidationError):
-        CachePolicy(scope="borrowed")
+    assert Session().caches is not GLOBAL_SCOPE
+    with pytest.raises(TypeError):
+        Session(cache="shared")
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +276,7 @@ def test_fingerprint_stable_and_config_sensitive():
     c = Session(engine=EngineConfig(compiled=False))
     assert a.fingerprint == b.fingerprint
     assert a.fingerprint != c.fingerprint
-    assert sorted(a.config) == ["cache", "engine"]
+    assert sorted(a.config) == ["engine"]
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +318,11 @@ def test_shims_and_session_agree():
 
 
 def test_clear_and_warm_shims_target_ambient_session():
-    from repro.core import clear_shared_caches, warm_shared_caches
+    from repro.core import clear_shared_caches
 
     session = Session(name="s-lifecycle")
     with session:
-        warm_shared_caches(TC, "p", _tc_union())
+        contained_in_ucq(TC, "p", _tc_union())
         assert session.caches.total_entries() > 0
         clear_shared_caches()
         assert session.caches.total_entries() == 0
@@ -412,7 +396,7 @@ def test_cli_usage_errors(capsys):
 
 
 # ----------------------------------------------------------------------
-# The in-session scenario image bank.
+# EDB images in scenario runs.
 # ----------------------------------------------------------------------
 
 def _adhoc_tc(edges):
@@ -432,40 +416,31 @@ def _adhoc_tc(edges):
 
 
 def test_same_named_scenarios_do_not_share_a_banked_image():
-    """The bank adopts an image only for the scenario object that
-    banked it: a second ``adhoc`` with other facts of the same shape
-    (one relation, three rows) is evaluated on its own facts."""
-    session = Session(name="image-bank")
+    """Each run evaluates its own facts: a second ``adhoc`` scenario
+    with other facts of the same shape (one relation, three rows), run
+    in the same session, answers as it does in a fresh session."""
+    session = Session(name="same-name")
     first = session.run_scenario(_adhoc_tc([(1, 2), (2, 3), (3, 4)]))
     second_scenario = _adhoc_tc([(1, 2), (2, 1), (5, 6)])
     second = session.run_scenario(second_scenario)
-    fresh = Session(name="image-bank-fresh").run_scenario(second_scenario)
+    fresh = Session(name="same-name-fresh").run_scenario(second_scenario)
     assert first.ok and second.ok
     assert second.verdict == fresh.verdict
     assert second.verdict["count"] == 5
 
 
-def test_warm_session_reuses_a_scenario_image():
-    """A second run of one registry scenario in a warm session adopts
-    the image its first run banked: ``datalog.edb_images`` records
-    hits and no new miss, and the checksum is the same.  After
-    ``clear_caches()`` the image is built again."""
-    session = Session(name="image-reuse")
+def test_one_scenario_run_counts_one_image_lookup():
+    """An evaluation run builds its payload database afresh, so it
+    moves the ``datalog.edb_images`` hits+misses by exactly one --
+    also on a repeat run in the same session."""
+    session = Session(name="image-count")
 
-    def images():
-        return dict(session.cache_stats()["scope"]["datalog.edb_images"])
+    def lookups():
+        counters = session.cache_stats()["scope"].get(
+            "datalog.edb_images", {"hits": 0, "misses": 0})
+        return counters["hits"] + counters["misses"]
 
-    first = session.run_scenario("eval_tc_chain_120")
-    before = images()
-    second = session.run_scenario("eval_tc_chain_120")
-    after = images()
-    assert first.ok and second.ok
-    assert second.checksum == first.checksum
-    assert after["hits"] > before["hits"]
-    assert after["misses"] == before["misses"]
-    # clear_caches() returns the session to a cold state: the bank
-    # goes too, so the next run builds its image again.
-    session.clear_caches()
-    third = session.run_scenario("eval_tc_chain_120")
-    assert third.checksum == first.checksum
-    assert images()["misses"] == after["misses"] + 1
+    for _ in range(2):
+        before = lookups()
+        assert session.run_scenario("eval_tc_chain_120").ok
+        assert lookups() == before + 1
