@@ -296,11 +296,15 @@ def main() -> int:
                              "(default: repo root; --smoke skips the "
                              "write unless --out is given)")
     args = parser.parse_args()
+    # The daemon sockets of every phase live here and go with it.
+    with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
+        return run(args, tmp)
 
+
+def run(args: argparse.Namespace, tmp: str) -> int:
     clients = 2 if args.smoke else args.clients
     per_client = 10 if args.smoke else args.requests
 
-    tmp = tempfile.mkdtemp(prefix="repro-service-")
     handle = None
     if args.socket is not None:
         sock = args.socket

@@ -181,7 +181,9 @@ class Invariant:
     :mod:`repro.core.certificate` reads an invariant, through
     :meth:`entries`.  ``pathway`` names the check that applies:
     ``"tree"`` or ``"word"`` for the Datalog containment searches,
-    ``"automata"`` for the generic tree-automaton search.
+    ``"automata"`` for the generic tree-automaton search.  The word
+    pathway's chains hold one canonical goal atom per orbit of
+    ``var(Pi)`` renamings; the checker expands the orbits.
     """
 
     pathway: str

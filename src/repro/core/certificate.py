@@ -39,7 +39,13 @@ Word pathway (chain-form programs):
 * **leaf** -- each certified V accepts every leaf label of its atom.
 
 By induction along the path, the exact V of every proof-tree prefix
-contains a certified entry, so every proof tree is accepted.
+contains a certified entry, so every proof tree is accepted.  The word
+search keeps one canonical atom per orbit of ``var(Pi)`` renamings
+(:class:`~repro.core.word_path.Symmetry`); the checker expands every
+certified orbit, giving each atom its canonical atom's entries renamed
+back, and runs the three checks at every atom of it.  Transitions are
+recomputed on those renamed states, so the search's renaming is
+checked against transitions it never computed.
 
 A negative verdict carries a witness instead:
 :func:`witness_refutes` rebuilds the Proposition 5.5 counterexample
@@ -56,10 +62,12 @@ from ..automata.kernel import Invariant
 from ..budget import check_deadline
 from ..cq.canonical import evaluate_ucq
 from ..cq.query import UnionOfConjunctiveQueries
+from ..datalog.atoms import Atom
 from ..datalog.engine import Engine, EngineConfig
 from ..datalog.errors import ReproError
 from ..datalog.program import Program
 from .containment import counterexample_database
+from .word_path import Symmetry, inverse
 
 __all__ = ["CertificateError", "check_invariant", "witness_refutes"]
 
@@ -137,8 +145,33 @@ def _check_tree_closure(transitions, successors: Tuples, entries) -> None:
                     f"{symbol} over the chosen child entries")
 
 
-def _check_word(invariant: Invariant, entries) -> None:
+def _orbit_decoder(invariant: Invariant, symmetry: Symmetry,
+                   canonical_entries) -> Callable[[Atom], List[FrozenSet]]:
+    """The certified entries at any atom: its canonical atom's, renamed
+    back by the inverse of the atom's canonical renaming."""
+    _, automata = invariant.automata
+    expanded: Dict[Atom, List[FrozenSet]] = {}
+
+    def entries(atom: Atom) -> List[FrozenSet]:
+        found = expanded.get(atom)
+        if found is None:
+            canonical, sigma = symmetry.canonical(atom)
+            found = canonical_entries(canonical)
+            if sigma is not None:
+                back = inverse(sigma)
+                found = [frozenset((index, automata[index].renamed(state, back))
+                                   for index, state in entry)
+                         for entry in found]
+            expanded[atom] = found
+        return found
+
+    return entries
+
+
+def _check_word(invariant: Invariant, canonical_entries) -> None:
     ptrees, automata = invariant.automata
+    symmetry = Symmetry(ptrees.program)
+    entries = _orbit_decoder(invariant, symmetry, canonical_entries)
     for root in ptrees.initial_atoms():
         start = frozenset(
             (index, state) for index, state in enumerate(
@@ -147,7 +180,7 @@ def _check_word(invariant: Invariant, entries) -> None:
         if not any(entry <= start for entry in entries(root)):
             raise CertificateError(
                 "start", f"no certified entry inside the initial V of {root}")
-    atoms = list(invariant.chains)
+    atoms = [atom for key in invariant.chains for atom in symmetry.orbit(key)]
     for atom in atoms:
         leaves = [label for label in ptrees.enumerator.labels_for(atom)
                   if label.is_leaf()]

@@ -205,6 +205,18 @@ class CQAutomaton:
             state = self._state_intern[key] = CQState(atom, beta, mapping)
         return state
 
+    def renamed(self, state: CQState, renaming: Dict[Term, Term]) -> CQState:
+        """The hash-consed state ``sigma(state)``: its goal atom and its
+        mapping images renamed by *renaming* (a permutation of
+        ``var(Pi)`` fixing the constants; terms it omits stay put)."""
+        atom = state.atom.substitute(renaming)
+        mapping = [UNMAPPED if image == UNMAPPED else
+                   self._term_id(renaming.get(self._terms[image],
+                                              self._terms[image]))
+                   for image in state.mapping]
+        atom_id = self._atom_ids.setdefault(atom, len(self._atom_ids))
+        return self._make_state(atom_id, atom, state.beta, mapping)
+
     def initial_state(self, root_atom: Atom) -> Optional[CQState]:
         """The start state ``(Q(s), theta, M_theta_s)`` for one root
         atom, or None when theta's head cannot map onto it (repeated

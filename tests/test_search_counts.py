@@ -22,19 +22,19 @@ EXPECTED_COUNTS = {
     "bounded_family_s5": {},
     "bounded_widget": {},
     "contain_alternating_trunc2": {"pairs": 3},
-    "contain_chain_w1": {"pairs": 77},
-    "contain_chain_w2": {"pairs": 77},
+    "contain_chain_w1": {"pairs": 4},
+    "contain_chain_w2": {"pairs": 4},
     "contain_sirup_s11_uncovered": {"pairs": 1},
-    "contain_sirup_s7": {"pairs": 135},
+    "contain_sirup_s7": {"pairs": 4},
     "contain_tc_trunc1": {"pairs": 2},
     "contain_tc_trunc2": {"pairs": 3},
     "contain_tc_trunc2_word": {"pairs": 3},
     "contain_tc_trunc3": {"pairs": 4},
-    "equiv_bounded_family_s3": {"pairs": 118},
-    "equiv_buys_bounded": {"pairs": 77},
+    "equiv_bounded_family_s3": {"pairs": 6},
+    "equiv_buys_bounded": {"pairs": 4},
     "equiv_buys_recursive": {"pairs": 3},
     "equiv_dist_mismatch": {"profiles": 73, "rounds": 3, "live_b_states": 804},
-    "equiv_widget": {"pairs": 77},
+    "equiv_widget": {"pairs": 4},
     "unbounded_sirup_s9": {},
     "unbounded_tc": {},
 }

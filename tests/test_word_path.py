@@ -130,3 +130,92 @@ def test_word_pathway_reports_ptree_states():
     assert result.contained is False
     assert result.stats["ptree_states"] > 0
     assert witness_refutes(*args, result)
+
+
+class TestSymmetry:
+    """The word search keeps one goal atom per orbit of ``var(Pi)``
+    renamings; these tests check the renaming itself, outside the
+    search."""
+
+    PROGRAM = """
+        p(X, Y) :- e(X, Z), p(Z, Y).
+        p(X, Y) :- f(X, a), e0(X, Y).
+    """
+
+    def test_canonical_renaming_is_a_permutation_fixing_constants(self):
+        from math import perm
+
+        from repro.core.word_path import Symmetry
+        from repro.trees.proof import root_atoms, var_space
+
+        program = parse_program(self.PROGRAM)
+        symmetry = Symmetry(program)
+        space = var_space(program)
+        for atom in root_atoms(program, "p"):
+            canonical, sigma = symmetry.canonical(atom)
+            used = list(dict.fromkeys(t for t in canonical.args if t in space))
+            assert used == list(space[:len(used)])
+            if sigma is None:
+                assert canonical == atom
+                continue
+            assert sorted(sigma, key=repr) == sorted(space, key=repr)
+            assert sorted(sigma.values(), key=repr) == sorted(space, key=repr)
+            assert atom.substitute(sigma) == canonical
+            assert symmetry.canonical(canonical) == (canonical, None)
+            orbit = list(symmetry.orbit(atom))
+            assert orbit[0] == canonical
+            assert len(set(orbit)) == perm(len(space), len(used))
+            assert {symmetry.canonical(other)[0] for other in orbit} == {canonical}
+
+    def test_query_automaton_commutes_with_renaming(self):
+        from repro.core.cq_automaton import CQAutomaton
+        from repro.core.instances import InstanceEnumerator
+        from repro.trees.proof import root_atoms, var_space
+
+        program = parse_program(self.PROGRAM)
+        enumerator = InstanceEnumerator(program)
+        space = var_space(program)
+        for theta in expansion_union(program, "p", 2):
+            automaton = CQAutomaton(program, "p", theta)
+            # A swap, a rotation and the reversal of var(Pi).
+            for images in (space[1::-1] + space[2:], space[1:] + space[:1],
+                           space[::-1]):
+                sigma = dict(zip(space, images))
+                for root in root_atoms(program, "p"):
+                    state = automaton.initial_state(root)
+                    moved = automaton.initial_state(root.substitute(sigma))
+                    if state is None:
+                        assert moved is None
+                        continue
+                    assert automaton.renamed(state, sigma) is moved
+                    for label in enumerator.labels_for(root):
+                        rule = label.rule.substitute(sigma)
+                        image = next(other for other in
+                                     enumerator.labels_for(moved.atom)
+                                     if other.rule == rule)
+                        expected = {tuple(automaton.renamed(child, sigma)
+                                          for child in children)
+                                    for children in
+                                    automaton.successors_cached(state, label)}
+                        assert set(automaton.successors_cached(
+                            moved, image)) == expected
+
+    @pytest.mark.parametrize("height", [1, 2, 3])
+    def test_witness_is_rebuilt_in_the_root_frame(self, height):
+        """Every step below the root moves its child onto a canonical
+        atom, so the witness is only a proof tree when the renamings
+        are composed back."""
+        from repro.core.certificate import witness_refutes
+        from repro.trees.proof import is_proof_tree
+        from repro.trees.strong import ucq_covers_proof_tree
+
+        program = parse_program(self.PROGRAM)
+        union = expansion_union(program, "p", height)
+        result = datalog_contained_in_ucq_linear(program, "p", union)
+        assert not result.contained
+        tree = result.witness
+        assert tree.height() == height + 1
+        tree.validate(program)
+        assert is_proof_tree(tree, program)
+        assert not ucq_covers_proof_tree(union, tree, program)
+        assert witness_refutes(program, "p", union, result)
