@@ -24,18 +24,54 @@ decision methods call these functions and wrap their results in a
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Optional, Tuple
 
+from ..budget import check_deadline
 from ..cq.canonical import canonical_database
+from ..cq.containment import cq_contained_in_ucq
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.database import Database
 from ..datalog.engine import Engine, evaluate
-from ..datalog.errors import ValidationError
+from ..datalog.errors import NotLinearError, ValidationError
 from ..datalog.program import Program
-from ..datalog.unfold import unfold_nonrecursive
+from ..datalog.unfold import expansion_derivations, unfold_nonrecursive
+from ..trees.expansion import ExpansionTree, derivation_tree
 from ..trees.proof import proof_tree_to_expansion_tree
 from .tree_containment import ContainmentResult, datalog_contained_in_ucq
 from .word_path import datalog_contained_in_ucq_linear, is_chain_program
+
+#: Cap on the expansions one counterexample probe tests.
+PROBE_TREES = 64
+
+
+def probe_counterexample(program: Program, goal: str,
+                         union: UnionOfConjunctiveQueries
+                         ) -> Tuple[Optional[ExpansionTree], int]:
+    """Look for an expansion of Pi that no disjunct of *union* contains.
+
+    Every expansion lies in ``Q_Pi`` (Proposition 2.6), so one that no
+    disjunct contains refutes ``Q_Pi subseteq union`` (Theorems 2.2,
+    2.3).  Tests at most :data:`PROBE_TREES` expansions, in increasing
+    height up to one past the union's largest disjunct in body atoms
+    (a height-k truncation union is escaped at height k + 1).  Returns
+    the first escaping expansion's unfolding tree, or None -- never
+    "contained" -- and the number tested.  Unsafe programs are not
+    probed: their unbound head variables range over the active
+    domain, where a containment mapping decides nothing.
+    """
+    if not all(rule.is_safe for rule in program.rules):
+        return None, 0
+    top = 1 + max((len(theta.body) for theta in union), default=0)
+    tested = 0
+    for query, steps, subst in expansion_derivations(program, goal, top):
+        if tested == PROBE_TREES:
+            break
+        check_deadline()
+        tested += 1
+        if not cq_contained_in_ucq(query, union):
+            return derivation_tree(steps, subst, program.idb_predicates), tested
+    return None, tested
 
 
 def contained_in_ucq(program: Program, goal: str,
@@ -44,19 +80,34 @@ def contained_in_ucq(program: Program, goal: str,
                      use_antichain: bool = True) -> ContainmentResult:
     """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
-    ``method``: ``"tree"`` forces the tree-automaton pathway,
-    ``"word"`` the word-automaton pathway (chain-form programs only),
-    ``"auto"`` picks the word pathway when available.
+    :func:`probe_counterexample` runs first: its witness answers "not
+    contained" without any automaton.  Otherwise ``method`` picks the
+    automata: ``"tree"``, ``"word"`` (chain-form programs only), or
+    ``"auto"``, the word pathway when available.  ``stats`` gain
+    ``probe_trees`` and ``probe_decided``, ``timings`` ``probe_s``.
     """
     program.require_goal(goal)
     if method not in ("auto", "tree", "word"):
         raise ValidationError(f"unknown containment method {method!r}")
-    if method == "word" or (method == "auto" and is_chain_program(program)):
-        return datalog_contained_in_ucq_linear(
+    word = method == "word" or (method == "auto" and is_chain_program(program))
+    if word and not is_chain_program(program):
+        raise NotLinearError("the word pathway requires a chain-form program")
+    started = perf_counter()
+    witness, tested = probe_counterexample(program, goal, union)
+    probe_s = perf_counter() - started
+    if witness is not None:
+        result = ContainmentResult(False, witness)
+    elif word:
+        result = datalog_contained_in_ucq_linear(
             program, goal, union, use_antichain=use_antichain
         )
-    return datalog_contained_in_ucq(program, goal, union,
-                                    use_antichain=use_antichain)
+    else:
+        result = datalog_contained_in_ucq(program, goal, union,
+                                          use_antichain=use_antichain)
+    result.stats.update(probe_trees=tested,
+                        probe_decided=int(witness is not None))
+    result.timings["probe_s"] = round(probe_s, 6)
+    return result
 
 
 def contained_in_cq(program: Program, goal: str, theta: ConjunctiveQuery,
@@ -132,11 +183,13 @@ def counterexample_database(result: ContainmentResult,
                             program: Program) -> Tuple[Database, Tuple]:
     """Turn a non-containment witness into a concrete database.
 
-    The witness proof tree is renamed into an expansion tree
-    (Proposition 5.5's renaming), its conjunctive query is frozen into
-    a canonical database D, and the frozen head row is returned:
-    running Pi on D derives the row, while the union does not produce
-    it -- a machine-checkable refutation.  Accepts a containment or
+    The witness -- the automata's proof tree or the counterexample
+    probe's unfolding tree -- is renamed into an expansion tree
+    (Proposition 5.5's renaming; an unfolding tree only gets its
+    variables renamed), its conjunctive query is frozen into a
+    canonical database D, and the frozen head row is returned: running
+    Pi on D derives the row, while the union does not produce it -- a
+    machine-checkable refutation.  Accepts a containment or
     equivalence :class:`~repro.session.Decision` /
     :class:`~repro.core.equivalence.EquivalenceResult` too (the failed
     forward direction is the refuted containment).

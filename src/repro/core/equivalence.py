@@ -46,7 +46,7 @@ class EquivalenceResult:
     ``backward_holds`` reports ``Pi' subseteq Pi``.  ``timings`` holds
     the wall-clock seconds of each phase: ``unfold_s`` (Pi' to a UCQ,
     when Pi' was a program), ``backward_s`` (canonical-database tests)
-    and ``forward_s`` (the proof-tree-automata containment).
+    and ``forward_s`` (the forward containment, ``probe_s`` its probe).
     """
 
     equivalent: bool
@@ -121,5 +121,5 @@ def equivalent_to_ucq(program: Program, goal: str,
         stats=dict(forward.stats),
         invariant=forward.invariant,
         timings={"backward_s": round(backward_s, 6),
-                 "forward_s": round(forward_s, 6)},
+                 "forward_s": round(forward_s, 6), **forward.timings},
     )

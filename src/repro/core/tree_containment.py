@@ -46,7 +46,7 @@ from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..trees.expansion import ExpansionTree
-from .cq_automaton import CQAutomaton, CQState, shared_cq_automaton
+from .cq_automaton import CQState, shared_cq_automaton
 from .instances import Label
 from .ptree_automaton import PTreeAutomaton, shared_ptree_automaton
 
@@ -59,10 +59,12 @@ class ContainmentResult:
 
     ``contained`` is the verdict; when False, ``witness`` is a proof
     tree in ptrees(Q, Pi) admitting no strong containment mapping from
-    any disjunct (Theorem 5.8's certificate).  When True,
-    ``invariant`` is the search's final antichain, the certificate
-    that :func:`repro.core.certificate.check_invariant` verifies.
-    ``stats`` carries search metrics for the benchmarks.
+    any disjunct (Theorem 5.8's certificate) -- or, when the
+    counterexample probe decided, the unfolding tree (Definition 2.4)
+    of an expansion no disjunct contains.  When True, ``invariant`` is
+    the search's final antichain, the certificate that
+    :func:`repro.core.certificate.check_invariant` verifies.
+    ``stats`` carries search metrics and ``timings`` ``probe_s``.
     """
 
     contained: bool
@@ -70,6 +72,8 @@ class ContainmentResult:
     stats: Dict[str, int] = field(default_factory=dict)
     invariant: Optional[Invariant] = field(default=None, repr=False,
                                            compare=False)
+    timings: Dict[str, float] = field(default_factory=dict, repr=False,
+                                      compare=False)
 
     def __bool__(self):
         return self.contained

@@ -41,7 +41,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..automata.kernel import Interner, Invariant
 from ..budget import check_deadline
 from ..cq.query import UnionOfConjunctiveQueries
-from ..datalog.analysis import is_linear, recursive_body_atoms, recursive_predicates
+from ..datalog.analysis import (is_linear, recursive_body_atoms,
+                                recursive_predicates, slice_for_goal)
 from ..datalog.atoms import Atom
 from ..datalog.errors import NotLinearError
 from ..datalog.program import Program
@@ -83,9 +84,7 @@ def to_chain_form(program: Program, goal: str) -> Program:
             if atom.predicate not in program.idb_predicates or position in recursive_positions:
                 states = [(subst, atoms + (atom,)) for subst, atoms in states]
                 continue
-            expansions = unfold_nonrecursive(
-                _slice_without_goal(program, atom.predicate), atom.predicate
-            )
+            expansions = unfold_nonrecursive(program, atom.predicate)
             next_states: List[Tuple[dict, Tuple[Atom, ...]]] = []
             for subst, atoms in states:
                 call = apply_to_atom(atom, subst)
@@ -104,18 +103,9 @@ def to_chain_form(program: Program, goal: str) -> Program:
             rules.append(
                 Rule(apply_to_atom(rule.head, subst), apply_to_atoms(atoms, subst))
             )
-    chained = Program(rules)
     # Rules for now-unreachable non-recursive IDB predicates are kept
     # only if the goal still depends on them.
-    from ..datalog.analysis import slice_for_goal
-
-    return slice_for_goal(chained, goal)
-
-
-def _slice_without_goal(program: Program, predicate: str) -> Program:
-    from ..datalog.analysis import slice_for_goal
-
-    return slice_for_goal(program, predicate)
+    return slice_for_goal(Program(rules), goal)
 
 
 def datalog_contained_in_ucq_linear(program: Program, goal: str,

@@ -46,21 +46,22 @@ def _extend(atom: Atom, target: Atom, mapping: Mapping) -> Optional[Mapping]:
     return extended
 
 
-def _order_atoms(atoms: Sequence[Atom], bound: Iterable[Variable]) -> List[Atom]:
+def order_atoms(atoms: Sequence[Atom], bound: Iterable[Variable]) -> List[Atom]:
     """Order source atoms so that each step shares variables with the
     already-mapped prefix where possible (reduces backtracking)."""
-    remaining = list(atoms)
+    remaining = [(atom, atom.variable_set(), len(atom.constants()))
+                 for atom in atoms]
     ordered: List[Atom] = []
     seen = set(bound)
     while remaining:
-        def score(atom: Atom):
-            variables = atom.variable_set()
-            return (len(variables & seen) + len(atom.constants()), -len(variables - seen))
+        def score(entry) -> Tuple[int, int]:
+            _atom, variables, constants = entry
+            return (len(variables & seen) + constants, -len(variables - seen))
 
         best = max(remaining, key=score)
         remaining.remove(best)
-        ordered.append(best)
-        seen.update(best.variable_set())
+        ordered.append(best[0])
+        seen.update(best[1])
     return ordered
 
 
@@ -70,8 +71,13 @@ def enumerate_homomorphisms(source: Sequence[Atom], target: Sequence[Atom],
     which each source atom occurs among the target atoms, extending the
     optional *seed* mapping."""
     seed = dict(seed or {})
+    yield from _search(order_atoms(source, seed.keys()), target, seed)
+
+
+def _search(ordered: Sequence[Atom], target: Sequence[Atom],
+            seed: Mapping) -> Iterator[Mapping]:
+    """:func:`enumerate_homomorphisms` over pre-ordered source atoms."""
     index = _index_by_predicate(target)
-    ordered = _order_atoms(source, seed.keys())
 
     def search(position: int, mapping: Mapping) -> Iterator[Mapping]:
         if position == len(ordered):
@@ -125,7 +131,7 @@ def containment_mapping(psi, theta) -> Optional[Mapping]:
     seed = _head_seed(psi.head, theta.head)
     if seed is None:
         return None
-    return find_homomorphism(psi.body, theta.body, seed)
+    return next(_search(psi.mapping_order, theta.body, seed), None)
 
 
 def enumerate_containment_mappings(psi, theta) -> Iterator[Mapping]:
@@ -133,4 +139,4 @@ def enumerate_containment_mappings(psi, theta) -> Iterator[Mapping]:
     seed = _head_seed(psi.head, theta.head)
     if seed is None:
         return
-    yield from enumerate_homomorphisms(psi.body, theta.body, seed)
+    yield from _search(psi.mapping_order, theta.body, seed)

@@ -9,8 +9,6 @@ Theorem 2.2 reduces to a containment-mapping check.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from ..budget import check_deadline
 from .containment import cq_contained_in
 from .query import ConjunctiveQuery
@@ -57,7 +55,3 @@ def is_minimal(query: ConjunctiveQuery) -> bool:
             return False
     return True
 
-
-def core_body_size(query: ConjunctiveQuery) -> int:
-    """Number of atoms in the core of *query* (a renaming-invariant)."""
-    return len(minimize(query).body)

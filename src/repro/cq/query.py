@@ -74,6 +74,13 @@ class ConjunctiveQuery:
         """All constants of the query."""
         return self.head.constants() | atoms_constants(self.body)
 
+    @cached_property
+    def mapping_order(self) -> Tuple[Atom, ...]:
+        """The body in the order a containment mapping from this query
+        binds it (:func:`repro.cq.homomorphism.order_atoms`)."""
+        from .homomorphism import order_atoms
+        return tuple(order_atoms(self.body, self.distinguished_variables))
+
     @property
     def is_safe(self) -> bool:
         """True when every distinguished variable occurs in the body."""

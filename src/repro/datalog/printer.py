@@ -10,14 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .atoms import Atom
 from .program import Program
 from .rules import Rule
-
-
-def atom_to_source(atom: Atom) -> str:
-    """Valid source text for one atom."""
-    return str(atom)
 
 
 def rule_to_source(rule: Rule) -> str:

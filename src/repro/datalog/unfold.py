@@ -16,7 +16,9 @@ Two operations from the paper:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, Iterator, List, Tuple
 
 from ..budget import check_deadline
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
@@ -24,7 +26,7 @@ from .analysis import is_recursive, slice_for_goal, topological_order
 from .atoms import Atom
 from .errors import NotNonrecursiveError
 from .program import Program
-from .terms import FreshVariableFactory, Variable
+from .terms import FreshVariableFactory, Variable, is_variable
 from .unify import Substitution, apply_to_atom, apply_to_atoms, unify_tuples
 
 
@@ -108,50 +110,76 @@ def unfold_nonrecursive(program: Program, goal: str,
     return union.deduplicated() if dedupe else union
 
 
-def expansions(program: Program, goal: str, max_height: int,
-               exact_height: bool = False) -> Iterator[ConjunctiveQuery]:
-    """Enumerate expansions of *goal* of height at most *max_height*.
+def expansion_derivations(program: Program, goal: str, max_height: int,
+                          exact_height: bool = False) -> Iterator[Tuple]:
+    """Enumerate, lazily and in increasing height, the expansions of
+    *goal* of height (rule applications on the longest branch) at most
+    -- or, with ``exact_height``, exactly -- *max_height*.
 
-    Each yielded conjunctive query is the query of one unfolding
-    expansion tree (Definition 2.4) whose height (rule applications
-    along the longest branch) is at most -- or, with ``exact_height``,
-    exactly -- *max_height*.  The head is ``goal(X0, ..., Xk-1)``.
+    Yields ``(query, steps, subst)``: the conjunctive query of one
+    unfolding expansion tree (Definition 2.4), with head
+    ``goal(X0, ..., Xk-1)``; its ``(rule, renaming)`` per node, in
+    breadth-first order; and the final unifier, still to be applied
+    to the renamed rules (:func:`repro.trees.expansion.derivation_tree`).
     """
     program.require_goal(goal)
     idb = program.idb_predicates
     factory = FreshVariableFactory(prefix="E")
     head = _goal_head(program, goal)
     factory.avoid(v.name for v in head.variable_set())
+    # Per predicate: each rule; whether its head is distinct variables,
+    # bound to the call's terms without unification; the variables its
+    # fresh copy renames, in name order; its IDB and EDB body atoms.
+    compiled: Dict[str, List[Tuple]] = {}
+    for rule in program.rules:
+        args = rule.head.args
+        rectified = all(map(is_variable, args)) and len(set(args)) == len(args)
+        renamed = rule.variables() - set(args) if rectified else rule.variables()
+        compiled.setdefault(rule.head.predicate, []).append(
+            (rule, rectified, sorted(renamed, key=lambda v: v.name),
+             rule.idb_body_atoms(idb), rule.edb_body_atoms(idb)))
 
-    # A state is (pending IDB atoms with their remaining height budget,
-    # collected EDB atoms, substitution, height actually used).
-    def search(pending, collected, subst, used) -> Iterator:
+    # A partial derivation is (height so far, creation order, pending
+    # IDB atoms with their depth, EDB atoms, steps, substitution); its
+    # height only grows, so the heap completes them in height order.
+    sequence = count()
+    queue = [(1, next(sequence), ((Atom(goal, head.args), 1),), (), (), {})]
+    while queue:
+        height, _, pending, collected, steps, subst = heappop(queue)
         if not pending:
-            if not exact_height or used == max_height:
-                yield ConjunctiveQuery(
-                    apply_to_atom(head, subst), apply_to_atoms(collected, subst)
-                )
-            return
-        (atom, budget), rest = pending[0], pending[1:]
-        if budget <= 0:
-            return
-        call = apply_to_atom(atom, subst)
-        for rule in program.rules_for(atom.predicate):
+            if not exact_height or height == max_height:
+                yield (ConjunctiveQuery(apply_to_atom(head, subst),
+                                        apply_to_atoms(collected, subst)),
+                       steps, subst)
+            continue
+        (atom, depth), rest = pending[0], pending[1:]
+        for rule, rectified, names, idb_atoms, edb_atoms in compiled[
+                atom.predicate]:
             check_deadline()
-            fresh_rule = rule.rename_apart(factory)
-            unified = unify_tuples(fresh_rule.head.args, call.args, subst)
-            if unified is None:
+            if idb_atoms and depth == max_height:
                 continue
-            new_pending = rest + tuple(
-                (a, budget - 1) for a in fresh_rule.body if a.predicate in idb
-            )
-            new_collected = collected + tuple(
-                a for a in fresh_rule.body if a.predicate not in idb
-            )
-            depth_here = max_height - budget + 1
-            yield from search(new_pending, new_collected, unified, max(used, depth_here))
+            fresh = {v: factory.fresh() for v in names}
+            if rectified:
+                fresh.update(zip(rule.head.args, atom.args))
+                unified = subst
+            else:
+                unified = unify_tuples(rule.head.substitute(fresh).args,
+                                       atom.args, subst)
+                if unified is None:
+                    continue
+            queued = rest + tuple((a.substitute(fresh), depth + 1)
+                                  for a in idb_atoms)
+            heappush(queue, (
+                queued[-1][1] if queued else height, next(sequence), queued,
+                collected + tuple(a.substitute(fresh) for a in edb_atoms),
+                steps + ((rule, fresh),), unified))
 
-    yield from search(((Atom(goal, head.args), max_height),), (), {}, 0)
+
+def expansions(program: Program, goal: str, max_height: int,
+               exact_height: bool = False) -> Iterator[ConjunctiveQuery]:
+    """The queries of :func:`expansion_derivations`."""
+    return (query for query, _steps, _subst in expansion_derivations(
+        program, goal, max_height, exact_height))
 
 
 def expansion_union(program: Program, goal: str, max_height: int,

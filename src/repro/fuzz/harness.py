@@ -41,7 +41,7 @@ survive shrinking (``tests/test_fuzz.py``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.certificate import CertificateError, check_invariant, witness_refutes
@@ -514,7 +514,3 @@ def baseline_verdict(case: FuzzCase) -> Dict:
         return evaluation_verdict(case, EVAL_MATRIX[EVAL_BASELINE])
     return decision_verdict(case)
 
-
-def with_program(case: FuzzCase, program: Program) -> FuzzCase:
-    """A copy of *case* with *program* swapped in (shrinker hook)."""
-    return replace(case, program=program)

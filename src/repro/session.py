@@ -398,7 +398,7 @@ class Session:
         decision = self._decision(
             "containment", {"contained": result.contained},
             stats=result.stats,
-            timings={"decide_s": perf_counter() - start},
+            timings={**result.timings, "decide_s": perf_counter() - start},
             certificate=result.witness, raw=result,
         )
         if analysis_meta is not None:
@@ -563,13 +563,9 @@ class Session:
                 decision.meta["analysis"] = cert
                 return decision
         with self._deadline(deadline), self.activated():
-            # engine=None deliberately stays None: the search gives its
-            # one-off candidate programs a throwaway probe engine so
-            # they cannot churn this session's plan cache.
             result = _boundedness.search_boundedness(
                 program, goal, max_depth=max_depth, method=method,
-                engine=engine,
-            )
+                engine=engine)
         return self._decision(
             "boundedness",
             {"bounded": result.bounded, "depth": result.depth},

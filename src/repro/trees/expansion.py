@@ -17,14 +17,14 @@ tree is a renaming of an unfolding one, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from ..cq.query import ConjunctiveQuery
 from ..datalog.atoms import Atom
 from ..datalog.errors import ValidationError
 from ..datalog.program import Program
 from ..datalog.rules import Rule
-from ..datalog.terms import FreshVariableFactory
+from ..datalog.unfold import expansion_derivations
 from ..datalog.unify import apply_to_atom, apply_to_atoms, unify_tuples
 
 
@@ -133,12 +133,23 @@ def _is_rule_instance(instance: Rule, program: Program) -> bool:
     return False
 
 
-def _substitute_tree(tree: ExpansionTree, subst) -> ExpansionTree:
-    return ExpansionTree(
-        apply_to_atom(tree.atom, subst),
-        Rule(apply_to_atom(tree.rule.head, subst), apply_to_atoms(tree.rule.body, subst)),
-        tuple(_substitute_tree(child, subst) for child in tree.children),
-    )
+def derivation_tree(steps, subst, idb) -> ExpansionTree:
+    """The expansion tree of one derivation of
+    :func:`repro.datalog.unfold.expansion_derivations`: step i's
+    renamed rule, under the final unifier *subst*, labels node i, and
+    since the steps are breadth-first, each node's children are the
+    next steps not yet claimed, in order."""
+    rules = [Rule(apply_to_atom(rule.head.substitute(renaming), subst),
+                  apply_to_atoms(rule.substitute(renaming).body, subst))
+             for rule, renaming in steps]
+    nodes: List[ExpansionTree] = []
+    claimed = len(rules)
+    for rule in reversed(rules):  # children are built before parents
+        width = len(rule.idb_body_atoms(idb))
+        claimed -= width
+        nodes.append(ExpansionTree(rule.head, rule, tuple(
+            nodes[len(rules) - 1 - i] for i in range(claimed, claimed + width))))
+    return nodes[-1]
 
 
 def unfolding_trees(program: Program, goal: str, max_height: int,
@@ -151,48 +162,10 @@ def unfolding_trees(program: Program, goal: str, max_height: int,
     variables are handled correctly.  Every expansion of height at most
     *max_height* is the query of exactly one generated tree.
     """
-    program.require_goal(goal)
     idb = program.idb_predicates
-    factory = FreshVariableFactory(prefix="W")
-
-    def expand(atom: Atom, budget: int, subst) -> Iterator[Tuple[ExpansionTree, dict]]:
-        if budget <= 0:
-            return
-        call = apply_to_atom(atom, subst)
-        for rule in program.rules_for(atom.predicate):
-            fresh = rule.rename_apart(factory)
-            unified = unify_tuples(fresh.head.args, call.args, subst)
-            if unified is None:
-                continue
-            idb_atoms = fresh.idb_body_atoms(idb)
-
-            def expand_children(index: int, current, built):
-                if index == len(idb_atoms):
-                    yield tuple(built), current
-                    return
-                for child, extended in expand(idb_atoms[index], budget - 1, current):
-                    yield from expand_children(index + 1, extended, built + [child])
-
-            for children, final in expand_children(0, unified, []):
-                head = apply_to_atom(fresh.head, final)
-                node = ExpansionTree(
-                    head,
-                    Rule(head, apply_to_atoms(fresh.body, final)),
-                    children,
-                )
-                yield node, final
-
-    arity = program.arity[goal]
-    from ..datalog.terms import Variable
-
-    root_atom = Atom(goal, tuple(Variable(f"X{i}") for i in range(arity)))
-    factory.avoid(v.name for v in root_atom.variable_set())
-    for tree, subst in expand(root_atom, max_height, {}):
-        # Resolve any bindings made below a node into its ancestors.
-        resolved = _substitute_tree(tree, subst)
-        if exact_height and resolved.height() != max_height:
-            continue
-        yield resolved
+    for _query, steps, subst in expansion_derivations(
+            program, goal, max_height, exact_height):
+        yield derivation_tree(steps, subst, idb)
 
 
 def expansion_queries(program: Program, goal: str,

@@ -92,8 +92,9 @@ def captured(monkeypatch):
 def test_registry_decisions_are_certified(name, captured):
     decision = Session().run_scenario(name)
     assert decision.ok, decision.verdict
-    # Unbounded programs may be refuted by engine probes alone, and a
-    # budgeted stress scenario may reach no verdict: both capture none.
+    # Negative results include the counterexample probe's witnesses
+    # (boundedness depths too); a budgeted stress scenario may reach
+    # no verdict and capture none.
     for program, goal, union, result in captured:
         if result.contained:
             check_invariant(result.invariant)

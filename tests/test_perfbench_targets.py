@@ -58,7 +58,7 @@ def test_every_target_resolves_is_wrapped_and_restored(spans):
 
 
 @pytest.mark.parametrize("scenario,layers", [
-    ("contain_tc_trunc2", ("core.search", "core.automaton_build")),
+    ("contain_chain_w1", ("core.search", "core.automaton_build")),
     ("equiv_buys_bounded", ("core.backward", "core.search",
                             "unfold.expand")),
     ("bounded_buys", ("core.bounded_probe", "core.search",

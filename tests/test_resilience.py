@@ -381,17 +381,18 @@ def test_cli_quarantine_exits_two_and_writes_artifact(tmp_path, capsys):
 # Fuzz chaos mode.
 # ----------------------------------------------------------------------
 
-def test_fuzz_chaos_mode_recovers_every_planted_fault():
+def test_fuzz_chaos_mode_recovers_every_planted_fault(tmp_path):
     from repro.fuzz import planted_fault, run_fuzz
 
     expected = sum(
         planted_fault(7, 3, index, "case") is not None for index in range(9))
     assert expected >= 1  # the chaos draw really plants something
     report = run_fuzz(seed=3, iterations=9, matrix="quick", shrink=False,
-                      chaos_seed=7)
+                      chaos_seed=7, out_dir=tmp_path)
     assert report.ok
     assert report.faults_injected == expected
     assert report.faults_recovered == report.faults_injected
     # Chaos changes no verdicts: a clean sweep of the same seed agrees.
-    assert run_fuzz(seed=3, iterations=9, matrix="quick",
-                    shrink=False).divergences == report.divergences == []
+    assert run_fuzz(seed=3, iterations=9, matrix="quick", shrink=False,
+                    out_dir=tmp_path).divergences == report.divergences == []
+    assert not list(tmp_path.iterdir())  # nothing written when green

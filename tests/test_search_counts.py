@@ -15,28 +15,30 @@ from repro.session import Session
 from repro.workloads.scenarios import REGISTRY
 
 #: The counters pinned per scenario (only those the procedure reports).
-PINNED_KEYS = ("pairs", "profiles", "rounds", "live_b_states")
+#: ``probe_trees`` counts the expansions the counterexample probe
+#: tested; a scenario the probe decides reports no automata counters.
+PINNED_KEYS = ("pairs", "profiles", "rounds", "live_b_states", "probe_trees")
 
 EXPECTED_COUNTS = {
-    "bounded_buys": {},
-    "bounded_family_s5": {},
-    "bounded_widget": {},
-    "contain_alternating_trunc2": {"pairs": 3},
-    "contain_chain_w1": {"pairs": 4},
-    "contain_chain_w2": {"pairs": 4},
-    "contain_sirup_s11_uncovered": {"pairs": 1},
-    "contain_sirup_s7": {"pairs": 4},
-    "contain_tc_trunc1": {"pairs": 2},
-    "contain_tc_trunc2": {"pairs": 3},
-    "contain_tc_trunc2_word": {"pairs": 3},
-    "contain_tc_trunc3": {"pairs": 4},
-    "equiv_bounded_family_s3": {"pairs": 6},
-    "equiv_buys_bounded": {"pairs": 4},
-    "equiv_buys_recursive": {"pairs": 3},
-    "equiv_dist_mismatch": {"profiles": 73, "rounds": 3, "live_b_states": 804},
-    "equiv_widget": {"pairs": 4},
-    "unbounded_sirup_s9": {},
-    "unbounded_tc": {},
+    "bounded_buys": {"probe_trees": 5},
+    "bounded_family_s5": {"probe_trees": 15},
+    "bounded_widget": {"probe_trees": 5},
+    "contain_alternating_trunc2": {"probe_trees": 3},
+    "contain_chain_w1": {"pairs": 4, "probe_trees": 2},
+    "contain_chain_w2": {"pairs": 4, "probe_trees": 2},
+    "contain_sirup_s11_uncovered": {"probe_trees": 1},
+    "contain_sirup_s7": {"pairs": 4, "probe_trees": 2},
+    "contain_tc_trunc1": {"probe_trees": 2},
+    "contain_tc_trunc2": {"probe_trees": 3},
+    "contain_tc_trunc2_word": {"probe_trees": 3},
+    "contain_tc_trunc3": {"probe_trees": 4},
+    "equiv_bounded_family_s3": {"pairs": 6, "probe_trees": 7},
+    "equiv_buys_bounded": {"pairs": 4, "probe_trees": 3},
+    "equiv_buys_recursive": {"probe_trees": 3},
+    "equiv_dist_mismatch": {"probe_trees": 1},
+    "equiv_widget": {"pairs": 4, "probe_trees": 3},
+    "unbounded_sirup_s9": {"probe_trees": 9},
+    "unbounded_tc": {"probe_trees": 9},
 }
 
 
