@@ -10,10 +10,10 @@ the problems get hard:
 
 * **Decidable edge.** ``stress_space_bounded_probe`` runs the
   boundedness semi-decision at depth 1 on the Section 5.3 EXPSPACE
-  encoding (no certificate: the chain program is unbounded), and
-  ``stress_dist_equiv_3v2`` decides that ``dist(3)`` (paths of length
-  8) is not ``dist(2)`` (length 4) -- both finish in seconds and give
-  real verdicts.
+  encoding (no certificate: the chain program is unbounded), and the
+  ``stress_dist_equiv_*`` pairs decide that ``dist(n+1)`` is not
+  ``dist(n)``: the counterexample probe refutes both in milliseconds,
+  where the automata need seconds (n=2) or more than any budget (n=3).
 * **Budgeted wall.** The full containment questions of the encodings
   (Pi in Theta, Theorem 5.13; Pi in the unfolded Pi', Theorem 6.4 on
   the Section 6 pair) are EXPSPACE-hard *by construction*: even the
@@ -132,10 +132,10 @@ register(Scenario(
     name="stress_dist_equiv_4v3",
     kind="equivalence",
     description="Example 6.1 one doubling further: dist(4) vs dist(3) "
-                "(length-16 paths) crosses the feasibility wall; budgeted",
+                "(length-16 paths), refuted by one height-5 expansion",
     build=lambda: {"program": dist(4), "nonrecursive": dist(3),
                    "goal": "dist4", "nonrecursive_goal": "dist3"},
-    expected={"budget_exhausted": True},
+    expected={"equivalent": False, "forward": False, "backward": False},
     tags=("stress", "succinctness"), weight=10.0,
     budget_s=STRESS_BUDGET_S,
 ))
