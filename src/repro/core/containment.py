@@ -89,15 +89,15 @@ def contained_in_ucq(program: Program, goal: str,
     program.require_goal(goal)
     if method not in ("auto", "tree", "word"):
         raise ValidationError(f"unknown containment method {method!r}")
-    word = method == "word" or (method == "auto" and is_chain_program(program))
-    if word and not is_chain_program(program):
+    chain = is_chain_program(program)
+    if method == "word" and not chain:
         raise NotLinearError("the word pathway requires a chain-form program")
     started = perf_counter()
     witness, tested = probe_counterexample(program, goal, union)
     probe_s = perf_counter() - started
     if witness is not None:
         result = ContainmentResult(False, witness)
-    elif word:
+    elif method == "word" or (method == "auto" and chain):
         result = datalog_contained_in_ucq_linear(
             program, goal, union, use_antichain=use_antichain
         )

@@ -313,6 +313,7 @@ class CQAutomaton:
                 if guesses is None:
                     continue
                 for values in product(*[cands for _, cands in guesses]):
+                    check_deadline()
                     final = list(mapping1)
                     for (slot, _), value in zip(guesses, values):
                         final[slot] = value

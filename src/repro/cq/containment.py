@@ -33,7 +33,7 @@ def cq_contained_in_ucq(theta: ConjunctiveQuery, union: UnionOfConjunctiveQuerie
     By Theorem 2.3 this is equivalent to containment of theta in the
     union as a whole.
     """
-    return any(cq_contained_in(theta, psi) for psi in union)
+    return any(containment_mapping(psi, theta) is not None for psi in union)
 
 
 def ucq_contained_in(phi: UnionOfConjunctiveQueries,

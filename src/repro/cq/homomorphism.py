@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..datalog.atoms import Atom
-from ..datalog.terms import Term, Variable, is_variable
+from ..datalog.terms import Term, Variable
 
 Mapping = Dict[Variable, Term]
 
@@ -29,13 +29,16 @@ def _index_by_predicate(atoms: Sequence[Atom]) -> Dict[str, List[Atom]]:
     return index
 
 
-def _extend(atom: Atom, target: Atom, mapping: Mapping) -> Optional[Mapping]:
-    """Try to extend *mapping* so that *atom* maps onto *target*."""
-    if atom.predicate != target.predicate or atom.arity != target.arity:
+def _bind(source: Tuple[Term, ...], target: Tuple[Term, ...],
+          mapping: Mapping) -> Optional[Mapping]:
+    """Extend *mapping* so that the *source* terms map onto the *target*
+    terms argument-wise; None when the arities differ or a constant or
+    an earlier binding clashes."""
+    if len(source) != len(target):
         return None
     extended = dict(mapping)
-    for source_term, target_term in zip(atom.args, target.args):
-        if is_variable(source_term):
+    for source_term, target_term in zip(source, target):
+        if isinstance(source_term, Variable):
             bound = extended.get(source_term)
             if bound is None:
                 extended[source_term] = target_term
@@ -71,54 +74,38 @@ def enumerate_homomorphisms(source: Sequence[Atom], target: Sequence[Atom],
     which each source atom occurs among the target atoms, extending the
     optional *seed* mapping."""
     seed = dict(seed or {})
-    yield from _search(order_atoms(source, seed.keys()), target, seed)
+    yield from _search(order_atoms(source, seed.keys()), target, seed, False)
 
 
-def _search(ordered: Sequence[Atom], target: Sequence[Atom],
-            seed: Mapping) -> Iterator[Mapping]:
-    """:func:`enumerate_homomorphisms` over pre-ordered source atoms."""
+def _search(ordered: Sequence[Atom], target: Sequence[Atom], seed: Mapping,
+            first: bool) -> List[Mapping]:
+    """Every extension of *seed* under which the *ordered* source atoms,
+    mapped in that order, occur among the target atoms -- or, with
+    *first*, only the first one found."""
     index = _index_by_predicate(target)
+    found: List[Mapping] = []
 
-    def search(position: int, mapping: Mapping) -> Iterator[Mapping]:
+    def search(position: int, mapping: Mapping) -> bool:
         if position == len(ordered):
-            yield dict(mapping)
-            return
+            found.append(mapping)
+            return first
         atom = ordered[position]
         for candidate in index.get(atom.predicate, ()):
-            extended = _extend(atom, candidate, mapping)
-            if extended is not None:
-                yield from search(position + 1, extended)
+            extended = _bind(atom.args, candidate.args, mapping)
+            if extended is not None and search(position + 1, extended):
+                return True
+        return False
 
-    yield from search(0, seed)
+    search(0, dict(seed))
+    return found
 
 
 def find_homomorphism(source: Sequence[Atom], target: Sequence[Atom],
                       seed: Optional[Mapping] = None) -> Optional[Mapping]:
     """The first homomorphism found, or None."""
-    for mapping in enumerate_homomorphisms(source, target, seed):
-        return mapping
-    return None
-
-
-def _head_seed(source_head: Atom, target_head: Atom) -> Optional[Mapping]:
-    """Seed mapping forcing the source head onto the target head.
-
-    Returns None when the heads are incompatible (different arity, or a
-    head constant that does not match).
-    """
-    if source_head.arity != target_head.arity:
-        return None
-    seed: Mapping = {}
-    for source_term, target_term in zip(source_head.args, target_head.args):
-        if is_variable(source_term):
-            bound = seed.get(source_term)
-            if bound is None:
-                seed[source_term] = target_term
-            elif bound != target_term:
-                return None
-        elif source_term != target_term:
-            return None
-    return seed
+    seed = dict(seed or {})
+    found = _search(order_atoms(source, seed.keys()), target, seed, True)
+    return found[0] if found else None
 
 
 def containment_mapping(psi, theta) -> Optional[Mapping]:
@@ -128,15 +115,16 @@ def containment_mapping(psi, theta) -> Optional[Mapping]:
     Head predicates are not compared (only the argument tuples matter);
     repeated head variables and head constants are handled by the seed.
     """
-    seed = _head_seed(psi.head, theta.head)
+    seed = _bind(psi.head.args, theta.head.args, {})
     if seed is None:
         return None
-    return next(_search(psi.mapping_order, theta.body, seed), None)
+    found = _search(psi.mapping_order, theta.body, seed, True)
+    return found[0] if found else None
 
 
 def enumerate_containment_mappings(psi, theta) -> Iterator[Mapping]:
     """All containment mappings from *psi* to *theta*."""
-    seed = _head_seed(psi.head, theta.head)
+    seed = _bind(psi.head.args, theta.head.args, {})
     if seed is None:
         return
-    yield from _search(psi.mapping_order, theta.body, seed)
+    yield from _search(psi.mapping_order, theta.body, seed, False)

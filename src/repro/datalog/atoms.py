@@ -47,7 +47,7 @@ class Atom:
 
     def substitute(self, subst: Mapping[Variable, Term]) -> "Atom":
         """Apply a substitution (variables not in *subst* are kept)."""
-        return Atom(self.predicate, tuple(subst.get(t, t) if is_variable(t) else t for t in self.args))
+        return Atom(self.predicate, tuple([subst.get(t, t) for t in self.args]))
 
     def __str__(self):
         if not self.args:

@@ -148,14 +148,16 @@ def expansion_derivations(program: Program, goal: str, max_height: int,
         height, _, pending, collected, steps, subst = heappop(queue)
         if not pending:
             if not exact_height or height == max_height:
+                # Through rectified heads only, nothing is bound.
                 yield (ConjunctiveQuery(apply_to_atom(head, subst),
-                                        apply_to_atoms(collected, subst)),
+                                        apply_to_atoms(collected, subst))
+                       if subst else ConjunctiveQuery(head, collected),
                        steps, subst)
             continue
+        check_deadline()
         (atom, depth), rest = pending[0], pending[1:]
         for rule, rectified, names, idb_atoms, edb_atoms in compiled[
                 atom.predicate]:
-            check_deadline()
             if idb_atoms and depth == max_height:
                 continue
             fresh = {v: factory.fresh() for v in names}

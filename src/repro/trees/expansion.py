@@ -139,9 +139,9 @@ def derivation_tree(steps, subst, idb) -> ExpansionTree:
     renamed rule, under the final unifier *subst*, labels node i, and
     since the steps are breadth-first, each node's children are the
     next steps not yet claimed, in order."""
-    rules = [Rule(apply_to_atom(rule.head.substitute(renaming), subst),
-                  apply_to_atoms(rule.substitute(renaming).body, subst))
-             for rule, renaming in steps]
+    instances = (rule.substitute(renaming) for rule, renaming in steps)
+    rules = [Rule(apply_to_atom(instance.head, subst),
+                  apply_to_atoms(instance.body, subst)) for instance in instances]
     nodes: List[ExpansionTree] = []
     claimed = len(rules)
     for rule in reversed(rules):  # children are built before parents
