@@ -56,15 +56,15 @@ def order_atoms(atoms: Sequence[Atom], bound: Iterable[Variable]) -> List[Atom]:
                  for atom in atoms]
     ordered: List[Atom] = []
     seen = set(bound)
-    while remaining:
-        def score(entry) -> Tuple[int, int]:
-            _atom, variables, constants = entry
-            return (len(variables & seen) + constants, -len(variables - seen))
 
-        best = max(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best[0])
-        seen.update(best[1])
+    def score(index: int) -> Tuple[int, int]:
+        _atom, variables, constants = remaining[index]
+        return (len(variables & seen) + constants, -len(variables - seen))
+
+    while remaining:
+        atom, variables, _ = remaining.pop(max(range(len(remaining)), key=score))
+        ordered.append(atom)
+        seen.update(variables)
     return ordered
 
 
