@@ -52,6 +52,8 @@ def _bind(source: Tuple[Term, ...], target: Tuple[Term, ...],
 def order_atoms(atoms: Sequence[Atom], bound: Iterable[Variable]) -> List[Atom]:
     """Order source atoms so that each step shares variables with the
     already-mapped prefix where possible (reduces backtracking)."""
+    if len(atoms) < 2:
+        return list(atoms)
     remaining = [(atom, atom.variable_set(), len(atom.constants()))
                  for atom in atoms]
     ordered: List[Atom] = []
