@@ -465,10 +465,10 @@ def complement(automaton: TreeAutomaton) -> BottomUpDeterministic:
 # Proposition 4.6 workload: containment via bottom-up profiles.
 # ----------------------------------------------------------------------
 
-def find_counterexample_tree(left: TreeAutomaton, right: TreeAutomaton,
-                             use_antichain: bool = True) -> Optional[LabeledTree]:
+def find_counterexample_tree(left: TreeAutomaton,
+                             right: TreeAutomaton) -> Optional[LabeledTree]:
     """A tree in T(left) - T(right), or None when contained."""
-    return search_tree_inclusion(left, right, use_antichain)[0]
+    return search_tree_inclusion(left, right)[0]
 
 
 def _thaw_witness(node: Tuple) -> LabeledTree:
@@ -559,10 +559,9 @@ def search_tree_inclusion(left: TreeAutomaton, right: TreeAutomaton,
     return None, Invariant("automata", chains._chains, interner, (left, right))
 
 
-def contained_in(left: TreeAutomaton, right: TreeAutomaton,
-                 use_antichain: bool = True) -> bool:
+def contained_in(left: TreeAutomaton, right: TreeAutomaton) -> bool:
     """T(left) subseteq T(right) (Proposition 4.6 workload)."""
-    return find_counterexample_tree(left, right, use_antichain) is None
+    return find_counterexample_tree(left, right) is None
 
 
 def contained_in_union(left: TreeAutomaton,

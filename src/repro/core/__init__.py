@@ -26,7 +26,6 @@ from .equivalence import (
 )
 from .materialize import (
     materialize_cq_automaton,
-    materialize_fixpoint,
     theorem_5_11_via_substrate,
 )
 from .instances import (
@@ -41,7 +40,6 @@ from .ptree_automaton import (
 )
 from .tree_containment import (
     ContainmentResult,
-    datalog_contained_in_cq,
     datalog_contained_in_ucq,
 )
 from .word_path import (
@@ -68,7 +66,6 @@ __all__ = [
     "contained_in_ucq",
     "counterexample_database",
     "cq_contained_in_datalog",
-    "datalog_contained_in_cq",
     "datalog_contained_in_ucq",
     "datalog_contained_in_ucq_linear",
     "decide_boundedness",
@@ -77,7 +74,6 @@ __all__ = [
     "is_equivalent_to_nonrecursive",
     "labeled_tree_to_proof_tree",
     "materialize_cq_automaton",
-    "materialize_fixpoint",
     "nonrecursive_contained_in_datalog",
     "proof_tree_to_labeled_tree",
     "search_boundedness",

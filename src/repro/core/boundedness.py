@@ -15,7 +15,12 @@ shortcut below applies.
 Each depth's containment starts with the counterexample probe of
 :func:`~repro.core.containment.contained_in_ucq`: a deeper expansion
 that escapes the depth-k union rules out depth-k boundedness without
-building any automaton, and the search continues deeper.
+building any automaton, and the search continues deeper.  The search
+always reports the *minimal* certified depth.  A static depth bound
+(the analyzer's H001 certificate,
+:meth:`~repro.analysis.diagnostics.AnalysisReport.boundedness_certificate`)
+is an upper bound only; its union is ``expansion_union(program, goal,
+bound)``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from typing import Dict, Optional
 
 from ..automata.kernel import Invariant
 from ..cq.query import UnionOfConjunctiveQueries
-from ..datalog.engine import Engine
 from ..datalog.program import Program
 from ..datalog.unfold import expansion_union
 from .containment import contained_in_ucq
@@ -78,8 +82,7 @@ def bounded_at_depth(program: Program, goal: str, depth: int,
 
 
 def search_boundedness(program: Program, goal: str, max_depth: int = 4,
-                       method: str = "auto",
-                       engine: Optional[Engine] = None) -> BoundednessResult:
+                       method: str = "auto") -> BoundednessResult:
     """Search for a boundedness certificate up to ``max_depth``.
 
     Returns ``bounded=True`` with the certified depth and the
@@ -90,8 +93,8 @@ def search_boundedness(program: Program, goal: str, max_depth: int = 4,
 
     Each depth runs one containment, whose counterexample probe
     refutes the depth without the automata when a deeper expansion
-    escapes the union.  The search evaluates nothing: ``engine`` is
-    unused and kept for the pinned signature.
+    escapes the union.  The search evaluates nothing, so it needs no
+    engine.
     """
     program.require_goal(goal)
     probe_s = containment_s = 0.0

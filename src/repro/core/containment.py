@@ -16,10 +16,14 @@ nonrecursive Pi'  in  recursive Pi     unfold Pi', then the above
 =====================================  ==============================
 
 Each function here is the implementation itself: it resolves the
-automaton caches and, when ``engine`` is not given, the evaluation
-engine from the ambient :class:`repro.session.Session`.  The session's
-decision methods call these functions and wrap their results in a
-:class:`~repro.session.Decision`.
+automaton caches and the evaluation engine from the ambient
+:class:`repro.session.Session`, so the session a call runs in is the
+one place its configuration is chosen.  The session's decision
+methods call these functions with the session activated and wrap
+their results in a :class:`~repro.session.Decision`.  The exact
+(antichain-free) search, an ablation, is reached through
+:func:`~repro.core.tree_containment.datalog_contained_in_ucq` and
+:func:`~repro.core.word_path.datalog_contained_in_ucq_linear` directly.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from ..cq.canonical import canonical_database
 from ..cq.containment import cq_contained_in_ucq
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.database import Database
-from ..datalog.engine import Engine, evaluate
+from ..datalog.engine import evaluate
 from ..datalog.errors import NotLinearError, ValidationError
 from ..datalog.program import Program
 from ..datalog.unfold import expansion_derivations, unfold_nonrecursive
@@ -76,8 +80,7 @@ def probe_counterexample(program: Program, goal: str,
 
 def contained_in_ucq(program: Program, goal: str,
                      union: UnionOfConjunctiveQueries,
-                     method: str = "auto",
-                     use_antichain: bool = True) -> ContainmentResult:
+                     method: str = "auto") -> ContainmentResult:
     """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
     :func:`probe_counterexample` runs first: its witness answers "not
@@ -98,12 +101,9 @@ def contained_in_ucq(program: Program, goal: str,
     if witness is not None:
         result = ContainmentResult(False, witness)
     elif method == "word" or (method == "auto" and chain):
-        result = datalog_contained_in_ucq_linear(
-            program, goal, union, use_antichain=use_antichain
-        )
+        result = datalog_contained_in_ucq_linear(program, goal, union)
     else:
-        result = datalog_contained_in_ucq(program, goal, union,
-                                          use_antichain=use_antichain)
+        result = datalog_contained_in_ucq(program, goal, union)
     result.stats.update(probe_trees=tested,
                         probe_decided=int(witness is not None))
     result.timings["probe_s"] = round(probe_s, 6)
@@ -111,12 +111,10 @@ def contained_in_ucq(program: Program, goal: str,
 
 
 def contained_in_cq(program: Program, goal: str, theta: ConjunctiveQuery,
-                    method: str = "auto",
-                    use_antichain: bool = True) -> ContainmentResult:
+                    method: str = "auto") -> ContainmentResult:
     """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
     union = UnionOfConjunctiveQueries([theta], theta.arity)
-    return contained_in_ucq(program, goal, union, method=method,
-                            use_antichain=use_antichain)
+    return contained_in_ucq(program, goal, union, method=method)
 
 
 def contained_in_nonrecursive(program: Program, goal: str,
@@ -132,12 +130,11 @@ def contained_in_nonrecursive(program: Program, goal: str,
 
 
 def cq_contained_in_datalog(theta: ConjunctiveQuery, program: Program,
-                            goal: str,
-                            engine: Optional[Engine] = None) -> bool:
+                            goal: str) -> bool:
     """Decide ``theta subseteq Q_Pi`` by the canonical-database test
     [CK86, Sa88b]: freeze theta's variables into constants, evaluate Pi
-    bottom-up on the frozen body, and check that the frozen head is
-    derived.
+    bottom-up on the frozen body (on the ambient session's engine), and
+    check that the frozen head is derived.
 
     Requires a safe theta (an unsafe query cannot be contained in a
     Datalog program under active-domain semantics unless its frozen
@@ -150,28 +147,26 @@ def cq_contained_in_datalog(theta: ConjunctiveQuery, program: Program,
             f"canonical-database test requires a safe query, got {theta}"
         )
     database, head_row = canonical_database(theta)
-    result = evaluate(program, database, engine=engine)
+    result = evaluate(program, database)
     return head_row in result.facts(goal)
 
 
 def ucq_contained_in_datalog(union: UnionOfConjunctiveQueries,
-                             program: Program, goal: str,
-                             engine: Optional[Engine] = None) -> bool:
+                             program: Program, goal: str) -> bool:
     """Decide ``union subseteq Q_Pi`` disjunct-wise (Theorem 2.3)."""
-    return all(cq_contained_in_datalog(theta, program, goal, engine=engine)
+    return all(cq_contained_in_datalog(theta, program, goal)
                for theta in union)
 
 
 def nonrecursive_contained_in_datalog(nonrecursive: Program,
                                       nonrecursive_goal: str,
-                                      program: Program, goal: str,
-                                      engine: Optional[Engine] = None) -> bool:
+                                      program: Program, goal: str) -> bool:
     """Decide ``Q'_Pi' subseteq Q_Pi`` for nonrecursive Pi'."""
     union = unfold_nonrecursive(nonrecursive, nonrecursive_goal)
-    return ucq_contained_in_datalog(union, program, goal, engine=engine)
+    return ucq_contained_in_datalog(union, program, goal)
 
 
-# perfbench/spans.py patches this name (ROADMAP item 4).
+# perfbench/spans.py patches this name (ROADMAP items 7 and 9).
 decide_nonrecursive_in_datalog = nonrecursive_contained_in_datalog
 
 

@@ -12,8 +12,9 @@ EDB vocabulary) is decided by two containments:
   unfolding blowup (Theorem 6.5 shows this is optimal).
 
 Both functions here are the implementations the
-:class:`repro.session.Session` methods call; each result carries its
-per-phase wall-clock ``timings``.
+:class:`repro.session.Session` methods call; the backward direction
+evaluates on the ambient session's engine, and each result carries
+its per-phase wall-clock ``timings``.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from typing import Dict, Optional
 from ..automata.kernel import Invariant
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.analysis import is_recursive
-from ..datalog.engine import Engine
 from ..datalog.errors import NotNonrecursiveError, ValidationError
 from ..datalog.program import Program
 from ..datalog.unfold import unfold_nonrecursive
 from ..trees.expansion import ExpansionTree
 from .containment import contained_in_ucq
-# perfbench/spans.py patches this name (ROADMAP item 4).
+# perfbench/spans.py patches this name (ROADMAP items 7 and 9).
 from .containment import ucq_contained_in_datalog as decide_ucq_in_datalog
 
 
@@ -66,8 +66,7 @@ class EquivalenceResult:
 def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
                                   goal: str,
                                   nonrecursive_goal: Optional[str] = None,
-                                  method: str = "auto",
-                                  engine: Optional[Engine] = None) -> EquivalenceResult:
+                                  method: str = "auto") -> EquivalenceResult:
     """Decide ``Pi == Pi'`` for a (possibly recursive) Pi and a
     nonrecursive Pi' (Theorem 6.5).
 
@@ -75,8 +74,8 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
     the same name.  Raises :class:`NotNonrecursiveError` when Pi' is
     recursive (use two containment calls directly for that undecidable
     case at your own peril -- the paper proves general Datalog
-    equivalence undecidable [Shm87]).  ``engine`` runs the backward
-    canonical-database tests (default: the ambient session's engine).
+    equivalence undecidable [Shm87]).  The backward canonical-database
+    tests run on the ambient session's engine.
     """
     nonrecursive_goal = nonrecursive_goal or goal
     if is_recursive(nonrecursive):
@@ -92,8 +91,7 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
     started = perf_counter()
     union = unfold_nonrecursive(nonrecursive, nonrecursive_goal)
     unfold_s = perf_counter() - started
-    result = equivalent_to_ucq(program, goal, union, method=method,
-                               engine=engine)
+    result = equivalent_to_ucq(program, goal, union, method=method)
     result.stats["union_disjuncts"] = len(union)
     result.stats["union_size"] = union.size()
     result.timings = {"unfold_s": round(unfold_s, 6), **result.timings}
@@ -102,13 +100,12 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
 
 def equivalent_to_ucq(program: Program, goal: str,
                       union: UnionOfConjunctiveQueries,
-                      method: str = "auto",
-                      engine: Optional[Engine] = None) -> EquivalenceResult:
+                      method: str = "auto") -> EquivalenceResult:
     """Decide ``Pi == union`` directly against a union of conjunctive
     queries (the Theorem 5.12 form of the problem)."""
     program.require_goal(goal)
     started = perf_counter()
-    backward = decide_ucq_in_datalog(union, program, goal, engine=engine)
+    backward = decide_ucq_in_datalog(union, program, goal)
     backward_s = perf_counter() - started
     started = perf_counter()
     forward = contained_in_ucq(program, goal, union, method=method)

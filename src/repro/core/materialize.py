@@ -13,35 +13,15 @@ and the ablation benchmarks on small inputs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..automata.tree import TreeAutomaton
 from ..budget import check_deadline
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
-from ..datalog.database import Database
-from ..datalog.engine import Engine, evaluate
 from ..datalog.program import Program
 from .cq_automaton import CQAutomaton, CQState
 from .instances import Label
 from .ptree_automaton import PTreeAutomaton
-
-
-def materialize_fixpoint(program: Program, database: Database,
-                         max_stages: Optional[int] = None,
-                         engine: Optional[Engine] = None,
-                         include_edb: bool = True) -> Database:
-    """Materialize ``Pi(D)`` as a database via the evaluation engine.
-
-    Runs the bottom-up fixpoint -- through the default engine's
-    columnar data plane (:mod:`repro.datalog.columns`) unless an
-    *engine* override says otherwise -- and returns the derived IDB
-    facts, merged onto a copy of *database* unless
-    ``include_edb=False``.  This is the engine-backed counterpart of
-    the automata materializations below: the same *materialize* verb,
-    applied to the model instead of the proof-tree language.
-    """
-    result = evaluate(program, database, max_stages=max_stages, engine=engine)
-    return result.as_database(database if include_edb else None)
 
 
 def materialize_cq_automaton(program: Program, goal: str,

@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..automata.kernel import Interner, Invariant, thaw_witness
 from ..budget import check_deadline
-from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
+from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.atoms import Atom
 from ..datalog.program import Program
 from ..trees.expansion import ExpansionTree
@@ -320,12 +320,3 @@ def _fresh_combos(options: List[List[Tuple]], generation: int) -> Iterator[Tuple
                 combo.pop()
 
         yield from walk(0)
-
-
-def datalog_contained_in_cq(program: Program, goal: str,
-                            theta: ConjunctiveQuery,
-                            use_antichain: bool = True) -> ContainmentResult:
-    """Containment in a single conjunctive query (Corollary 5.7)."""
-    union = UnionOfConjunctiveQueries([theta], theta.arity)
-    return datalog_contained_in_ucq(program, goal, union,
-                                    use_antichain=use_antichain)

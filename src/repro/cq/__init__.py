@@ -13,12 +13,9 @@ from .containment import (
     minimal_union,
     ucq_contained_in,
     ucq_equivalent,
-    witness_mapping,
 )
 from .homomorphism import (
     containment_mapping,
-    enumerate_containment_mappings,
-    enumerate_homomorphisms,
     find_homomorphism,
 )
 from .minimize import is_minimal, minimize
@@ -33,8 +30,6 @@ __all__ = [
     "cq_contained_in",
     "cq_contained_in_ucq",
     "cq_equivalent",
-    "enumerate_containment_mappings",
-    "enumerate_homomorphisms",
     "evaluate_cq",
     "evaluate_ucq",
     "find_homomorphism",
@@ -44,5 +39,4 @@ __all__ = [
     "minimize",
     "ucq_contained_in",
     "ucq_equivalent",
-    "witness_mapping",
 ]

@@ -11,8 +11,6 @@ search is fast on the query sizes arising in this reproduction).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .homomorphism import containment_mapping
 from .query import ConjunctiveQuery, UnionOfConjunctiveQueries
 
@@ -46,13 +44,6 @@ def ucq_equivalent(phi: UnionOfConjunctiveQueries,
                    psi: UnionOfConjunctiveQueries) -> bool:
     """Mutual containment of two unions of conjunctive queries."""
     return ucq_contained_in(phi, psi) and ucq_contained_in(psi, phi)
-
-
-def witness_mapping(theta: ConjunctiveQuery,
-                    psi: ConjunctiveQuery) -> Optional[dict]:
-    """The containment mapping witnessing ``theta contained-in psi``
-    (a mapping *from psi to theta*), or None."""
-    return containment_mapping(psi, theta)
 
 
 def minimal_union(union: UnionOfConjunctiveQueries) -> UnionOfConjunctiveQueries:

@@ -14,7 +14,7 @@ most-constrained-first.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..datalog.atoms import Atom
 from ..datalog.terms import Term, Variable
@@ -70,44 +70,33 @@ def order_atoms(atoms: Sequence[Atom], bound: Iterable[Variable]) -> List[Atom]:
     return ordered
 
 
-def enumerate_homomorphisms(source: Sequence[Atom], target: Sequence[Atom],
-                            seed: Optional[Mapping] = None) -> Iterator[Mapping]:
-    """Yield every mapping of source variables to target terms under
-    which each source atom occurs among the target atoms, extending the
-    optional *seed* mapping."""
-    seed = dict(seed or {})
-    yield from _search(order_atoms(source, seed.keys()), target, seed, False)
-
-
-def _search(ordered: Sequence[Atom], target: Sequence[Atom], seed: Mapping,
-            first: bool) -> List[Mapping]:
-    """Every extension of *seed* under which the *ordered* source atoms,
-    mapped in that order, occur among the target atoms -- or, with
-    *first*, only the first one found."""
+def _search(ordered: Sequence[Atom], target: Sequence[Atom],
+            seed: Mapping) -> Optional[Mapping]:
+    """The first extension of *seed* under which the *ordered* source
+    atoms, mapped in that order, occur among the target atoms, or
+    None."""
     index = _index_by_predicate(target)
-    found: List[Mapping] = []
 
-    def search(position: int, mapping: Mapping) -> bool:
+    def search(position: int, mapping: Mapping) -> Optional[Mapping]:
         if position == len(ordered):
-            found.append(mapping)
-            return first
+            return mapping
         atom = ordered[position]
         for candidate in index.get(atom.predicate, ()):
             extended = _bind(atom.args, candidate.args, mapping)
-            if extended is not None and search(position + 1, extended):
-                return True
-        return False
+            if extended is not None:
+                found = search(position + 1, extended)
+                if found is not None:
+                    return found
+        return None
 
-    search(0, dict(seed))
-    return found
+    return search(0, dict(seed))
 
 
 def find_homomorphism(source: Sequence[Atom], target: Sequence[Atom],
                       seed: Optional[Mapping] = None) -> Optional[Mapping]:
     """The first homomorphism found, or None."""
     seed = dict(seed or {})
-    found = _search(order_atoms(source, seed.keys()), target, seed, True)
-    return found[0] if found else None
+    return _search(order_atoms(source, seed.keys()), target, seed)
 
 
 def containment_mapping(psi, theta) -> Optional[Mapping]:
@@ -120,13 +109,4 @@ def containment_mapping(psi, theta) -> Optional[Mapping]:
     seed = _bind(psi.head.args, theta.head.args, {})
     if seed is None:
         return None
-    found = _search(psi.mapping_order, theta.body, seed, True)
-    return found[0] if found else None
-
-
-def enumerate_containment_mappings(psi, theta) -> Iterator[Mapping]:
-    """All containment mappings from *psi* to *theta*."""
-    seed = _bind(psi.head.args, theta.head.args, {})
-    if seed is None:
-        return
-    yield from _search(psi.mapping_order, theta.body, seed, False)
+    return _search(psi.mapping_order, theta.body, seed)

@@ -27,7 +27,6 @@ from .columns import (
 )
 from .errors import (
     ArityError,
-    EvaluationError,
     NotLinearError,
     NotNonrecursiveError,
     ParseError,
@@ -66,7 +65,6 @@ __all__ = [
     "Database",
     "Engine",
     "EngineConfig",
-    "EvaluationError",
     "EvaluationResult",
     "FreshVariableFactory",
     "JoinPlan",

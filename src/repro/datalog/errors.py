@@ -53,8 +53,3 @@ class UnsafeProgramError(ValidationError):
     def __init__(self, message, diagnostics=()):
         self.diagnostics = [dict(d) for d in diagnostics]
         super().__init__(message)
-
-
-class EvaluationError(ReproError):
-    """Raised when bottom-up evaluation cannot proceed (e.g. an unsafe
-    rule over an empty active domain)."""

@@ -46,7 +46,7 @@ from .regressions import (
     scenario_from_case,
     write_regression,
 )
-from .shrinker import ddmin, shrink_case, shrink_divergence, still_diverges
+from .shrinker import ddmin, shrink_case, still_diverges
 from .sweep import FuzzReport, planted_fault, run_fuzz
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "run_fuzz",
     "scenario_from_case",
     "shrink_case",
-    "shrink_divergence",
     "still_diverges",
     "write_regression",
 ]

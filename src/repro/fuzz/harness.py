@@ -298,10 +298,6 @@ def draw_case(seed: int, index: int) -> FuzzCase:
 # Differential execution.
 # ----------------------------------------------------------------------
 
-#: One shared engine for the decision kinds' evaluation probes.
-_PROBE_ENGINE = Engine(EngineConfig())
-
-
 def evaluation_verdict(case: FuzzCase, config: EngineConfig) -> Dict:
     """The complete-fixpoint verdict of *case* on one engine cell:
     per-IDB-predicate row counts and checksums, plus the fixpoint
@@ -339,8 +335,7 @@ def decision_outcome(case: FuzzCase) -> Tuple[Dict, object]:
         payload["nonrecursive_goal"] = case.nonrecursive_goal
     elif case.kind == "boundedness":
         payload["max_depth"] = case.max_depth
-    decision = current_session().run_payload(case.kind, payload,
-                                             engine=_PROBE_ENGINE)
+    decision = current_session().run_payload(case.kind, payload)
     return decision.verdict, decision.raw
 
 
@@ -452,8 +447,8 @@ def analysis_divergences(case: FuzzCase) -> List[Divergence]:
     if certificate is not None:
         payload = {"program": case.program, "goal": case.goal,
                    "max_depth": certificate["depth_bound"]}
-        verdict = current_session().run_payload(
-            "boundedness", payload, engine=_PROBE_ENGINE).verdict
+        verdict = current_session().run_payload("boundedness",
+                                                payload).verdict
         if verdict.get("bounded") is not True:
             divergences.append(Divergence(
                 case=case, label="bounded-certificate", against="analyzer",

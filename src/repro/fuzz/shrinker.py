@@ -32,7 +32,7 @@ from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.database import Database
 from ..datalog.program import Program
 from ..datalog.rules import Rule
-from .harness import Divergence, FuzzCase, run_case
+from .harness import FuzzCase, run_case
 
 T = TypeVar("T")
 
@@ -148,13 +148,3 @@ def shrink_case(case: FuzzCase,
                 disjuncts, arity=case.union.arity))
 
     return case
-
-
-def shrink_divergence(divergence: Divergence, *, matrix: str = "full",
-                      mutate=None) -> FuzzCase:
-    """Shrink the case behind *divergence* (baseline divergences only;
-    a ground-truth mismatch is returned unshrunk -- its expected
-    verdict would not survive reduction)."""
-    if divergence.against != "baseline":
-        return divergence.case
-    return shrink_case(divergence.case, matrix=matrix, mutate=mutate)

@@ -21,7 +21,6 @@ from .turing import (
     sweeping_machine,
     symbol_name,
     tiny_accepting_machine,
-    tiny_rejecting_machine,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "symbol_name",
     "synthesize_trace_query",
     "tiny_accepting_machine",
-    "tiny_rejecting_machine",
     "trace_addresses",
     "trace_database",
 ]

@@ -323,19 +323,6 @@ def tiny_accepting_machine() -> TuringMachine:
     )
 
 
-def tiny_rejecting_machine() -> TuringMachine:
-    """The smallest non-accepting machine (one state, one tape symbol,
-    looping in place forever -- no accepting state at all)."""
-    return TuringMachine(
-        states=frozenset({"q0"}),
-        tape_symbols=frozenset({"b"}),
-        blank="b",
-        initial_state="q0",
-        accepting_states=frozenset(),
-        transitions={("q0", "b"): ("q0", "b", STAY)},
-    )
-
-
 def simple_accepting_machine() -> TuringMachine:
     """A machine that immediately accepts (writes and enters qa)."""
     return TuringMachine(

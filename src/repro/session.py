@@ -2,14 +2,15 @@
 
 The paper's decision procedures (containment in a UCQ, Theorem 5.12;
 equivalence to a nonrecursive program, Theorem 6.5; the boundedness
-semi-decision) plus bottom-up evaluation and the scenario registry
-used to be reachable only as free functions with divergent signatures
--- the engine picked by a process-global default, three unrelated
-result dataclasses.  A :class:`Session` owns that configuration (an
-:class:`~repro.datalog.engine.EngineConfig`) together with its caches
-(compiled plans, automaton factories, EDB images -- a private
-:class:`~repro.context.CacheScope` per session), and exposes every
-entry point as a method returning one uniform :class:`Decision`.
+semi-decision) plus bottom-up evaluation and the scenario registry are
+methods of a :class:`Session`, each returning one uniform
+:class:`Decision`.  A session *is* its configuration: an
+:class:`~repro.datalog.engine.EngineConfig` chosen when the session is
+built, plus its caches (compiled plans, automaton factories, EDB
+images -- a private :class:`~repro.context.CacheScope` per session).
+No decision method takes an engine of its own, so every decision is
+computed by the engine its :attr:`Decision.fingerprint` names.  To
+decide on another engine, build another session.
 
 Two sessions are fully isolated: different backends, separate caches,
 zero bleed -- the enabling step for concurrent multi-config serving.
@@ -17,9 +18,10 @@ The ambient session is held in a :class:`contextvars.ContextVar`; the
 *default* one owns the process-global cache scope.  The free functions
 of :mod:`repro.core` are the procedures themselves: they resolve
 caches and engine from the ambient session, and the session methods
-call them.  :meth:`Session.run_payload` is the one dispatcher from a
-payload kind to a decision method; the scenario runner, the CLI, the
-service workers and the fuzz harness all go through it.
+call them with the session activated.  :meth:`Session.run_payload` is
+the one dispatcher from a payload kind to a decision method; the
+scenario runner, the CLI, the service workers and the fuzz harness all
+go through it.
 
     >>> from repro import Session, parse_program
     >>> session = Session()
@@ -77,13 +79,6 @@ def config_fingerprint(engine: "EngineConfig") -> str:
     keys from it)."""
     blob = repr(sorted(asdict(engine).items()))
     return hashlib.sha1(blob.encode()).hexdigest()[:16]
-
-
-def _analysis():
-    """The static-analysis package, imported on first use (it sits
-    above the datalog substrate this module is built from)."""
-    from . import analysis
-    return analysis
 
 
 #: Per-kind verdict key that drives ``bool(decision)``.
@@ -368,8 +363,7 @@ class Session:
 
     def contains(self, program: Program, goal: str,
                  union: UnionOfConjunctiveQueries, *,
-                 method: str = "auto", use_antichain: bool = True,
-                 use_certificates: bool = False,
+                 method: str = "auto",
                  deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
@@ -377,42 +371,24 @@ class Session:
         :func:`repro.core.contained_in_ucq`; ``deadline`` bounds the
         call's wall clock (every decision method takes one).  On
         non-containment the ``certificate`` is the witness proof tree.
-
-        ``use_certificates=True`` consults the static analyzer first:
-        a chain-rule class certificate (H005) pins the word-automaton
-        method explicitly and is recorded in ``meta["analysis"]``.
         """
-        analysis_meta = None
-        if use_certificates and method == "auto":
-            report = _analysis().analyze_program(program, goal, plans=False)
-            analysis_meta = {"classes": list(report.classes)}
-            if "chain" in report.classes:
-                method = "word"
-                analysis_meta["method"] = "word"
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            result = _containment.contained_in_ucq(
-                program, goal, union, method=method,
-                use_antichain=use_antichain,
-            )
-        decision = self._decision(
+            result = _containment.contained_in_ucq(program, goal, union,
+                                                   method=method)
+        return self._decision(
             "containment", {"contained": result.contained},
             stats=result.stats,
             timings={**result.timings, "decide_s": perf_counter() - start},
             certificate=result.witness, raw=result,
         )
-        if analysis_meta is not None:
-            decision.meta["analysis"] = analysis_meta
-        return decision
 
     def contains_cq(self, program: Program, goal: str,
                     theta: ConjunctiveQuery, *, method: str = "auto",
-                    use_antichain: bool = True,
                     deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
         union = UnionOfConjunctiveQueries([theta], theta.arity)
         return self.contains(program, goal, union, method=method,
-                             use_antichain=use_antichain,
                              deadline=deadline)
 
     def contains_nonrecursive(self, program: Program, goal: str,
@@ -436,14 +412,13 @@ class Session:
     # ------------------------------------------------------------------
 
     def cq_contained(self, theta: ConjunctiveQuery, program: Program,
-                     goal: str, *, engine: Optional[Engine] = None,
+                     goal: str, *,
                      deadline: Optional[float] = None) -> Decision:
         """Decide ``theta subseteq Q_Pi`` by the canonical-database
         test [CK86, Sa88b], on this session's engine."""
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            held = _containment.cq_contained_in_datalog(
-                theta, program, goal, engine=engine or self._engine)
+            held = _containment.cq_contained_in_datalog(theta, program, goal)
         return self._decision(
             "containment", {"contained": held},
             timings={"decide_s": perf_counter() - start}, raw=held,
@@ -451,13 +426,11 @@ class Session:
 
     def ucq_contained(self, union: UnionOfConjunctiveQueries,
                       program: Program, goal: str, *,
-                      engine: Optional[Engine] = None,
                       deadline: Optional[float] = None) -> Decision:
         """Decide ``union subseteq Q_Pi`` disjunct-wise (Theorem 2.3)."""
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            held = _containment.ucq_contained_in_datalog(
-                union, program, goal, engine=engine or self._engine)
+            held = _containment.ucq_contained_in_datalog(union, program, goal)
         return self._decision(
             "containment", {"contained": held},
             stats={"union_disjuncts": len(union)},
@@ -467,16 +440,14 @@ class Session:
     def nonrecursive_contained(self, nonrecursive: Program,
                                nonrecursive_goal: str, program: Program,
                                goal: str, *,
-                               engine: Optional[Engine] = None,
                                deadline: Optional[float] = None) -> Decision:
         """Decide ``Q'_Pi' subseteq Q_Pi`` for nonrecursive Pi'."""
         start = perf_counter()
         with self._deadline(deadline), self.activated():
             # The perfbench-patched name of
-            # nonrecursive_contained_in_datalog (ROADMAP item 4).
+            # nonrecursive_contained_in_datalog (ROADMAP items 7 and 9).
             held = _containment.decide_nonrecursive_in_datalog(
-                nonrecursive, nonrecursive_goal, program, goal,
-                engine=engine or self._engine)
+                nonrecursive, nonrecursive_goal, program, goal)
         return self._decision(
             "containment", {"contained": held},
             timings={"decide_s": perf_counter() - start}, raw=held,
@@ -490,7 +461,6 @@ class Session:
                                    nonrecursive: Program, goal: str,
                                    nonrecursive_goal: Optional[str] = None, *,
                                    method: str = "auto",
-                                   engine: Optional[Engine] = None,
                                    deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == Pi'`` for nonrecursive Pi' (Theorem 6.5),
         with per-phase timings (``unfold_s`` / ``backward_s`` /
@@ -498,22 +468,17 @@ class Session:
         with self._deadline(deadline), self.activated():
             result = _equivalence.is_equivalent_to_nonrecursive(
                 program, nonrecursive, goal,
-                nonrecursive_goal=nonrecursive_goal, method=method,
-                engine=engine or self._engine,
-            )
+                nonrecursive_goal=nonrecursive_goal, method=method)
         return self._equivalence_decision(result)
 
     def equivalent_to_ucq(self, program: Program, goal: str,
                           union: UnionOfConjunctiveQueries, *,
                           method: str = "auto",
-                          engine: Optional[Engine] = None,
                           deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == union`` (the Theorem 5.12 form)."""
         with self._deadline(deadline), self.activated():
-            result = _equivalence.equivalent_to_ucq(
-                program, goal, union, method=method,
-                engine=engine or self._engine,
-            )
+            result = _equivalence.equivalent_to_ucq(program, goal, union,
+                                                    method=method)
         return self._equivalence_decision(result)
 
     def _equivalence_decision(self, result) -> Decision:
@@ -527,45 +492,17 @@ class Session:
         )
 
     def bounded(self, program: Program, goal: str, max_depth: int = 4, *,
-                method: str = "auto", use_certificates: bool = False,
-                engine: Optional[Engine] = None,
+                method: str = "auto",
                 deadline: Optional[float] = None) -> Decision:
         """Search for a boundedness certificate up to ``max_depth``
         (semi-decision; ``bounded`` is True or None=unknown).  The
         ``certificate`` is the equivalent union of conjunctive queries
-        when one is found; ``stats``/``timings`` report the per-depth
-        probe work.
-
-        ``use_certificates=True`` consults the static analyzer first:
-        an H001 certificate whose depth bound fits ``max_depth`` skips
-        the containment search entirely and answers with the certified
-        depth and its expansion-union witness.  Opt-in because the
-        certified depth is a *bound*, not necessarily the minimal
-        depth the search would report.
+        when one is found, at the minimal depth; ``stats``/``timings``
+        report the per-depth probe work.
         """
-        if use_certificates:
-            cert = _analysis().boundedness_certificate(program, goal)
-            if cert is not None and cert["depth_bound"] <= max_depth:
-                start = perf_counter()
-                with self._deadline(deadline), self.activated():
-                    union = expansion_union(
-                        program, goal, cert["depth_bound"])
-                result = _boundedness.BoundednessResult(
-                    bounded=True, depth=cert["depth_bound"],
-                    witness_union=union)
-                decision = self._decision(
-                    "boundedness",
-                    {"bounded": True, "depth": cert["depth_bound"]},
-                    stats={"certificate_fast_path": 1},
-                    timings={"expand_s": perf_counter() - start},
-                    certificate=union, raw=result,
-                )
-                decision.meta["analysis"] = cert
-                return decision
         with self._deadline(deadline), self.activated():
             result = _boundedness.search_boundedness(
-                program, goal, max_depth=max_depth, method=method,
-                engine=engine)
+                program, goal, max_depth=max_depth, method=method)
         return self._decision(
             "boundedness",
             {"bounded": result.bounded, "depth": result.depth},
@@ -585,7 +522,10 @@ class Session:
         diagnostics, class certificates, no evaluation.  Source text
         with syntax or arity errors yields E004/E003 diagnostics
         rather than raising."""
-        analysis = _analysis()
+        # Imported on first use: the analyzer sits above the datalog
+        # substrate this module is built from.
+        from . import analysis
+
         with self.activated():
             if isinstance(program, str):
                 return analysis.analyze_source(program, goal, plans=plans)
@@ -598,7 +538,6 @@ class Session:
     def evaluate(self, program: Program, database: Database,
                  max_stages: Optional[int] = None, *,
                  goal: Optional[str] = None,
-                 engine: Optional[Engine] = None,
                  deadline: Optional[float] = None) -> Decision:
         """Bottom-up evaluation on this session's engine.
 
@@ -612,8 +551,8 @@ class Session:
         start = perf_counter()
         try:
             with self._deadline(deadline), self.activated():
-                result = (engine or self._engine).evaluate(
-                    program, database, max_stages=max_stages)
+                result = self._engine.evaluate(program, database,
+                                               max_stages=max_stages)
         except UnsafeProgramError as exc:
             # The EngineConfig(validate=True) gate: an unsafe program
             # becomes a typed error decision carrying the analyzer's
@@ -641,13 +580,11 @@ class Session:
 
     def query(self, program: Program, database: Database, goal: str,
               max_stages: Optional[int] = None, *,
-              engine: Optional[Engine] = None,
               deadline: Optional[float] = None) -> Decision:
         """The relation ``goal_Pi(D)``: an evaluation decision whose
         ``raw`` is the frozenset of goal rows."""
         decision = self.evaluate(program, database, max_stages=max_stages,
-                                 goal=goal, engine=engine,
-                                 deadline=deadline)
+                                 goal=goal, deadline=deadline)
         if decision.error is not None:
             return decision
         decision.raw = decision.certificate.facts(goal)
@@ -655,21 +592,19 @@ class Session:
 
     def magic(self, program: Program, database: Database, goal: str,
               adornment: str, bindings, *,
-              engine: Optional[Engine] = None,
               deadline: Optional[float] = None) -> Decision:
         """Goal-directed evaluation via magic sets, with the
         direct-vs-magic derived-fact counts as ``stats``."""
         from .datalog.magic import derived_fact_count, magic_query
 
-        engine = engine or self._engine
         with self._deadline(deadline), self.activated():
             start = perf_counter()
             rows = magic_query(program, database, goal, adornment,
-                               bindings, engine=engine)
+                               bindings, engine=self._engine)
             magic_s = perf_counter() - start
             start = perf_counter()
             counts = derived_fact_count(program, database, goal, adornment,
-                                        bindings, engine=engine)
+                                        bindings, engine=self._engine)
             count_s = perf_counter() - start
         verdict = {"rows": len(rows),
                    "magic_beats_direct": counts["magic"] < counts["direct"]}
@@ -684,7 +619,6 @@ class Session:
     # ------------------------------------------------------------------
 
     def run_payload(self, kind: str, payload: Mapping[str, Any], *,
-                    engine: Optional[Engine] = None,
                     deadline: Optional[float] = None) -> Decision:
         """Run the decision method for *kind* on a scenario-shaped
         *payload* (built objects, as :meth:`Scenario.build
@@ -713,18 +647,17 @@ class Session:
             return self.equivalent_to_nonrecursive(
                 program, payload["nonrecursive"], goal,
                 payload.get("nonrecursive_goal"), method=method,
-                engine=engine, deadline=deadline)
+                deadline=deadline)
         if kind == "boundedness":
             return self.bounded(program, goal, payload.get("max_depth", 4),
-                                method=method, engine=engine,
-                                deadline=deadline)
+                                method=method, deadline=deadline)
         if kind == "magic":
             return self.magic(program, payload["database"], goal,
                               payload["adornment"], payload["bindings"],
-                              engine=engine, deadline=deadline)
+                              deadline=deadline)
         raise ValidationError(f"unknown payload kind {kind!r}")
 
-    def run_scenario(self, scenario, *, engine: Optional[Engine] = None,
+    def run_scenario(self, scenario, *,
                      deadline: Optional[float] = None) -> Decision:
         """Execute a registry scenario (by name or object) under this
         session and check its verdict against constructed ground truth
@@ -764,12 +697,11 @@ class Session:
                 if scenario.kind == "evaluation":
                     decision = self.evaluate(
                         payload["program"], payload["database"],
-                        goal=payload["goal"], engine=engine)
+                        goal=payload["goal"])
                     verdict = {"count": decision.verdict.get("count"),
                                "checksum": decision.checksum}
                 else:
-                    decision = self.run_payload(scenario.kind, payload,
-                                                engine=engine)
+                    decision = self.run_payload(scenario.kind, payload)
                     verdict = decision.verdict
         except BudgetExhausted as exhausted:
             # self._deadline has already dropped the caches.

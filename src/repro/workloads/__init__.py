@@ -25,7 +25,6 @@ from .generators import (
     random_graph_edges,
     random_program,
     reachable_from,
-    reachable_pair_count,
     reachable_pairs,
     road_network_edges,
     same_depth_pair_count,
@@ -74,7 +73,6 @@ __all__ = [
     "random_graph_edges",
     "random_program",
     "reachable_from",
-    "reachable_pair_count",
     "reachable_pairs",
     "register",
     "road_network_edges",

@@ -485,11 +485,6 @@ def reachable_pairs(edges: Sequence[Edge]) -> Set[Edge]:
     return pairs
 
 
-def reachable_pair_count(edges: Sequence[Edge]) -> int:
-    """``len(reachable_pairs(edges))`` (convenience)."""
-    return len(reachable_pairs(edges))
-
-
 def reachable_from(edges: Sequence[Edge], source: str) -> Set[str]:
     """The nodes reachable from *source* (including *source* itself) by
     a single BFS -- linear in the edge list, so it scales to the

@@ -23,12 +23,14 @@ kind             verdict (JSON-serializable, process-independent)
                  derived-fact counts land in ``stats``)
 ===============  ====================================================
 
-``run_scenario(scenario, engine=...)`` executes a scenario on the
-ambient session (:meth:`repro.session.Session.run_scenario`, which
-hands the payload to :meth:`~repro.session.Session.run_payload`) and
-returns its :class:`~repro.session.Decision` -- dict-compatible, so
+``run_scenario(scenario)`` executes a scenario on the ambient session
+(:meth:`repro.session.Session.run_scenario`, which hands the payload
+to :meth:`~repro.session.Session.run_payload`) and returns its
+:class:`~repro.session.Decision` -- dict-compatible, so
 ``result["verdict"]`` / ``result["ok"]`` / ``result["stats"]`` read as
-before; the caller owns cache lifecycle.  Scenarios are rebuilt from
+before; the caller owns cache lifecycle.  The engine is the ambient
+session's: to run a scenario on another engine, run it in a
+``Session(engine=EngineConfig(...))``.  Scenarios are rebuilt from
 the registry *by name* inside worker processes, so nothing here needs
 to pickle beyond the name strings.
 
@@ -42,10 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-# perfbench/spans.py patches this name (ROADMAP item 4).
+# perfbench/spans.py patches this name (ROADMAP items 7 and 9).
 from ..core.boundedness import search_boundedness  # noqa: F401
 from ..cq.query import UnionOfConjunctiveQueries
-from ..datalog.engine import Engine
 from ..datalog.unfold import expansion_union
 from ..programs.library import (
     buys_bounded,
@@ -180,21 +181,19 @@ def scenario_names(kind: Optional[str] = None,
 # ``EvaluationResult.checksum``, which feeds the same encoding.
 
 
-def run_scenario(scenario: Scenario,
-                 engine: Optional[Engine] = None):
+def run_scenario(scenario: Scenario):
     """Execute *scenario* and check its verdict against ground truth.
 
     Runs on the ambient session
-    (:meth:`repro.session.Session.run_scenario`) and returns its
-    :class:`~repro.session.Decision` -- dict-compatible, so
+    (:meth:`repro.session.Session.run_scenario`), with its engine, and
+    returns its :class:`~repro.session.Decision` -- dict-compatible, so
     ``result["verdict"]`` / ``result["ok"]`` / ``result["stats"]``
-    keep working.  ``engine`` overrides the session's engine for this
-    run; cache lifecycle belongs to the caller
+    keep working.  Cache lifecycle belongs to the caller
     (:mod:`repro.runner`).
     """
     from ..session import current_session
 
-    return current_session().run_scenario(scenario, engine=engine)
+    return current_session().run_scenario(scenario)
 
 
 # ----------------------------------------------------------------------

@@ -266,29 +266,6 @@ class TestSessionAnalysis:
         report = session.analyze(UNSAFE, goal="p")
         assert report.codes() == ("E001",)
 
-    def test_bounded_certificate_fast_path(self):
-        session = Session()
-        fast = session.bounded(BUYS, "buys", use_certificates=True)
-        assert fast.verdict == {"bounded": True, "depth": 2}
-        assert fast.stats.get("certificate_fast_path") == 1
-        assert fast.meta["analysis"]["code"] == "H001"
-        assert fast.certificate is not None  # witness union materialized
-        slow = session.bounded(BUYS, "buys")
-        assert "certificate_fast_path" not in slow.stats
-        assert slow.verdict["bounded"] is True
-
-    def test_contains_certificates_pick_word_method(self):
-        from repro.datalog.unfold import expansion_union
-
-        session = Session()
-        union = expansion_union(BUYS, "buys", 2)
-        decision = session.contains(BUYS, "buys", union,
-                                    use_certificates=True)
-        assert decision.meta["analysis"]["method"] == "word"
-        assert "chain" in decision.meta["analysis"]["classes"]
-        plain = session.contains(BUYS, "buys", union)
-        assert decision.verdict == plain.verdict
-
 
 class TestAnalyzeCLI:
     def _write(self, tmp_path, source):

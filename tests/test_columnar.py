@@ -40,7 +40,6 @@ from repro.workloads.scenarios import (
     REGISTRY,
     LazyExpected,
     get_scenario,
-    run_scenario,
 )
 
 COLUMNAR = Engine(EngineConfig())
@@ -170,9 +169,10 @@ def test_magic_rewriting_differential():
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("engine", [COLUMNAR], ids=["columnar"])
-def test_scale_smoke_scenario_ground_truth(engine):
-    result = run_scenario(get_scenario("scale_chain_2hop_5k"), engine=engine)
+@pytest.mark.parametrize("cfg", [COLUMNAR.config], ids=["columnar"])
+def test_scale_smoke_scenario_ground_truth(cfg):
+    result = Session(engine=cfg).run_scenario(
+        get_scenario("scale_chain_2hop_5k"))
     assert result["ok"], result["verdict"]
 
 

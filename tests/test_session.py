@@ -44,7 +44,7 @@ from repro.datalog.parser import parse_rule
 from repro.datalog.unfold import expansion_union
 from repro.programs import transitive_closure
 from repro.programs.library import buys_bounded, buys_bounded_rewriting
-from repro.session import rows_checksum
+from repro.session import config_fingerprint, rows_checksum
 from repro import __main__ as cli
 
 
@@ -279,6 +279,25 @@ def test_containment_certificate_converts_to_counterexample():
     assert row in evaluate(TC, database).facts("p")
 
 
+@pytest.mark.parametrize("scenario", ["eval_sg_tree_d5",
+                                      "equiv_buys_bounded"])
+def test_decision_fingerprint_names_the_computing_engine(scenario):
+    interpretive_config = EngineConfig(compiled=False)
+    columnar = Session(engine=EngineConfig())
+    interpretive = Session(engine=interpretive_config)
+    fast = columnar.run_scenario(scenario)
+    reference = interpretive.run_scenario(scenario)
+    assert fast.ok and reference.ok
+    assert reference.verdict == fast.verdict
+    assert reference.checksum == fast.checksum
+    assert reference.fingerprint == config_fingerprint(interpretive_config)
+    assert fast.fingerprint == config_fingerprint(EngineConfig())
+    # Each session's own engine did the evaluation: only the columnar
+    # one compiles plans.
+    assert interpretive.cache_stats()["plans"] == 0
+    assert columnar.cache_stats()["plans"] > 0
+
+
 def test_fingerprint_stable_and_config_sensitive():
     a = Session(engine=EngineConfig())
     b = Session(engine=EngineConfig())
@@ -292,18 +311,74 @@ def test_fingerprint_stable_and_config_sensitive():
 # Shim compatibility: the legacy free functions.
 # ----------------------------------------------------------------------
 
+#: Every Session decision method, by its parameters after ``self``.
+#: The engine is the session's own, so none takes ``engine``, and no
+#: decision takes an analyzer (``use_certificates``) or search
+#: (``use_antichain``) switch: adding a per-call knob is a diff here.
+SESSION_SIGNATURES = {
+    "contains": ["program", "goal", "union", "method", "deadline"],
+    "contains_cq": ["program", "goal", "theta", "method", "deadline"],
+    "contains_nonrecursive": ["program", "goal", "nonrecursive",
+                              "nonrecursive_goal", "method", "deadline"],
+    "cq_contained": ["theta", "program", "goal", "deadline"],
+    "ucq_contained": ["union", "program", "goal", "deadline"],
+    "nonrecursive_contained": ["nonrecursive", "nonrecursive_goal",
+                               "program", "goal", "deadline"],
+    "equivalent_to_nonrecursive": ["program", "nonrecursive", "goal",
+                                   "nonrecursive_goal", "method",
+                                   "deadline"],
+    "equivalent_to_ucq": ["program", "goal", "union", "method",
+                          "deadline"],
+    "bounded": ["program", "goal", "max_depth", "method", "deadline"],
+    "evaluate": ["program", "database", "max_stages", "goal", "deadline"],
+    "query": ["program", "database", "goal", "max_stages", "deadline"],
+    "magic": ["program", "database", "goal", "adornment", "bindings",
+              "deadline"],
+    "run_payload": ["kind", "payload", "deadline"],
+    "run_scenario": ["scenario", "deadline"],
+}
+
+
 def test_legacy_signatures_are_pinned():
+    from repro.core import (
+        contained_in_cq,
+        contained_in_nonrecursive,
+        cq_contained_in_datalog,
+        equivalent_to_ucq,
+        nonrecursive_contained_in_datalog,
+        search_boundedness,
+        ucq_contained_in_datalog,
+    )
+    from repro.workloads import run_scenario
+
     expected = {
-        contained_in_ucq: ["program", "goal", "union", "method",
-                           "use_antichain"],
+        contained_in_ucq: ["program", "goal", "union", "method"],
+        contained_in_cq: ["program", "goal", "theta", "method"],
+        contained_in_nonrecursive: ["program", "goal", "nonrecursive",
+                                    "nonrecursive_goal", "method"],
+        cq_contained_in_datalog: ["theta", "program", "goal"],
+        ucq_contained_in_datalog: ["union", "program", "goal"],
+        nonrecursive_contained_in_datalog: ["nonrecursive",
+                                            "nonrecursive_goal",
+                                            "program", "goal"],
         is_equivalent_to_nonrecursive: ["program", "nonrecursive", "goal",
-                                        "nonrecursive_goal", "method",
-                                        "engine"],
-        decide_boundedness: ["program", "goal", "max_depth", "method",
-                             "engine"],
+                                        "nonrecursive_goal", "method"],
+        equivalent_to_ucq: ["program", "goal", "union", "method"],
+        decide_boundedness: ["program", "goal", "max_depth", "method"],
+        search_boundedness: ["program", "goal", "max_depth", "method"],
+        run_scenario: ["scenario"],
     }
     for function, parameters in expected.items():
         assert list(inspect.signature(function).parameters) == parameters
+    decision_methods = {
+        name for name, member in vars(Session).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+        and inspect.signature(member).return_annotation == "Decision"
+    }
+    assert decision_methods == set(SESSION_SIGNATURES)
+    for name, parameters in SESSION_SIGNATURES.items():
+        signature = inspect.signature(getattr(Session, name))
+        assert list(signature.parameters)[1:] == parameters, name
 
 
 def test_legacy_return_types_preserved():

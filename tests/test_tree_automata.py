@@ -14,6 +14,7 @@ from repro.automata.tree import (
     equivalent,
     find_counterexample_tree,
     path_tree,
+    search_tree_inclusion,
 )
 
 
@@ -163,9 +164,9 @@ class TestContainment:
         rng = random.Random(5)
         for _ in range(25):
             left, right = random_nta(rng), random_nta(rng)
-            assert contained_in(left, right, use_antichain=True) == contained_in(
-                left, right, use_antichain=False
-            )
+            pruned = search_tree_inclusion(left, right, use_antichain=True)
+            exact = search_tree_inclusion(left, right, use_antichain=False)
+            assert (pruned[0] is None) == (exact[0] is None)
 
     def test_agrees_with_tree_sampling(self):
         rng = random.Random(9)
