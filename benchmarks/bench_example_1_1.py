@@ -37,6 +37,6 @@ def test_pi2_equivalence_decision(benchmark):
 def test_pi2_word_pathway(benchmark):
     pi2, rewrite = buys_recursive(), buys_recursive_rewriting()
     result = benchmark(
-        lambda: is_equivalent_to_nonrecursive(pi2, rewrite, goal="buys", method="word")
+        lambda: is_equivalent_to_nonrecursive(pi2, rewrite, goal="buys")
     )
     assert not result.equivalent

@@ -130,9 +130,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="path or inline Datalog source of Pi")
     decide.add_argument("--goal", required=True,
                         help="goal predicate of Pi")
-    decide.add_argument("--method", choices=("auto", "tree", "word"),
-                        default="auto",
-                        help="containment pathway (default: auto)")
     decide.add_argument("--nonrecursive", default=None,
                         help="[equivalence] path/source of nonrecursive Pi'")
     decide.add_argument("--nonrecursive-goal", default=None,

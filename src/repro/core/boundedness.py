@@ -66,8 +66,7 @@ class BoundednessResult:
         return bool(self.bounded)
 
 
-def bounded_at_depth(program: Program, goal: str, depth: int,
-                     method: str = "auto") -> bool:
+def bounded_at_depth(program: Program, goal: str, depth: int) -> bool:
     """Is Pi equivalent to its expansions of height <= depth?
 
     Only the forward containment is checked; the union of expansions is
@@ -78,11 +77,11 @@ def bounded_at_depth(program: Program, goal: str, depth: int,
         # No expansion exists at all: the goal relation is empty, which
         # is trivially bounded.
         return True
-    return contained_in_ucq(program, goal, union, method=method).contained
+    return contained_in_ucq(program, goal, union).contained
 
 
-def search_boundedness(program: Program, goal: str, max_depth: int = 4,
-                       method: str = "auto") -> BoundednessResult:
+def search_boundedness(program: Program, goal: str,
+                       max_depth: int = 4) -> BoundednessResult:
     """Search for a boundedness certificate up to ``max_depth``.
 
     Returns ``bounded=True`` with the certified depth and the
@@ -106,7 +105,7 @@ def search_boundedness(program: Program, goal: str, max_depth: int = 4,
             continue
         depths_probed += 1
         started = perf_counter()
-        forward = contained_in_ucq(program, goal, union, method=method)
+        forward = contained_in_ucq(program, goal, union)
         elapsed = perf_counter() - started
         probe_s += forward.timings["probe_s"]
         containment_s += elapsed - forward.timings["probe_s"]

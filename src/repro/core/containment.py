@@ -37,7 +37,7 @@ from ..cq.containment import cq_contained_in_ucq
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.database import Database
 from ..datalog.engine import evaluate
-from ..datalog.errors import NotLinearError, ValidationError
+from ..datalog.errors import ValidationError
 from ..datalog.program import Program
 from ..datalog.unfold import expansion_derivations, unfold_nonrecursive
 from ..trees.expansion import ExpansionTree, derivation_tree
@@ -79,28 +79,22 @@ def probe_counterexample(program: Program, goal: str,
 
 
 def contained_in_ucq(program: Program, goal: str,
-                     union: UnionOfConjunctiveQueries,
-                     method: str = "auto") -> ContainmentResult:
+                     union: UnionOfConjunctiveQueries) -> ContainmentResult:
     """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
     :func:`probe_counterexample` runs first: its witness answers "not
-    contained" without any automaton.  Otherwise ``method`` picks the
-    automata: ``"tree"``, ``"word"`` (chain-form programs only), or
-    ``"auto"``, the word pathway when available.  ``stats`` gain
-    ``probe_trees`` and ``probe_decided``, ``timings`` ``probe_s``.
+    contained" without any automaton.  Otherwise the program's shape
+    picks the automata: the word pathway for a chain-form program, the
+    tree pathway for any other.  ``stats`` gain ``probe_trees`` and
+    ``probe_decided``, ``timings`` ``probe_s``.
     """
     program.require_goal(goal)
-    if method not in ("auto", "tree", "word"):
-        raise ValidationError(f"unknown containment method {method!r}")
-    chain = is_chain_program(program)
-    if method == "word" and not chain:
-        raise NotLinearError("the word pathway requires a chain-form program")
     started = perf_counter()
     witness, tested = probe_counterexample(program, goal, union)
     probe_s = perf_counter() - started
     if witness is not None:
         result = ContainmentResult(False, witness)
-    elif method == "word" or (method == "auto" and chain):
+    elif is_chain_program(program):
         result = datalog_contained_in_ucq_linear(program, goal, union)
     else:
         result = datalog_contained_in_ucq(program, goal, union)
@@ -110,23 +104,23 @@ def contained_in_ucq(program: Program, goal: str,
     return result
 
 
-def contained_in_cq(program: Program, goal: str, theta: ConjunctiveQuery,
-                    method: str = "auto") -> ContainmentResult:
+def contained_in_cq(program: Program, goal: str,
+                    theta: ConjunctiveQuery) -> ContainmentResult:
     """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
     union = UnionOfConjunctiveQueries([theta], theta.arity)
-    return contained_in_ucq(program, goal, union, method=method)
+    return contained_in_ucq(program, goal, union)
 
 
 def contained_in_nonrecursive(program: Program, goal: str,
                               nonrecursive: Program,
-                              nonrecursive_goal: Optional[str] = None,
-                              method: str = "auto") -> ContainmentResult:
+                              nonrecursive_goal: Optional[str] = None
+                              ) -> ContainmentResult:
     """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
     (Theorem 6.4): rewrite Pi' as a union of conjunctive queries (the
     potentially exponential step whose necessity Section 6 proves) and
     decide containment in the union."""
     union = unfold_nonrecursive(nonrecursive, nonrecursive_goal or goal)
-    return contained_in_ucq(program, goal, union, method=method)
+    return contained_in_ucq(program, goal, union)
 
 
 def cq_contained_in_datalog(theta: ConjunctiveQuery, program: Program,

@@ -65,8 +65,8 @@ class EquivalenceResult:
 
 def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
                                   goal: str,
-                                  nonrecursive_goal: Optional[str] = None,
-                                  method: str = "auto") -> EquivalenceResult:
+                                  nonrecursive_goal: Optional[str] = None
+                                  ) -> EquivalenceResult:
     """Decide ``Pi == Pi'`` for a (possibly recursive) Pi and a
     nonrecursive Pi' (Theorem 6.5).
 
@@ -91,7 +91,7 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
     started = perf_counter()
     union = unfold_nonrecursive(nonrecursive, nonrecursive_goal)
     unfold_s = perf_counter() - started
-    result = equivalent_to_ucq(program, goal, union, method=method)
+    result = equivalent_to_ucq(program, goal, union)
     result.stats["union_disjuncts"] = len(union)
     result.stats["union_size"] = union.size()
     result.timings = {"unfold_s": round(unfold_s, 6), **result.timings}
@@ -99,8 +99,7 @@ def is_equivalent_to_nonrecursive(program: Program, nonrecursive: Program,
 
 
 def equivalent_to_ucq(program: Program, goal: str,
-                      union: UnionOfConjunctiveQueries,
-                      method: str = "auto") -> EquivalenceResult:
+                      union: UnionOfConjunctiveQueries) -> EquivalenceResult:
     """Decide ``Pi == union`` directly against a union of conjunctive
     queries (the Theorem 5.12 form of the problem)."""
     program.require_goal(goal)
@@ -108,7 +107,7 @@ def equivalent_to_ucq(program: Program, goal: str,
     backward = decide_ucq_in_datalog(union, program, goal)
     backward_s = perf_counter() - started
     started = perf_counter()
-    forward = contained_in_ucq(program, goal, union, method=method)
+    forward = contained_in_ucq(program, goal, union)
     forward_s = perf_counter() - started
     return EquivalenceResult(
         equivalent=forward.contained and backward,

@@ -131,13 +131,6 @@ class InstanceEnumerator:
                 edb_atoms=tuple(a for a, idb in zip(body, is_idb) if not idb),
             )
 
-    def count_labels(self, goal: str) -> int:
-        """Total number of labels across all goal atoms of *goal*
-        (the alphabet size of Proposition 5.9 for that predicate)."""
-        from ..trees.proof import root_atoms
-
-        return sum(len(self.labels_for(atom)) for atom in root_atoms(self._program, goal))
-
 
 def _build(template: Tuple[str, Tuple], values: Tuple) -> Atom:
     """Instantiate an atom template: each argument is ``(slot, term)``,

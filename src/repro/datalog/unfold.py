@@ -45,14 +45,14 @@ def _rename_query(query: ConjunctiveQuery, factory: FreshVariableFactory) -> Con
     return query.substitute(mapping)
 
 
-def unfold_nonrecursive(program: Program, goal: str,
-                        dedupe: bool = True) -> UnionOfConjunctiveQueries:
+def unfold_nonrecursive(program: Program,
+                        goal: str) -> UnionOfConjunctiveQueries:
     """Rewrite a nonrecursive program as a union of conjunctive queries.
 
     The result has head ``goal(X0, ..., Xk-1)`` with distinct
     distinguished variables.  Raises :class:`NotNonrecursiveError` on
-    recursive input.  With ``dedupe`` (default) syntactic duplicates
-    (up to the heuristic canonical renaming) are removed.
+    recursive input.  Syntactic duplicates (up to the heuristic
+    canonical renaming) are removed.
     """
     program.require_goal(goal)
     sliced = slice_for_goal(program, goal)
@@ -106,8 +106,8 @@ def unfold_nonrecursive(program: Program, goal: str,
         disjuncts.append(
             ConjunctiveQuery(apply_to_atom(head, unified), apply_to_atoms(renamed.body, unified))
         )
-    union = UnionOfConjunctiveQueries(disjuncts, arity=head.arity)
-    return union.deduplicated() if dedupe else union
+    return UnionOfConjunctiveQueries(disjuncts,
+                                     arity=head.arity).deduplicated()
 
 
 def expansion_derivations(program: Program, goal: str, max_height: int,
@@ -184,12 +184,13 @@ def expansions(program: Program, goal: str, max_height: int,
         program, goal, max_height, exact_height))
 
 
-def expansion_union(program: Program, goal: str, max_height: int,
-                    dedupe: bool = True) -> UnionOfConjunctiveQueries:
-    """The union of all expansions of height at most *max_height*."""
+def expansion_union(program: Program, goal: str,
+                    max_height: int) -> UnionOfConjunctiveQueries:
+    """The union of all expansions of height at most *max_height*, up
+    to syntactic duplicates."""
     disjuncts = list(expansions(program, goal, max_height))
-    union = UnionOfConjunctiveQueries(disjuncts, arity=program.arity[goal])
-    return union.deduplicated() if dedupe else union
+    return UnionOfConjunctiveQueries(
+        disjuncts, arity=program.arity[goal]).deduplicated()
 
 
 def count_expansions(program: Program, goal: str, max_height: int) -> int:

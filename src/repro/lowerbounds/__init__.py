@@ -10,7 +10,6 @@ from .encoding_space import (
     encode_deterministic,
     standard_carries,
     synthesize_trace_query,
-    trace_addresses,
 )
 from .turing import (
     AlternatingTuringMachine,
@@ -42,6 +41,5 @@ __all__ = [
     "symbol_name",
     "synthesize_trace_query",
     "tiny_accepting_machine",
-    "trace_addresses",
     "trace_database",
 ]

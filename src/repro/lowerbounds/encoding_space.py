@@ -673,16 +673,3 @@ def standard_carries(address: int, n: int) -> List[int]:
         carries.append(carry)
         carry = 1 if (((previous >> i) & 1) and carry) else 0
     return carries
-
-
-def trace_addresses(steps: List[DecodedStep], n: int) -> List[int]:
-    """Collapse a bit trace into the sequence of n-bit addresses
-    (least significant bit first, i.e. bit level 1 first)."""
-    addresses = []
-    for start in range(0, len(steps) - n + 1, n):
-        window = steps[start : start + n]
-        if [s.level for s in window] != list(range(1, n + 1)):
-            raise ValueError("bit levels out of phase")
-        value = sum((s.address_bit or 0) << k for k, s in enumerate(window))
-        addresses.append(value)
-    return addresses

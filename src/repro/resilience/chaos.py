@@ -55,9 +55,7 @@ __all__ = [
     "Fault",
     "PayloadCorruption",
     "SimulatedWorkerCrash",
-    "in_worker",
     "inject",
-    "jobs_executed",
     "mark_worker",
     "next_job_index",
     "parse_schedule",
@@ -206,10 +204,6 @@ def mark_worker() -> None:
     _IN_WORKER = True
 
 
-def in_worker() -> bool:
-    return _IN_WORKER
-
-
 def next_job_index() -> int:
     """The 0-based index of the job about to execute in this process
     (the ``nth`` selector's counter); increments on each call."""
@@ -217,10 +211,6 @@ def next_job_index() -> int:
     index = _JOB_COUNTER
     _JOB_COUNTER += 1
     return index
-
-
-def jobs_executed() -> int:
-    return _JOB_COUNTER
 
 
 def inject(scenario: str, nth: int, attempt: int, *,

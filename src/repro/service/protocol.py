@@ -15,7 +15,7 @@ the wire -- that is what makes the coalescing key honest)::
                              | "boundedness",
      "program": <datalog source>, "goal": <predicate>,
      ...kind-specific fields...,
-     "method": "auto", "engine": "columnar", "deadline_s": null,
+     "engine": "columnar", "deadline_s": null,
      "id": null}
     {"op": "eval", "program": ..., "db": <ground facts source>,
      "goal": ..., "max_stages": null, "engine": ..., "deadline_s": ...}
@@ -84,7 +84,7 @@ __all__ = [
     "status_response",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard per-line bound, both directions.  A line longer than this is a
 #: ``bad-request`` (and the connection closes: framing is lost).
@@ -93,7 +93,6 @@ MAX_LINE_BYTES = 1 << 20
 OPS = ("decide", "eval", "scenario", "status", "shutdown")
 
 DECIDE_KINDS = ("containment", "equivalence", "boundedness")
-METHODS = ("auto", "tree", "word")
 
 #: Response categories beyond the resilience taxonomy.
 BAD_REQUEST = "bad-request"
@@ -229,8 +228,6 @@ def _decode_decide(fields: Mapping) -> Dict[str, Any]:
             _require(fields, "program", str, "decide"),
             "decide 'program'", goal),
         "goal": goal,
-        "method": _choice(_optional(fields, "method", str, "decide", "auto"),
-                          METHODS, "method"),
     }
     if kind == "equivalence":
         nonrecursive_goal = _optional(fields, "nonrecursive_goal", str,
@@ -299,9 +296,9 @@ def _decode_scenario(fields: Mapping) -> Dict[str, Any]:
 
 
 _KNOWN_FIELDS = {
-    "decide": {"id", "op", "kind", "program", "goal", "method",
-               "nonrecursive", "nonrecursive_goal", "union", "union_goal",
-               "union_depth", "max_depth", "engine", "deadline_s"},
+    "decide": {"id", "op", "kind", "program", "goal", "nonrecursive",
+               "nonrecursive_goal", "union", "union_goal", "union_depth",
+               "max_depth", "engine", "deadline_s"},
     "eval": {"id", "op", "program", "db", "goal", "max_stages", "engine",
              "deadline_s"},
     "scenario": {"id", "op", "scenario", "engine", "deadline_s"},

@@ -363,19 +363,20 @@ class Session:
 
     def contains(self, program: Program, goal: str,
                  union: UnionOfConjunctiveQueries, *,
-                 method: str = "auto",
                  deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
-        ``method`` is ``"auto"`` / ``"tree"`` / ``"word"`` as in
+        The program's shape picks the automata, as in
         :func:`repro.core.contained_in_ucq`; ``deadline`` bounds the
         call's wall clock (every decision method takes one).  On
-        non-containment the ``certificate`` is the witness proof tree.
+        non-containment the ``certificate`` is the witness: the
+        counterexample probe's unfolding tree or the automata's proof
+        tree, either of which
+        :func:`repro.core.counterexample_database` accepts.
         """
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            result = _containment.contained_in_ucq(program, goal, union,
-                                                   method=method)
+            result = _containment.contained_in_ucq(program, goal, union)
         return self._decision(
             "containment", {"contained": result.contained},
             stats=result.stats,
@@ -384,25 +385,22 @@ class Session:
         )
 
     def contains_cq(self, program: Program, goal: str,
-                    theta: ConjunctiveQuery, *, method: str = "auto",
+                    theta: ConjunctiveQuery, *,
                     deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
         union = UnionOfConjunctiveQueries([theta], theta.arity)
-        return self.contains(program, goal, union, method=method,
-                             deadline=deadline)
+        return self.contains(program, goal, union, deadline=deadline)
 
     def contains_nonrecursive(self, program: Program, goal: str,
                               nonrecursive: Program,
                               nonrecursive_goal: Optional[str] = None, *,
-                              method: str = "auto",
                               deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
         (Theorem 6.4): unfold Pi' to a UCQ, then decide containment."""
         start = perf_counter()
         union = unfold_nonrecursive(nonrecursive, nonrecursive_goal or goal)
         unfold_s = perf_counter() - start
-        decision = self.contains(program, goal, union, method=method,
-                                 deadline=deadline)
+        decision = self.contains(program, goal, union, deadline=deadline)
         decision.timings["unfold_s"] = round(unfold_s, 6)
         decision.stats.setdefault("union_disjuncts", len(union))
         return decision
@@ -460,7 +458,6 @@ class Session:
     def equivalent_to_nonrecursive(self, program: Program,
                                    nonrecursive: Program, goal: str,
                                    nonrecursive_goal: Optional[str] = None, *,
-                                   method: str = "auto",
                                    deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == Pi'`` for nonrecursive Pi' (Theorem 6.5),
         with per-phase timings (``unfold_s`` / ``backward_s`` /
@@ -468,17 +465,15 @@ class Session:
         with self._deadline(deadline), self.activated():
             result = _equivalence.is_equivalent_to_nonrecursive(
                 program, nonrecursive, goal,
-                nonrecursive_goal=nonrecursive_goal, method=method)
+                nonrecursive_goal=nonrecursive_goal)
         return self._equivalence_decision(result)
 
     def equivalent_to_ucq(self, program: Program, goal: str,
                           union: UnionOfConjunctiveQueries, *,
-                          method: str = "auto",
                           deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == union`` (the Theorem 5.12 form)."""
         with self._deadline(deadline), self.activated():
-            result = _equivalence.equivalent_to_ucq(program, goal, union,
-                                                    method=method)
+            result = _equivalence.equivalent_to_ucq(program, goal, union)
         return self._equivalence_decision(result)
 
     def _equivalence_decision(self, result) -> Decision:
@@ -492,7 +487,6 @@ class Session:
         )
 
     def bounded(self, program: Program, goal: str, max_depth: int = 4, *,
-                method: str = "auto",
                 deadline: Optional[float] = None) -> Decision:
         """Search for a boundedness certificate up to ``max_depth``
         (semi-decision; ``bounded`` is True or None=unknown).  The
@@ -502,7 +496,7 @@ class Session:
         """
         with self._deadline(deadline), self.activated():
             result = _boundedness.search_boundedness(
-                program, goal, max_depth=max_depth, method=method)
+                program, goal, max_depth=max_depth)
         return self._decision(
             "boundedness",
             {"bounded": result.bounded, "depth": result.depth},
@@ -635,22 +629,20 @@ class Session:
                          ``bindings``)
         ===============  ==============================================
 
-        Every kind reads ``program`` and ``goal``; the automata kinds
-        also read an optional ``method``.
+        Every kind reads ``program`` and ``goal``.  No key selects the
+        containment automata: the program's shape does.
         """
         program, goal = payload["program"], payload["goal"]
-        method = payload.get("method", "auto")
         if kind == "containment":
             return self.contains(program, goal, payload["union"],
-                                 method=method, deadline=deadline)
+                                 deadline=deadline)
         if kind == "equivalence":
             return self.equivalent_to_nonrecursive(
                 program, payload["nonrecursive"], goal,
-                payload.get("nonrecursive_goal"), method=method,
-                deadline=deadline)
+                payload.get("nonrecursive_goal"), deadline=deadline)
         if kind == "boundedness":
             return self.bounded(program, goal, payload.get("max_depth", 4),
-                                method=method, deadline=deadline)
+                                deadline=deadline)
         if kind == "magic":
             return self.magic(program, payload["database"], goal,
                               payload["adornment"], payload["bindings"],
@@ -776,7 +768,7 @@ def decide_payload(fields: Mapping[str, Any],
                    read_program=parse_program) -> Dict[str, Any]:
     """The :meth:`Session.run_payload` payload of a source-level
     ``decide`` request -- the CLI's flags or the service's wire fields
-    (``kind``, ``program``, ``goal``, ``method``, ``nonrecursive``,
+    (``kind``, ``program``, ``goal``, ``nonrecursive``,
     ``nonrecursive_goal``, ``union``, ``union_goal``, ``union_depth``,
     ``max_depth``).  Programs are read by *read_program*; a containment
     target is the ``union`` program unfolded at ``union_goal``
@@ -785,7 +777,6 @@ def decide_payload(fields: Mapping[str, Any],
     program, goal = read_program(fields["program"]), fields["goal"]
     payload: Dict[str, Any] = {
         "program": program, "goal": goal,
-        "method": fields.get("method", "auto"),
         "max_depth": fields.get("max_depth", 4),
     }
     if fields.get("nonrecursive") is not None:

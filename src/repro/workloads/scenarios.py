@@ -271,11 +271,10 @@ _containment(
 
 _containment(
     "contain_tc_trunc2_word",
-    "depth-2 truncation via the forced word-automaton pathway "
-    "(chain-form program, Proposition 4.3)",
+    "depth-2 truncation; auto picks the word-automaton pathway for "
+    "the chain-form transitive closure (Proposition 4.3)",
     lambda: {"program": transitive_closure(), "goal": "p",
-             "union": expansion_union(transitive_closure(), "p", 2),
-             "method": "word"},
+             "union": expansion_union(transitive_closure(), "p", 2)},
     contained=False, tags=("word", "truncation"),
 )
 

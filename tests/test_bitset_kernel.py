@@ -31,7 +31,7 @@ from repro.automata.word import (
 )
 from repro.core.boundedness import decide_boundedness
 from repro.core.certificate import check_invariant
-from repro.core.containment import contained_in_ucq, counterexample_database
+from repro.core.containment import counterexample_database
 from repro.core.ptree_automaton import PTreeAutomaton
 from repro.core.tree_containment import datalog_contained_in_ucq
 from repro.core.word_path import datalog_contained_in_ucq_linear
@@ -359,8 +359,8 @@ class TestContainmentDifferential:
     def test_word_pathway_positive_case_agrees(self):
         program = buys_bounded()
         union = expansion_union(program, "buys", 2)
-        word = contained_in_ucq(program, "buys", union, method="word")
-        tree = contained_in_ucq(program, "buys", union, method="tree")
+        word = datalog_contained_in_ucq_linear(program, "buys", union)
+        tree = datalog_contained_in_ucq(program, "buys", union)
         assert word.contained and tree.contained
         assert word.invariant.pathway == "word"
         for result in (word, tree):

@@ -18,11 +18,16 @@ from repro.core.containment import (
     ucq_contained_in_datalog,
 )
 from repro.core.tree_containment import datalog_contained_in_ucq
+from repro.core.word_path import (
+    datalog_contained_in_ucq_linear,
+    is_chain_program,
+)
 from repro.datalog.engine import evaluate
 from repro.datalog.errors import ValidationError
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.unfold import expansion_union, unfold_nonrecursive
 from repro.trees.strong import brute_force_contained
+from repro.workloads.scenarios import REGISTRY
 
 
 def cq(head: str, *body: str) -> ConjunctiveQuery:
@@ -42,16 +47,16 @@ class TestKnownAnswers:
     def test_tc_not_contained_in_any_truncation(self, tc_program):
         for height in (1, 2, 3):
             union = expansion_union(tc_program, "p", height)
-            assert not contained_in_ucq(tc_program, "p", union, method="tree")
+            assert not datalog_contained_in_ucq(tc_program, "p", union)
 
     def test_bounded_program_contained(self, buys1, buys1_nr):
         union = unfold_nonrecursive(buys1_nr, "buys")
-        assert contained_in_ucq(buys1, "buys", union, method="tree").contained
-        assert contained_in_ucq(buys1, "buys", union, method="word").contained
+        assert datalog_contained_in_ucq(buys1, "buys", union).contained
+        assert datalog_contained_in_ucq_linear(buys1, "buys", union).contained
 
     def test_unbounded_program_not_contained(self, buys2, buys2_nr):
         union = unfold_nonrecursive(buys2_nr, "buys")
-        result = contained_in_ucq(buys2, "buys", union, method="tree")
+        result = datalog_contained_in_ucq(buys2, "buys", union)
         assert not result.contained
         # The witness must be a depth->=3 derivation.
         assert result.witness.height() >= 3
@@ -64,7 +69,7 @@ class TestKnownAnswers:
             cq("p(X0, X1)", "e0(X0, X1)"),
             cq("p(X0, X1)", "e(X0, Z)"),
         )
-        assert contained_in_ucq(tc_program, "p", union, method="tree").contained
+        assert datalog_contained_in_ucq(tc_program, "p", union).contained
 
     def test_single_cq_covering_projection(self, buys1):
         # buys(X, Y) always ends in a likes(., Y) fact.
@@ -85,19 +90,19 @@ class TestKnownAnswers:
 
     def test_empty_union_containment_fails_for_productive_program(self, tc_program):
         union = UnionOfConjunctiveQueries([], arity=2)
-        assert not contained_in_ucq(tc_program, "p", union, method="tree").contained
+        assert not datalog_contained_in_ucq(tc_program, "p", union).contained
 
     def test_goal_with_no_rules_is_contained_in_anything(self):
         program = parse_program("p(X, Y) :- q(X, Y), never(X).\nq(X, Y) :- q(Y, X).")
         # q has only the self-recursive rule: no finite proof tree.
         union = UnionOfConjunctiveQueries([], arity=2)
-        assert contained_in_ucq(program, "q", union, method="tree").contained
+        assert datalog_contained_in_ucq(program, "q", union).contained
 
 
 class TestCounterexamples:
     def test_counterexample_database_refutes(self, tc_program):
-        result = contained_in_cq(
-            tc_program, "p", cq("p(X0, X1)", "e0(X0, X1)"), method="tree"
+        result = datalog_contained_in_ucq(
+            tc_program, "p", ucq(cq("p(X0, X1)", "e0(X0, X1)"))
         )
         db, row = counterexample_database(result, tc_program)
         derived = evaluate(tc_program, db).facts("p")
@@ -114,7 +119,7 @@ class TestCounterexamples:
 
     def test_word_path_counterexample_also_refutes(self, buys2, buys2_nr):
         union = unfold_nonrecursive(buys2_nr, "buys")
-        result = contained_in_ucq(buys2, "buys", union, method="word")
+        result = datalog_contained_in_ucq_linear(buys2, "buys", union)
         assert not result.contained
         db, row = counterexample_database(result, buys2)
         assert row in evaluate(buys2, db).facts("buys")
@@ -147,8 +152,9 @@ class TestDifferential:
             (buys2, "buys", ucq(cq("buys(X0, X1)", "likes(Z, X1)"))),
         ]
         for program, goal, union in cases:
-            tree = contained_in_ucq(program, goal, union, method="tree").contained
-            word = contained_in_ucq(program, goal, union, method="word").contained
+            tree = datalog_contained_in_ucq(program, goal, union).contained
+            word = datalog_contained_in_ucq_linear(
+                program, goal, union).contained
             assert tree == word, (goal, str(union))
 
     def test_antichain_ablation_agrees(self, tc_program):
@@ -193,3 +199,46 @@ class TestReverseDirection:
     def test_contained_in_nonrecursive_wrapper(self, buys1, buys1_nr, buys2, buys2_nr):
         assert contained_in_nonrecursive(buys1, "buys", buys1_nr).contained
         assert not contained_in_nonrecursive(buys2, "buys", buys2_nr).contained
+
+
+class TestRoute:
+    """No caller selects the automata: ``contained_in_ucq`` takes the
+    word pathway (its stats carry ``pairs``) exactly for chain-form
+    programs and the tree pathway (``profiles``) for every other."""
+
+    @staticmethod
+    def _forward_containments():
+        """Every registry containment and equivalence outside tag:stress
+        as (name, program, goal, union), plus the nonlinear transitive
+        closure, which is not chain-form."""
+        cases = []
+        for name, scenario in sorted(REGISTRY.items()):
+            if "stress" in scenario.tags or \
+                    scenario.kind not in ("containment", "equivalence"):
+                continue
+            payload = scenario.build()
+            union = payload.get("union") or unfold_nonrecursive(
+                payload["nonrecursive"],
+                payload.get("nonrecursive_goal") or payload["goal"])
+            cases.append((name, payload["program"], payload["goal"], union))
+        nonlinear = parse_program(
+            "p(X, Y) :- e(X, Y). p(X, Y) :- p(X, Z), p(Z, Y).")
+        cases.append(("nonlinear_tc", nonlinear, "p",
+                      ucq(cq("p(X0, X1)", "e(X0, Z)"))))
+        return cases
+
+    def test_route_follows_the_program_shape(self):
+        routed = []
+        for name, program, goal, union in self._forward_containments():
+            result = contained_in_ucq(program, goal, union)
+            if result.stats["probe_decided"]:
+                continue
+            routed.append(name)
+            chain = is_chain_program(program)
+            assert ("pairs" in result.stats) == chain, name
+            assert ("profiles" in result.stats) == (not chain), name
+        assert routed == [
+            "contain_chain_w1", "contain_chain_w2", "contain_sirup_s7",
+            "equiv_bounded_family_s3", "equiv_buys_bounded", "equiv_widget",
+            "nonlinear_tc",
+        ]

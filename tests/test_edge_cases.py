@@ -3,6 +3,7 @@
 import pytest
 
 from repro.automata.tree import LabeledTree, TreeAutomaton, path_tree
+from repro.core.tree_containment import datalog_contained_in_ucq
 from repro.cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.datalog.atoms import Atom, make_atom
 from repro.datalog.database import Database
@@ -66,17 +67,13 @@ class TestZeroArity:
     def test_zero_ary_goal_containment(self):
         """Boolean goals (like the lower-bound encodings' C) flow
         through the whole pipeline."""
-        from repro.core import contained_in_ucq
-
         program = parse_program("c :- trigger(X), c.\nc :- base(X).")
         union = UnionOfConjunctiveQueries(
             [ConjunctiveQuery(Atom("c", ()), (parse_atom("base(Z)"),))]
         )
-        assert contained_in_ucq(program, "c", union, method="tree").contained
+        assert datalog_contained_in_ucq(program, "c", union).contained
 
     def test_zero_ary_goal_noncontainment(self):
-        from repro.core import contained_in_ucq
-
         program = parse_program("c :- trigger(X), c.\nc :- base(X).")
         union = UnionOfConjunctiveQueries(
             [
@@ -86,15 +83,13 @@ class TestZeroArity:
                 )
             ]
         )
-        result = contained_in_ucq(program, "c", union, method="tree")
+        result = datalog_contained_in_ucq(program, "c", union)
         assert not result.contained
 
 
 class TestConstantsEndToEnd:
     def test_program_with_constants_containment(self):
         """Remark 5.14: constants in rules and queries."""
-        from repro.core import contained_in_cq
-
         program = parse_program(
             """
             p(X) :- e(X, root), p(X).
@@ -102,15 +97,15 @@ class TestConstantsEndToEnd:
             """
         )
         theta = ConjunctiveQuery(parse_atom("p(X0)"), (parse_atom("b(Z, root)"),))
-        assert contained_in_cq(program, "p", theta, method="tree").contained
+        assert datalog_contained_in_ucq(
+            program, "p", UnionOfConjunctiveQueries([theta])).contained
         theta_wrong = ConjunctiveQuery(
             parse_atom("p(X0)"), (parse_atom("b(Z, other)"),)
         )
-        assert not contained_in_cq(program, "p", theta_wrong, method="tree").contained
+        assert not datalog_contained_in_ucq(
+            program, "p", UnionOfConjunctiveQueries([theta_wrong])).contained
 
     def test_constant_binding_through_recursion(self):
-        from repro.core import contained_in_cq
-
         program = parse_program(
             """
             p(X) :- e(X, Z), p(Z).
@@ -120,16 +115,16 @@ class TestConstantsEndToEnd:
         # Every derivation bottoms out at the fact p(root): with no EDB
         # atom in the leaf rule, only a trivially-true theta covers it.
         theta = ConjunctiveQuery(parse_atom("p(X0)"), ())
-        assert contained_in_cq(program, "p", theta, method="tree").contained
+        assert datalog_contained_in_ucq(
+            program, "p", UnionOfConjunctiveQueries([theta])).contained
 
     def test_head_constant_query(self):
-        from repro.core import contained_in_cq
-
         program = parse_program("p(root) :- e(root, root).")
         theta = ConjunctiveQuery(
             Atom("p", (Constant("root"),)), (parse_atom("e(root, root)"),)
         )
-        assert contained_in_cq(program, "p", theta, method="tree").contained
+        assert datalog_contained_in_ucq(
+            program, "p", UnionOfConjunctiveQueries([theta])).contained
 
 
 class TestTreeAutomatonEdges:

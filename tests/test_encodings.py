@@ -22,7 +22,6 @@ from repro.lowerbounds.encoding_nonrec import encode_nonrecursive, trace_databas
 from repro.lowerbounds.encoding_space import (
     decode_expansion,
     encode_deterministic,
-    trace_addresses,
 )
 from repro.lowerbounds.turing import sweeping_machine, tiny_accepting_machine
 from repro.trees.expansion import unfolding_trees

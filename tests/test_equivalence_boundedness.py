@@ -4,11 +4,14 @@ import pytest
 
 from repro.core.boundedness import bounded_at_depth, decide_boundedness
 from repro.core.equivalence import equivalent_to_ucq, is_equivalent_to_nonrecursive
+from repro.core.tree_containment import datalog_contained_in_ucq
+from repro.core.word_path import datalog_contained_in_ucq_linear
 from repro.cq.canonical import evaluate_ucq
 from repro.cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.datalog.engine import evaluate
 from repro.datalog.errors import NotNonrecursiveError, ValidationError
 from repro.datalog.parser import parse_atom, parse_program
+from repro.datalog.unfold import unfold_nonrecursive
 from repro.programs import (
     buys_bounded,
     buys_bounded_rewriting,
@@ -45,7 +48,6 @@ class TestExample11:
         )
         from repro.core.containment import counterexample_database
         from repro.core.tree_containment import ContainmentResult
-        from repro.datalog.unfold import unfold_nonrecursive
 
         containment = ContainmentResult(False, result.forward_witness)
         db, row = counterexample_database(containment, buys_recursive())
@@ -54,13 +56,14 @@ class TestExample11:
         assert row not in evaluate_ucq(union, db)
 
     def test_word_pathway_matches(self):
-        for method in ("word", "tree"):
-            assert is_equivalent_to_nonrecursive(
-                buys_bounded(), buys_bounded_rewriting(), goal="buys", method=method
-            ).equivalent
-            assert not is_equivalent_to_nonrecursive(
-                buys_recursive(), buys_recursive_rewriting(), goal="buys", method=method
-            ).equivalent
+        cases = ((buys_bounded(), buys_bounded_rewriting(), True),
+                 (buys_recursive(), buys_recursive_rewriting(), False))
+        for program, rewriting, forward in cases:
+            union = unfold_nonrecursive(rewriting, "buys")
+            for pathway in (datalog_contained_in_ucq_linear,
+                            datalog_contained_in_ucq):
+                result = pathway(program, "buys", union)
+                assert result.contained == forward, pathway.__name__
 
 
 class TestEquivalenceAPI:

@@ -88,7 +88,7 @@ class TestProbe:
 
     def test_decides_before_any_automaton(self):
         union = unfold_nonrecursive(dist(1), "dist1")
-        result = contained_in_ucq(dist(2), "dist2", union, method="tree")
+        result = contained_in_ucq(dist(2), "dist2", union)
         assert not result.contained
         assert result.stats == {"probe_trees": 1, "probe_decided": 1}
         assert set(result.timings) == {"probe_s"}
@@ -125,9 +125,9 @@ class TestProbe:
             p(X, Y) :- p(X, Z), p(Z, Y).
             p(X, Y) :- e(X, Y).
         """)
-        union = UnionOfConjunctiveQueries([], arity=2)  # the probe would refute
+        union = UnionOfConjunctiveQueries([], arity=2)
         with pytest.raises(NotLinearError):
-            contained_in_ucq(program, "p", union, method="word")
+            datalog_contained_in_ucq_linear(program, "p", union)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_probe_agrees_with_the_automata(self, seed):
@@ -178,7 +178,7 @@ class TestExpansionWalk:
 def _negative_registry_containments():
     """Every negative containment and equivalence outside tag:stress
     (the stress pairs are the automata's budgeted wall), as
-    (name, program, goal, union, method)."""
+    (name, program, goal, union)."""
     cases = []
     for name, scenario in sorted(REGISTRY.items()):
         if "stress" in scenario.tags:
@@ -186,14 +186,13 @@ def _negative_registry_containments():
         if scenario.kind == "containment" and not scenario.expected["contained"]:
             payload = scenario.build()
             cases.append((name, payload["program"], payload["goal"],
-                          payload["union"], payload.get("method", "auto")))
+                          payload["union"]))
         elif scenario.kind == "equivalence" and not scenario.expected["forward"]:
             payload = scenario.build()
             union = unfold_nonrecursive(
                 payload["nonrecursive"],
                 payload.get("nonrecursive_goal") or payload["goal"])
-            cases.append((name, payload["program"], payload["goal"], union,
-                          payload.get("method", "auto")))
+            cases.append((name, payload["program"], payload["goal"], union))
     return cases
 
 
@@ -208,13 +207,11 @@ def test_negative_registry_set_is_complete():
     ]
 
 
-@pytest.mark.parametrize("name,program,goal,union,method", NEGATIVE_CASES,
+@pytest.mark.parametrize("name,program,goal,union", NEGATIVE_CASES,
                          ids=[case[0] for case in NEGATIVE_CASES])
 def test_automata_refute_every_negative_registry_containment(
-        name, program, goal, union, method):
-    pathways = []
-    if method != "word":
-        pathways.append(datalog_contained_in_ucq)
+        name, program, goal, union):
+    pathways = [datalog_contained_in_ucq]
     if is_chain_program(program):
         pathways.append(datalog_contained_in_ucq_linear)
     for pathway in pathways:

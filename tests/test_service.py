@@ -458,7 +458,7 @@ def test_status_shape(sock_path):
     assert response["type"] == "status"
     assert response["id"] == 42
     status = response["status"]
-    assert status["protocol"] == 1
+    assert status["protocol"] == 2
     assert set(status) >= {"uptime_s", "served", "errors", "admission",
                            "coalescer", "pool", "worker_sessions"}
     assert status["pool"]["executor"] == "thread"

@@ -57,8 +57,7 @@ VALID_REQUESTS = [
                  "goal": "buys"})),
     ("decide_containment_union",
      json.dumps({"op": "decide", "kind": "containment", "id": 7,
-                 "program": BUYS, "union": BUYS_NR, "goal": "buys",
-                 "method": "tree"})),
+                 "program": BUYS, "union": BUYS_NR, "goal": "buys"})),
     ("decide_containment_depth",
      json.dumps({"op": "decide", "kind": "containment",
                  "program": BUYS, "union_depth": 2, "goal": "buys",
@@ -117,9 +116,10 @@ MALFORMED_REQUESTS = [
     ("bad_max_depth",
      json.dumps({"op": "decide", "kind": "boundedness", "program": BUYS,
                  "goal": "buys", "max_depth": -1})),
+    # The retired pathway knob: even its old default is an unknown field.
     ("bad_method",
      json.dumps({"op": "decide", "kind": "boundedness", "program": BUYS,
-                 "goal": "buys", "method": "oracle"})),
+                 "goal": "buys", "method": "auto"})),
     ("bad_engine", json.dumps({"op": "scenario",
                                "scenario": "bounded_buys",
                                "engine": "quantum"})),
@@ -218,7 +218,7 @@ RESPONSES = [
     ("overload", overload_response("q5", queue_depth=64, capacity=64,
                                    retry_after_ms=50.0)),
     ("error_bad_request_diagnostics", _analyzer_rejection_response()),
-    ("status", status_response("q6", {"protocol": 1, "served": 12})),
+    ("status", status_response("q6", {"protocol": 2, "served": 12})),
     ("ok", ok_response("q7")),
 ]
 

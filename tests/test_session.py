@@ -312,24 +312,23 @@ def test_fingerprint_stable_and_config_sensitive():
 # ----------------------------------------------------------------------
 
 #: Every Session decision method, by its parameters after ``self``.
-#: The engine is the session's own, so none takes ``engine``, and no
-#: decision takes an analyzer (``use_certificates``) or search
+#: The engine is the session's own, so none takes ``engine``; the
+#: program picks the containment pathway, so none takes ``method``; and
+#: no decision takes an analyzer (``use_certificates``) or search
 #: (``use_antichain``) switch: adding a per-call knob is a diff here.
 SESSION_SIGNATURES = {
-    "contains": ["program", "goal", "union", "method", "deadline"],
-    "contains_cq": ["program", "goal", "theta", "method", "deadline"],
+    "contains": ["program", "goal", "union", "deadline"],
+    "contains_cq": ["program", "goal", "theta", "deadline"],
     "contains_nonrecursive": ["program", "goal", "nonrecursive",
-                              "nonrecursive_goal", "method", "deadline"],
+                              "nonrecursive_goal", "deadline"],
     "cq_contained": ["theta", "program", "goal", "deadline"],
     "ucq_contained": ["union", "program", "goal", "deadline"],
     "nonrecursive_contained": ["nonrecursive", "nonrecursive_goal",
                                "program", "goal", "deadline"],
     "equivalent_to_nonrecursive": ["program", "nonrecursive", "goal",
-                                   "nonrecursive_goal", "method",
-                                   "deadline"],
-    "equivalent_to_ucq": ["program", "goal", "union", "method",
-                          "deadline"],
-    "bounded": ["program", "goal", "max_depth", "method", "deadline"],
+                                   "nonrecursive_goal", "deadline"],
+    "equivalent_to_ucq": ["program", "goal", "union", "deadline"],
+    "bounded": ["program", "goal", "max_depth", "deadline"],
     "evaluate": ["program", "database", "max_stages", "goal", "deadline"],
     "query": ["program", "database", "goal", "max_stages", "deadline"],
     "magic": ["program", "database", "goal", "adornment", "bindings",
@@ -352,20 +351,20 @@ def test_legacy_signatures_are_pinned():
     from repro.workloads import run_scenario
 
     expected = {
-        contained_in_ucq: ["program", "goal", "union", "method"],
-        contained_in_cq: ["program", "goal", "theta", "method"],
+        contained_in_ucq: ["program", "goal", "union"],
+        contained_in_cq: ["program", "goal", "theta"],
         contained_in_nonrecursive: ["program", "goal", "nonrecursive",
-                                    "nonrecursive_goal", "method"],
+                                    "nonrecursive_goal"],
         cq_contained_in_datalog: ["theta", "program", "goal"],
         ucq_contained_in_datalog: ["union", "program", "goal"],
         nonrecursive_contained_in_datalog: ["nonrecursive",
                                             "nonrecursive_goal",
                                             "program", "goal"],
         is_equivalent_to_nonrecursive: ["program", "nonrecursive", "goal",
-                                        "nonrecursive_goal", "method"],
-        equivalent_to_ucq: ["program", "goal", "union", "method"],
-        decide_boundedness: ["program", "goal", "max_depth", "method"],
-        search_boundedness: ["program", "goal", "max_depth", "method"],
+                                        "nonrecursive_goal"],
+        equivalent_to_ucq: ["program", "goal", "union"],
+        decide_boundedness: ["program", "goal", "max_depth"],
+        search_boundedness: ["program", "goal", "max_depth"],
         run_scenario: ["scenario"],
     }
     for function, parameters in expected.items():
