@@ -8,7 +8,8 @@ from .boundedness import (
     decide_boundedness,
     search_boundedness,
 )
-from .certificate import CertificateError, check_invariant, witness_refutes
+from .certificate import (CertificateError, check_certificate, check_closure,
+                          check_invariant, witness_refutes)
 from .containment import (
     contained_in_cq,
     contained_in_nonrecursive,
@@ -59,6 +60,8 @@ __all__ = [
     "Label",
     "PTreeAutomaton",
     "bounded_at_depth",
+    "check_certificate",
+    "check_closure",
     "check_invariant",
     "clear_shared_caches",
     "contained_in_cq",

@@ -9,14 +9,16 @@ expansions of height at most k, and that union is always contained in
 Pi, so only the forward containment (Theorem 5.12) needs deciding.
 Iterating k = 1, 2, ... certifies boundedness whenever it holds; the
 procedure cannot certify unboundedness (no algorithm can), so it stops
-at ``max_depth`` with verdict "unknown" -- unless the structural
-shortcut below applies.
+at ``max_depth`` with verdict "unknown".
 
-Each depth's containment starts with the counterexample probe of
-:func:`~repro.core.containment.contained_in_ucq`: a deeper expansion
-that escapes the depth-k union rules out depth-k boundedness without
-building any automaton, and the search continues deeper.  The search
-always reports the *minimal* certified depth.  A static depth bound
+When the goal is the only IDB predicate of its slice, the rules map
+the depth-k union ``U_k`` onto ``U_{k+1}``, so ``U_k`` is closed iff Pi
+is bounded at depth k (the stage test of Naughton and Sagiv, PODS
+1987) and the closure test
+(:func:`~repro.core.containment.closure_certificate`) alone decides
+each depth, without automata.  Any other program runs
+:func:`~repro.core.containment.contained_in_ucq` per depth.  The
+search reports the *minimal* certified depth.  A static depth bound
 (the analyzer's H001 certificate,
 :meth:`~repro.analysis.diagnostics.AnalysisReport.boundedness_certificate`)
 is an upper bound only; its union is ``expansion_union(program, goal,
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..automata.kernel import Invariant
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.program import Program
 from ..datalog.unfold import expansion_union
-from .containment import contained_in_ucq
+from .containment import closure_applies, closure_certificate, contained_in_ucq
+from .tree_containment import ContainmentResult
 
 
 @dataclass
@@ -44,12 +47,13 @@ class BoundednessResult:
     bound exceeds ``max_depth``).  On success ``depth`` is the
     certified bound and ``witness_union`` the equivalent union of
     conjunctive queries (a nonrecursive rewriting of the program);
-    ``invariant`` is the certificate of the containment in that union
-    when the automata search decided it.  ``stats`` counts the search
-    work (``depths_probed``; ``probe_trees``/``probe_decided``, the
-    expansions the probes tested and the depths they refuted;
-    ``containments_run``) and ``timings`` its seconds (``probe_s``,
-    ``containment_s`` for the automata).
+    ``closure`` or ``invariant`` is the certificate of the containment
+    in that union.  ``stats`` counts the search work
+    (``depths_probed``; ``closure_tests``/``closure_decided``, the
+    compositions tested and the depths decided by the closure test;
+    ``probe_trees``/``probe_decided``, the same for the probes;
+    ``containments_run``) and ``timings`` its seconds (``closure_s``,
+    ``probe_s``, ``containment_s`` for the automata).
     """
 
     bounded: Optional[bool]
@@ -57,6 +61,7 @@ class BoundednessResult:
     witness_union: Optional[UnionOfConjunctiveQueries] = None
     invariant: Optional[Invariant] = field(default=None, repr=False,
                                            compare=False)
+    closure: Optional[Tuple] = field(default=None, repr=False, compare=False)
     stats: Dict[str, int] = field(default_factory=dict, repr=False,
                                   compare=False)
     timings: Dict[str, float] = field(default_factory=dict, repr=False,
@@ -90,14 +95,15 @@ def search_boundedness(program: Program, goal: str,
     certificate proves nothing).  Nonrecursive programs are bounded by
     their dependence-graph depth and always certified.
 
-    Each depth runs one containment, whose counterexample probe
-    refutes the depth without the automata when a deeper expansion
-    escapes the union.  The search evaluates nothing, so it needs no
-    engine.
+    Each depth runs the closure test alone when it is exact, and one
+    containment otherwise.  The search evaluates nothing, so it needs
+    no engine.
     """
     program.require_goal(goal)
-    probe_s = containment_s = 0.0
-    depths_probed = probe_trees = probe_decided = containments_run = 0
+    closure_s = probe_s = containment_s = 0.0
+    depths_probed = closure_tests = closure_decided = 0
+    probe_trees = probe_decided = containments_run = 0
+    exact = closure_applies(program, goal)
     result = BoundednessResult(bounded=None)
     for depth in range(1, max_depth + 1):
         union = expansion_union(program, goal, depth)
@@ -105,23 +111,33 @@ def search_boundedness(program: Program, goal: str,
             continue
         depths_probed += 1
         started = perf_counter()
-        forward = contained_in_ucq(program, goal, union)
-        elapsed = perf_counter() - started
-        probe_s += forward.timings["probe_s"]
-        containment_s += elapsed - forward.timings["probe_s"]
-        probe_trees += forward.stats["probe_trees"]
-        probe_decided += forward.stats["probe_decided"]
-        containments_run += 1 - forward.stats["probe_decided"]
+        if exact:
+            closure, composed = closure_certificate(program, goal, union)
+            closure_s += perf_counter() - started
+            closure_tests += composed
+            closure_decided += 1
+            forward = ContainmentResult(closure is not None, closure=closure)
+        else:
+            forward = contained_in_ucq(program, goal, union)
+            containment_s += perf_counter() - started - forward.timings[
+                "probe_s"]
+            probe_s += forward.timings["probe_s"]
+            probe_trees += forward.stats["probe_trees"]
+            probe_decided += forward.stats["probe_decided"]
+            containments_run += 1 - forward.stats["probe_decided"]
         if forward.contained:
-            result = BoundednessResult(bounded=True, depth=depth,
-                                       witness_union=union,
-                                       invariant=forward.invariant)
+            result = BoundednessResult(
+                bounded=True, depth=depth, witness_union=union,
+                invariant=forward.invariant, closure=forward.closure)
             break
     result.stats = {"depths_probed": depths_probed,
+                    "closure_tests": closure_tests,
+                    "closure_decided": closure_decided,
                     "probe_trees": probe_trees,
                     "probe_decided": probe_decided,
                     "containments_run": containments_run}
-    result.timings = {"probe_s": round(probe_s, 6),
+    result.timings = {"closure_s": round(closure_s, 6),
+                      "probe_s": round(probe_s, 6),
                       "containment_s": round(max(containment_s, 0.0), 6)}
     return result
 

@@ -47,6 +47,10 @@ back, and runs the three checks at every atom of it.  Transitions are
 recomputed on those renamed states, so the search's renaming is
 checked against transitions it never computed.
 
+A closure certificate (:func:`~repro.core.containment.closure_certificate`)
+is checked by :func:`check_closure`, which rebuilds every composition
+itself and applies the stored mappings, with no mapping search.
+
 A negative verdict carries a witness instead:
 :func:`witness_refutes` rebuilds the Proposition 5.5 counterexample
 database, evaluates the program on it with the interpretive evaluator
@@ -55,8 +59,9 @@ and the union by direct conjunctive-query evaluation.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import Callable, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from ..automata.kernel import Invariant
 from ..budget import check_deadline
@@ -66,18 +71,22 @@ from ..datalog.atoms import Atom
 from ..datalog.engine import Engine, EngineConfig
 from ..datalog.errors import ReproError
 from ..datalog.program import Program
+from ..datalog.terms import Variable
+from ..datalog.unify import apply_to_atom, apply_to_atoms, resolve, unify_tuples
 from .containment import counterexample_database
 from .word_path import Symmetry, inverse
 
-__all__ = ["CertificateError", "check_invariant", "witness_refutes"]
+__all__ = ["CertificateError", "check_certificate", "check_closure",
+           "check_invariant", "witness_refutes"]
 
 #: Candidate child tuples of one right state on one symbol.
 Tuples = Callable[[Hashable, Hashable], Iterable[Tuple]]
 
 
 class CertificateError(ReproError):
-    """An invariant failed one of its checks; ``condition`` names it
-    (``"closure"``, ``"safety"``, ``"start"`` or ``"leaf"``)."""
+    """A certificate failed one of its checks; ``condition`` names it
+    (``"closure"``, ``"safety"``, ``"start"``, ``"leaf"``, ``"scope"``,
+    ``"coverage"``, ``"mapping"`` or ``"missing"``)."""
 
     def __init__(self, condition: str, detail: str):
         super().__init__(f"{condition} check failed: {detail}")
@@ -88,7 +97,7 @@ def check_invariant(invariant: Invariant) -> None:
     """Verify *invariant*; raises :class:`CertificateError` on the
     first failed check (safety before closure on the tree pathway;
     start, leaf, closure on the word pathway)."""
-    entries = _decoder(invariant)
+    entries = cache(invariant.entries)
     if invariant.pathway == "word":
         _check_word(invariant, entries)
         return
@@ -112,18 +121,6 @@ def check_invariant(invariant: Invariant) -> None:
                 raise CertificateError(
                     "safety", f"an entry at {state} misses every start state")
     _check_tree_closure(transitions, successors, entries)
-
-
-def _decoder(invariant: Invariant) -> Callable[[Hashable], List[FrozenSet]]:
-    decoded: Dict[Hashable, List[FrozenSet]] = {}
-
-    def entries(key: Hashable) -> List[FrozenSet]:
-        found = decoded.get(key)
-        if found is None:
-            found = decoded[key] = invariant.entries(key)
-        return found
-
-    return entries
 
 
 def _check_tree_closure(transitions, successors: Tuples, entries) -> None:
@@ -150,20 +147,16 @@ def _orbit_decoder(invariant: Invariant, symmetry: Symmetry,
     """The certified entries at any atom: its canonical atom's, renamed
     back by the inverse of the atom's canonical renaming."""
     _, automata = invariant.automata
-    expanded: Dict[Atom, List[FrozenSet]] = {}
 
+    @cache
     def entries(atom: Atom) -> List[FrozenSet]:
-        found = expanded.get(atom)
-        if found is None:
-            canonical, sigma = symmetry.canonical(atom)
-            found = canonical_entries(canonical)
-            if sigma is not None:
-                back = inverse(sigma)
-                found = [frozenset((index, automata[index].renamed(state, back))
-                                   for index, state in entry)
-                         for entry in found]
-            expanded[atom] = found
-        return found
+        canonical, sigma = symmetry.canonical(atom)
+        if sigma is None:
+            return canonical_entries(canonical)
+        back = inverse(sigma)
+        return [frozenset((index, automata[index].renamed(state, back))
+                          for index, state in entry)
+                for entry in canonical_entries(canonical)]
 
     return entries
 
@@ -210,6 +203,80 @@ def _check_word(invariant: Invariant, canonical_entries) -> None:
                     raise CertificateError(
                         "closure", f"the image of an entry at {atom} under "
                         f"{label} contains no certified entry at {child}")
+
+
+def check_certificate(program: Program, goal: str,
+                      union: UnionOfConjunctiveQueries, result) -> None:
+    """Check a positive *result*'s ``closure``, else its ``invariant``."""
+    if result.closure is not None:
+        check_closure(program, goal, union, result.closure)
+    elif result.invariant is None:
+        raise CertificateError("missing", "no certificate returned")
+    else:
+        check_invariant(result.invariant)
+
+
+def check_closure(program: Program, goal: str,
+                  union: UnionOfConjunctiveQueries, closure) -> None:
+    """Verify a closure certificate of ``Q_Pi subseteq union``: the
+    rules for *goal* name no other IDB predicate (``"scope"``), each
+    rule and choice of disjuncts has an entry (``"coverage"``) whose
+    mapping sends the disjunct's head onto the composition's head and
+    its body into the composition's body (``"mapping"``)."""
+    disjuncts = list(union)
+    entries = {(step.rule, step.choice): step for step in closure}
+    for index, rule in enumerate(program.rules):
+        if rule.head.predicate != goal:
+            continue
+        if rule.body_predicates() & (program.idb_predicates - {goal}):
+            raise CertificateError("scope", f"rule {index} names another "
+                                   "IDB predicate")
+        calls = sum(atom.predicate == goal for atom in rule.body)
+        for choice in product(range(len(disjuncts)), repeat=calls):
+            check_deadline()
+            step = entries.get((index, choice))
+            if step is None:
+                raise CertificateError(
+                    "coverage", f"no entry for rule {index}, choice {choice}")
+            composed = _compose(rule, goal, [disjuncts[j] for j in choice])
+            if composed is None and step.cover is None:
+                continue
+            if composed is None or step.cover is None or not _maps_onto(
+                    disjuncts[step.cover], step.mapping or {}, *composed):
+                raise CertificateError("mapping", f"rule {index}, choice "
+                                       f"{choice}: entry {step.cover} fails")
+
+
+def _compose(rule, goal: str, chosen: List) -> Optional[Tuple]:
+    """``(head, body, unifier)`` of *rule* with its i-th *goal* atom
+    replaced by ``chosen[i]`` (variables renamed ``V/r`` and ``V/i``),
+    or None when the heads do not unify."""
+    def tagged(atom: Atom, tag) -> Atom:
+        return atom.substitute({v: Variable(f"{v.name}/{tag}")
+                                for v in atom.variable_set()})
+
+    subst, atoms, chosen = {}, [], iter(enumerate(chosen))
+    for atom in rule.body:
+        if atom.predicate != goal:
+            atoms.append(tagged(atom, "r"))
+            continue
+        i, theta = next(chosen)
+        subst = unify_tuples(tagged(theta.head, i).args,
+                             tagged(atom, "r").args, subst)
+        if subst is None:
+            return None
+        atoms += [tagged(body_atom, i) for body_atom in theta.body]
+    return (apply_to_atom(tagged(rule.head, "r"), subst),
+            set(apply_to_atoms(atoms, subst)), subst)
+
+
+def _maps_onto(psi, mapping, head: Atom, body, subst) -> bool:
+    def image(atom: Atom) -> Atom:
+        return Atom(atom.predicate, tuple(resolve(mapping.get(t, t), subst)
+                                          for t in atom.args))
+
+    return image(psi.head).args == head.args and all(
+        image(atom) in body for atom in psi.body)
 
 
 def witness_refutes(program: Program, goal: str,

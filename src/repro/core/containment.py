@@ -28,18 +28,22 @@ their results in a :class:`~repro.session.Decision`.  The exact
 
 from __future__ import annotations
 
+from itertools import product
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..budget import check_deadline
 from ..cq.canonical import canonical_database
 from ..cq.containment import cq_contained_in_ucq
+from ..cq.homomorphism import containment_mapping
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.database import Database
 from ..datalog.engine import evaluate
 from ..datalog.errors import ValidationError
 from ..datalog.program import Program
+from ..datalog.terms import Term, Variable
 from ..datalog.unfold import expansion_derivations, unfold_nonrecursive
+from ..datalog.unify import apply_to_atom, apply_to_atoms, unify_tuples
 from ..trees.expansion import ExpansionTree, derivation_tree
 from ..trees.proof import proof_tree_to_expansion_tree
 from .tree_containment import ContainmentResult, datalog_contained_in_ucq
@@ -78,29 +82,112 @@ def probe_counterexample(program: Program, goal: str,
     return None, tested
 
 
+class ClosureStep(NamedTuple):
+    """One composition: rule ``program.rules[rule]`` with its i-th goal
+    atom replaced by disjunct ``choice[i]``; ``mapping`` maps disjunct
+    ``cover`` onto it (both None when the heads do not unify)."""
+
+    rule: int
+    choice: Tuple[int, ...]
+    cover: Optional[int]
+    mapping: Optional[Dict[Variable, Term]]
+
+
+def closure_applies(program: Program, goal: str) -> bool:
+    """Are the rules for *goal* safe, naming no other IDB predicate?"""
+    others = program.idb_predicates - {goal}
+    return all(rule.is_safe and not rule.body_predicates() & others
+               for rule in program.rules_for(goal))
+
+
+def _tagged(query: ConjunctiveQuery, tag) -> ConjunctiveQuery:
+    """*query* with each variable ``V`` renamed ``V/tag``."""
+    return query.substitute({v: Variable(f"{v.name}/{tag}")
+                             for v in query.variables})
+
+
+def closure_certificate(program: Program, goal: str,
+                        union: UnionOfConjunctiveQueries
+                        ) -> Tuple[Optional[Tuple[ClosureStep, ...]], int]:
+    """Prove ``Q_Pi subseteq union`` from ``T_Pi(union) subseteq union``
+    (Sagiv's uniform containment [Sa88b], composition form): every rule,
+    each goal atom replaced by a disjunct renamed apart (``V/r`` in the
+    rule, ``V/i`` in the i-th disjunct) and unified at its head, must
+    give a query some disjunct maps onto (Theorems 2.2/2.3).  Rules with
+    the most goal atoms and the largest disjuncts go first, so a
+    truncation union fails at once.  Returns one :class:`ClosureStep`
+    per composition, or None (never "not contained"), and the number of
+    compositions tested."""
+    if not closure_applies(program, goal):
+        return None, 0
+    disjuncts = list(union)
+    order = sorted(range(len(disjuncts)), key=lambda i: -len(disjuncts[i].body))
+    rules = sorted((item for item in enumerate(program.rules)
+                    if item[1].head.predicate == goal),
+                   key=lambda item: -len(item[1].idb_body_atoms({goal})))
+    steps = []
+    for index, rule in rules:
+        rule = _tagged(ConjunctiveQuery.from_rule(rule), "r")
+        calls = [atom for atom in rule.body if atom.predicate == goal]
+        edb = tuple(atom for atom in rule.body if atom.predicate != goal)
+        for choice in product(order, repeat=len(calls)):
+            check_deadline()
+            subst, atoms = {}, edb
+            for i, (call, j) in enumerate(zip(calls, choice)):
+                theta = _tagged(disjuncts[j], i)
+                subst = unify_tuples(theta.head.args, call.args, subst)
+                if subst is None:
+                    break
+                atoms += theta.body
+            if subst is None:
+                steps.append(ClosureStep(index, choice, None, None))
+                continue
+            composed = ConjunctiveQuery(apply_to_atom(rule.head, subst),
+                                        apply_to_atoms(atoms, subst))
+            for cover, psi in enumerate(disjuncts):
+                check_deadline()
+                mapping = containment_mapping(psi, composed)
+                if mapping is not None:
+                    steps.append(ClosureStep(index, choice, cover, mapping))
+                    break
+            else:
+                return None, len(steps) + 1
+    return tuple(steps), len(steps)
+
+
 def contained_in_ucq(program: Program, goal: str,
                      union: UnionOfConjunctiveQueries) -> ContainmentResult:
     """Decide ``Q_Pi subseteq union`` (Theorem 5.12).
 
     :func:`probe_counterexample` runs first: its witness answers "not
-    contained" without any automaton.  Otherwise the program's shape
-    picks the automata: the word pathway for a chain-form program, the
-    tree pathway for any other.  ``stats`` gain ``probe_trees`` and
-    ``probe_decided``, ``timings`` ``probe_s``.
+    contained" without any automaton.  Then :func:`closure_certificate`
+    may answer "contained" (``result.closure``).  Otherwise the
+    program's shape picks the automata: the word pathway for a
+    chain-form program, the tree pathway for any other.  ``stats``
+    gain ``probe_trees``/``probe_decided`` and ``closure_tests``/
+    ``closure_decided``, ``timings`` ``probe_s`` and ``closure_s``.
     """
     program.require_goal(goal)
     started = perf_counter()
     witness, tested = probe_counterexample(program, goal, union)
     probe_s = perf_counter() - started
+    closure, composed = (closure_certificate(program, goal, union)
+                         if witness is None else (None, 0))
+    closure_s = perf_counter() - started - probe_s
     if witness is not None:
         result = ContainmentResult(False, witness)
+    elif closure is not None:
+        result = ContainmentResult(True, closure=closure)
     elif is_chain_program(program):
         result = datalog_contained_in_ucq_linear(program, goal, union)
     else:
         result = datalog_contained_in_ucq(program, goal, union)
     result.stats.update(probe_trees=tested,
-                        probe_decided=int(witness is not None))
+                        probe_decided=int(witness is not None),
+                        closure_tests=composed,
+                        closure_decided=int(closure is not None))
     result.timings["probe_s"] = round(probe_s, 6)
+    result.timings["closure_s"] = round(closure_s, 6)
     return result
 
 

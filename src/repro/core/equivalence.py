@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..automata.kernel import Invariant
 from ..cq.query import UnionOfConjunctiveQueries
@@ -42,11 +42,12 @@ class EquivalenceResult:
     When the programs differ, exactly one direction fails:
     ``forward_holds`` reports ``Pi subseteq Pi'`` (with
     ``forward_witness`` a proof tree of Pi not covered by Pi' when it
-    fails, ``invariant`` its certificate when it holds) and
-    ``backward_holds`` reports ``Pi' subseteq Pi``.  ``timings`` holds
-    the wall-clock seconds of each phase: ``unfold_s`` (Pi' to a UCQ,
-    when Pi' was a program), ``backward_s`` (canonical-database tests)
-    and ``forward_s`` (the forward containment, ``probe_s`` its probe).
+    fails, ``closure`` or ``invariant`` its certificate when it holds)
+    and ``backward_holds`` reports ``Pi' subseteq Pi``.  ``timings``
+    holds the wall-clock seconds of each phase: ``unfold_s`` (Pi' to a
+    UCQ, when Pi' was a program), ``backward_s`` (canonical-database
+    tests) and ``forward_s`` (the forward containment, with its fronts'
+    ``probe_s`` and ``closure_s``).
     """
 
     equivalent: bool
@@ -56,6 +57,7 @@ class EquivalenceResult:
     stats: Dict[str, int] = field(default_factory=dict)
     invariant: Optional[Invariant] = field(default=None, repr=False,
                                            compare=False)
+    closure: Optional[Tuple] = field(default=None, repr=False, compare=False)
     timings: Dict[str, float] = field(default_factory=dict, repr=False,
                                       compare=False)
 
@@ -116,6 +118,7 @@ def equivalent_to_ucq(program: Program, goal: str,
         forward_witness=forward.witness,
         stats=dict(forward.stats),
         invariant=forward.invariant,
+        closure=forward.closure,
         timings={"backward_s": round(backward_s, 6),
                  "forward_s": round(forward_s, 6), **forward.timings},
     )

@@ -38,6 +38,7 @@ is unavoidable in general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..automata.kernel import Interner, Invariant, thaw_witness
@@ -63,8 +64,9 @@ class ContainmentResult:
     counterexample probe decided, the unfolding tree (Definition 2.4)
     of an expansion no disjunct contains.  When True, ``invariant`` is
     the search's final antichain, the certificate that
-    :func:`repro.core.certificate.check_invariant` verifies.
-    ``stats`` carries search metrics and ``timings`` ``probe_s``.
+    :func:`repro.core.certificate.check_invariant` verifies, or
+    ``closure`` the closure test's, which ``check_closure`` verifies.
+    ``stats`` carries search metrics and ``timings`` their seconds.
     """
 
     contained: bool
@@ -72,6 +74,7 @@ class ContainmentResult:
     stats: Dict[str, int] = field(default_factory=dict)
     invariant: Optional[Invariant] = field(default=None, repr=False,
                                            compare=False)
+    closure: Optional[Tuple] = field(default=None, repr=False, compare=False)
     timings: Dict[str, float] = field(default_factory=dict, repr=False,
                                       compare=False)
 
@@ -304,19 +307,4 @@ def _fresh_combos(options: List[List[Tuple]], generation: int) -> Iterator[Tuple
             for opts in options[:pivot]
         ]
         at = [entry for entry in options[pivot] if entry[2] == previous]
-        after = [list(opts) for opts in options[pivot + 1 :]]
-        pools = before + [at] + after
-        if any(not pool for pool in pools):
-            continue
-        combo: List[Tuple] = []
-
-        def walk(position: int):
-            if position == len(pools):
-                yield tuple(combo)
-                return
-            for entry in pools[position]:
-                combo.append(entry)
-                yield from walk(position + 1)
-                combo.pop()
-
-        yield from walk(0)
+        yield from product(*before, at, *options[pivot + 1:])

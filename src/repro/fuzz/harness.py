@@ -14,8 +14,8 @@ configuration matrix and reports every :class:`Divergence`:
   interpretive naive engine, the repo's reference semantics;
 * **decision** cases (containment / boundedness / equivalence) run
   once and are checked from both sides: a positive containment's
-  invariant goes through the certificate checker
-  (:func:`~repro.core.certificate.check_invariant`), a negative one's
+  certificate goes through its checker
+  (:func:`~repro.core.certificate.check_certificate`), a negative one's
   witness is refuted on its counterexample database
   (:func:`~repro.core.certificate.witness_refutes`),
   and the verdict is compared against the ground truth the generator
@@ -44,7 +44,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.certificate import CertificateError, check_invariant, witness_refutes
+from ..core.certificate import (CertificateError, check_certificate,
+                                witness_refutes)
 from ..cq.query import UnionOfConjunctiveQueries
 from ..datalog.atoms import Atom
 from ..datalog.database import Database
@@ -118,8 +119,8 @@ class Divergence:
     """One observed mismatch: a matrix cell whose verdict differs from
     the baseline cell (``against="baseline"``), a baseline verdict
     contradicting the constructed ground truth
-    (``against="expected"``), a positive containment whose invariant
-    the checker rejects (``against="certificate"``), a negative one
+    (``against="expected"``), a positive containment whose certificate
+    its checker rejects (``against="certificate"``), a negative one
     whose witness does not refute it (``against="witness"``), or a
     static-analyzer claim contradicted by the real procedures
     (``against="analyzer"``)."""
@@ -324,7 +325,7 @@ def evaluation_verdict(case: FuzzCase, config: EngineConfig) -> Dict:
 
 def decision_outcome(case: FuzzCase) -> Tuple[Dict, object]:
     """The verdict of a decision case and the procedure's own result
-    (which carries the invariant or the witness), via the ambient
+    (which carries the certificate or the witness), via the ambient
     session's :meth:`~repro.session.Session.run_payload` -- the path
     the scenario registry uses."""
     payload: Dict = {"program": case.program, "goal": case.goal}
@@ -348,12 +349,12 @@ def proof_divergences(case: FuzzCase, verdict: Dict,
                       result) -> List[Divergence]:
     """Check a decision from both sides.
 
-    A forward containment that holds must come with an invariant the
-    certificate checker accepts (``against="certificate"``); one that
-    fails must come with a witness whose counterexample database
-    refutes it (``against="witness"``).
-    Boundedness checks the invariant of its certified depth; an
-    unknown boundedness verdict carries neither.
+    A forward containment that holds must come with a closure
+    certificate or an invariant its checker accepts
+    (``against="certificate"``); one that fails must come with a
+    witness whose counterexample database refutes it
+    (``against="witness"``).  Boundedness checks the certificate of its
+    certified depth; an unknown boundedness verdict carries neither.
     """
     if case.kind == "boundedness":
         holds, union = result.bounded, result.witness_union
@@ -365,9 +366,7 @@ def proof_divergences(case: FuzzCase, verdict: Dict,
         holds, union = result.contained, case.union
     if holds:
         try:
-            if result.invariant is None:
-                raise CertificateError("closure", "no invariant returned")
-            check_invariant(result.invariant)
+            check_certificate(case.program, case.goal, union, result)
         except CertificateError as exc:
             return [Divergence(case=case, label="checker",
                                against="certificate", verdict=verdict,
@@ -466,7 +465,7 @@ def run_case(case: FuzzCase, *, matrix: str = "full",
 
     Returns ``(verdicts, divergences)``: the per-cell verdicts and
     every mismatch -- evaluation cells against the baseline cell, a
-    decision against its invariant or witness
+    decision against its certificate or witness
     (:func:`proof_divergences`), the baseline against the case's
     constructed ground truth when the generator attached one, and the
     analyzer soundness differential (:func:`analysis_divergences`).

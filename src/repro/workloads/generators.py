@@ -41,6 +41,7 @@ family                          shape / known verdict
                                 predicate names: no depth-k
                                 certificate exists for any k
 :func:`bounded_unbounded_pairs` labeled stream mixing the two above
+:func:`automata_pair`           contained, decided by the automata only
 ==============================  ========================================
 
 EDB families
@@ -154,6 +155,23 @@ def covering_union() -> UnionOfConjunctiveQueries:
             ConjunctiveQuery(parse_atom("p(X0, X1)"), (parse_atom("g0(X0, Z)"),)),
         ]
     )
+
+
+def automata_pair(pathway: str) -> Tuple[Program, str, UnionOfConjunctiveQueries]:
+    """A contained ``(program, goal, union)`` that only the automata of
+    *pathway* (``"word"`` or ``"tree"``) decide: right-linear or
+    nonlinear transitive closure, a disjunct covering every expansion
+    (each ends, or starts, with an ``e`` edge), and a junk disjunct
+    over ``f``, which the program never derives, to defeat the closure
+    test.  Not registered: decide_cold times every light scenario."""
+    recursive, cover = {
+        "word": ("p(X, Y) :- e(X, Z), p(Z, Y).", "e(W, Y)"),
+        "tree": ("p(X, Y) :- p(X, Z), p(Z, Y).", "e(X, Z)"),
+    }[pathway]
+    union = UnionOfConjunctiveQueries([
+        ConjunctiveQuery(parse_atom("p(X, Y)"), (parse_atom(body),))
+        for body in (cover, "f(X, Y)")])
+    return parse_program(f"p(X, Y) :- e(X, Y).\n{recursive}"), "p", union
 
 
 def alternating_recursion() -> Program:

@@ -30,7 +30,7 @@ from repro.automata.word import (
     find_counterexample_word,
 )
 from repro.core.boundedness import decide_boundedness
-from repro.core.certificate import check_invariant
+from repro.core.certificate import check_certificate, check_invariant
 from repro.core.containment import counterexample_database
 from repro.core.ptree_automaton import PTreeAutomaton
 from repro.core.tree_containment import datalog_contained_in_ucq
@@ -389,10 +389,11 @@ class TestContainmentDifferential:
         rewriting = buys_bounded_rewriting()
         result = is_equivalent_to_nonrecursive(program, rewriting, "buys")
         assert result.equivalent
-        check_invariant(result.invariant)
+        check_certificate(program, "buys",
+                          unfold_nonrecursive(rewriting, "buys"), result)
 
     def test_boundedness_agrees(self):
         program = buys_bounded()
         result = decide_boundedness(program, "buys", max_depth=3)
         assert result.bounded and result.depth == 2
-        check_invariant(result.invariant)
+        check_certificate(program, "buys", result.witness_union, result)

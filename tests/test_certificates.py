@@ -2,11 +2,13 @@
 
 Every positive containment the registry's decision scenarios reach --
 directly, inside an equivalence, or at a boundedness depth -- returns
-an invariant the checker accepts, and every negative one a witness
-whose counterexample database refutes it.  The tree pathway's positive
-coverage comes from the nonlinear programs below (every registry
-decision is chain-form and runs the word pathway).  Tampered
-invariants are rejected by exactly the check they break.
+a certificate its checker accepts (the closure test decides all of
+them), and every negative one a witness whose counterexample database
+refutes it.  The automata's invariants come from
+:func:`~repro.workloads.generators.automata_pair`, which neither front
+decides, and from the nonlinear programs below, run on the pathway
+functions directly.  Tampered invariants are rejected by exactly the
+check they break.
 """
 
 import dataclasses
@@ -16,13 +18,16 @@ import pytest
 from repro import Session
 from repro.core import boundedness, equivalence
 from repro.core import containment as containment_module
-from repro.core.certificate import CertificateError, check_invariant, witness_refutes
+from repro.core.certificate import (CertificateError, check_certificate,
+                                    check_invariant, witness_refutes)
+from repro.core.tree_containment import ContainmentResult
 from repro.core.tree_containment import datalog_contained_in_ucq
 from repro.core.word_path import datalog_contained_in_ucq_linear
 from repro.cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.unfold import expansion_union
 from repro.programs import buys_bounded
+from repro.workloads.generators import automata_pair
 from repro.workloads.scenarios import DECISION_KINDS, REGISTRY, get_scenario
 
 from .test_bitset_kernel import TREE_CASES
@@ -74,17 +79,27 @@ FORK_UNION = [cq("r(X)", "a(X)", "b(X)"),
 def captured(monkeypatch):
     """Record ``(program, goal, union, result)`` for every containment
     the scenario runs decide, including the ones inside equivalence
-    and boundedness."""
+    and boundedness (a depth the closure test proves is recorded as a
+    positive result carrying its closure certificate)."""
     calls = []
     decide = containment_module.contained_in_ucq
+    close = boundedness.closure_certificate
 
     def spy(program, goal, union, **kwargs):
         result = decide(program, goal, union, **kwargs)
         calls.append((program, goal, union, result))
         return result
 
+    def closure_spy(program, goal, union):
+        closure, tested = close(program, goal, union)
+        if closure is not None:
+            calls.append((program, goal, union,
+                          ContainmentResult(True, closure=closure)))
+        return closure, tested
+
     for module in (containment_module, equivalence, boundedness):
         monkeypatch.setattr(module, "contained_in_ucq", spy)
+    monkeypatch.setattr(boundedness, "closure_certificate", closure_spy)
     return calls
 
 
@@ -97,19 +112,29 @@ def test_registry_decisions_are_certified(name, captured):
     # no verdict and capture none.
     for program, goal, union, result in captured:
         if result.contained:
-            check_invariant(result.invariant)
+            check_certificate(program, goal, union, result)
         else:
-            assert result.invariant is None
+            assert result.invariant is None and result.closure is None
             assert witness_refutes(program, goal, union, result)
 
 
-def test_registry_reaches_positive_word_invariants(captured):
+def test_registry_positives_carry_closure_certificates(captured):
     for name in DECISION_SCENARIOS:
         if "stress" not in get_scenario(name).tags:
             Session().run_scenario(name)
     positives = [result for *_, result in captured if result.contained]
     assert len(positives) >= 9
-    assert {result.invariant.pathway for result in positives} == {"word"}
+    assert all(result.closure is not None and result.invariant is None
+               for result in positives)
+
+
+@pytest.mark.parametrize("pathway", ["word", "tree"])
+def test_automata_pairs_reach_positive_invariants(pathway):
+    program, goal, union = automata_pair(pathway)
+    result = containment_module.contained_in_ucq(program, goal, union)
+    assert result.contained and result.closure is None
+    assert result.invariant.pathway == pathway
+    check_invariant(result.invariant)
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.datalog.errors import ValidationError
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.unfold import expansion_union, unfold_nonrecursive
 from repro.trees.strong import brute_force_contained
+from repro.workloads.generators import automata_pair
 from repro.workloads.scenarios import REGISTRY
 
 
@@ -209,8 +210,10 @@ class TestRoute:
     @staticmethod
     def _forward_containments():
         """Every registry containment and equivalence outside tag:stress
-        as (name, program, goal, union), plus the nonlinear transitive
-        closure, which is not chain-form."""
+        as (name, program, goal, union), plus the two
+        :func:`~repro.workloads.generators.automata_pair` pairs, which
+        neither front decides: right-linear transitive closure and the
+        nonlinear one, which is not chain-form."""
         cases = []
         for name, scenario in sorted(REGISTRY.items()):
             if "stress" in scenario.tags or \
@@ -221,24 +224,20 @@ class TestRoute:
                 payload["nonrecursive"],
                 payload.get("nonrecursive_goal") or payload["goal"])
             cases.append((name, payload["program"], payload["goal"], union))
-        nonlinear = parse_program(
-            "p(X, Y) :- e(X, Y). p(X, Y) :- p(X, Z), p(Z, Y).")
-        cases.append(("nonlinear_tc", nonlinear, "p",
-                      ucq(cq("p(X0, X1)", "e(X0, Z)"))))
+        for pathway in ("word", "tree"):
+            cases.append((f"automata_{pathway}", *automata_pair(pathway)))
         return cases
 
     def test_route_follows_the_program_shape(self):
         routed = []
         for name, program, goal, union in self._forward_containments():
             result = contained_in_ucq(program, goal, union)
-            if result.stats["probe_decided"]:
+            if result.stats["probe_decided"] or \
+                    result.stats["closure_decided"]:
+                assert not {"pairs", "profiles"} & set(result.stats), name
                 continue
             routed.append(name)
             chain = is_chain_program(program)
             assert ("pairs" in result.stats) == chain, name
             assert ("profiles" in result.stats) == (not chain), name
-        assert routed == [
-            "contain_chain_w1", "contain_chain_w2", "contain_sirup_s7",
-            "equiv_bounded_family_s3", "equiv_buys_bounded", "equiv_widget",
-            "nonlinear_tc",
-        ]
+        assert routed == ["automata_word", "automata_tree"]

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.session import Session
+from repro.workloads.generators import automata_pair
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -58,11 +59,8 @@ def test_every_target_resolves_is_wrapped_and_restored(spans):
 
 
 @pytest.mark.parametrize("scenario,layers", [
-    ("contain_chain_w1", ("core.search", "core.automaton_build")),
-    ("equiv_buys_bounded", ("core.backward", "core.search",
-                            "unfold.expand")),
-    ("bounded_buys", ("core.bounded_probe", "core.search",
-                      "unfold.expand")),
+    ("equiv_buys_bounded", ("core.backward", "unfold.expand")),
+    ("bounded_buys", ("core.bounded_probe", "unfold.expand")),
 ])
 def test_decision_scenarios_run_through_the_patched_names(spans, scenario,
                                                           layers):
@@ -73,4 +71,19 @@ def test_decision_scenarios_run_through_the_patched_names(spans, scenario,
     finally:
         tracer.uninstall()
     for layer in layers:
+        assert tracer.calls[layer] > 0, layer
+
+
+@pytest.mark.parametrize("pathway", ["word", "tree"])
+def test_automata_run_through_the_patched_names(spans, pathway):
+    """The fronts decide every registry decision outside tag:stress, so
+    the automata's spans are checked on the pairs only they decide."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        decision = Session().contains(*automata_pair(pathway))
+    finally:
+        tracer.uninstall()
+    assert decision.verdict == {"contained": True}
+    for layer in ("core.search", "core.automaton_build"):
         assert tracer.calls[layer] > 0, layer

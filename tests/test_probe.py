@@ -5,8 +5,8 @@ of Pi in increasing height and stops at the first one no disjunct
 contains (Proposition 2.6 with Theorems 2.2/2.3).  It may only ever
 answer "not contained", its witness -- the escaping expansion's
 unfolding tree -- must refute the containment on its counterexample
-database, and a containment it cannot refute must reach the automata
-unchanged.
+database, and a containment it cannot refute must reach the closure
+test and the automata unchanged.
 
 The automata keep their own negative answers under test: every
 negative registry containment and equivalence is decided again by the
@@ -84,14 +84,20 @@ class TestProbe:
         assert result.contained
         assert result.stats["probe_decided"] == 0
         assert result.stats["probe_trees"] == 3
-        assert result.stats["pairs"] > 0  # the automata decided it
+        assert result.stats["closure_decided"] == 1  # the closure test did
+        # A pair the closure test leaves open reaches the automata.
+        result = contained_in_ucq(*gen.automata_pair("word"))
+        assert result.contained
+        assert result.stats["probe_decided"] == 0
+        assert result.stats["pairs"] > 0
 
     def test_decides_before_any_automaton(self):
         union = unfold_nonrecursive(dist(1), "dist1")
         result = contained_in_ucq(dist(2), "dist2", union)
         assert not result.contained
-        assert result.stats == {"probe_trees": 1, "probe_decided": 1}
-        assert set(result.timings) == {"probe_s"}
+        assert result.stats == {"probe_trees": 1, "probe_decided": 1,
+                                "closure_tests": 0, "closure_decided": 0}
+        assert set(result.timings) == {"probe_s", "closure_s"}
         _assert_refuting_witness(dist(2), "dist2", union, result.witness)
 
     def test_unsafe_programs_are_not_probed(self):

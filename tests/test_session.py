@@ -29,7 +29,6 @@ from repro import (
     parse_program,
 )
 from repro.context import GLOBAL_SCOPE
-from repro.cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.core import (
     ContainmentResult,
     EquivalenceResult,
@@ -40,11 +39,11 @@ from repro.core import (
 )
 from repro.datalog.engine import Engine, EngineConfig, default_engine
 from repro.datalog.errors import ValidationError
-from repro.datalog.parser import parse_rule
 from repro.datalog.unfold import expansion_union
 from repro.programs import transitive_closure
 from repro.programs.library import buys_bounded, buys_bounded_rewriting
 from repro.session import config_fingerprint, rows_checksum
+from repro.workloads.generators import automata_pair
 from repro import __main__ as cli
 
 
@@ -55,11 +54,9 @@ def _tc_union(depth=2):
     return expansion_union(TC, "p", depth)
 
 
-def _tc_cover():
-    """A union containing TC: its counterexample probe finds nothing,
-    so deciding it builds the automata in the ambient session."""
-    return UnionOfConjunctiveQueries(
-        [ConjunctiveQuery.from_rule(parse_rule("p(X0, X1) :- e0(E, X1)."))])
+#: A contained pair that neither front decides, so deciding it builds
+#: the word automata in the ambient session.
+AUTOMATA_PAIR = automata_pair("word")
 
 
 # ----------------------------------------------------------------------
@@ -70,10 +67,10 @@ def test_sessions_with_different_engines_agree_without_cache_bleed():
     columnar = Session(engine=EngineConfig(), name="s-columnar")
     interpretive = Session(engine=EngineConfig(compiled=False),
                            name="s-interpretive")
-    union = _tc_cover()
+    program, goal, union = AUTOMATA_PAIR
 
-    first = columnar.contains(TC, "p", union)
-    second = interpretive.contains(TC, "p", union)
+    first = columnar.contains(program, goal, union)
+    second = interpretive.contains(program, goal, union)
 
     # Bit-identical verdicts AND search stats across sessions.
     assert first.verdict == second.verdict == {"contained": True}
@@ -94,7 +91,7 @@ def test_sessions_with_different_engines_agree_without_cache_bleed():
 def test_session_work_does_not_touch_global_scope():
     before = GLOBAL_SCOPE.stats()
     session = Session(name="s-private")
-    session.contains(TC, "p", _tc_cover())
+    session.contains(*AUTOMATA_PAIR)
     assert GLOBAL_SCOPE.stats() == before
     assert session.caches.total_entries() > 0
 
@@ -157,7 +154,7 @@ def test_activation_makes_session_ambient():
 def test_free_functions_run_inside_ambient_session():
     session = Session(name="s-freefn")
     with session:
-        result = contained_in_ucq(TC, "p", _tc_cover())
+        result = contained_in_ucq(*AUTOMATA_PAIR)
     assert isinstance(result, ContainmentResult)
     # The work landed in the session's scope, not the global one.
     assert session.caches.total_entries() > 0
@@ -405,7 +402,7 @@ def test_clear_and_warm_shims_target_ambient_session():
 
     session = Session(name="s-lifecycle")
     with session:
-        contained_in_ucq(TC, "p", _tc_cover())
+        contained_in_ucq(*AUTOMATA_PAIR)
         assert session.caches.total_entries() > 0
         clear_shared_caches()
         assert session.caches.total_entries() == 0

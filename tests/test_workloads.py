@@ -17,10 +17,11 @@ import random
 import pytest
 
 from repro.core.boundedness import decide_boundedness
-from repro.core.certificate import check_invariant
+from repro.core.certificate import check_certificate
 from repro.core.containment import contained_in_ucq
 from repro.core.equivalence import is_equivalent_to_nonrecursive
 from repro.datalog.printer import program_to_source
+from repro.datalog.unfold import unfold_nonrecursive
 from repro.workloads import (
     DECISION_KINDS,
     REGISTRY,
@@ -186,7 +187,7 @@ def test_generated_pairs_ground_truth():
         result = decide_boundedness(program, goal, max_depth=3)
         if is_bounded:
             assert result.bounded is True and result.depth == 2
-            check_invariant(result.invariant)
+            check_certificate(program, goal, result.witness_union, result)
         else:
             assert result.bounded is None
 
@@ -196,7 +197,8 @@ def test_bounded_pair_equivalence_ground_truth():
     rewriting = bounded_rewriting(2, seed=17)
     result = is_equivalent_to_nonrecursive(program, rewriting, "p")
     assert result.equivalent
-    check_invariant(result.invariant)
+    check_certificate(program, "p", unfold_nonrecursive(rewriting, "p"),
+                      result)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -205,7 +207,7 @@ def test_sirup_covering_ground_truth(seed):
     union = sirup_covering_union(1, seed=seed)
     result = contained_in_ucq(program, "p", union)
     assert result.contained
-    check_invariant(result.invariant)
+    check_certificate(program, "p", union, result)
 
 
 def test_structural_oracles_agree():
