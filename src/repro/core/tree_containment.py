@@ -38,7 +38,6 @@ is unavoidable in general.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..automata.kernel import Interner, Invariant, thaw_witness
@@ -307,4 +306,19 @@ def _fresh_combos(options: List[List[Tuple]], generation: int) -> Iterator[Tuple
             for opts in options[:pivot]
         ]
         at = [entry for entry in options[pivot] if entry[2] == previous]
-        yield from product(*before, at, *options[pivot + 1:])
+        after = [list(opts) for opts in options[pivot + 1 :]]
+        pools = before + [at] + after
+        if any(not pool for pool in pools):
+            continue
+        combo: List[Tuple] = []
+
+        def walk(position: int):
+            if position == len(pools):
+                yield tuple(combo)
+                return
+            for entry in pools[position]:
+                combo.append(entry)
+                yield from walk(position + 1)
+                combo.pop()
+
+        yield from walk(0)
