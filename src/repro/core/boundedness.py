@@ -78,11 +78,24 @@ def bounded_at_depth(program: Program, goal: str, depth: int) -> bool:
     contained in Pi by construction (Proposition 2.6).
     """
     union = expansion_union(program, goal, depth)
-    if not union.disjuncts:
-        # No expansion exists at all: the goal relation is empty, which
-        # is trivially bounded.
-        return True
-    return contained_in_ucq(program, goal, union).contained
+    # No expansion at all: the goal relation is empty, trivially bounded.
+    return not union.disjuncts or _forward(program, goal, union).contained
+
+
+def _forward(program: Program, goal: str,
+             union: UnionOfConjunctiveQueries) -> ContainmentResult:
+    """Decide ``Q_Pi subseteq union`` for a truncation *union*: by the
+    closure test alone where it is exact, else by
+    :func:`~repro.core.containment.contained_in_ucq`."""
+    if not closure_applies(program, goal):
+        return contained_in_ucq(program, goal, union)
+    started = perf_counter()
+    closure, composed = closure_certificate(program, goal, union)
+    return ContainmentResult(
+        closure is not None, closure=closure,
+        stats={"probe_trees": 0, "probe_decided": 0,
+               "closure_tests": composed, "closure_decided": 1},
+        timings={"probe_s": 0.0, "closure_s": perf_counter() - started})
 
 
 def search_boundedness(program: Program, goal: str,
@@ -100,45 +113,36 @@ def search_boundedness(program: Program, goal: str,
     no engine.
     """
     program.require_goal(goal)
-    closure_s = probe_s = containment_s = 0.0
-    depths_probed = closure_tests = closure_decided = 0
-    probe_trees = probe_decided = containments_run = 0
-    exact = closure_applies(program, goal)
+    stats = dict.fromkeys(("depths_probed", "closure_tests",
+                           "closure_decided", "probe_trees",
+                           "probe_decided", "containments_run"), 0)
+    timings = dict.fromkeys(("closure_s", "probe_s", "containment_s"), 0.0)
     result = BoundednessResult(bounded=None)
     for depth in range(1, max_depth + 1):
         union = expansion_union(program, goal, depth)
         if not union.disjuncts:
             continue
-        depths_probed += 1
         started = perf_counter()
-        if exact:
-            closure, composed = closure_certificate(program, goal, union)
-            closure_s += perf_counter() - started
-            closure_tests += composed
-            closure_decided += 1
-            forward = ContainmentResult(closure is not None, closure=closure)
-        else:
-            forward = contained_in_ucq(program, goal, union)
-            containment_s += perf_counter() - started - forward.timings[
-                "probe_s"]
-            probe_s += forward.timings["probe_s"]
-            probe_trees += forward.stats["probe_trees"]
-            probe_decided += forward.stats["probe_decided"]
-            containments_run += 1 - forward.stats["probe_decided"]
+        forward = _forward(program, goal, union)
+        elapsed = perf_counter() - started
+        stats["depths_probed"] += 1
+        for key in ("closure_tests", "closure_decided", "probe_trees",
+                    "probe_decided"):
+            stats[key] += forward.stats[key]
+        for key in ("closure_s", "probe_s"):
+            timings[key] += forward.timings[key]
+        if not (forward.stats["probe_decided"]
+                or forward.stats["closure_decided"]):
+            stats["containments_run"] += 1
+            timings["containment_s"] += (elapsed - forward.timings["probe_s"]
+                                         - forward.timings["closure_s"])
         if forward.contained:
-            result = BoundednessResult(
-                bounded=True, depth=depth, witness_union=union,
-                invariant=forward.invariant, closure=forward.closure)
+            result = BoundednessResult(True, depth, union, forward.invariant,
+                                       forward.closure)
             break
-    result.stats = {"depths_probed": depths_probed,
-                    "closure_tests": closure_tests,
-                    "closure_decided": closure_decided,
-                    "probe_trees": probe_trees,
-                    "probe_decided": probe_decided,
-                    "containments_run": containments_run}
-    result.timings = {"closure_s": round(closure_s, 6),
-                      "probe_s": round(probe_s, 6),
-                      "containment_s": round(max(containment_s, 0.0), 6)}
+    result.stats = stats
+    result.timings = {key: round(max(value, 0.0), 6)
+                      for key, value in timings.items()}
     return result
 
 

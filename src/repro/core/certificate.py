@@ -59,9 +59,9 @@ and the union by direct conjunctive-query evaluation.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
-from typing import Callable, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List,
+                    Optional, Tuple)
 
 from ..automata.kernel import Invariant
 from ..budget import check_deadline
@@ -97,7 +97,7 @@ def check_invariant(invariant: Invariant) -> None:
     """Verify *invariant*; raises :class:`CertificateError` on the
     first failed check (safety before closure on the tree pathway;
     start, leaf, closure on the word pathway)."""
-    entries = cache(invariant.entries)
+    entries = _decoder(invariant)
     if invariant.pathway == "word":
         _check_word(invariant, entries)
         return
@@ -121,6 +121,18 @@ def check_invariant(invariant: Invariant) -> None:
                 raise CertificateError(
                     "safety", f"an entry at {state} misses every start state")
     _check_tree_closure(transitions, successors, entries)
+
+
+def _decoder(invariant: Invariant) -> Callable[[Hashable], List[FrozenSet]]:
+    decoded: Dict[Hashable, List[FrozenSet]] = {}
+
+    def entries(key: Hashable) -> List[FrozenSet]:
+        found = decoded.get(key)
+        if found is None:
+            found = decoded[key] = invariant.entries(key)
+        return found
+
+    return entries
 
 
 def _check_tree_closure(transitions, successors: Tuples, entries) -> None:
@@ -147,16 +159,20 @@ def _orbit_decoder(invariant: Invariant, symmetry: Symmetry,
     """The certified entries at any atom: its canonical atom's, renamed
     back by the inverse of the atom's canonical renaming."""
     _, automata = invariant.automata
+    expanded: Dict[Atom, List[FrozenSet]] = {}
 
-    @cache
     def entries(atom: Atom) -> List[FrozenSet]:
-        canonical, sigma = symmetry.canonical(atom)
-        if sigma is None:
-            return canonical_entries(canonical)
-        back = inverse(sigma)
-        return [frozenset((index, automata[index].renamed(state, back))
-                          for index, state in entry)
-                for entry in canonical_entries(canonical)]
+        found = expanded.get(atom)
+        if found is None:
+            canonical, sigma = symmetry.canonical(atom)
+            found = canonical_entries(canonical)
+            if sigma is not None:
+                back = inverse(sigma)
+                found = [frozenset((index, automata[index].renamed(state, back))
+                                   for index, state in entry)
+                         for entry in found]
+            expanded[atom] = found
+        return found
 
     return entries
 
@@ -219,18 +235,20 @@ def check_certificate(program: Program, goal: str,
 def check_closure(program: Program, goal: str,
                   union: UnionOfConjunctiveQueries, closure) -> None:
     """Verify a closure certificate of ``Q_Pi subseteq union``: the
-    rules for *goal* name no other IDB predicate (``"scope"``), each
-    rule and choice of disjuncts has an entry (``"coverage"``) whose
-    mapping sends the disjunct's head onto the composition's head and
-    its body into the composition's body (``"mapping"``)."""
+    rules for *goal* are safe and name no other IDB predicate
+    (``"scope"``), and each rule and choice of disjuncts has an entry
+    (``"coverage"``) whose mapping sends the disjunct's head onto the
+    composition's head and its body into the composition's body
+    (``"mapping"``)."""
     disjuncts = list(union)
     entries = {(step.rule, step.choice): step for step in closure}
     for index, rule in enumerate(program.rules):
         if rule.head.predicate != goal:
             continue
-        if rule.body_predicates() & (program.idb_predicates - {goal}):
-            raise CertificateError("scope", f"rule {index} names another "
-                                   "IDB predicate")
+        if not rule.is_safe or rule.body_predicates() & (
+                program.idb_predicates - {goal}):
+            raise CertificateError("scope", f"rule {index} is unsafe or "
+                                   "names another IDB predicate")
         calls = sum(atom.predicate == goal for atom in rule.body)
         for choice in product(range(len(disjuncts)), repeat=calls):
             check_deadline()

@@ -28,9 +28,10 @@ their results in a :class:`~repro.session.Decision`.  The exact
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
 from time import perf_counter
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..budget import check_deadline
 from ..cq.canonical import canonical_database
@@ -41,7 +42,7 @@ from ..datalog.database import Database
 from ..datalog.engine import evaluate
 from ..datalog.errors import ValidationError
 from ..datalog.program import Program
-from ..datalog.terms import Term, Variable
+from ..datalog.terms import Variable
 from ..datalog.unfold import expansion_derivations, unfold_nonrecursive
 from ..datalog.unify import apply_to_atom, apply_to_atoms, unify_tuples
 from ..trees.expansion import ExpansionTree, derivation_tree
@@ -82,15 +83,10 @@ def probe_counterexample(program: Program, goal: str,
     return None, tested
 
 
-class ClosureStep(NamedTuple):
-    """One composition: rule ``program.rules[rule]`` with its i-th goal
-    atom replaced by disjunct ``choice[i]``; ``mapping`` maps disjunct
-    ``cover`` onto it (both None when the heads do not unify)."""
-
-    rule: int
-    choice: Tuple[int, ...]
-    cover: Optional[int]
-    mapping: Optional[Dict[Variable, Term]]
+#: One composition: rule ``program.rules[rule]`` with its i-th goal atom
+#: replaced by disjunct ``choice[i]``; ``mapping`` maps disjunct ``cover``
+#: onto it (both None when the heads do not unify).
+ClosureStep = namedtuple("ClosureStep", "rule choice cover mapping")
 
 
 def closure_applies(program: Program, goal: str) -> bool:

@@ -160,18 +160,15 @@ def covering_union() -> UnionOfConjunctiveQueries:
 def automata_pair(pathway: str) -> Tuple[Program, str, UnionOfConjunctiveQueries]:
     """A contained ``(program, goal, union)`` that only the automata of
     *pathway* (``"word"`` or ``"tree"``) decide: right-linear or
-    nonlinear transitive closure, a disjunct covering every expansion
-    (each ends, or starts, with an ``e`` edge), and a junk disjunct
-    over ``f``, which the program never derives, to defeat the closure
+    nonlinear transitive closure against a disjunct covering every
+    expansion plus a junk ``f`` disjunct, which defeats the closure
     test.  Not registered: decide_cold times every light scenario."""
-    recursive, cover = {
-        "word": ("p(X, Y) :- e(X, Z), p(Z, Y).", "e(W, Y)"),
-        "tree": ("p(X, Y) :- p(X, Z), p(Z, Y).", "e(X, Z)"),
-    }[pathway]
-    union = UnionOfConjunctiveQueries([
-        ConjunctiveQuery(parse_atom("p(X, Y)"), (parse_atom(body),))
-        for body in (cover, "f(X, Y)")])
-    return parse_program(f"p(X, Y) :- e(X, Y).\n{recursive}"), "p", union
+    recursive, cover = {"word": ("e(X, Z), p(Z, Y)", "e(W, Y)"),
+                        "tree": ("p(X, Z), p(Z, Y)", "e(X, Z)")}[pathway]
+    union = [ConjunctiveQuery(parse_atom("p(X, Y)"), (parse_atom(body),))
+             for body in (cover, "f(X, Y)")]
+    return (parse_program(f"p(X, Y) :- e(X, Y). p(X, Y) :- {recursive}."),
+            "p", UnionOfConjunctiveQueries(union))
 
 
 def alternating_recursion() -> Program:

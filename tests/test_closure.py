@@ -17,6 +17,7 @@ import pytest
 
 from repro import Session
 from repro.budget import BudgetExhausted, time_budget
+from repro.core.boundedness import bounded_at_depth
 from repro.core.certificate import CertificateError, check_closure
 from repro.core.containment import closure_certificate, contained_in_ucq
 from repro.core.tree_containment import datalog_contained_in_ucq
@@ -24,7 +25,7 @@ from repro.core.word_path import datalog_contained_in_ucq_linear, is_chain_progr
 from repro.cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.unfold import expansion_union, unfold_nonrecursive
-from repro.programs import buys_bounded
+from repro.programs import buys_bounded, nonlinear_reach
 from repro.workloads import generators as gen
 from repro.workloads.scenarios import REGISTRY
 
@@ -111,6 +112,61 @@ def test_every_positive_registry_pair_skips_the_automata():
         assert session.caches.total_entries() == 0, name
 
 
+def _union(text):
+    return UnionOfConjunctiveQueries([ConjunctiveQuery.from_rule(rule)
+                                      for rule in parse_program(text).rules])
+
+
+NONLINEAR_TC = "p(X, Y) :- e(X, Y). p(X, Y) :- p(X, Z), p(Z, Y)."
+#: Branching programs with a union closed under their rules: each
+#: recursive composition chooses two disjuncts, so the proof threads
+#: one unifier across both goal atoms.  In the third, ``p(X, b)`` then
+#: ``p(a, Y)`` clash on ``Z`` at the second goal atom.
+NONLINEAR = [
+    ("tc_first_edge", parse_program(NONLINEAR_TC),
+     _union("p(X0, X1) :- e(X0, Z).")),
+    ("reach_first_and_last_edge", nonlinear_reach(),
+     _union("p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), e(W, Y).")),
+    ("tc_clashing_constants", parse_program(NONLINEAR_TC),
+     _union("p(X, Y) :- e(X, Z). p(X, b) :- e(X, b). p(a, Y) :- e(a, Y).")),
+]
+
+
+@pytest.mark.parametrize("name,program,union", NONLINEAR,
+                         ids=[case[0] for case in NONLINEAR])
+def test_proves_nonlinear_programs(name, program, union):
+    closure, tested = closure_certificate(program, "p", union)
+    assert closure is not None and len(closure) == tested
+    assert sum(len(step.choice) == 2 for step in closure) == len(union) ** 2
+    check_closure(program, "p", union, closure)
+    assert datalog_contained_in_ucq(program, "p", union).contained
+
+
+def test_nonlinear_clash_at_the_second_goal_atom_is_an_empty_entry():
+    _, program, union = NONLINEAR[2]
+    closure, _ = closure_certificate(program, "p", union)
+    empty = [step.choice for step in closure if step.cover is None]
+    assert empty == [(1, 2)]
+
+
+def test_nonlinear_tampering_is_caught():
+    _, program, union = NONLINEAR[1]
+    closure, _ = closure_certificate(program, "p", union)
+    pair = next(step for step in closure if step.choice == (1, 1))
+    with pytest.raises(CertificateError) as caught:
+        check_closure(program, "p", union,
+                      tuple(step for step in closure if step is not pair))
+    assert caught.value.condition == "coverage"
+    # Forget where the second disjunct's existential variable goes.
+    mapping = {variable: term for variable, term in pair.mapping.items()
+               if variable.name != "W"}
+    tampered = tuple(pair._replace(mapping=mapping) if step is pair
+                     else step for step in closure)
+    with pytest.raises(CertificateError) as caught:
+        check_closure(program, "p", union, tampered)
+    assert caught.value.condition == "mapping"
+
+
 BOUNDEDNESS = sorted(name for name, scenario in REGISTRY.items()
                      if scenario.kind == "boundedness"
                      and not {"stress", "scale"} & set(scenario.tags))
@@ -148,6 +204,14 @@ def test_nonlinear_tc_depth_5_is_unknown_within_the_budget():
     assert decision.verdict == {"bounded": None, "depth": None}
     assert decision.stats["closure_decided"] == 5
     assert decision.stats["containments_run"] == 0
+
+
+def test_bounded_at_depth_takes_the_same_exact_route():
+    session = Session()
+    with time_budget(10), session:
+        assert not bounded_at_depth(parse_program(NONLINEAR_TC), "p", 5)
+        assert bounded_at_depth(buys_bounded(), "buys", 2)
+    assert session.caches.total_entries() == 0
 
 
 def test_multi_idb_programs_are_out_of_scope():
@@ -227,6 +291,14 @@ def test_clashing_heads_need_an_empty_entry():
     with pytest.raises(CertificateError) as caught:
         check_closure(program, "p", union, tampered)
     assert caught.value.condition == "mapping"
+
+
+def test_an_unsafe_rule_fails_scope():
+    program, union, closure = _certified()
+    widened = parse_program(str(program) + "\nbuys(X, Y) :- likes(X, Z).")
+    with pytest.raises(CertificateError) as caught:
+        check_closure(widened, "buys", union, closure)
+    assert caught.value.condition == "scope"
 
 
 def test_a_second_idb_predicate_fails_scope():
