@@ -61,7 +61,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .budget import BudgetExhausted
+from .budget import BudgetExhausted, time_budget
 from .datalog.database import Database
 from .datalog.errors import ReproError
 from .datalog.parser import parse_program
@@ -264,9 +264,11 @@ def _cmd_decide(args) -> int:
         print("decide containment requires exactly one of --union / "
               "--union-depth", file=sys.stderr)
         return 2
-    decision = _session(args).run_payload(
-        args.kind, decide_payload(vars(args), _read_program),
-        deadline=args.deadline)
+    # The deadline covers the union's unfolding in the payload too.
+    with time_budget(args.deadline):
+        decision = _session(args).run_payload(
+            args.kind, decide_payload(vars(args), _read_program),
+            deadline=args.deadline)
     _emit(decision, args.json)
     if args.expect is not None:
         if bool(decision) != (args.expect == "true"):

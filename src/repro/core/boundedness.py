@@ -77,9 +77,8 @@ def bounded_at_depth(program: Program, goal: str, depth: int) -> bool:
     Only the forward containment is checked; the union of expansions is
     contained in Pi by construction (Proposition 2.6).
     """
-    union = expansion_union(program, goal, depth)
-    # No expansion at all: the goal relation is empty, trivially bounded.
-    return not union.disjuncts or _forward(program, goal, union).contained
+    return _forward(program, goal,
+                    expansion_union(program, goal, depth)).contained
 
 
 def _forward(program: Program, goal: str,

@@ -239,7 +239,8 @@ def check_closure(program: Program, goal: str,
     (``"scope"``), and each rule and choice of disjuncts has an entry
     (``"coverage"``) whose mapping sends the disjunct's head onto the
     composition's head and its body into the composition's body
-    (``"mapping"``)."""
+    (``"mapping"``).  The mappings name the prover's variables, so its
+    renaming (``V/r``, ``V/i``) is a contract this checker rebuilds."""
     disjuncts = list(union)
     entries = {(step.rule, step.choice): step for step in closure}
     for index, rule in enumerate(program.rules):

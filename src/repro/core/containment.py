@@ -29,22 +29,20 @@ their results in a :class:`~repro.session.Decision`.  The exact
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
 from time import perf_counter
 from typing import Optional, Tuple
 
 from ..budget import check_deadline
 from ..cq.canonical import canonical_database
-from ..cq.containment import cq_contained_in_ucq
-from ..cq.homomorphism import containment_mapping
+from ..cq.containment import covering_disjunct, cq_contained_in_ucq
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..datalog.database import Database
 from ..datalog.engine import evaluate
 from ..datalog.errors import ValidationError
 from ..datalog.program import Program
 from ..datalog.terms import Variable
-from ..datalog.unfold import expansion_derivations, unfold_nonrecursive
-from ..datalog.unify import apply_to_atom, apply_to_atoms, unify_tuples
+from ..datalog.unfold import (compositions, expansion_derivations,
+                              unfold_nonrecursive)
 from ..trees.expansion import ExpansionTree, derivation_tree
 from ..trees.proof import proof_tree_to_expansion_tree
 from .tree_containment import ContainmentResult, datalog_contained_in_ucq
@@ -123,31 +121,15 @@ def closure_certificate(program: Program, goal: str,
                    key=lambda item: -len(item[1].idb_body_atoms({goal})))
     steps = []
     for index, rule in rules:
-        rule = _tagged(ConjunctiveQuery.from_rule(rule), "r")
-        calls = [atom for atom in rule.body if atom.predicate == goal]
-        edb = tuple(atom for atom in rule.body if atom.predicate != goal)
-        for choice in product(order, repeat=len(calls)):
-            check_deadline()
-            subst, atoms = {}, edb
-            for i, (call, j) in enumerate(zip(calls, choice)):
-                theta = _tagged(disjuncts[j], i)
-                subst = unify_tuples(theta.head.args, call.args, subst)
-                if subst is None:
-                    break
-                atoms += theta.body
-            if subst is None:
-                steps.append(ClosureStep(index, choice, None, None))
-                continue
-            composed = ConjunctiveQuery(apply_to_atom(rule.head, subst),
-                                        apply_to_atoms(atoms, subst))
-            for cover, psi in enumerate(disjuncts):
-                check_deadline()
-                mapping = containment_mapping(psi, composed)
-                if mapping is not None:
-                    steps.append(ClosureStep(index, choice, cover, mapping))
-                    break
-            else:
+        for choice, composed in compositions(
+                _tagged(ConjunctiveQuery.from_rule(rule), "r"),
+                {goal: [disjuncts[i] for i in order]}, _tagged):
+            cover = (None if composed is None
+                     else covering_disjunct(composed, disjuncts))
+            if composed is not None and cover is None:
                 return None, len(steps) + 1
+            steps.append(ClosureStep(index, tuple(order[k] for k in choice),
+                                     *(cover or (None, None))))
     return tuple(steps), len(steps)
 
 
@@ -201,9 +183,15 @@ def contained_in_nonrecursive(program: Program, goal: str,
     """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
     (Theorem 6.4): rewrite Pi' as a union of conjunctive queries (the
     potentially exponential step whose necessity Section 6 proves) and
-    decide containment in the union."""
+    decide containment in the union.  ``stats`` gain
+    ``union_disjuncts``, ``timings`` ``unfold_s``."""
+    started = perf_counter()
     union = unfold_nonrecursive(nonrecursive, nonrecursive_goal or goal)
-    return contained_in_ucq(program, goal, union)
+    unfold_s = perf_counter() - started
+    result = contained_in_ucq(program, goal, union)
+    result.timings["unfold_s"] = round(unfold_s, 6)
+    result.stats["union_disjuncts"] = len(union)
+    return result
 
 
 def cq_contained_in_datalog(theta: ConjunctiveQuery, program: Program,

@@ -41,15 +41,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..automata.kernel import Interner, Invariant
 from ..budget import check_deadline
 from ..cq.query import UnionOfConjunctiveQueries
-from ..datalog.analysis import (is_linear, recursive_body_atoms,
-                                recursive_predicates, slice_for_goal)
+from ..datalog.analysis import is_linear, recursive_body_atoms, slice_for_goal
 from ..datalog.atoms import Atom
 from ..datalog.errors import NotLinearError
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import FreshVariableFactory, Variable, is_variable
-from ..datalog.unfold import unfold_nonrecursive
-from ..datalog.unify import apply_to_atom, apply_to_atoms, unify_tuples
+from ..datalog.unfold import compositions, fresh_copies, unfold_nonrecursive
 from ..trees.expansion import ExpansionTree
 from ..trees.proof import var_space
 from .cq_automaton import CQAutomaton, shared_cq_automaton
@@ -72,37 +70,18 @@ def to_chain_form(program: Program, goal: str) -> Program:
     """
     if not is_linear(program):
         raise NotLinearError("only linear programs admit a chain form")
-    recursive = recursive_predicates(program)
     factory = FreshVariableFactory(prefix="C")
     rules: List[Rule] = []
     for rule in program.rules:
-        recursive_positions = set(recursive_body_atoms(program, rule))
-        # Partial bodies: (substitution, atoms) where non-recursive IDB
-        # atoms have been replaced by their unfoldings.
-        states: List[Tuple[dict, Tuple[Atom, ...]]] = [({}, ())]
-        for position, atom in enumerate(rule.body):
-            if atom.predicate not in program.idb_predicates or position in recursive_positions:
-                states = [(subst, atoms + (atom,)) for subst, atoms in states]
-                continue
-            expansions = unfold_nonrecursive(program, atom.predicate)
-            next_states: List[Tuple[dict, Tuple[Atom, ...]]] = []
-            for subst, atoms in states:
-                call = apply_to_atom(atom, subst)
-                for expansion in expansions:
-                    mapping = {
-                        v: factory.fresh()
-                        for v in sorted(expansion.variables, key=lambda v: v.name)
-                    }
-                    renamed = expansion.substitute(mapping)
-                    unified = unify_tuples(renamed.head.args, call.args, subst)
-                    if unified is None:
-                        continue
-                    next_states.append((unified, atoms + renamed.body))
-            states = next_states
-        for subst, atoms in states:
-            rules.append(
-                Rule(apply_to_atom(rule.head, subst), apply_to_atoms(atoms, subst))
-            )
+        recursive = recursive_body_atoms(program, rule)
+        templates = {atom.predicate: unfold_nonrecursive(
+            program, atom.predicate).disjuncts for position, atom in
+            enumerate(rule.body) if atom.predicate in program.idb_predicates
+            and position not in recursive}
+        # Fresh names must not capture the rule's own variables.
+        factory.avoid(rule.variables())
+        rules.extend(Rule(query.head, query.body) for _, query in compositions(
+            rule, templates, fresh_copies(factory)) if query is not None)
     # Rules for now-unreachable non-recursive IDB predicates are kept
     # only if the goal still depends on them.
     return slice_for_goal(Program(rules), goal)

@@ -11,7 +11,10 @@ search is fast on the query sizes arising in this reproduction).
 
 from __future__ import annotations
 
-from .homomorphism import containment_mapping
+from typing import Iterable, Optional, Tuple
+
+from ..budget import check_deadline
+from .homomorphism import Mapping, containment_mapping
 from .query import ConjunctiveQuery, UnionOfConjunctiveQueries
 
 
@@ -25,13 +28,25 @@ def cq_equivalent(theta: ConjunctiveQuery, psi: ConjunctiveQuery) -> bool:
     return cq_contained_in(theta, psi) and cq_contained_in(psi, theta)
 
 
+def covering_disjunct(theta: ConjunctiveQuery, union: Iterable[ConjunctiveQuery]
+                      ) -> Optional[Tuple[int, Mapping]]:
+    """The first disjunct of *union* containing theta, as ``(index,
+    containment mapping onto theta)``, or None."""
+    for index, psi in enumerate(union):
+        check_deadline()
+        mapping = containment_mapping(psi, theta)
+        if mapping is not None:
+            return index, mapping
+    return None
+
+
 def cq_contained_in_ucq(theta: ConjunctiveQuery, union: UnionOfConjunctiveQueries) -> bool:
     """True iff theta is contained in some disjunct of *union*.
 
     By Theorem 2.3 this is equivalent to containment of theta in the
     union as a whole.
     """
-    return any(containment_mapping(psi, theta) is not None for psi in union)
+    return covering_disjunct(theta, union) is not None
 
 
 def ucq_contained_in(phi: UnionOfConjunctiveQueries,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Tuple
 
+from ..budget import check_deadline
 from ..datalog.atoms import Atom, atoms_constants, atoms_variables
 from ..datalog.errors import ValidationError
 from ..datalog.rules import Rule
@@ -162,6 +163,7 @@ class UnionOfConjunctiveQueries:
         seen = set()
         kept: List[ConjunctiveQuery] = []
         for query in self.disjuncts:
+            check_deadline()
             key = str(query.rename_canonical())
             if key not in seen:
                 seen.add(key)

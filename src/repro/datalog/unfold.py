@@ -17,8 +17,9 @@ Two operations from the paper:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import count
-from typing import Dict, Iterator, List, Tuple
+from itertools import count, product
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..budget import check_deadline
 from ..cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
@@ -27,7 +28,7 @@ from .atoms import Atom
 from .errors import NotNonrecursiveError
 from .program import Program
 from .terms import FreshVariableFactory, Variable, is_variable
-from .unify import Substitution, apply_to_atom, apply_to_atoms, unify_tuples
+from .unify import apply_to_atom, apply_to_atoms, unify_tuples
 
 
 def _goal_head(program: Program, goal: str) -> Atom:
@@ -35,14 +36,58 @@ def _goal_head(program: Program, goal: str) -> Atom:
     return Atom(goal, tuple(Variable(f"X{i}") for i in range(arity)))
 
 
-def _rename_query(query: ConjunctiveQuery, factory: FreshVariableFactory) -> ConjunctiveQuery:
-    """Rename every variable of *query* with globally fresh ones.
+def fresh_copies(factory: FreshVariableFactory
+                 ) -> Callable[[ConjunctiveQuery, int], ConjunctiveQuery]:
+    """The *rename* of :func:`compositions` that gives each template
+    fresh variables from *factory*: one factory for a whole rewriting
+    rules out capture between successive template copies."""
+    def rename(query: ConjunctiveQuery, _level: int) -> ConjunctiveQuery:
+        return query.substitute({v: factory.fresh() for v in sorted(
+            query.variables, key=lambda v: v.name)})
 
-    Using one factory for the whole unfolding guarantees no accidental
-    capture between successive template instantiations, including
-    variables that survive only inside the substitution."""
-    mapping = {v: factory.fresh() for v in sorted(query.variables, key=lambda v: v.name)}
-    return query.substitute(mapping)
+    return rename
+
+
+def compositions(rule, templates: Mapping[str, Sequence[ConjunctiveQuery]],
+                 rename: Callable[[ConjunctiveQuery, int], ConjunctiveQuery]
+                 ) -> Iterator[Tuple[Tuple[int, ...],
+                                     Optional[ConjunctiveQuery]]]:
+    """Yield ``(choice, query)`` for every choice of one template per
+    body atom of *rule* (a rule or query) whose predicate has templates,
+    in lexicographic order: the i-th such atom is replaced by its
+    ``choice[i]``-th template, renamed by ``rename(template, i)`` and
+    unified at its head; ``query`` is None when a head does not unify.
+    *rename* must give variables found nowhere else; it runs on each
+    partial composition that unifies, atom by atom, the last lazily."""
+    body = rule.body
+    slots = [k for k, atom in enumerate(body) if atom.predicate in templates]
+    starts = [0] + [k + 1 for k in slots]
+
+    def extend(partial, level):
+        # A partial composition: (choice, unifier or None, atoms so far).
+        atom = body[slots[level]]
+        for choice, subst, atoms in partial:
+            if subst is None:
+                yield choice, None, ()
+                continue
+            check_deadline()
+            atoms += body[starts[level]:slots[level]]
+            for j, template in enumerate(templates[atom.predicate]):
+                renamed = rename(template, level)
+                unified = unify_tuples(renamed.head.args, atom.args, subst)
+                yield choice + (j,), unified, atoms + renamed.body
+
+    partial = [((), {}, ())]
+    for level in range(len(slots)):
+        partial = extend(list(partial), level)
+    sizes = [len(templates[body[k].predicate]) for k in slots]
+    for choice, subst, atoms in partial:
+        # A dead prefix stands for all its extensions.
+        for tail in product(*map(range, sizes[len(choice):])):
+            check_deadline()
+            yield choice + tail, None if subst is None else ConjunctiveQuery(
+                apply_to_atom(rule.head, subst),
+                apply_to_atoms(atoms + body[starts[-1]:], subst))
 
 
 def unfold_nonrecursive(program: Program,
@@ -60,52 +105,22 @@ def unfold_nonrecursive(program: Program,
         raise NotNonrecursiveError("cannot unfold a recursive program into a finite union")
 
     factory = FreshVariableFactory(prefix="U")
-    idb = sliced.idb_predicates
+    rename = fresh_copies(factory)
     # templates[p] holds CQs with head p(...) whose bodies are EDB-only.
     templates: Dict[str, List[ConjunctiveQuery]] = {}
-
     for predicate in topological_order(sliced):
-        expansions_for: List[ConjunctiveQuery] = []
-        for rule in sliced.rules_for(predicate):
-            fresh_rule = rule.rename_apart(factory)
-            # Partial states: (substitution, collected EDB atoms).
-            states: List[Tuple[Substitution, Tuple[Atom, ...]]] = [({}, ())]
-            for atom in fresh_rule.body:
-                if atom.predicate not in idb:
-                    states = [(subst, collected + (atom,)) for subst, collected in states]
-                    continue
-                next_states: List[Tuple[Substitution, Tuple[Atom, ...]]] = []
-                for subst, collected in states:
-                    check_deadline()
-                    call = apply_to_atom(atom, subst)
-                    for template in templates.get(atom.predicate, ()):
-                        renamed = _rename_query(template, factory)
-                        unified = unify_tuples(renamed.head.args, call.args, subst)
-                        if unified is None:
-                            continue
-                        next_states.append((unified, collected + renamed.body))
-                states = next_states
-                if not states:
-                    break
-            for subst, collected in states:
-                check_deadline()
-                head = apply_to_atom(fresh_rule.head, subst)
-                body = apply_to_atoms(collected, subst)
-                expansions_for.append(ConjunctiveQuery(head, body))
-        templates[predicate] = expansions_for
+        templates[predicate] = [
+            query for rule in sliced.rules_for(predicate)
+            for _, query in compositions(rule.rename_apart(factory),
+                                         templates, rename)
+            if query is not None]
 
     head = _goal_head(program, goal)
     factory.avoid(v.name for v in head.variable_set())
-    disjuncts: List[ConjunctiveQuery] = []
-    for template in templates.get(goal, ()):
-        check_deadline()
-        renamed = _rename_query(template, factory)
-        unified = unify_tuples(renamed.head.args, head.args, {})
-        if unified is None:
-            continue
-        disjuncts.append(
-            ConjunctiveQuery(apply_to_atom(head, unified), apply_to_atoms(renamed.body, unified))
-        )
+    # Each goal template, composed into the query goal(X0, ...).
+    disjuncts = [query for _, query in compositions(
+        ConjunctiveQuery(head, (head,)), templates, rename)
+        if query is not None]
     return UnionOfConjunctiveQueries(disjuncts,
                                      arity=head.arity).deduplicated()
 

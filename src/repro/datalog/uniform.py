@@ -16,45 +16,30 @@ used by the benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from .atoms import Atom
-from .database import Database
-from .engine import Engine, evaluate
+from ..cq.canonical import canonical_database
+from ..cq.query import ConjunctiveQuery
+from .engine import evaluate
 from .errors import ValidationError
 from .program import Program
 from .rules import Rule
-from .terms import Constant, Variable, is_variable
-
-_FREEZE_PREFIX = "$u:"
 
 
-def _freeze_atom(atom: Atom) -> Atom:
-    args = tuple(
-        Constant(f"{_FREEZE_PREFIX}{t.name}") if is_variable(t) else t
-        for t in atom.args
-    )
-    return Atom(atom.predicate, args)
-
-
-def rule_uniformly_subsumed(rule: Rule, program: Program,
-                            engine: Optional[Engine] = None) -> bool:
+def rule_uniformly_subsumed(rule: Rule, program: Program) -> bool:
     """Does *program* derive the frozen head of *rule* from its frozen
-    body?  (The per-rule test of the uniform-containment criterion.)"""
+    body (its canonical database)?  (The per-rule test of the
+    uniform-containment criterion.)"""
     if not rule.is_safe:
         raise ValidationError(
             f"uniform containment requires safe rules, got {rule}"
         )
-    database = Database.from_atoms(_freeze_atom(a) for a in rule.body)
-    result = evaluate(program, database, engine=engine)
-    frozen_head = _freeze_atom(rule.head)
-    if frozen_head.predicate in program.idb_predicates:
-        return frozen_head.args in result.facts(frozen_head.predicate)
-    return database.contains(frozen_head.predicate, frozen_head.args)
+    database, head_row = canonical_database(ConjunctiveQuery.from_rule(rule))
+    predicate = rule.head.predicate
+    if predicate in program.idb_predicates:
+        return head_row in evaluate(program, database).facts(predicate)
+    return database.contains(predicate, head_row)
 
 
-def uniformly_contained_in(pi: Program, pi_prime: Program,
-                           engine: Optional[Engine] = None) -> bool:
+def uniformly_contained_in(pi: Program, pi_prime: Program) -> bool:
     """Sound and complete test for uniform containment [Sa88b]:
     every rule of *pi* must be uniformly subsumed by *pi_prime*.
 
@@ -62,12 +47,10 @@ def uniformly_contained_in(pi: Program, pi_prime: Program,
     IDB predicate; the converse fails (Example 1.1's Pi_1 is contained
     in -- indeed equivalent to -- its rewriting, but not uniformly).
     """
-    return all(rule_uniformly_subsumed(rule, pi_prime, engine=engine)
-               for rule in pi.rules)
+    return all(rule_uniformly_subsumed(rule, pi_prime) for rule in pi.rules)
 
 
-def uniformly_equivalent(pi: Program, pi_prime: Program,
-                         engine: Optional[Engine] = None) -> bool:
+def uniformly_equivalent(pi: Program, pi_prime: Program) -> bool:
     """Mutual uniform containment."""
-    return (uniformly_contained_in(pi, pi_prime, engine=engine)
-            and uniformly_contained_in(pi_prime, pi, engine=engine))
+    return (uniformly_contained_in(pi, pi_prime)
+            and uniformly_contained_in(pi_prime, pi))

@@ -34,6 +34,7 @@ from ..datalog.database import Database
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.terms import Variable
+from .encoding_space import standard_carries
 from .turing import CellSymbol, TuringMachine, is_composite, local_relations, symbol_name
 
 Z, U, V = Variable("Z"), Variable("U"), Variable("V")
@@ -352,7 +353,7 @@ def trace_database(machine: TuringMachine,
         v = f"cfg{config_index - 1}"
         for cell_index, cell in enumerate(config):
             address = cell_index
-            carry_bits = _increment_carries(cell_index, bits)
+            carry_bits = standard_carries(cell_index, bits)
             for bit_index in range(bits):
                 name = point_name(point)
                 value = (address >> bit_index) & 1
@@ -374,16 +375,3 @@ def trace_database(machine: TuringMachine,
             db.add("e", (name, point_name(point + 1)))
             point += 1
     return db
-
-
-def _increment_carries(address: int, bits: int) -> List[int]:
-    """Carry bits produced when the *previous* address was incremented
-    to reach *address* (the convention stored on address points)."""
-    previous = (address - 1) % (2 ** bits)
-    carries = []
-    carry = 1
-    for i in range(bits):
-        bit = (previous >> i) & 1
-        carries.append(carry)
-        carry = 1 if (bit and carry) else 0
-    return carries

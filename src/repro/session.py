@@ -374,9 +374,14 @@ class Session:
         tree, either of which
         :func:`repro.core.counterexample_database` accepts.
         """
+        return self._containment(deadline, _containment.contained_in_ucq,
+                                 program, goal, union)
+
+    def _containment(self, deadline: Optional[float], decide,
+                     *args) -> Decision:
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            result = _containment.contained_in_ucq(program, goal, union)
+            result = decide(*args)
         return self._decision(
             "containment", {"contained": result.contained},
             stats=result.stats,
@@ -396,14 +401,11 @@ class Session:
                               nonrecursive_goal: Optional[str] = None, *,
                               deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
-        (Theorem 6.4): unfold Pi' to a UCQ, then decide containment."""
-        start = perf_counter()
-        union = unfold_nonrecursive(nonrecursive, nonrecursive_goal or goal)
-        unfold_s = perf_counter() - start
-        decision = self.contains(program, goal, union, deadline=deadline)
-        decision.timings["unfold_s"] = round(unfold_s, 6)
-        decision.stats.setdefault("union_disjuncts", len(union))
-        return decision
+        (Theorem 6.4): unfold Pi' to a UCQ, then decide containment,
+        both under the deadline."""
+        return self._containment(
+            deadline, _containment.contained_in_nonrecursive, program, goal,
+            nonrecursive, nonrecursive_goal)
 
     # ------------------------------------------------------------------
     # The classical reverse direction (canonical databases).

@@ -6,8 +6,13 @@ import time
 
 import pytest
 
+from repro import __main__ as cli
 from repro.budget import BudgetExhausted, check_deadline, time_budget
+from repro.cq.containment import cq_contained_in_ucq
 from repro.datalog.engine import EngineConfig
+from repro.datalog.unfold import expansion_union
+from repro.programs import transitive_closure, word
+from repro.programs.library import buys_bounded, buys_bounded_rewriting
 from repro.session import Session
 from repro.workloads.scenarios import get_scenario
 
@@ -112,3 +117,44 @@ def test_budgeted_scenario_reports_exhaustion_on_a_worker_thread():
         lambda: Session().run_scenario(scenario), timeout=10)
     assert result["verdict"] == {"budget_exhausted": True}
     assert time.monotonic() - started < scenario.budget_s + 0.3
+
+
+def test_deadline_covers_the_unfolding_of_a_nonrecursive_target():
+    # word(12) unfolds to 4,096 disjuncts: seconds of unfolding, then a
+    # cover search per probed expansion against all of them.
+    started = time.monotonic()
+    with pytest.raises(BudgetExhausted):
+        Session().contains_nonrecursive(transitive_closure(), "p", word(12),
+                                        "word12", deadline=0.05)
+    assert time.monotonic() - started < 0.5
+
+
+def test_nonrecursive_containment_records_its_unfolding():
+    decision = Session().contains_nonrecursive(
+        buys_bounded(), "buys", buys_bounded_rewriting())
+    assert decision.verdict == {"contained": True}
+    assert decision.stats["union_disjuncts"] == 2
+    assert "unfold_s" in decision.timings
+
+
+def test_cli_deadline_covers_the_union_payload(capsys):
+    started = time.monotonic()
+    code = cli.main(["decide", "containment",
+                     "--program", "p(X, Y) :- e(X, Y). "
+                                  "p(X, Y) :- e(X, Z), p(Z, Y).",
+                     "--goal", "p",
+                     "--union", " ".join(map(str, word(12).rules)),
+                     "--union-goal", "word12", "--deadline", "0.05"])
+    assert code == 2
+    assert "budget of 0.05s exhausted" in capsys.readouterr().err
+    assert time.monotonic() - started < 0.5
+
+
+def test_cover_search_and_deduplication_check_the_deadline():
+    union = expansion_union(transitive_closure(), "p", 3)
+    theta = union.disjuncts[-1]
+    with time_budget(1e-9):
+        with pytest.raises(BudgetExhausted):
+            cq_contained_in_ucq(theta, union)
+        with pytest.raises(BudgetExhausted):
+            union.deduplicated()

@@ -308,3 +308,23 @@ def test_a_second_idb_predicate_fails_scope():
     with pytest.raises(CertificateError) as caught:
         check_closure(widened, "buys", union, closure)
     assert caught.value.condition == "scope"
+
+
+def test_bounded_at_depth_decides_an_empty_truncation():
+    # No expansion of height 1 exists, yet p is not bounded at depth 1:
+    # the empty union goes to the word pathway, which refutes it.
+    program = parse_program("p(X) :- q(X). q(X) :- e(X).")
+    assert not bounded_at_depth(program, "p", 1)
+    assert bounded_at_depth(program, "p", 2)
+    assert Session().bounded(program, "p").verdict == {"bounded": True,
+                                                        "depth": 2}
+
+
+def test_an_unproductive_program_is_closed_under_the_empty_union():
+    program = parse_program("p(X, Y) :- e(X, Z), p(Z, Y).")
+    union = expansion_union(program, "p", 1)
+    assert not union.disjuncts
+    assert bounded_at_depth(program, "p", 1)
+    closure, composed = closure_certificate(program, "p", union)
+    assert (closure, composed) == ((), 0)
+    check_closure(program, "p", union, closure)

@@ -1,20 +1,26 @@
 """Unfolding tests: nonrecursive -> UCQ, bounded expansions,
-Proposition 2.6, and the Section 6 blowup examples."""
+Proposition 2.6, the Section 6 blowup examples, and the composition
+step behind the unfolding, the chain form and the closure test."""
 
+import hashlib
 import random
 
 import pytest
 
+from repro.core.word_path import to_chain_form
 from repro.cq.canonical import evaluate_cq, evaluate_ucq
+from repro.cq.query import ConjunctiveQuery
 from repro.datalog.engine import query
 from repro.datalog.errors import NotNonrecursiveError
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_atom, parse_program, parse_rule
 from repro.datalog.unfold import (
+    compositions,
     count_expansions,
     expansion_union,
     expansions,
     unfold_nonrecursive,
 )
+from repro.datalog.terms import Variable
 from repro.programs import dist, dist_le, equal, transitive_closure, word
 
 from .conftest import random_graph_database
@@ -94,6 +100,87 @@ class TestUnfoldNonrecursive:
         union = unfold_nonrecursive(program, "q")
         assert len(union) == 1
         assert "e(X0, a)" in str(union.disjuncts[0])
+
+
+#: sha1 of ``str(unfold_nonrecursive(...))``: the union's size and text
+#: depend on the order in which fresh variables are drawn.
+UNFOLD_PINS = [
+    (word(8), "word8", 256, "a409bc8730e055c67bb821b0cfe60e285b0bee1e"),
+    (dist_le(3), "dist3", 27, "5950abe932f5bb2eb0108f6d61e49cbb177fe593"),
+    (dist_le(3), "distlt3", 19, "4cda2f873b4cb9de926e0f311a46c3047cf3c649"),
+    (equal(3), "equal3", 256, "270b86289ce78bb604aca02df5af4934205159f6"),
+]
+
+
+@pytest.mark.parametrize("program,goal,size,digest", UNFOLD_PINS,
+                         ids=[pin[1] for pin in UNFOLD_PINS])
+def test_unfolding_text_is_pinned(program, goal, size, digest):
+    union = unfold_nonrecursive(program, goal)
+    assert len(union) == size
+    assert hashlib.sha1(str(union).encode()).hexdigest() == digest
+
+
+def test_chain_form_text_is_pinned():
+    program = parse_program(
+        """
+        p(X, Y) :- a(X, Z), p(Z, W), b(W, Y).
+        p(X, Y) :- e(X, Y).
+        a(X, Y) :- f(X, Y).
+        a(X, Y) :- f(X, Z), g(Z, Y).
+        b(X, X) :- h(X).
+        b(X, Y) :- a(X, Y).
+        """
+    )
+    assert str(to_chain_form(program, "p")).splitlines() == [
+        "p(X, Y) :- f(X, Z), p(Z, Y), h(Y).",
+        "p(X, Y) :- f(X, Z), p(Z, W), f(W, Y).",
+        "p(X, Y) :- f(X, Z), p(Z, W), f(W, C8), g(C8, Y).",
+        "p(X, Y) :- f(X, C2), g(C2, Z), p(Z, Y), h(Y).",
+        "p(X, Y) :- f(X, C2), g(C2, Z), p(Z, W), f(W, Y).",
+        "p(X, Y) :- f(X, C2), g(C2, Z), p(Z, W), f(W, C14), g(C14, Y).",
+        "p(X, Y) :- e(X, Y).",
+    ]
+
+
+class TestCompositions:
+    TEMPLATES = {"q": [ConjunctiveQuery(parse_atom("q(A, a)"),
+                                        (parse_atom("f(A)"),)),
+                       ConjunctiveQuery(parse_atom("q(A, B)"),
+                                        (parse_atom("g(A, B)"),))]}
+
+    @staticmethod
+    def tag(template, level):
+        return template.substitute({v: Variable(f"{v.name}{level}")
+                                    for v in template.variables})
+
+    def test_every_choice_in_order_with_none_where_a_head_clashes(self):
+        rule = parse_rule("p(X) :- q(X, b), e(X), q(X, Y).")
+        found = [(choice, None if query is None else str(query))
+                 for choice, query in compositions(rule, self.TEMPLATES,
+                                                   self.tag)]
+        assert found == [
+            ((0, 0), None),
+            ((0, 1), None),
+            ((1, 0), "p(X) :- g(X, b), e(X), f(X)."),
+            ((1, 1), "p(X) :- g(X, b), e(X), g(X, Y)."),
+        ]
+
+    def test_no_templates_leaves_the_rule(self):
+        rule = parse_rule("p(X) :- e(X, Y).")
+        assert [(c, str(q)) for c, q in compositions(rule, {}, self.tag)] \
+            == [((), "p(X) :- e(X, Y).")]
+
+    def test_the_last_replaced_atom_is_composed_lazily(self):
+        calls = []
+
+        def rename(template, level):
+            calls.append(level)
+            return self.tag(template, level)
+
+        rule = parse_rule("p(X, Y) :- q(X, Y).")
+        steps = compositions(rule, self.TEMPLATES, rename)
+        next(steps)
+        assert calls == [0]
 
 
 class TestExpansions:

@@ -62,6 +62,16 @@ class TestChainForm:
         )
         assert query(program, db, "p") == query(chained, db, "p")
 
+    def test_chain_form_fresh_names_avoid_the_rule_variables(self):
+        # The inlined q-expansion's fresh variable must not capture the
+        # rule's own C1.
+        source = ("p(X, Y) :- q(X, {v}), p({v}, Y). p(X, Y) :- e(X, Y). "
+                  "q(X, Y) :- e(X, Z), e(Z, Y).")
+        for name in ("C1", "W"):
+            chained = to_chain_form(parse_program(source.format(v=name)), "p")
+            assert str(chained.rules[0]) == \
+                f"p(X, Y) :- e(X, C0), e(C0, {name}), p({name}, Y)."
+
     def test_chain_form_rejects_nonlinear(self):
         program = parse_program(
             "p(X, Y) :- p(X, Z), p(Z, Y).\np(X, Y) :- e(X, Y)."
