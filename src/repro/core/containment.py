@@ -29,6 +29,7 @@ their results in a :class:`~repro.session.Decision`.  The exact
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 from time import perf_counter
 from typing import Optional, Tuple
 
@@ -121,15 +122,23 @@ def closure_certificate(program: Program, goal: str,
                    key=lambda item: -len(item[1].idb_body_atoms({goal})))
     steps = []
     for index, rule in rules:
+        calls = len(rule.idb_body_atoms({goal}))
         for choice, composed in compositions(
                 _tagged(ConjunctiveQuery.from_rule(rule), "r"),
                 {goal: [disjuncts[i] for i in order]}, _tagged):
-            cover = (None if composed is None
-                     else covering_disjunct(composed, disjuncts))
-            if composed is not None and cover is None:
+            if composed is None:  # a dead prefix: every extension is dead
+                for tail in product(range(len(order)),
+                                    repeat=calls - len(choice)):
+                    check_deadline()
+                    steps.append(ClosureStep(
+                        index, tuple(order[k] for k in choice + tail),
+                        None, None))
+                continue
+            cover = covering_disjunct(composed, disjuncts)
+            if cover is None:
                 return None, len(steps) + 1
             steps.append(ClosureStep(index, tuple(order[k] for k in choice),
-                                     *(cover or (None, None))))
+                                     *cover))
     return tuple(steps), len(steps)
 
 

@@ -10,7 +10,8 @@ data-plane analogue of the bitset automaton kernel.
 Three ideas, in the spirit of Souffle-style compiled Datalog:
 
 * **Columnar, interned relations.**  :class:`ColumnStore` keeps each
-  relation as parallel ``array('q')`` columns of interned value ids.
+  relation as parallel list columns of interned value ids (the
+  interner's own int objects, so reading a column builds none).
   The interner is keyed by the bare values the :class:`Database`
   stores (``str`` hashes are computed in C and cached), never by
   :class:`Constant` objects.  The extensional part is built once per
@@ -23,20 +24,19 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   ``clear_shared_caches()`` / ``Session.clear_caches()`` drop it
   along with the automaton caches and two live sessions never share
   images.  The active domain is never maintained row by row: it is
-  the image's extensional ids plus the program's resolved constants,
-  gathered only for programs with unsafe rules
+  the image's extensional ids (a ``range``) plus the program's
+  resolved constants, listed only for programs with unsafe rules
   (:meth:`ColumnStore.domain`).
 * **Batch execution of join plans.**  :func:`execute_batch_fused` runs
   a :class:`~repro.datalog.plan.ResolvedPlan` over a whole frontier at
   once.  The frontier is a set of register *columns*; each plan step
   probes a hash index with ``dict.get``, fans out matches with C-level
-  ``list.extend``/``itertools.repeat``, gathers columns with
-  ``map(array.__getitem__, ids)``, and applies residual
+  ``itertools.chain``/``itertools.repeat``, gathers columns with
+  ``map(list.__getitem__, ids)``, and applies residual
   constant/equality checks as vectorized filters.  No per-row Python
-  function calls, no recursion.  Bitmap semijoin pre-filters,
-  radix-partitioned hash joins and fused filter+project with
-  dead-register elimination sit on top (see the comment block above
-  :class:`_FusedStep`).
+  function calls, no recursion.  Radix-partitioned hash joins and
+  fused filter+project with dead-register elimination sit on top (see
+  the comment block above :class:`_FusedStep`).
 * **Packed-key dedup.**  A derived row is identified by one Python
   int -- its column ids packed positionally with base ``B`` (the
   sealed interner size) -- so deduplication against the stable store
@@ -66,8 +66,7 @@ are built only when a caller asks for them.
 from __future__ import annotations
 
 import weakref
-from array import array
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq as _eq
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -167,12 +166,13 @@ class EdbImage:
     """The immutable columnar form of one :class:`Database`.
 
     Holds the interner (``ids``/``values``, keyed by bare values),
-    per-relation id columns, the extensional active domain (the ids
-    the build handed out), and lazily-built hash indexes.  Shared
-    across evaluations: :class:`ColumnStore` copies only the relations
-    a program derives into.  The interner is deliberately *shared and
-    append-only* -- later programs may add their constants, which never
-    invalidates existing columns and never enters ``domain``.
+    per-relation id columns, the extensional active domain (the
+    ``range`` of ids the build handed out), and lazily-built hash
+    indexes.  Shared across evaluations: :class:`ColumnStore` copies
+    only the relations a program derives into.  The interner is
+    deliberately *shared and append-only* -- later programs may add
+    their constants, which never invalidates existing columns and never
+    enters ``domain``.
     """
 
     __slots__ = ("ids", "values", "cols", "counts", "domain", "indexes",
@@ -185,7 +185,7 @@ class EdbImage:
     def __init__(self, database: Database):
         self.ids: Dict[object, int] = {}
         self.values: List[object] = []
-        self.cols: Dict[str, Tuple[array, ...]] = {}
+        self.cols: Dict[str, Tuple[List[int], ...]] = {}
         self.counts: Dict[str, int] = {}
         self.indexes: Dict[Tuple[str, int], Dict[int, List[int]]] = {}
         # Materialized-view cache of the fused path: (predicate, arity,
@@ -208,14 +208,12 @@ class EdbImage:
             ids.update(zip(missing, range(len(values),
                                           len(values) + len(missing))))
             values.extend(missing)
-            # (Building the array from a list takes its bulk path.)
-            self.cols[predicate] = tuple(
-                array("q", list(map(ids.__getitem__, column)))
-                for column in columns)
+            self.cols[predicate] = tuple(list(map(ids.__getitem__, column))
+                                         for column in columns)
             self.counts[predicate] = len(rows)
         # The interner started empty and every value above came from a
         # column, so the extensional active domain is every id so far.
-        self.domain: Set[int] = set(range(len(values)))
+        self.domain = range(len(values))
 
     def index(self, predicate: str, position: int):
         """The (built-once) hash index on *position* of *predicate*,
@@ -231,11 +229,9 @@ class EdbImage:
         if entry is None:
             cols = self.cols.get(predicate)
             column = cols[position] if cols else ()
-            unique = len(set(column)) == len(column)
-            if unique:  # built in C
-                index: Dict[int, object] = dict(zip(column,
-                                                    range(len(column))))
-            else:
+            index: Dict[int, object] = dict(zip(column, range(len(column))))
+            unique = len(index) == len(column)  # built in C
+            if not unique:
                 index = {}
                 setdefault = index.setdefault
                 for row_id, value in enumerate(column):
@@ -436,18 +432,20 @@ class ColumnStore:
         once every plan is resolved.  Constants that other programs
         appended to the shared interner stay out.
         """
-        return sorted(self._image.domain.union(self._constants))
+        domain = self._image.domain
+        return [*domain, *sorted(c for c in self._constants
+                                 if c not in domain)]
 
     @property
     def idb(self) -> frozenset:
         """The predicates this store derives into."""
         return self._idb
 
-    def value_columns(self, predicate: str) -> List[Iterable]:
-        """The relation's columns as bare values, read lazily off the
+    def value_columns(self, predicate: str) -> List[List]:
+        """The relation's columns as lists of bare values, read off the
         id columns (C-level ``map``); builds no :class:`Constant`."""
         getter = self._values.__getitem__
-        return [map(getter, col) for col in self.cols(predicate)]
+        return [list(map(getter, col)) for col in self.cols(predicate)]
 
     def unintern_rows(self, predicate: str):
         """The relation as a frozenset of constant tuples -- C-level
@@ -496,15 +494,9 @@ def _gather(column: Sequence[int], ids: List[int]) -> List[int]:
 # ----------------------------------------------------------------------
 # Fused batch kernels.
 #
-# Three techniques on top of plain batch execution (probe, fan out,
+# Two techniques on top of plain batch execution (probe, fan out,
 # gather, filter):
 #
-# * **Bitmap semijoin pre-filters.**  Register probes first compute a
-#   membership bitmap with one C-level ``map(index.__contains__, ...)``
-#   and shrink the frontier through ``itertools.compress`` *before* the
-#   fan-out, so the per-row Python loop only ever visits rows that
-#   join.  On BFS-shaped workloads (reach deltas re-probing visited
-#   nodes) most of the frontier dies in the bitmap.
 # * **Radix-partitioned hash joins.**  A delta or full scan whose atom
 #   equi-joins an earlier-bound register no longer cross-products the
 #   frontier and filters: the scan side is partitioned by its join
@@ -611,25 +603,17 @@ def _compile_fused(rplan: ResolvedPlan) -> Tuple[_FusedStep, ...]:
     return tuple(fused)
 
 
-def _probe_multi(index, key_col, n: int, needs_f: bool):
-    """Probe a list-valued index with the frontier's key column, behind
-    a bitmap semijoin pre-filter.  Returns ``(out_f, out_r)``; ``out_f``
-    is ``None`` when the caller carries no live registers."""
-    sel = list(compress(range(n), map(index.__contains__, key_col)))
-    if not sel:
-        return None, []
-    keys = key_col if len(sel) == n else _gather(key_col, sel)
-    getitem = index.__getitem__
+def _probe_multi(index, key_col, needs_f: bool):
+    """Probe a list-valued index with the frontier's key column; the
+    fan-out runs in C (``chain.from_iterable``).  Returns ``(out_f,
+    out_r)``; ``out_f`` is ``None`` when the caller carries no live
+    registers."""
+    matches = list(map(index.get, key_col, repeat(_EMPTY)))
+    out_r = list(chain.from_iterable(matches))
     if not needs_f:
-        return None, [row for value in keys for row in getitem(value)]
-    out_f: List[int] = []
-    out_r: List[int] = []
-    extend_f, extend_r = out_f.extend, out_r.extend
-    for i, value in zip(sel, keys):
-        ids = getitem(value)
-        extend_r(ids)
-        extend_f(repeat(i, len(ids)))
-    return out_f, out_r
+        return None, out_r
+    return list(chain.from_iterable(map(
+        repeat, range(len(matches)), map(len, matches)))), out_r
 
 
 def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
@@ -694,7 +678,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                 else:
                     for row_id in sel:
                         setdefault(column[row_id], []).append(row_id)
-                out_f, out_r = _probe_multi(buckets, regs[jreg], n,
+                out_f, out_r = _probe_multi(buckets, regs[jreg],
                                             step.needs_f)
             elif n < 0:
                 out_f = None
@@ -726,7 +710,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                         out_r = hits
                         out_f = range(n) if step.needs_f else None
                 else:
-                    out_f, out_r = _probe_multi(index, key_col, n,
+                    out_f, out_r = _probe_multi(index, key_col,
                                                 step.needs_f)
             else:
                 # Constant probe (reg probes off a virgin frontier are

@@ -9,15 +9,18 @@ its :class:`~repro.datalog.columns.ColumnStore`, and
 :meth:`~EvaluationResult.count` and :meth:`~EvaluationResult.checksum`
 read the interned id columns directly.
 
-:func:`rows_checksum` is the one digest format of a relation; the
-columnar checksum feeds the same encoding from bare values gathered off
-the id columns, so the two agree byte for byte.
+:func:`rows_checksum` is the one digest format of a relation: the
+``repr`` of its sorted bare-value rows.  The columnar checksum writes
+that same text from sorted value columns, a chunk of rows at a time,
+without building a row tuple, so the two agree byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Optional, Tuple
+from itertools import islice
+from operator import eq
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..budget import check_deadline
 from .database import Database
@@ -27,10 +30,23 @@ Row = Tuple[Constant, ...]
 
 _EMPTY: FrozenSet[Row] = frozenset()
 
+#: Rows of digest text hashed between two deadline checks.
+_CHUNK = 4096
 
-def _digest(sorted_rows: list) -> str:
-    """The digest encoding of a sorted list of bare-value tuples."""
-    return hashlib.sha1(repr(sorted_rows).encode()).hexdigest()[:16]
+
+def _numbers_first(value) -> tuple:
+    """The sort key of a value among mixed ints and strs."""
+    return isinstance(value, str), value
+
+
+def _sorted(items, key, mixed) -> list:
+    """``sorted(items, key=key)``, or by *mixed* when mixed ints and
+    strs make that raise (numbers first: the same order wherever the
+    plain sort succeeds)."""
+    try:
+        return sorted(items, key=key)
+    except TypeError:
+        return sorted(items, key=mixed)
 
 
 def rows_checksum(rows) -> str:
@@ -43,10 +59,42 @@ def rows_checksum(rows) -> str:
     and ``PYTHONHASHSEED`` values.  This is the ``checksum`` hook every
     evaluation :class:`~repro.session.Decision` carries.
     """
-    return _digest(sorted(
-        tuple(getattr(value, "value", value) for value in row)
-        for row in rows
-    ))
+    rows = _sorted([tuple(getattr(value, "value", value) for value in row)
+                    for row in rows],
+                   None, lambda row: tuple(map(_numbers_first, row)))
+    return hashlib.sha1(repr(rows).encode()).hexdigest()[:16]
+
+
+def _columns_checksum(columns: List[Sequence], n: int) -> str:
+    """``rows_checksum(zip(*columns))`` of *n* distinct rows, written
+    from the value columns: row positions sort by the first column (by
+    every column, last first, when it repeats), and each chunk of rows
+    goes into the hash as its ``repr`` text."""
+    def by(column, order):
+        return _sorted(order, column.__getitem__,
+                       lambda i: _numbers_first(column[i]))
+
+    first = columns[0]
+    if len(columns) == 1:  # distinct 1-tuples sort as their values do
+        columns = [_sorted(first, None, _numbers_first)]
+    else:
+        order = by(first, range(n))
+        if any(map(eq, map(first.__getitem__, order),
+                   map(first.__getitem__, islice(order, 1, None)))):
+            for column in reversed(columns):
+                order = by(column, order)
+        columns = [map(column.__getitem__, order) for column in columns]
+    # zip recycles its tuple once the row text is built.
+    rows = map(("(%r,)" if len(columns) == 1
+                else "(" + ", ".join(["%r"] * len(columns)) + ")").__mod__,
+               zip(*columns))
+    digest = hashlib.sha1(b"[")
+    for start in range(0, n, _CHUNK):
+        check_deadline()
+        text = ", ".join(islice(rows, _CHUNK))
+        digest.update(((", " if start else "") + text).encode())
+    digest.update(b"]")
+    return digest.hexdigest()[:16]
 
 
 class EvaluationResult:
@@ -100,22 +148,16 @@ class EvaluationResult:
 
     def checksum(self, predicate: str) -> str:
         """``rows_checksum(self.facts(predicate))``; columnar results
-        sort bare values gathered from the id columns instead, so no
-        :class:`Constant` is built."""
+        digest the bare-value columns instead, so neither a
+        :class:`Constant` nor a row tuple is built."""
         if self._store is None or predicate not in self._predicates:
             return rows_checksum(self.facts(predicate))
         columns = self._store.value_columns(predicate)
+        n = self._store.count(predicate)
         check_deadline()
-        if len(columns) == 1:
-            # Distinct 1-tuples sort as their values do: sort the bare
-            # values and wrap them only for the repr.
-            rows = list(zip(sorted(columns[0])))
-        elif columns:
-            rows = sorted(zip(*columns))
-        else:  # nothing derived, or a 0-ary relation's one empty row
-            rows = [()] if self._store.count(predicate) else []
-        check_deadline()
-        return _digest(rows)
+        if not columns:  # nothing derived, or a 0-ary relation's empty row
+            return rows_checksum([()] if n else [])
+        return _columns_checksum(columns, n)
 
     def as_database(self, base: Optional[Database] = None) -> Database:
         """The derived facts as a database, optionally merged onto *base*."""

@@ -17,7 +17,7 @@ Two operations from the paper:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import count, product
+from itertools import count
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -56,9 +56,11 @@ def compositions(rule, templates: Mapping[str, Sequence[ConjunctiveQuery]],
     body atom of *rule* (a rule or query) whose predicate has templates,
     in lexicographic order: the i-th such atom is replaced by its
     ``choice[i]``-th template, renamed by ``rename(template, i)`` and
-    unified at its head; ``query`` is None when a head does not unify.
-    *rename* must give variables found nowhere else; it runs on each
-    partial composition that unifies, atom by atom, the last lazily."""
+    unified at its head.  When a head does not unify, ``query`` is None
+    and ``choice`` is the dead prefix, yielded once for all its
+    extensions.  *rename* must give variables found nowhere else; it
+    runs on each partial composition that unifies, atom by atom, the
+    last lazily."""
     body = rule.body
     slots = [k for k, atom in enumerate(body) if atom.predicate in templates]
     starts = [0] + [k + 1 for k in slots]
@@ -80,14 +82,11 @@ def compositions(rule, templates: Mapping[str, Sequence[ConjunctiveQuery]],
     partial = [((), {}, ())]
     for level in range(len(slots)):
         partial = extend(list(partial), level)
-    sizes = [len(templates[body[k].predicate]) for k in slots]
     for choice, subst, atoms in partial:
-        # A dead prefix stands for all its extensions.
-        for tail in product(*map(range, sizes[len(choice):])):
-            check_deadline()
-            yield choice + tail, None if subst is None else ConjunctiveQuery(
-                apply_to_atom(rule.head, subst),
-                apply_to_atoms(atoms + body[starts[-1]:], subst))
+        check_deadline()
+        yield choice, None if subst is None else ConjunctiveQuery(
+            apply_to_atom(rule.head, subst),
+            apply_to_atoms(atoms + body[starts[-1]:], subst))
 
 
 def unfold_nonrecursive(program: Program,

@@ -64,8 +64,7 @@ from ..workloads import generators as gen
 #: running plain naive rounds -- the most elementary semantics in the
 #: repo, against which the semi-naive and columnar cells must agree
 #: bit-for-bit.  The columnar cells run the production batch kernels
-#: (radix hash joins, bitmap semijoin pre-filters, fused
-#: filter+project).
+#: (C-level probe fan-out, radix hash joins, fused filter+project).
 EVAL_MATRIX: Dict[str, EngineConfig] = {
     "interpretive-naive": EngineConfig(compiled=False, strategy="naive"),
     "interpretive-seminaive": EngineConfig(compiled=False,

@@ -17,9 +17,14 @@ merge/restrict/copy), and the lazy result surface (id-column count and
 checksum, un-interning only on demand).
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instances import clear_shared_caches
+from repro.datalog import result as result_module
 from repro.datalog.columns import (
     ColumnStore,
     _IMAGES_TABLE,
@@ -415,6 +420,59 @@ def test_checksum_identity_unsafe_head_on_a_cached_image():
                                                     interpretive.fixpoint)
     assert columnar.count("u") == 3 * 5 + 1  # 3 sources x {v0..v3, own}
     _assert_lazy_surface(unsafe, columnar)
+
+
+#: Bare values the digest must write as ``repr`` does: negative ints,
+#: and strs with quotes, backslashes, control and non-ASCII characters.
+DIGEST_VALUES = st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                          st.text("ab'\"\\\n\t\u00e9", max_size=4))
+#: A first column drawn from few values, so projections repeat it.
+DIGEST_FIRST = st.one_of(st.sampled_from([-1, 0, "a", "'"]), DIGEST_VALUES)
+
+
+def _projection_checksums(rows, arity):
+    """The columnar digest of ``p``, the first *arity* columns of the
+    ternary ``e``, and ``rows_checksum`` of the same projection."""
+    head = ", ".join(f"X{i}" for i in range(arity))
+    program = parse_program(f"p{f'({head})' if arity else ''} :- "
+                            "e(X0, X1, X2).")
+    database = Database()
+    database.add_rows("e", rows)
+    result = COLUMNAR.evaluate(program, database)
+    return (result.checksum("p"),
+            rows_checksum({row[:arity] for row in rows}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(DIGEST_FIRST, DIGEST_VALUES, DIGEST_VALUES),
+                     max_size=40),
+       arity=st.integers(0, 3))
+def test_checksum_identity_of_projections(rows, arity):
+    digest, oracle = _projection_checksums(rows, arity)
+    assert digest == oracle
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(4097, 9000), seed=st.integers(0, 2 ** 16),
+       arity=st.integers(1, 3), spread=st.sampled_from([3, 10 ** 6]))
+def test_checksum_identity_across_chunks(n, seed, arity, spread):
+    """More rows than one digest chunk, with or without repeats in the
+    first column."""
+    rng = random.Random(seed)
+    rows = [(rng.randrange(n // spread + 1) - 5, f"v{rng.randrange(n)}'",
+             rng.randrange(-n, n)) for _ in range(n)]
+    digest, oracle = _projection_checksums(rows, arity)
+    assert digest == oracle
+
+
+def test_checksum_identity_checks_the_deadline_per_chunk(monkeypatch):
+    calls = []
+    monkeypatch.setattr(result_module, "check_deadline",
+                        lambda: calls.append(None))
+    rows = [(i, -i, "x") for i in range(3 * result_module._CHUNK + 1)]
+    digest, oracle = _projection_checksums(rows, 2)
+    assert digest == oracle
+    assert len(calls) >= 4  # one per chunk, at least
 
 
 def test_count_and_checksum_never_unintern(monkeypatch):

@@ -14,6 +14,7 @@ The load-bearing properties of the API redesign:
   mutable state.
 """
 
+import hashlib
 import inspect
 import json
 import pickle
@@ -37,11 +38,13 @@ from repro.core import (
     decide_boundedness,
     is_equivalent_to_nonrecursive,
 )
+from repro.datalog.database import Database
 from repro.datalog.engine import Engine, EngineConfig, default_engine
 from repro.datalog.errors import ValidationError
 from repro.datalog.unfold import expansion_union
 from repro.programs import transitive_closure
 from repro.programs.library import buys_bounded, buys_bounded_rewriting
+from repro.runner.batch import ENGINE_CONFIGS
 from repro.session import config_fingerprint, rows_checksum
 from repro.workloads.generators import automata_pair
 from repro import __main__ as cli
@@ -457,6 +460,23 @@ def test_cli_eval_lists_rows(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "p(a, c)" in out and '"count": 3' in out
+
+
+@pytest.mark.parametrize("engine", ["columnar", "interpretive"])
+def test_mixed_int_and_str_rows_checksum_numbers_first(engine, capsys):
+    """Ints and strs in one column do not compare: the digest sorts
+    numbers first instead of raising, on either engine."""
+    program, facts = "p(X, Y) :- e(X, Y).", "e(1, a). e(b, 2)."
+    expected = rows_checksum([("b", 2), (1, "a")])
+    assert expected == hashlib.sha1(
+        repr([(1, "a"), ("b", 2)]).encode()).hexdigest()[:16]
+    decision = Session(engine=ENGINE_CONFIGS[engine]).query(
+        parse_program(program), Database.from_source(facts), "p")
+    assert decision.checksum == expected
+    code = cli.main(["eval", "--program", program, "--db", facts,
+                     "--goal", "p", "--engine", engine, "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["checksum"] == expected
 
 
 def test_cli_scenarios_alias(capsys):

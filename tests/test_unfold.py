@@ -4,6 +4,7 @@ step behind the unfolding, the chain form and the closure test."""
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -158,12 +159,26 @@ class TestCompositions:
         found = [(choice, None if query is None else str(query))
                  for choice, query in compositions(rule, self.TEMPLATES,
                                                    self.tag)]
+        # The dead prefix (0,) stands for (0, 0) and (0, 1).
         assert found == [
-            ((0, 0), None),
-            ((0, 1), None),
+            ((0,), None),
             ((1, 0), "p(X) :- g(X, b), e(X), f(X)."),
             ((1, 1), "p(X) :- g(X, b), e(X), g(X, Y)."),
         ]
+
+    def test_a_dead_prefix_is_not_expanded(self, frozen_heap):
+        # r(X, a) never unifies with r(X, b), so the union is empty
+        # however many of the 8 s rules could follow it: 8^8 tails.
+        program = parse_program(
+            "q(X) :- r(X, a), " + ", ".join(["s(X)"] * 8) + ".\n"
+            "r(X, b) :- e(X).\n"
+            + "\n".join(f"s(X) :- f{i}(X)." for i in range(8)))
+        timings = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert len(unfold_nonrecursive(program, "q")) == 0
+            timings.append(time.perf_counter() - started)
+        assert min(timings) < 0.005
 
     def test_no_templates_leaves_the_rule(self):
         rule = parse_rule("p(X) :- e(X, Y).")
