@@ -34,50 +34,20 @@ above and wraps its result):
     ('equivalence', True)
 """
 
-from .datalog import (
-    Atom,
-    Constant,
-    Database,
-    Program,
-    Rule,
-    Variable,
-    evaluate,
-    is_linear,
-    is_nonrecursive,
-    is_recursive,
-    make_atom,
-    parse_atom,
-    parse_program,
-    parse_rule,
-    query,
-    unfold_nonrecursive,
-)
-from .cq import (
-    ConjunctiveQuery,
-    UnionOfConjunctiveQueries,
-    cq_contained_in,
-    cq_equivalent,
-    evaluate_cq,
-    minimize,
-    ucq_contained_in,
-)
-from .core import (
-    contained_in_cq,
-    contained_in_nonrecursive,
-    contained_in_ucq,
-    cq_contained_in_datalog,
-    decide_boundedness,
-    is_equivalent_to_nonrecursive,
-    nonrecursive_contained_in_datalog,
-    ucq_contained_in_datalog,
-)
+from .lazy import lazy_exports
 
-from .session import (
-    Decision,
-    Session,
-    current_session,
-    default_session,
-)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".datalog": "Atom Constant Database Program Rule Variable evaluate"
+                " is_linear is_nonrecursive is_recursive make_atom parse_atom"
+                " parse_program parse_rule query unfold_nonrecursive",
+    ".cq": "ConjunctiveQuery UnionOfConjunctiveQueries cq_contained_in"
+           " cq_equivalent evaluate_cq minimize ucq_contained_in",
+    ".core": "contained_in_cq contained_in_nonrecursive contained_in_ucq"
+             " cq_contained_in_datalog decide_boundedness"
+             " is_equivalent_to_nonrecursive"
+             " nonrecursive_contained_in_datalog ucq_contained_in_datalog",
+    ".session": "Decision Session current_session default_session",
+})
 
 __version__ = "1.0.0"
 

@@ -59,15 +59,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .budget import BudgetExhausted, time_budget
-from .datalog.database import Database
+from .datalog.engine import ENGINE_CONFIGS
 from .datalog.errors import ReproError
-from .datalog.parser import parse_program
-from .datalog.program import Program
-from .runner.batch import ENGINE_CONFIGS
-from .session import Decision, Session, decide_payload
+
+if TYPE_CHECKING:
+    from .datalog.program import Program
+    from .session import Decision, Session
+
+# Each handler imports the layers it runs, so ``eval`` never loads the
+# decision stack and neither ``eval`` nor ``decide`` loads the service.
 
 
 def _read_source(spec: str) -> str:
@@ -82,10 +85,14 @@ def _read_source(spec: str) -> str:
 
 
 def _read_program(spec: str) -> Program:
+    from .datalog.parser import parse_program
+
     return parse_program(_read_source(spec))
 
 
 def _session(args) -> Session:
+    from .session import Session
+
     return Session(engine=ENGINE_CONFIGS[args.engine], name="cli")
 
 
@@ -256,6 +263,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_decide(args) -> int:
+    from .session import decide_payload
+
     if args.kind == "equivalence" and args.nonrecursive is None:
         print("decide equivalence requires --nonrecursive", file=sys.stderr)
         return 2
@@ -334,6 +343,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .datalog.database import Database
+
     session = _session(args)
     database = Database.from_source(_read_source(args.db))
     decision = session.query(_read_program(args.program), database,

@@ -6,29 +6,21 @@ containment; containment is decided by antichain searches that avoid
 materializing the exponential subset constructions.
 """
 
-from .kernel import (
-    BitAntichain,
-    Interner,
-    Invariant,
-)
-from .word import NFA
-from .word import contained_in as nfa_contained_in
-from .word import contained_in_union as nfa_contained_in_union
-from .word import contained_in_via_complement as nfa_contained_in_via_complement
-from .word import enumerate_words, find_counterexample_word
-from .word import equivalent as nfa_equivalent
-from .tree import (
-    BottomUpDeterministic,
-    LabeledTree,
-    TreeAutomaton,
-    complement,
-    find_counterexample_tree,
-    path_tree,
-    search_tree_inclusion,
-)
-from .tree import contained_in as tree_contained_in
-from .tree import contained_in_union as tree_contained_in_union
-from .tree import equivalent as tree_equivalent
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".kernel": "BitAntichain Interner Invariant",
+    ".word": "NFA nfa_contained_in=contained_in"
+             " nfa_contained_in_union=contained_in_union"
+             " nfa_contained_in_via_complement=contained_in_via_complement"
+             " enumerate_words find_counterexample_word"
+             " nfa_equivalent=equivalent",
+    ".tree": "BottomUpDeterministic LabeledTree TreeAutomaton complement"
+             " find_counterexample_tree path_tree search_tree_inclusion"
+             " tree_contained_in=contained_in"
+             " tree_contained_in_union=contained_in_union"
+             " tree_equivalent=equivalent",
+})
 
 __all__ = [
     "BitAntichain",

@@ -25,13 +25,15 @@ it without cycles:
   the cache scope every shared factory writes into.
 
 ``repro.session`` registers the default-session factory at import
-time; this module never imports it.
+time; :func:`default_session` imports it on first need, since a caller
+of a free function may never have loaded it.
 """
 
 from __future__ import annotations
 
 import threading
 from contextvars import ContextVar
+from importlib import import_module
 from typing import Any, Callable, Dict, Optional
 
 
@@ -151,9 +153,11 @@ def register_default_session_factory(factory: Callable[[], Any]) -> None:
 
 def default_session() -> Optional[Any]:
     """The process default session, created lazily (and exactly once,
-    under a lock) from the registered factory.  ``None`` only during
-    package import, before :mod:`repro.session` has registered."""
+    under a lock) from the registered factory.  ``None`` only while
+    :mod:`repro.session` itself is importing."""
     global _process_default
+    if _factory is None:
+        import_module(".session", __package__)
     if _process_default is None and _factory is not None:
         with _default_lock:
             if _process_default is None:
@@ -205,8 +209,8 @@ def pop_session() -> None:
 
 
 def current_scope() -> CacheScope:
-    """The ambient session's cache scope (the global scope while the
-    package is still importing)."""
+    """The ambient session's cache scope (the global scope while
+    :mod:`repro.session` is still importing)."""
     session = current_session()
     if session is None:
         return GLOBAL_SCOPE

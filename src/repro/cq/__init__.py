@@ -5,21 +5,17 @@ Theorem 2.2, and the Sagiv-Yannakakis union theorem 2.3) together with
 canonical databases, direct evaluation, and minimization (cores).
 """
 
-from .canonical import canonical_database, evaluate_cq, evaluate_ucq, freeze_variable
-from .containment import (
-    cq_contained_in,
-    cq_contained_in_ucq,
-    cq_equivalent,
-    minimal_union,
-    ucq_contained_in,
-    ucq_equivalent,
-)
-from .homomorphism import (
-    containment_mapping,
-    find_homomorphism,
-)
-from .minimize import is_minimal, minimize
-from .query import UCQ, ConjunctiveQuery, UnionOfConjunctiveQueries
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".canonical": "canonical_database evaluate_cq evaluate_ucq"
+                  " freeze_variable",
+    ".containment": "cq_contained_in cq_contained_in_ucq cq_equivalent"
+                    " minimal_union ucq_contained_in ucq_equivalent",
+    ".homomorphism": "containment_mapping find_homomorphism",
+    ".minimize": "is_minimal minimize",
+    ".query": "UCQ ConjunctiveQuery UnionOfConjunctiveQueries",
+})
 
 __all__ = [
     "ConjunctiveQuery",

@@ -6,56 +6,32 @@ dependence graph with its recursion/linearity classification, and the
 rewriting of nonrecursive programs into unions of conjunctive queries.
 """
 
-from .atoms import Atom, make_atom
-from .database import Database
-from .engine import (
-    Engine,
-    EngineConfig,
-    EvaluationResult,
-    default_engine,
-    evaluate,
-    naive_evaluate,
-    query,
-    seminaive_evaluate,
-)
-from .plan import JoinPlan, PlanCache, compile_program
-from .columns import (
-    ColumnStore,
-    columnar_naive,
-    columnar_seminaive,
-    edb_image,
-)
-from .errors import (
-    ArityError,
-    NotLinearError,
-    NotNonrecursiveError,
-    ParseError,
-    ReproError,
-    UnsafeProgramError,
-    ValidationError,
-)
-from .parser import parse_atom, parse_program, parse_rule
-from .printer import program_to_source, rule_to_source
-from .program import Program
-from .rules import Rule
-from .terms import Constant, FreshVariableFactory, Term, Variable
-from .analysis import (
-    dependence_graph,
-    is_linear,
-    is_nonrecursive,
-    is_recursive,
-    recursive_predicates,
-    slice_for_goal,
-    strongly_connected_components,
-    topological_order,
-)
-from .magic import MagicRewriting, derived_fact_count, magic_query, magic_rewrite
-from .unfold import count_expansions, expansion_union, expansions, unfold_nonrecursive
-from .uniform import (
-    rule_uniformly_subsumed,
-    uniformly_contained_in,
-    uniformly_equivalent,
-)
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".atoms": "Atom make_atom",
+    ".database": "Database",
+    ".engine": "Engine EngineConfig default_engine evaluate naive_evaluate"
+               " query seminaive_evaluate",
+    ".result": "EvaluationResult",
+    ".plan": "JoinPlan PlanCache compile_program",
+    ".columns": "ColumnStore columnar_naive columnar_seminaive edb_image",
+    ".errors": "ArityError NotLinearError NotNonrecursiveError ParseError"
+               " ReproError UnsafeProgramError ValidationError",
+    ".parser": "parse_atom parse_program parse_rule",
+    ".printer": "program_to_source rule_to_source",
+    ".program": "Program",
+    ".rules": "Rule",
+    ".terms": "Constant FreshVariableFactory Term Variable",
+    ".analysis": "dependence_graph is_linear is_nonrecursive is_recursive"
+                 " recursive_predicates slice_for_goal"
+                 " strongly_connected_components topological_order",
+    ".magic": "MagicRewriting derived_fact_count magic_query magic_rewrite",
+    ".unfold": "count_expansions expansion_union expansions"
+               " unfold_nonrecursive",
+    ".uniform": "rule_uniformly_subsumed uniformly_contained_in"
+                " uniformly_equivalent",
+})
 
 __all__ = [
     "ArityError",

@@ -319,6 +319,16 @@ class EngineConfig:
             )
 
 
+#: Named engine configurations: the labels of the CLI's ``--engine``,
+#: the batch matrix and the service's ``"engine"`` field.  "columnar"
+#: is the shipped default (batch join kernels over column stores);
+#: "interpretive" is the per-tuple evaluator kept as the oracle.
+ENGINE_CONFIGS: Dict[str, EngineConfig] = {
+    "columnar": EngineConfig(compiled=True),
+    "interpretive": EngineConfig(compiled=False),
+}
+
+
 class Engine:
     """A reusable evaluator: compiled plans are cached across calls.
 
@@ -367,8 +377,8 @@ def default_engine() -> Engine:
     Resolution goes through the ambient :class:`~repro.session.Session`
     held in a :class:`contextvars.ContextVar`, so concurrent sessions
     with different engine configurations do not share a mutable module
-    global.  While the package is still importing (no session exists
-    yet) a throwaway engine answers.
+    global.  While :mod:`repro.session` is still importing (no session
+    exists yet) a throwaway engine answers.
     """
     session = _current_session()
     return session.engine if session is not None else Engine()

@@ -20,8 +20,7 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple
 
 from ..budget import check_deadline
 from .atoms import Atom
@@ -33,8 +32,7 @@ from .terms import Constant, Variable
 _SYMBOLS = (":-", "(", ")", ",", ".")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "int", "string", "symbol", "eof"
     text: str
     line: int

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Engine backends, fastest/heaviest first (labels match
-#: ``repro.runner.batch.ENGINE_CONFIGS``).
+#: ``repro.datalog.engine.ENGINE_CONFIGS``).
 ENGINE_CHAIN: Tuple[str, ...] = ("columnar", "interpretive")
 
 

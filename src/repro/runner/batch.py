@@ -56,7 +56,12 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..datalog.engine import EngineConfig
+# Pool workers fork from the process that imports this module (the
+# batch CLI, the service daemon), so it loads the decision stack the
+# session methods import on first use: no job or request pays for it.
+from ..core import boundedness, containment, equivalence  # noqa: F401
+from ..datalog import magic, unfold  # noqa: F401
+from ..datalog.engine import ENGINE_CONFIGS
 from ..resilience import (
     PoolConfig,
     Quarantined,
@@ -70,14 +75,6 @@ from ..workloads.scenarios import (
     get_scenario,
     scenario_names,
 )
-
-#: Named engine configurations the matrix can range over.  "columnar"
-#: is the shipped default (batch join kernels over column stores);
-#: "interpretive" is the per-tuple evaluator kept as the oracle.
-ENGINE_CONFIGS: Dict[str, EngineConfig] = {
-    "columnar": EngineConfig(compiled=True),
-    "interpretive": EngineConfig(compiled=False),
-}
 
 
 @dataclass(frozen=True, order=True)

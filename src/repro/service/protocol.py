@@ -63,8 +63,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
+from ..datalog.engine import ENGINE_CONFIGS
 from ..resilience import ERROR_CATEGORIES
-from ..runner.batch import ENGINE_CONFIGS
 
 __all__ = [
     "MAX_LINE_BYTES",

@@ -45,21 +45,19 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional
 
 from . import context as _context
 from .budget import BudgetExhausted, time_budget
-from .core import boundedness as _boundedness
-from .core import containment as _containment
-from .core import equivalence as _equivalence
-from .cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 from .datalog.database import Database
 from .datalog.engine import Engine, EngineConfig
 from .datalog.errors import UnsafeProgramError, ValidationError
 from .datalog.parser import parse_program
 from .datalog.program import Program
 from .datalog.result import rows_checksum
-from .datalog.unfold import expansion_union, unfold_nonrecursive
+
+if TYPE_CHECKING:
+    from .cq.query import ConjunctiveQuery, UnionOfConjunctiveQueries
 
 __all__ = [
     "Decision",
@@ -374,7 +372,9 @@ class Session:
         tree, either of which
         :func:`repro.core.counterexample_database` accepts.
         """
-        return self._containment(deadline, _containment.contained_in_ucq,
+        from .core import containment
+
+        return self._containment(deadline, containment.contained_in_ucq,
                                  program, goal, union)
 
     def _containment(self, deadline: Optional[float], decide,
@@ -393,6 +393,8 @@ class Session:
                     theta: ConjunctiveQuery, *,
                     deadline: Optional[float] = None) -> Decision:
         """Decide ``Q_Pi subseteq theta`` (Corollary 5.7)."""
+        from .cq.query import UnionOfConjunctiveQueries
+
         union = UnionOfConjunctiveQueries([theta], theta.arity)
         return self.contains(program, goal, union, deadline=deadline)
 
@@ -403,8 +405,10 @@ class Session:
         """Decide ``Q_Pi subseteq Q'_Pi'`` for nonrecursive Pi'
         (Theorem 6.4): unfold Pi' to a UCQ, then decide containment,
         both under the deadline."""
+        from .core import containment
+
         return self._containment(
-            deadline, _containment.contained_in_nonrecursive, program, goal,
+            deadline, containment.contained_in_nonrecursive, program, goal,
             nonrecursive, nonrecursive_goal)
 
     # ------------------------------------------------------------------
@@ -416,9 +420,11 @@ class Session:
                      deadline: Optional[float] = None) -> Decision:
         """Decide ``theta subseteq Q_Pi`` by the canonical-database
         test [CK86, Sa88b], on this session's engine."""
+        from .core import containment
+
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            held = _containment.cq_contained_in_datalog(theta, program, goal)
+            held = containment.cq_contained_in_datalog(theta, program, goal)
         return self._decision(
             "containment", {"contained": held},
             timings={"decide_s": perf_counter() - start}, raw=held,
@@ -428,9 +434,11 @@ class Session:
                       program: Program, goal: str, *,
                       deadline: Optional[float] = None) -> Decision:
         """Decide ``union subseteq Q_Pi`` disjunct-wise (Theorem 2.3)."""
+        from .core import containment
+
         start = perf_counter()
         with self._deadline(deadline), self.activated():
-            held = _containment.ucq_contained_in_datalog(union, program, goal)
+            held = containment.ucq_contained_in_datalog(union, program, goal)
         return self._decision(
             "containment", {"contained": held},
             stats={"union_disjuncts": len(union)},
@@ -442,11 +450,13 @@ class Session:
                                goal: str, *,
                                deadline: Optional[float] = None) -> Decision:
         """Decide ``Q'_Pi' subseteq Q_Pi`` for nonrecursive Pi'."""
+        from .core import containment
+
         start = perf_counter()
         with self._deadline(deadline), self.activated():
             # The perfbench-patched name of
             # nonrecursive_contained_in_datalog (ROADMAP items 7 and 9).
-            held = _containment.decide_nonrecursive_in_datalog(
+            held = containment.decide_nonrecursive_in_datalog(
                 nonrecursive, nonrecursive_goal, program, goal)
         return self._decision(
             "containment", {"contained": held},
@@ -464,8 +474,10 @@ class Session:
         """Decide ``Pi == Pi'`` for nonrecursive Pi' (Theorem 6.5),
         with per-phase timings (``unfold_s`` / ``backward_s`` /
         ``forward_s``)."""
+        from .core import equivalence
+
         with self._deadline(deadline), self.activated():
-            result = _equivalence.is_equivalent_to_nonrecursive(
+            result = equivalence.is_equivalent_to_nonrecursive(
                 program, nonrecursive, goal,
                 nonrecursive_goal=nonrecursive_goal)
         return self._equivalence_decision(result)
@@ -474,8 +486,10 @@ class Session:
                           union: UnionOfConjunctiveQueries, *,
                           deadline: Optional[float] = None) -> Decision:
         """Decide ``Pi == union`` (the Theorem 5.12 form)."""
+        from .core import equivalence
+
         with self._deadline(deadline), self.activated():
-            result = _equivalence.equivalent_to_ucq(program, goal, union)
+            result = equivalence.equivalent_to_ucq(program, goal, union)
         return self._equivalence_decision(result)
 
     def _equivalence_decision(self, result) -> Decision:
@@ -496,8 +510,10 @@ class Session:
         when one is found, at the minimal depth; ``stats``/``timings``
         report the per-depth probe work.
         """
+        from .core import boundedness
+
         with self._deadline(deadline), self.activated():
-            result = _boundedness.search_boundedness(
+            result = boundedness.search_boundedness(
                 program, goal, max_depth=max_depth)
         return self._decision(
             "boundedness",
@@ -776,6 +792,8 @@ def decide_payload(fields: Mapping[str, Any],
     target is the ``union`` program unfolded at ``union_goal``
     (default: ``goal``), else the program's own depth-``union_depth``
     expansion union."""
+    from .datalog.unfold import expansion_union, unfold_nonrecursive
+
     program, goal = read_program(fields["program"]), fields["goal"]
     payload: Dict[str, Any] = {
         "program": program, "goal": goal,

@@ -1,22 +1,16 @@
 """Expansion trees, proof trees, and strong containment mappings
 (Sections 2.3 and 5.1 of the paper)."""
 
-from .expansion import ExpansionTree, expansion_queries, unfolding_trees
-from .proof import (
-    OccurrenceClasses,
-    is_proof_tree,
-    proof_tree_to_expansion_tree,
-    proof_trees,
-    var_space,
-    varnum,
-)
-from .render import render_figure, render_tree
-from .strong import (
-    brute_force_contained,
-    find_strong_containment_mapping,
-    has_strong_containment_mapping,
-    ucq_covers_proof_tree,
-)
+from ..lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".expansion": "ExpansionTree expansion_queries unfolding_trees",
+    ".proof": "OccurrenceClasses is_proof_tree proof_tree_to_expansion_tree"
+              " proof_trees var_space varnum",
+    ".render": "render_figure render_tree",
+    ".strong": "brute_force_contained find_strong_containment_mapping"
+               " has_strong_containment_mapping ucq_covers_proof_tree",
+})
 
 __all__ = [
     "ExpansionTree",

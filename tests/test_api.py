@@ -33,6 +33,14 @@ def test_all_entries_resolve(name):
     assert getattr(module, "__all__", None), f"{name} lacks __all__"
     for entry in module.__all__:
         assert hasattr(module, entry), f"{name}.__all__ lists missing {entry!r}"
+    # A lazily exported name is the very object its submodule defines,
+    # and every lazy name is public.
+    lazy = getattr(getattr(module, "__getattr__", None), "origin", {})
+    for entry, (submodule, attr) in lazy.items():
+        assert entry in module.__all__, f"{name} exports {entry!r} lazily only"
+        defining = importlib.import_module(submodule, name)
+        assert getattr(module, entry) is getattr(defining, attr), (
+            f"{name}.{entry} is not {defining.__name__}.{attr}")
 
 
 @pytest.mark.parametrize("name", MODULES)
