@@ -1,6 +1,6 @@
 """Deterministic fault injection for the resilient execution layer.
 
-Crash recovery, deadlines, and the degradation ladder are only
+Crash recovery, deadlines, and bounded retries are only
 trustworthy if their recovery paths are *provable* -- so every fault
 this module injects is deterministic and replayable: a
 :class:`ChaosSchedule` is a tuple of :class:`Fault` entries, each
@@ -24,12 +24,12 @@ Fault kinds and what they exercise:
     must interrupt it; without one it eventually completes (so planted
     hangs also measure watchdogs).
 ``memory``
-    ``MemoryError`` mid-decision (the EXPTIME blow-up case), which the
-    degradation ladder must absorb by retrying a cheaper rung.
+    ``MemoryError`` mid-decision (the EXPTIME blow-up case), which a
+    retry on the job's own engine must absorb.
 ``corrupt``
     A payload that fails to build (:class:`PayloadCorruption`),
-    exercising the error taxonomy's ``corrupt`` category and the
-    retry-on-next-rung path.
+    exercising the error taxonomy's ``corrupt`` category and its
+    retry.
 
 Schedules travel as compact spec strings (the ``REPRO_CHAOS``
 environment variable and the runner's ``--chaos`` flag)::

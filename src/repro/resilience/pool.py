@@ -6,13 +6,13 @@ both the batch runner and the daemon.  This module is the only place
 that handles them, and the only place that spawns executors:
 
 * **Worker side.**  :func:`attempt_loop` runs one job.  Each try
-  injects chaos (:mod:`repro.resilience.chaos`) and calls the job on
-  one ladder rung under the deadline; a failure is classified
+  injects chaos (:mod:`repro.resilience.chaos`) and calls the job
+  under the deadline; a failure is classified
   (:func:`classify_failure`), backed off (:class:`RetryPolicy`, jitter
-  hashed from the job key) and moves to the next rung, except after a
-  timeout.  The result comes back stamped with ``attempts``,
-  ``stats["retried_after"]`` and ``degraded_to``, or as a
-  :class:`Quarantined` record once ``max_attempts`` tries are spent.
+  hashed from the job key) and retried the same way, whatever its
+  category.  The result comes back stamped with ``attempts`` and
+  ``stats["retried_after"]``, or as a :class:`Quarantined` record
+  once ``max_attempts`` tries are spent.
 * **Submitting side.**  :class:`WorkerPool` owns the process or thread
   executor and the one worker initializer.  Only a worker death
   escapes the attempt loop (a chaos ``crash`` in a process worker
@@ -34,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..budget import BudgetExhausted, time_budget
 from . import chaos
@@ -82,8 +82,8 @@ class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic
     jitter.
 
-    ``max_attempts`` counts every try of a job -- ladder rungs inside
-    a worker and resubmissions after a worker death alike -- so a
+    ``max_attempts`` counts every try of a job -- retries inside a
+    worker and resubmissions after a worker death alike -- so a
     wildcard fault cannot loop forever.  Jitter is hashed from
     ``(job key, failures)`` rather than drawn from a RNG: reruns of
     the same batch sleep the same schedule, keeping chaos tests
@@ -183,21 +183,18 @@ def _worker_init(process: bool) -> None:
         chaos.mark_worker()
 
 
-def attempt_loop(call: Callable[[str], Any],
-                 rungs: Sequence[str], config: PoolConfig, *, key: str,
-                 label: str, deadline_s: Optional[float],
+def attempt_loop(call: Callable[[], Any], config: PoolConfig, *,
+                 key: str, label: str, deadline_s: Optional[float],
                  first_attempt: int = 1) -> Any:
-    """Try ``call(rung)`` under a *deadline_s* budget until it
-    answers or the tries run out.
+    """Try ``call()`` under a *deadline_s* budget until it answers or
+    the tries run out.
 
     Tries are numbered from *first_attempt* (above 1 when the pool
-    resubmits after a worker death) up to ``config.max_attempts`` and
-    walk *rungs* one per failure, staying on the last.  A timed-out
-    try retries on its own rung: every later rung is slower, so it
-    would only time out again.  *label* is
-    what chaos faults match; *key* seeds the backoff jitter.  Returns
-    the call's result (a :class:`~repro.session.Decision`) with
-    ``attempts``, ``degraded_to`` (when a later rung answered) and
+    resubmits after a worker death) up to ``config.max_attempts``.
+    Every failure retries the same call: a job runs on its own engine
+    or not at all.  *label* is what chaos faults match; *key* seeds the
+    backoff jitter.  Returns the call's result (a
+    :class:`~repro.session.Decision`) with ``attempts`` and
     ``stats["retried_after"]`` (the failed tries) set, or a
     :class:`Quarantined` record.
     """
@@ -206,28 +203,22 @@ def attempt_loop(call: Callable[[str], Any],
     policy = config.policy()
     failures: List[str] = []
     category = "error"
-    step = 0
     for attempt in range(first_attempt, config.max_attempts + 1):
         if failures:
             time.sleep(policy.backoff(key, attempt - 1))
-        rung = rungs[min(step, len(rungs) - 1)]
         nth = chaos.next_job_index()
         try:
             # The budget covers chaos injection too: a planted hang is
             # cut by the same deadline as the call.
             with time_budget(deadline_s):
                 chaos.inject(label, nth, attempt, schedule=schedule)
-                result = call(rung)
+                result = call()
         except Exception as exc:
             category = classify_failure(exc)
-            failures.append(f"attempt {attempt} [{rung}] {category}: "
+            failures.append(f"attempt {attempt} {category}: "
                             f"{type(exc).__name__}: {exc}")
-            if category != "timeout":
-                step += 1
             continue
         result.attempts = attempt
-        if rung != rungs[0]:
-            result.degraded_to = rung
         if failures:
             result.stats.setdefault("retried_after", failures)
         return result

@@ -38,8 +38,7 @@ Design points (each load-bearing for correctness or fairness):
   entry exits nonzero from the CLI.
 * **Resilience.**  Every job runs through the attempt loop of
   :mod:`repro.resilience.pool` (per-job deadline, chaos injection,
-  the degradation ladder -- failed evaluation jobs retry one rung
-  down: columnar -> interpretive -- and in-place quarantine), and the
+  retries on the job's own engine, and in-place quarantine), and the
   parallel path is a client of its :class:`~repro.resilience.WorkerPool`:
   a worker crash no longer aborts the batch -- the pool is respawned
   and the dead shard's jobs retry alone, with bounded attempts and
@@ -67,7 +66,6 @@ from ..resilience import (
     Quarantined,
     WorkerPool,
     attempt_loop,
-    ladder_rungs,
 )
 from ..session import Decision, Session
 from ..workloads.scenarios import (
@@ -148,14 +146,18 @@ def worker_session(label: str,
     return session
 
 
-def _run_cell(job: Job, engine_label: str) -> Decision:
-    """Run *job*'s scenario on an explicit engine -- the job's own
-    engine normally, a ladder rung on degraded
-    retries.  ``meta`` always carries the *requested* cell (the batch
-    reassembles results by it); :attr:`~repro.session.Decision.degraded_to`
-    records the answering rung when they differ."""
+def run_decision(job: Job) -> Decision:
+    """Run one job in the current process and return its
+    :class:`~repro.session.Decision`.
+
+    The decision's ``meta`` carries the matrix cell and the wall-clock
+    seconds for the whole scenario run (payload construction included
+    -- scenario builds are part of the served work); its payload
+    (``certificate``/``raw``) is stripped so decisions pickle cheaply
+    across the process pool.
+    """
     scenario = get_scenario(job.scenario)
-    session = worker_session(engine_label)
+    session = worker_session(job.engine)
     start = time.perf_counter()
     decision = session.run_scenario(scenario)
     seconds = time.perf_counter() - start
@@ -167,19 +169,6 @@ def _run_cell(job: Job, engine_label: str) -> Decision:
         "pid": os.getpid(),
     })
     return decision.without_payload()
-
-
-def run_decision(job: Job) -> Decision:
-    """Run one job in the current process and return its
-    :class:`~repro.session.Decision`.
-
-    The decision's ``meta`` carries the matrix cell and the wall-clock
-    seconds for the whole scenario run (payload construction included
-    -- scenario builds are part of the served work); its payload
-    (``certificate``/``raw``) is stripped so decisions pickle cheaply
-    across the process pool.
-    """
-    return _run_cell(job, job.engine)
 
 
 def quarantine_decision(job: Job, *, attempts: int, category: str,
@@ -220,16 +209,14 @@ def _quarantine(job: Job, failure: Quarantined) -> Decision:
 def run_job(job: Job, config: PoolConfig,
             first_attempt: int = 1) -> Decision:
     """Run one job through the pool's attempt loop: chaos injection,
-    the per-job deadline, and the degradation ladder (evaluation jobs
-    walk it one rung per failure); a job whose tries run out comes
-    back as its quarantine record.  Also the pool's resubmission
-    entry point for a dead shard's jobs, run alone in whatever worker
-    picks them up."""
-    decision_kind = get_scenario(job.scenario).kind in DECISION_KINDS
+    the per-job deadline, and retries on the job's own engine; a job
+    whose tries run out comes back as its quarantine record.  Also the
+    pool's resubmission entry point for a dead shard's jobs, run alone
+    in whatever worker picks them up."""
     outcome = attempt_loop(
-        partial(_run_cell, job), ladder_rungs(job.engine, decision_kind),
-        config, key=_job_key(job), label=job.scenario,
-        deadline_s=config.deadline_s, first_attempt=first_attempt)
+        partial(run_decision, job), config, key=_job_key(job),
+        label=job.scenario, deadline_s=config.deadline_s,
+        first_attempt=first_attempt)
     if isinstance(outcome, Quarantined):
         return _quarantine(job, outcome)
     return outcome

@@ -17,7 +17,7 @@ Examples::
         --chaos "crash:scenario=eval_tc_grid_10x10,attempt=1"
 
 Exit status: 0 when every job answered and matched ground truth
-(degraded rungs included); 1 when any verdict missed its ground truth
+(retried jobs included); 1 when any verdict missed its ground truth
 (or, under ``--verify-serial``, the parallel run disagreed with the
 serial one); 2 when verdicts all held but one or more jobs were
 quarantined after exhausting their retries.  See
@@ -101,22 +101,21 @@ def _labels(spec: str, table: Dict) -> List[str]:
 
 def _print_error_summary(records: List[Dict]) -> None:
     """The per-error-category summary table (only printed when some
-    job failed a try: quarantines, retries, or degradations)."""
+    job failed a try: quarantines or retries)."""
     by_category: Dict[str, int] = {}
     retried = sum(1 for r in records if r["attempts"] > 1)
-    degraded = sum(1 for r in records if r.get("degraded_to"))
     for record in records:
         error = record.get("error")
         if error is not None:
             by_category[error] = by_category.get(error, 0) + 1
-    if not by_category and not retried and not degraded:
+    if not by_category and not retried:
         return
     print("error summary:")
     print(f"  {'category':12s} {'quarantined':>11s}")
     for category in ERROR_CATEGORIES:
         if category in by_category:
             print(f"  {category:12s} {by_category[category]:>11d}")
-    print(f"  jobs retried: {retried}, answered degraded: {degraded}, "
+    print(f"  jobs retried: {retried}, "
           f"quarantined: {sum(by_category.values())}")
 
 
@@ -155,11 +154,8 @@ def main(argv=None) -> int:
             flag = "QUAR"
         else:
             flag = "ok " if record["ok"] else "FAIL"
-        extra = ""
-        if record["attempts"] > 1:
-            extra += f"  attempts={record['attempts']}"
-        if record.get("degraded_to"):
-            extra += f"  degraded_to={record['degraded_to']}"
+        extra = (f"  attempts={record['attempts']}"
+                 if record["attempts"] > 1 else "")
         print(f"  {flag} {record['scenario']:32s} "
               f"{record['engine']:12s} "
               f"{record['seconds']*1000:9.1f}ms  {record['verdict']}"

@@ -44,26 +44,22 @@ decisions/sec into ``BENCH_service.json``.
 
 from __future__ import annotations
 
-from ..resilience import PoolConfig
-from .admission import AdmissionController
-from .cache import ResultCache
-from .coalescer import Coalescer
-from .protocol import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    Request,
-    coalesce_key,
-    decode_request,
-    decision_response,
-    encode_response,
-    error_response,
-    fingerprint_for,
-    ok_response,
-    overload_response,
-    status_response,
-)
-from .server import ServiceConfig, ServiceServer, start_in_thread
+from ..lazy import lazy_exports
+
+# The client needs only the protocol module: nothing here is imported
+# before first use.  The daemon imports ``.server``, whose pool loads
+# the decision stack before its workers fork.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..resilience": "PoolConfig",
+    ".admission": "AdmissionController",
+    ".cache": "ResultCache",
+    ".coalescer": "Coalescer",
+    ".protocol": "MAX_LINE_BYTES PROTOCOL_VERSION ProtocolError Request"
+                 " coalesce_key decode_request decision_response"
+                 " encode_response error_response fingerprint_for"
+                 " ok_response overload_response status_response",
+    ".server": "ServiceConfig ServiceServer start_in_thread",
+})
 
 __all__ = [
     "AdmissionController",

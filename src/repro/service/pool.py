@@ -14,9 +14,9 @@ batch runner.
 against the request's :meth:`~repro.service.protocol.Request.chaos_label`
 (so ``REPRO_CHAOS``-style drills work unchanged against the daemon),
 the request's ``deadline_s`` (else the pool's) bounds every try, and
-the backoff jitter is keyed on the request's coalescing key.  The one
-rung is the request's own engine: a served record's fingerprint must
-match its coalescing key, so the service never degrades.
+the backoff jitter is keyed on the request's coalescing key.  Every
+try runs on the request's own engine, so a served record's fingerprint
+always matches its coalescing key.
 
 A deadline fires the same way under both executors; under the thread
 executor chaos ``crash`` faults raise
@@ -104,7 +104,7 @@ def service_execute(op: str, payload: Dict[str, Any], key: str,
     session = worker_session(request.engine, sessions=_sessions(),
                              name="service")
 
-    def call(_rung: str) -> Decision:
+    def call() -> Decision:
         if op == "decide":
             decision = session.run_payload(payload["kind"],
                                            decide_payload(payload))
@@ -125,6 +125,6 @@ def service_execute(op: str, payload: Dict[str, Any], key: str,
         # The batch runner's wire shape: payloads stay in the worker.
         return decision.without_payload()
 
-    return attempt_loop(call, [request.engine], config, key=key,
+    return attempt_loop(call, config, key=key,
                         label=request.chaos_label(), deadline_s=deadline_s,
                         first_attempt=first_attempt)

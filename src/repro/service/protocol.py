@@ -467,10 +467,12 @@ def overload_response(request_id, *, queue_depth: int, capacity: int,
 
 
 def status_response(request_id, status: Mapping) -> Dict[str, Any]:
+    """The reply to a ``status`` op: the server's counters."""
     return {"id": request_id, "type": "status", "status": dict(status)}
 
 
 def ok_response(request_id) -> Dict[str, Any]:
+    """A bare acknowledgement (the reply to ``shutdown``)."""
     return {"id": request_id, "type": "ok"}
 
 

@@ -102,14 +102,12 @@ class Decision:
     ground-truth check when one exists (scenario runs); ``meta`` holds
     carrier fields (scenario name, matrix cell, worker pid).
 
-    The resilience layer adds three fields: ``error`` is the
+    The resilience layer adds two fields: ``error`` is the
     error-taxonomy category of a job that was quarantined after
     exhausting its retries (``None`` for a real verdict); ``attempts``
-    counts the tries that produced this decision (1 = first try);
-    ``degraded_to`` names the ladder rung (an engine label such as
-    ``"interpretive"``) that answered when it was not the requested
-    configuration.  All three
-    round-trip through :meth:`record`.
+    counts the tries that produced this decision (1 = first try; every
+    retry runs on the same configuration).  Both round-trip through
+    :meth:`record`.
 
     ``raw`` is the procedure's own result object
     (:class:`~repro.core.tree_containment.ContainmentResult`,
@@ -131,7 +129,6 @@ class Decision:
     checksum: Optional[str] = None
     error: Optional[str] = None
     attempts: int = 1
-    degraded_to: Optional[str] = None
     certificate: Any = field(default=None, repr=False)
     meta: Dict[str, Any] = field(default_factory=dict)
     raw: Any = field(default=None, repr=False, compare=False)
@@ -164,8 +161,6 @@ class Decision:
             rec["checksum"] = self.checksum
         if self.error is not None:
             rec["error"] = self.error
-        if self.degraded_to is not None:
-            rec["degraded_to"] = self.degraded_to
         return rec
 
     #: Dataclass fields surfaced as record keys (uniform fields win
@@ -174,7 +169,7 @@ class Decision:
                       "fingerprint", "attempts")
 
     #: Optional fields that appear as record keys only when set.
-    _OPTIONAL_FIELDS = ("checksum", "error", "degraded_to")
+    _OPTIONAL_FIELDS = ("checksum", "error")
 
     def __getitem__(self, key: str) -> Any:
         # Field-direct reads: hot in the batch runner (job-order

@@ -16,6 +16,7 @@ MODULES = [
     "repro.programs",
     "repro.resilience",
     "repro.runner",
+    "repro.service",
     "repro.trees",
     "repro.workloads",
 ]

@@ -5,8 +5,9 @@ so nothing this test process has already imported can hide a load.
 An evaluation caller never loads the decision stack (the automata,
 proof trees and conjunctive queries), and neither evaluation nor a
 decision loads the batch runner, the service, the scenario registry,
-the lower-bound encodings or the fuzz harness.  The service loads the
-whole decision stack before its pool forks.
+the lower-bound encodings or the fuzz harness.  The service daemon
+loads the whole decision stack before its pool forks; the service
+client loads none of it.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def test_lazy_packages_import_no_submodule():
     thread importing that submodule holds while waiting for the
     package: two first decisions at once could deadlock."""
     packages = ["repro", "repro.datalog", "repro.core", "repro.cq",
-                "repro.automata", "repro.trees"]
+                "repro.automata", "repro.trees", "repro.service"]
     loaded = _loaded_after(f"import {', '.join(packages)}\n")
     assert sorted(loaded) == sorted(packages + ["repro.lazy"])
 
@@ -109,10 +110,19 @@ def test_free_functions_build_the_default_session():
         "print(current_session().name)\n") == "default"
 
 
+def test_service_client_loads_no_decision_stack():
+    """``python -m repro request`` needs the wire protocol only."""
+    loaded = _loaded_after(
+        "from repro.service.client import ServiceClient\n")
+    assert "repro.service.protocol" in loaded
+    assert _under(loaded, ("repro.runner", "repro.workloads",
+                           "repro.lowerbounds", "repro.core.")) == []
+
+
 def test_service_preloads_the_decision_stack():
-    """Pool workers fork from the daemon warm: importing the service
+    """Pool workers fork from the daemon warm: importing the server
     loads every module a session method imports on first use."""
-    loaded = _loaded_after("import repro.service\n")
+    loaded = _loaded_after("import repro.service.server\n")
     assert {"repro.core.boundedness", "repro.core.containment",
             "repro.core.equivalence", "repro.cq.query",
             "repro.datalog.magic", "repro.datalog.unfold"} <= set(loaded)

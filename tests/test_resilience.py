@@ -1,5 +1,5 @@
 """The resilient execution layer: error taxonomy, deterministic
-chaos, the degradation ladder, the worker pool, and universal
+chaos, retries on a job's own engine, the worker pool, and universal
 deadlines (:mod:`repro.resilience` plus the runner integration).
 
 Every fault is planted deterministically through a
@@ -18,7 +18,6 @@ import pytest
 
 from repro.budget import BudgetExhausted, check_deadline, time_budget
 from repro.resilience import (
-    ENGINE_CHAIN,
     ERROR_CATEGORIES,
     ChaosSchedule,
     Fault,
@@ -30,13 +29,11 @@ from repro.resilience import (
     WorkerPool,
     attempt_loop,
     classify_failure,
-    ladder_rungs,
     parse_schedule,
 )
 from repro.resilience import chaos
 from repro.runner import cli as runner_cli
 from repro.runner.batch import (
-    ENGINE_CONFIGS,
     Job,
     build_jobs,
     quarantine_decision,
@@ -53,7 +50,7 @@ from .conftest import run_in_thread
 # repeated pool spawns.
 SMALL = ["bounded_buys", "contain_tc_trunc2"]
 
-#: A small evaluation scenario: the kind that degrades down the ladder.
+#: A small evaluation scenario, run on the columnar engine.
 EVAL = "eval_sg_tree_d5"
 
 
@@ -133,22 +130,8 @@ def test_hang_fault_is_cut_by_the_deadline():
 
 
 # ----------------------------------------------------------------------
-# The degradation ladder.
+# Retry backoff.
 # ----------------------------------------------------------------------
-
-def test_ladder_rungs_axes():
-    # Evaluation kinds degrade the engine axis from their own position.
-    assert ladder_rungs("columnar", decision=False) == [
-        "columnar", "interpretive"]
-    assert ladder_rungs("interpretive", decision=False) == ["interpretive"]
-    # Decision kinds keep one rung and retry on it.
-    assert ladder_rungs("columnar", decision=True) == ["columnar"]
-    # Unknown labels degrade nowhere: retry in place.
-    assert ladder_rungs("custom", decision=False) == ["custom"]
-    assert ENGINE_CHAIN[0] == "columnar"
-    # Every rung is a configuration the runner can build.
-    assert set(ENGINE_CHAIN) == set(ENGINE_CONFIGS)
-
 
 def test_backoff_is_deterministic_and_bounded():
     policy = RetryPolicy(backoff_base_s=0.05, backoff_max_s=2.0)
@@ -194,31 +177,39 @@ def test_session_deadline_fires_off_main_thread():
 
 
 # ----------------------------------------------------------------------
-# Serial resilience: retry, ladder, quarantine.
+# Serial resilience: retry, quarantine.
 # ----------------------------------------------------------------------
 
-def test_memory_fault_recovers_on_a_degraded_rung():
-    jobs = small_jobs(scenarios=[EVAL])
-    config = PoolConfig(chaos=f"memory:scenario={EVAL},attempt=1")
+@pytest.mark.parametrize("fault", ["memory", "hang"])
+def test_failed_job_retries_on_its_own_engine(fault):
+    """Every failure retries on the job's own engine: the answer is
+    the clean run's, computed by the engine the job asked for."""
+    # No scenario key: the fault fires on the first try of both jobs.
+    spec = {"memory": "memory:attempt=1",
+            "hang": "hang:attempt=1,seconds=30"}[fault]
+    config = PoolConfig(deadline_s=0.3 if fault == "hang" else None,
+                        backoff_base_s=0.001, chaos=spec)
+    jobs = small_jobs(scenarios=["bounded_buys", EVAL])
     clean = run_shard(jobs)
-    [decision] = run_shard(jobs, config=config)
-    assert decision.ok is True
-    assert decision.attempts == 2
-    assert decision.degraded_to == "interpretive"
-    assert decision["verdict"] == clean[0]["verdict"]
-    assert any("memory" in entry
-               for entry in decision.stats["retried_after"])
-    # The record survives a JSON round-trip with the new fields.
-    record = json.loads(json.dumps(decision.record()))
-    assert record["attempts"] == 2
-    assert record["degraded_to"] == "interpretive"
-    assert "error" not in record
-    # A decision job retries on its own (only) rung.
-    config = PoolConfig(chaos="memory:scenario=bounded_buys,attempt=1")
-    [decision] = run_shard(small_jobs(scenarios=["bounded_buys"]),
-                           config=config)
-    assert decision.ok is True and decision.attempts == 2
-    assert decision.degraded_to is None
+    recovered = run_shard(jobs, config=config)
+    category = "timeout" if fault == "hang" else "memory"
+    for before, decision in zip(clean, recovered):
+        assert decision.ok is True and decision.attempts == 2
+        assert decision.meta["engine"] == "columnar"
+        # The fingerprint names the configuration that computed.
+        assert decision.fingerprint == before.fingerprint
+        assert decision["verdict"] == before["verdict"]
+        assert decision.checksum == before.checksum
+        assert decision.stats["retried_after"][0].startswith(
+            f"attempt 1 {category}: ")
+        # The record survives a JSON round-trip and carries the clean
+        # run's fields, no more: no error, no other answering engine.
+        record = json.loads(json.dumps(decision.record()))
+        assert record["attempts"] == 2
+        assert record.keys() == before.record().keys()
+    # The evaluation job (bounded_buys sorts first) has a row digest.
+    assert recovered[1]["scenario"] == EVAL
+    assert recovered[1].checksum is not None
 
 
 def test_wildcard_crash_quarantines_after_max_attempts():
@@ -249,19 +240,6 @@ def test_hang_fault_is_bounded_and_recovered_serially():
                for entry in decision.stats["retried_after"])
 
 
-def test_timed_out_evaluation_retries_on_its_own_rung():
-    """A timeout does not walk the ladder: the slower interpretive
-    rung could only miss the same deadline again."""
-    jobs = small_jobs(scenarios=[EVAL])
-    config = PoolConfig(deadline_s=0.3, backoff_base_s=0.001,
-                        chaos=f"hang:scenario={EVAL},attempt=1,seconds=30")
-    [decision] = run_shard(jobs, config=config)
-    assert decision.ok is True and decision.attempts == 2
-    assert decision.degraded_to is None
-    assert decision.stats["retried_after"][0].startswith(
-        "attempt 1 [columnar] timeout")
-
-
 def test_quarantine_decision_shape():
     decision = quarantine_decision(
         Job("bounded_buys", "columnar"),
@@ -290,7 +268,6 @@ def test_pool_crash_mid_shard_completes_and_matches_serial():
     assert all(r["ok"] for r in recovered)
     by_scenario = {r["scenario"]: r for r in recovered}
     assert by_scenario["bounded_buys"]["attempts"] >= 2
-    assert "degraded_to" not in by_scenario["bounded_buys"]
 
 
 def test_pool_wildcard_crash_quarantines_without_charging_neighbors():
@@ -310,8 +287,8 @@ def test_pool_wildcard_crash_quarantines_without_charging_neighbors():
 def _labelled_job(label, config, first_attempt):
     """A pool job: the attempt loop around a trivial decision."""
     return attempt_loop(
-        lambda _rung: Decision("evaluation", {"label": label}),
-        ["columnar"], config, key=label, label=label, deadline_s=None,
+        lambda: Decision("evaluation", {"label": label}),
+        config, key=label, label=label, deadline_s=None,
         first_attempt=first_attempt)
 
 
@@ -359,8 +336,9 @@ def test_cli_recovers_and_exits_zero(capsys):
         "--chaos", f"memory:scenario={EVAL},attempt=1"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "attempts=2" in out and "degraded_to=interpretive" in out
-    assert "error summary:" in out and "answered degraded: 1" in out
+    assert "attempts=2" in out and "degraded" not in out
+    assert "error summary:" in out
+    assert "jobs retried: 1, quarantined: 0" in out
 
 
 def test_cli_quarantine_exits_two_and_writes_artifact(tmp_path, capsys):
