@@ -66,7 +66,7 @@ are built only when a caller asks for them.
 from __future__ import annotations
 
 import weakref
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import eq as _eq
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -287,8 +287,8 @@ class ColumnStore:
 
     Extensional relations are *shared* with the cached
     :class:`EdbImage`; relations the program derives into (the IDB
-    predicates) get private copies of their columns, packed-key sets,
-    and indexes, maintained incrementally per batch insert.
+    predicates) get private copies of their columns and packed-key
+    sets, extended per batch insert, and indexes, extended when probed.
     :meth:`~repro.datalog.plan.JoinPlan.resolve` binds compiled plans
     against it through :meth:`resolve`.
     """
@@ -308,7 +308,8 @@ class ColumnStore:
         self._cols: Dict[str, List[List[int]]] = {}
         self._counts: Dict[str, int] = {}
         self._keys: Dict[str, Set[int]] = {}
-        self._indexes: Dict[Tuple[str, int], Dict[int, List[int]]] = {}
+        #: (predicate, position) -> (index, rows indexed so far).
+        self._indexes: Dict[Tuple[str, int], tuple] = {}
         self._arity: Dict[str, int] = {}
         self.base = 0  # set by seal()
         for predicate in self._idb:
@@ -360,20 +361,21 @@ class ColumnStore:
     def index(self, predicate: str, position: int):
         """The hash index for a probe, as ``(mapping, unique)`` --
         image-cached (with the unique-key specialization) for
-        extensional relations; private, list-valued, and incrementally
-        maintained for derived ones."""
+        extensional relations; private and list-valued for derived
+        ones, extended at probe time over the rows added since its
+        last probe (so an index no later stage probes costs nothing
+        to keep)."""
         if predicate not in self._idb:
             return self._image.index(predicate, position)
         key = (predicate, position)
-        index = self._indexes.get(key)
-        if index is None:
-            index = {}
+        index, upto = self._indexes.get(key) or ({}, 0)
+        count = self._counts.get(predicate, 0)
+        if upto < count:
             setdefault = index.setdefault
-            cols = self._cols.get(predicate)
-            if cols:
-                for row_id, value in enumerate(cols[position]):
-                    setdefault(value, []).append(row_id)
-            self._indexes[key] = index
+            for row_id, value in enumerate(
+                    islice(self._cols[predicate][position], upto, None), upto):
+                setdefault(value, []).append(row_id)
+        self._indexes[key] = (index, count)
         return index, False
 
     def keyset(self, predicate: str) -> Set[int]:
@@ -390,36 +392,30 @@ class ColumnStore:
             self._keys[predicate] = keys
         return keys
 
-    def add_keys(self, predicate: str, keys: Iterable[int],
+    def add_keys(self, predicate: str, fresh: Set[int],
                  arity: int) -> Optional[Batch]:
-        """Insert rows (given by packed key); maintain columns, the
-        keyset and registered indexes; return the genuinely fresh rows
-        as a :class:`Batch` (``None`` when every row was already
-        present)."""
-        existing = self.keyset(predicate)
-        fresh = set(keys).difference(existing)
+        """Insert rows given by packed key, none of them in the
+        relation yet (:func:`execute_batch_fused` subtracted its
+        keyset); maintain columns and the keyset; return the rows as a
+        :class:`Batch` (``None`` when *fresh* is empty).  *fresh*
+        becomes the keyset while that is still empty."""
         if not fresh:
             return None
-        existing.update(fresh)
+        existing = self.keyset(predicate)
+        if existing:
+            existing.update(fresh)
+        else:
+            self._keys[predicate] = fresh
         fresh_keys = list(fresh)
         fresh_cols = _unpack(fresh_keys, arity, self.base)
         cols = self._cols.get(predicate)
         if cols is None:
             cols = self._cols[predicate] = [[] for _ in range(arity)]
             self._counts[predicate] = 0
-        start = self._counts[predicate]
-        count = len(fresh_keys)
         for column, fresh_column in zip(cols, fresh_cols):
             column.extend(fresh_column)
-        self._counts[predicate] = start + count
+        self._counts[predicate] += len(fresh_keys)
         self._arity.setdefault(predicate, arity)
-        for (pred, position), index in self._indexes.items():
-            if pred != predicate:
-                continue
-            setdefault = index.setdefault
-            column = fresh_cols[position] if arity else ()
-            for offset, value in enumerate(column):
-                setdefault(value, []).append(start + offset)
         return Batch(fresh_keys, fresh_cols)
 
     def domain(self) -> List[int]:
@@ -618,11 +614,11 @@ def _probe_multi(index, key_col, needs_f: bool):
 
 def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                         delta: Optional[Batch] = None,
-                        dedup: Optional[Set[int]] = None) -> List[int]:
+                        dedup: Optional[Set[int]] = None) -> Set[int]:
     """One application of *rplan* over whole column slices.
 
-    Returns the packed keys of the derived head rows that are not in
-    *dedup* (the stable store's keyset), deduplicated within the batch.
+    Returns the set of packed keys of the derived head rows that are
+    not in *dedup* (the stable store's keyset).
     When *delta* is given, the plan's delta step scans it instead of
     the store (semi-naive mode).
     """
@@ -644,7 +640,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
         gathered: Dict[int, Sequence[int]] = {}
         if step.scan:
             if rel_n == 0:
-                return []
+                return set()
             # --- pushed-down filters: relation-level bitmaps ---
             sel: Optional[List[int]] = None  # surviving relation row ids
             for pos, payload in step.const_ops:
@@ -653,7 +649,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                 universe = range(rel_n) if sel is None else sel
                 sel = list(compress(universe, map(payload.__eq__, column)))
                 if not sel:
-                    return []
+                    return set()
             for check_pos, bind_pos in step.samestep:
                 if sel is None:
                     left: Sequence[int] = rel_cols[check_pos]
@@ -665,7 +661,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                     universe = sel
                 sel = list(compress(universe, map(_eq, left, right)))
                 if not sel:
-                    return []
+                    return set()
             if step.join_check is not None and n >= 0:
                 # --- radix-partitioned hash join ---
                 check_pos, jreg = step.join_check
@@ -684,7 +680,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                 out_f = None
                 out_r = range(rel_n) if sel is None else sel
             elif n == 0:
-                return []
+                return set()
             else:
                 # Genuine cross product with the frontier (no shared
                 # variables) -- rare.
@@ -717,20 +713,20 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                 # never compiled).
                 ids = index.get(payload if not is_reg else None)
                 if ids is None:
-                    return []
+                    return set()
                 if unique:
                     ids = [ids]
                 if n <= 0:
                     out_r = list(ids)
                     if n == 0:
-                        return []
+                        return set()
                     out_f = None
                 else:
                     out_r = list(ids) * n
                     out_f = [i for i in range(n) for _ in ids]
 
         if not out_r:
-            return []
+            return set()
 
         # --- residual ops (probe-step filters, spill-over checks) ---
         pending_binds = {reg: pos for pos, reg in step.binds}
@@ -759,7 +755,7 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
                                      map(_eq, column, other)))
             if len(keep) != len(column):
                 if not keep:
-                    return []
+                    return set()
                 out_r = _gather(out_r, keep)
                 identity = False
                 if out_f is not None:
@@ -789,13 +785,13 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
     if n < 0:
         n = 1  # empty body: one empty binding
     if n == 0:
-        return []
+        return set()
 
     # --- unsafe head variables range over the active domain ---
     for reg in rplan.unsafe_regs:
         m = len(domain)
         if m == 0:
-            return []
+            return set()
         spread = [i for i in range(n) for _ in range(m)]
         regs = {r: _gather(col, spread) for r, col in regs.items()}
         regs[reg] = list(domain) * n
@@ -804,10 +800,10 @@ def execute_batch_fused(rplan: ResolvedPlan, store: ColumnStore, domain,
     # --- emit: head columns -> packed keys -> dedup ---
     head_cols = [regs[payload] if is_reg else [payload] * n
                  for is_reg, payload in rplan.head_ops]
-    keys = _pack(head_cols, n, store.base)
+    keys = set(_pack(head_cols, n, store.base))
     if dedup:
-        return list(set(keys).difference(dedup))
-    return list(set(keys))
+        keys.difference_update(dedup)
+    return keys
 
 
 # ----------------------------------------------------------------------
@@ -845,7 +841,7 @@ def columnar_naive(program: Program, database: Database,
                                        dedup=store.keyset(head_predicate))
             entry = derived.get(head_predicate)
             if entry is None:
-                derived[head_predicate] = (set(keys), arity)
+                derived[head_predicate] = (keys, arity)
             else:
                 entry[0].update(keys)
         changed = False
@@ -884,9 +880,10 @@ def columnar_seminaive(program: Program, database: Database,
         """Fold a fresh batch into the round's delta for *predicate*.
 
         Batches from different rules are disjoint by construction
-        (``add_keys`` filtered each against the store, which already
-        held the earlier batches' rows), so concatenation preserves
-        key uniqueness.  Returns whether anything was added.
+        (:func:`execute_batch_fused` filtered each against the keyset,
+        which already held the earlier batches' rows), so
+        concatenation preserves key uniqueness.  Returns whether
+        anything was added.
         """
         if fresh is None:
             return False

@@ -14,6 +14,8 @@ first use and cached until the relation next changes.
 
 from __future__ import annotations
 
+import re
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from ..budget import check_deadline
@@ -36,6 +38,49 @@ def _checked(items: Iterable) -> Iterator:
     for item in items:
         check_deadline()
         yield item
+
+
+#: A term of the common facts shape: an int of at most 640 digits (no
+#: ``sys.set_int_max_str_digits`` setting rejects it), a quoted string,
+#: or a lowercase ASCII identifier.
+_TERM = r"""-?[0-9]{1,640}|'[^'\n]*'|"[^"\n]*"|[a-z][A-Za-z0-9_']*"""
+_SPACE = "[ \t\n]*"
+#: One fact ``pred(term, ..., term).`` with its leading whitespace.
+_FACT = re.compile(rf"{_SPACE}([a-z][A-Za-z0-9_']*){_SPACE}\("
+                   rf"({_SPACE}(?:{_TERM})(?:{_SPACE},{_SPACE}(?:{_TERM}))*)"
+                   rf"{_SPACE}\){_SPACE}\.")
+_TERMS = re.compile(_TERM).findall
+
+
+def _common_facts(source: str) -> Optional[Dict[str, list]]:
+    """The bare-value rows of *source* per predicate, in statement
+    order, when every statement has the common shape (see
+    :data:`_FACT`) and each predicate one arity; ``None`` otherwise,
+    so the parser reads (and words the errors of) everything else."""
+    facts: Dict[str, list] = {}
+    match = _FACT.match
+    pos = count = 0
+    while (fact := match(source, pos)) is not None:
+        count += 1
+        if not count & 4095:  # a 1 MiB literal holds ~50,000 facts
+            check_deadline()
+        pos = fact.end()
+        predicate, args = fact.groups()
+        row = tuple(_TERMS(args))
+        rows = facts.setdefault(predicate, [])
+        if rows and len(rows[0]) != len(row):
+            return None
+        rows.append(row)
+    if source[pos:].strip(" \t\n"):
+        return None
+    for rows in facts.values():
+        # An identifier is its own value; ints and quoted strings are
+        # converted once per distinct text.
+        values = {text: text[1:-1] if text[0] in "'\"" else int(text)
+                  for text in set(chain.from_iterable(rows)) if text[0] < "a"}
+        if values:
+            rows[:] = [tuple(map(values.get, row, row)) for row in rows]
+    return facts
 
 
 def _arity_error(predicate: str, known: int, other: int) -> ArityError:
@@ -85,7 +130,15 @@ class Database:
     @classmethod
     def from_source(cls, source: str) -> "Database":
         """Parse a facts literal: ground, body-less Datalog rules
-        (``e(a, b). e(b, c).``)."""
+        (``e(a, b). e(b, c).``).  One regex pass reads a literal of the
+        common shape into :meth:`add_rows` batches; the parser reads
+        anything else, so contents and errors are the parser's."""
+        facts = _common_facts(source)
+        if facts is not None:
+            db = cls()
+            for predicate, rows in facts.items():
+                db.add_rows(predicate, rows)
+            return db
         atoms = []
         for rule in parse_program(source).rules:
             if rule.body or rule.head.variable_set():

@@ -11,16 +11,18 @@ read the interned id columns directly.
 
 :func:`rows_checksum` is the one digest format of a relation: the
 ``repr`` of its sorted bare-value rows.  The columnar checksum writes
-that same text from sorted value columns, a chunk of rows at a time,
-without building a row tuple, so the two agree byte for byte.
+that same text from the value columns, a chunk of rows at a time,
+without building a row tuple, so the two agree byte for byte: in the
+first column's order when that column's values are distinct, else by
+sorting each row's value ranks packed into one int.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import islice
-from operator import eq
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from operator import add, floordiv, mod, mul
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from ..budget import check_deadline
 from .database import Database
@@ -65,29 +67,49 @@ def rows_checksum(rows) -> str:
     return hashlib.sha1(repr(rows).encode()).hexdigest()[:16]
 
 
+def _ranked_rows(columns: List[Sequence]) -> Iterator[str]:
+    """The row texts of a relation in digest order: its distinct
+    values sorted once, each row's value ranks packed into one int and
+    the ints sorted; each cell's text (brackets and separators
+    included) comes from one ``repr`` per value."""
+    values = _sorted(set().union(*columns), None, _numbers_first)
+    base = len(values)
+    rank = dict(zip(values, range(base))).__getitem__
+    keys = map(rank, columns[0])
+    for column in columns[1:]:
+        keys = map(add, map(mul, keys, repeat(base)), map(rank, column))
+    keys = sorted(keys)
+    texts = list(map(repr, values))
+    # Ranks unpack last column first.
+    cells = [map([text + ")" for text in texts].__getitem__,
+                 map(mod, keys, repeat(base)))]
+    for _ in columns[2:]:
+        keys = list(map(floordiv, keys, repeat(base)))
+        cells.append(map([text + ", " for text in texts].__getitem__,
+                         map(mod, keys, repeat(base))))
+    cells.append(map(["(" + text + ", " for text in texts].__getitem__,
+                     map(floordiv, keys, repeat(base))))
+    return map("".join, zip(*reversed(cells)))
+
+
 def _columns_checksum(columns: List[Sequence], n: int) -> str:
     """``rows_checksum(zip(*columns))`` of *n* distinct rows, written
-    from the value columns: row positions sort by the first column (by
-    every column, last first, when it repeats), and each chunk of rows
-    goes into the hash as its ``repr`` text."""
-    def by(column, order):
-        return _sorted(order, column.__getitem__,
-                       lambda i: _numbers_first(column[i]))
-
+    from the value columns: row positions sort by the first column
+    when its values are distinct, by :func:`_ranked_rows` when they
+    repeat, and each chunk of rows goes into the hash as its ``repr``
+    text."""
     first = columns[0]
     if len(columns) == 1:  # distinct 1-tuples sort as their values do
-        columns = [_sorted(first, None, _numbers_first)]
+        rows = map("(%r,)".__mod__, _sorted(first, None, _numbers_first))
+    elif len(set(first)) < n:
+        rows = _ranked_rows(columns)
     else:
-        order = by(first, range(n))
-        if any(map(eq, map(first.__getitem__, order),
-                   map(first.__getitem__, islice(order, 1, None)))):
-            for column in reversed(columns):
-                order = by(column, order)
-        columns = [map(column.__getitem__, order) for column in columns]
-    # zip recycles its tuple once the row text is built.
-    rows = map(("(%r,)" if len(columns) == 1
-                else "(" + ", ".join(["%r"] * len(columns)) + ")").__mod__,
-               zip(*columns))
+        order = _sorted(range(n), first.__getitem__,
+                        lambda i: _numbers_first(first[i]))
+        # zip recycles its tuple once the row text is built.
+        rows = map(("(" + ", ".join(["%r"] * len(columns)) + ")").__mod__,
+                   zip(*[map(column.__getitem__, order)
+                         for column in columns]))
     digest = hashlib.sha1(b"[")
     for start in range(0, n, _CHUNK):
         check_deadline()

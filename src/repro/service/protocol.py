@@ -61,10 +61,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
-
-from ..datalog.engine import ENGINE_CONFIGS
-from ..resilience import ERROR_CATEGORIES
+from typing import Any, Dict, Mapping, Optional, Union
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -97,8 +94,6 @@ DECIDE_KINDS = ("containment", "equivalence", "boundedness")
 #: Response categories beyond the resilience taxonomy.
 BAD_REQUEST = "bad-request"
 OVERLOAD = "overload"
-RESPONSE_CATEGORIES: Tuple[str, ...] = ERROR_CATEGORIES + (BAD_REQUEST,
-                                                           OVERLOAD)
 
 
 class ProtocolError(ValueError):
@@ -182,6 +177,9 @@ def _choice(value: str, choices, what: str) -> str:
 
 
 def _config_fields(fields: Mapping, what: str) -> Dict[str, Any]:
+    # Imported per call: a client of the protocol loads no engine.
+    from ..datalog.engine import ENGINE_CONFIGS
+
     payload: Dict[str, Any] = {
         "engine": _choice(
             _optional(fields, "engine", str, what, "columnar"),
@@ -367,6 +365,7 @@ def fingerprint_for(engine: str) -> str:
     service's worker sessions for that engine report as
     :attr:`~repro.session.Decision.fingerprint`, computed without
     building an engine."""
+    from ..datalog.engine import ENGINE_CONFIGS
     from ..session import config_fingerprint
 
     return config_fingerprint(ENGINE_CONFIGS[engine])
@@ -437,7 +436,10 @@ def error_response(request_id, category: str, message: str,
     exhausting its retries -- is this response with ``attempts`` set
     to the tries spent.  ``diagnostics`` (when non-empty) carries the
     static analyzer's findings for program-validation rejections."""
-    if category not in RESPONSE_CATEGORIES:
+    # Imported per call: a client of the protocol loads no worker pool.
+    from ..resilience.pool import ERROR_CATEGORIES
+
+    if category not in ERROR_CATEGORIES + (BAD_REQUEST, OVERLOAD):
         raise ValueError(f"unknown error category {category!r}")
     response = {
         "id": request_id,

@@ -111,12 +111,19 @@ def test_free_functions_build_the_default_session():
 
 
 def test_service_client_loads_no_decision_stack():
-    """``python -m repro request`` needs the wire protocol only."""
+    """``python -m repro request`` needs the wire protocol only: no
+    engine, parser or worker pool, and neither ``asyncio`` nor
+    ``concurrent.futures``."""
     loaded = _loaded_after(
-        "from repro.service.client import ServiceClient\n")
+        "from repro.service.client import ServiceClient\n"
+        "import sys\n"
+        "assert 'asyncio' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n")
     assert "repro.service.protocol" in loaded
     assert _under(loaded, ("repro.runner", "repro.workloads",
-                           "repro.lowerbounds", "repro.core.")) == []
+                           "repro.lowerbounds", "repro.core.",
+                           "repro.datalog", "repro.resilience",
+                           "repro.session")) == []
 
 
 def test_service_preloads_the_decision_stack():
