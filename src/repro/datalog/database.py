@@ -45,11 +45,11 @@ def _checked(items: Iterable) -> Iterator:
 #: or a lowercase ASCII identifier.
 _TERM = r"""-?[0-9]{1,640}|'[^'\n]*'|"[^"\n]*"|[a-z][A-Za-z0-9_']*"""
 _SPACE = "[ \t\n]*"
-#: One fact ``pred(term, ..., term).`` with its leading whitespace.
-_FACT = re.compile(rf"{_SPACE}([a-z][A-Za-z0-9_']*){_SPACE}\("
-                   rf"({_SPACE}(?:{_TERM})(?:{_SPACE},{_SPACE}(?:{_TERM}))*)"
-                   rf"{_SPACE}\){_SPACE}\.")
-_TERMS = re.compile(_TERM).findall
+#: One fact ``pred(term, ..., term).`` with its leading whitespace;
+#: compiled on first use (``re`` caches it), not at import.
+_FACT = (rf"{_SPACE}([a-z][A-Za-z0-9_']*){_SPACE}\("
+         rf"({_SPACE}(?:{_TERM})(?:{_SPACE},{_SPACE}(?:{_TERM}))*)"
+         rf"{_SPACE}\){_SPACE}\.")
 
 
 def _common_facts(source: str) -> Optional[Dict[str, list]]:
@@ -58,7 +58,7 @@ def _common_facts(source: str) -> Optional[Dict[str, list]]:
     :data:`_FACT`) and each predicate one arity; ``None`` otherwise,
     so the parser reads (and words the errors of) everything else."""
     facts: Dict[str, list] = {}
-    match = _FACT.match
+    match, terms = re.compile(_FACT).match, re.compile(_TERM).findall
     pos = count = 0
     while (fact := match(source, pos)) is not None:
         count += 1
@@ -66,7 +66,7 @@ def _common_facts(source: str) -> Optional[Dict[str, list]]:
             check_deadline()
         pos = fact.end()
         predicate, args = fact.groups()
-        row = tuple(_TERMS(args))
+        row = tuple(terms(args))
         rows = facts.setdefault(predicate, [])
         if rows and len(rows[0]) != len(row):
             return None

@@ -542,6 +542,22 @@ def test_checksum_identity_of_repeating_first_columns_across_chunks(seed,
     assert digest == oracle
 
 
+@pytest.mark.parametrize("arity", [2, 3])
+def test_checksum_identity_of_a_late_repeat(arity):
+    """A first column whose values are distinct over the first 4,096
+    rows and repeat later: the sorted order finds the repeat."""
+    n = 2 * result_module._CHUNK
+    first = [f"k{i}" for i in range(result_module._CHUNK)]
+    first += [first[i % 7] for i in range(n - len(first))]
+    # 7919 is prime to n: the second column is a permutation.
+    columns = [first, [(i * 7919) % n - 99 for i in range(n)],
+               [f"v{i % 5}" for i in range(n)]][:arity]
+    rows = list(zip(*columns))
+    assert len(set(rows)) == n
+    assert (result_module._columns_checksum(columns, n)
+            == rows_checksum(rows))
+
+
 def test_checksum_identity_checks_the_deadline_per_chunk(monkeypatch):
     calls = []
     monkeypatch.setattr(result_module, "check_deadline",
