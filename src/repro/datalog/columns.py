@@ -16,11 +16,12 @@ Three ideas, in the spirit of Souffle-style compiled Datalog:
   stores (``str`` hashes are computed in C and cached), never by
   :class:`Constant` objects.  The extensional part is built once per
   :class:`Database` into an immutable :class:`EdbImage` (C-level
-  ``itemgetter`` transpose, one distinct-values set pass per relation,
-  bulk ``map`` interning) and cached, so repeated evaluations over the
-  same database -- fixpoint probes, benchmark repeats, magic counts --
-  skip re-interning entirely.  The image cache lives in the ambient
-  session's cache scope (:mod:`repro.context`), so
+  ``itemgetter`` transpose, one sort of the distinct values so ids
+  follow value order, bulk ``map`` interning) and cached, so repeated
+  evaluations over the same database -- fixpoint probes, benchmark
+  repeats, magic counts -- skip re-interning entirely.  The image
+  cache lives in the ambient session's cache scope
+  (:mod:`repro.context`), so
   ``clear_shared_caches()`` / ``Session.clear_caches()`` drop it
   along with the automaton caches and two live sessions never share
   images.  The active domain is never maintained row by row: it is
@@ -76,7 +77,7 @@ from ..context import current_scope as _current_scope
 from .database import Database
 from .plan import OP_BIND, OP_CHECK, OP_CONST, PlanCache, ResolvedPlan
 from .program import Program
-from .result import EvaluationResult
+from .result import EvaluationResult, _numbers_first, _sorted
 from .terms import Constant
 
 __all__ = [
@@ -96,9 +97,8 @@ _EMPTY: tuple = ()
 #
 # A row (i0, ..., ik) of interned ids < B is identified by the single
 # int ((i0*B + i1)*B + i2)... -- positional base-B packing.  Python
-# ints are unbounded, so any arity works; packing and unpacking are
-# specialised for the common arities so the per-row work stays inside
-# comprehensions.
+# ints are unbounded, so any arity works; packing is specialised for
+# the common arities so the per-row work stays inside comprehensions.
 # ----------------------------------------------------------------------
 
 def _pack(cols: Sequence[Sequence[int]], n: int, base: int) -> List[int]:
@@ -119,40 +119,37 @@ def _pack(cols: Sequence[Sequence[int]], n: int, base: int) -> List[int]:
     return keys
 
 
-def _unpack(keys: Sequence[int], arity: int, base: int) -> List[List[int]]:
-    """Invert :func:`_pack`: per-row keys back into parallel columns."""
-    if arity == 0:
-        return []
-    if arity == 1:
-        return [list(keys)]
-    if arity == 2:
-        # Two plain int-op passes instead of one divmod pass that
-        # allocates a pair tuple per row.
-        return [[k // base for k in keys], [k % base for k in keys]]
-    cols: List[List[int]] = [[] for _ in range(arity)]
-    appends = [col.append for col in cols]
-    for key in keys:
-        for position in range(arity - 1, 0, -1):
-            key, value = divmod(key, base)
-            appends[position](value)
-        appends[0](key)
+def _unpack(keys: Iterable[int], arity: int, base: int,
+            table: Sequence) -> List[list]:
+    """Invert :func:`_pack`: per-row keys back into parallel columns,
+    each id read through *table* (``idents`` puts the interner's own
+    int objects in the columns, not the ints the arithmetic builds;
+    ``values`` puts the bare values).  *keys* is iterated once per
+    column, so a ``list`` or an unmodified ``set``."""
+    cols: List[list] = []
+    for power in range(arity - 1, -1, -1):
+        div = base ** power
+        if not cols:
+            cols.append([table[key // div] for key in keys])
+        elif power:
+            cols.append([table[key // div % base] for key in keys])
+        else:
+            cols.append([table[key % base] for key in keys])
     return cols
 
 
 class Batch:
     """A set of rows of one relation, in columnar form.
 
-    ``keys`` are the packed row identities (unique within the batch),
-    ``cols`` the parallel id columns, ``n`` the row count.  Batches are
-    how deltas travel between semi-naive rounds.
+    ``cols`` are the parallel id columns (distinct rows), ``n`` the row
+    count.  Batches are how deltas travel between semi-naive rounds.
     """
 
-    __slots__ = ("n", "keys", "cols")
+    __slots__ = ("n", "cols")
 
-    def __init__(self, keys: List[int], cols: Sequence[Sequence[int]]):
-        self.keys = keys
+    def __init__(self, cols: Sequence[List[int]], n: int):
         self.cols = cols
-        self.n = len(keys)
+        self.n = n
 
     def __bool__(self):
         return self.n > 0
@@ -165,26 +162,31 @@ class Batch:
 class EdbImage:
     """The immutable columnar form of one :class:`Database`.
 
-    Holds the interner (``ids``/``values``, keyed by bare values),
-    per-relation id columns, the extensional active domain (the
-    ``range`` of ids the build handed out), and lazily-built hash
+    Holds the interner (``ids``/``values``/``idents``, keyed by bare
+    values), per-relation id columns, the extensional active domain
+    (the ``range`` of ids the build handed out), and lazily-built hash
     indexes.  Shared across evaluations: :class:`ColumnStore` copies
     only the relations a program derives into.  The interner is
     deliberately *shared and append-only* -- later programs may add
     their constants, which never invalidates existing columns and never
     enters ``domain``.
+
+    The build numbers the database's distinct values in value order
+    (numbers first, the digest's row order): below ``ordered``
+    (``len(domain)``, or 0 when the values do not sort together) id
+    order is value order, independent of ``PYTHONHASHSEED``, and
+    sorting packed keys sorts rows by value.  ``idents`` lists the
+    id int objects by id.
     """
 
-    __slots__ = ("ids", "values", "cols", "counts", "domain", "indexes",
-                 "frozen", "version", "__weakref__")
+    __slots__ = ("ids", "values", "idents", "ordered", "cols", "counts",
+                 "domain", "indexes", "frozen", "version", "__weakref__")
 
     #: Bound on the materialized-view cache (``frozen``): distinct
     #: derived relations kept un-interned per image.
     _MAX_FROZEN = 16
 
     def __init__(self, database: Database):
-        self.ids: Dict[object, int] = {}
-        self.values: List[object] = []
         self.cols: Dict[str, Tuple[List[int], ...]] = {}
         self.counts: Dict[str, int] = {}
         self.indexes: Dict[Tuple[str, int], Dict[int, List[int]]] = {}
@@ -194,26 +196,36 @@ class EdbImage:
         # same program skip re-building 10^5 constant tuples.
         self.frozen: Dict[tuple, frozenset] = {}
         self.version = database.version()
-        ids, values = self.ids, self.values
+        relations = []
         for predicate, rows in database.relations():
             check_deadline()
-            if not rows:
-                continue
-            # C-level transpose: one itemgetter pass per column (two
-            # iterations of an unmodified set visit rows in one order).
-            columns = [list(map(itemgetter(position), rows))
-                       for position in range(database.arity(predicate))]
-            # The relation's distinct unseen values, numbered in C.
-            missing = list(set().union(*columns).difference(ids))
-            ids.update(zip(missing, range(len(values),
-                                          len(values) + len(missing))))
-            values.extend(missing)
-            self.cols[predicate] = tuple(list(map(ids.__getitem__, column))
+            if rows:
+                # C-level transpose: one itemgetter pass per column (two
+                # iterations of an unmodified set visit rows in one order).
+                relations.append((predicate, len(rows), [
+                    list(map(itemgetter(position), rows))
+                    for position in range(database.arity(predicate))]))
+        check_deadline()
+        distinct = set().union(*[column for _, _, columns in relations
+                                 for column in columns])
+        try:
+            self.values = _sorted(distinct, None, _numbers_first)
+            self.ordered = len(self.values)
+        except TypeError:  # values that do not sort together
+            self.values = list(distinct)
+            self.ordered = 0
+        del distinct  # the build's largest temporary, before the dict
+        self.idents = list(range(len(self.values)))
+        self.ids: Dict[object, int] = dict(zip(self.values, self.idents))
+        intern = self.ids.__getitem__
+        for predicate, count, columns in relations:
+            check_deadline()
+            self.cols[predicate] = tuple(list(map(intern, column))
                                          for column in columns)
-            self.counts[predicate] = len(rows)
-        # The interner started empty and every value above came from a
-        # column, so the extensional active domain is every id so far.
-        self.domain = range(len(values))
+            self.counts[predicate] = count
+        # Every value above came from a column, so the extensional
+        # active domain is every id so far.
+        self.domain = range(len(self.values))
 
     def index(self, predicate: str, position: int):
         """The (built-once) hash index on *position* of *predicate*,
@@ -330,6 +342,7 @@ class ColumnStore:
             ident = len(self._values)
             self._ids[value] = ident
             self._values.append(value)
+            self._image.idents.append(ident)
         self._constants.add(ident)
         return ident
 
@@ -406,17 +419,16 @@ class ColumnStore:
             existing.update(fresh)
         else:
             self._keys[predicate] = fresh
-        fresh_keys = list(fresh)
-        fresh_cols = _unpack(fresh_keys, arity, self.base)
+        fresh_cols = _unpack(fresh, arity, self.base, self._image.idents)
         cols = self._cols.get(predicate)
         if cols is None:
             cols = self._cols[predicate] = [[] for _ in range(arity)]
             self._counts[predicate] = 0
         for column, fresh_column in zip(cols, fresh_cols):
             column.extend(fresh_column)
-        self._counts[predicate] += len(fresh_keys)
+        self._counts[predicate] += len(fresh)
         self._arity.setdefault(predicate, arity)
-        return Batch(fresh_keys, fresh_cols)
+        return Batch(fresh_cols, len(fresh))
 
     def domain(self) -> List[int]:
         """The active domain, deterministically ordered (only consulted
@@ -437,11 +449,27 @@ class ColumnStore:
         """The predicates this store derives into."""
         return self._idb
 
-    def value_columns(self, predicate: str) -> List[List]:
-        """The relation's columns as lists of bare values, read off the
-        id columns (C-level ``map``); builds no :class:`Constant`."""
+    def sorted_chunks(self, predicate: str, size: int):
+        """The relation's rows in digest order, as bare-value columns
+        of *size* rows at a time, unpacked off its sorted packed keys
+        (id order is value order below the image's ``ordered``);
+        ``None`` when it holds an id at or above that (a program
+        constant the database lacks, or an image whose values do not
+        sort together)."""
+        cols = self.cols(predicate)
+        limit = self._image.ordered
+        if len(self._values) > limit and any(max(col) >= limit
+                                             for col in cols):
+            return None
+        keys = sorted(self.keyset(predicate))
+        return (_unpack(keys[start:start + size], len(cols), self.base,
+                        self._values)
+                for start in range(0, len(keys), size))
+
+    def value_rows(self, predicate: str):
+        """The relation's rows as bare-value tuples, unsorted."""
         getter = self._values.__getitem__
-        return [list(map(getter, col)) for col in self.cols(predicate)]
+        return zip(*[map(getter, col) for col in self.cols(predicate)])
 
     def unintern_rows(self, predicate: str):
         """The relation as a frozenset of constant tuples -- C-level
@@ -891,7 +919,6 @@ def columnar_seminaive(program: Program, database: Database,
         if current is None:
             deltas[predicate] = fresh
         else:
-            current.keys.extend(fresh.keys)
             for column, fresh_column in zip(current.cols, fresh.cols):
                 column.extend(fresh_column)
             current.n += fresh.n

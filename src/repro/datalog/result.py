@@ -11,18 +11,18 @@ read the interned id columns directly.
 
 :func:`rows_checksum` is the one digest format of a relation: the
 ``repr`` of its sorted bare-value rows.  The columnar checksum writes
-that same text from the value columns, a chunk of rows at a time,
-without building a row tuple, so the two agree byte for byte: in the
-first column's order when that column's values are distinct, else by
-sorting each row's value ranks packed into one int.
+that same text, a chunk of rows at a time, off the relation's packed
+id keys: the image interns its values in value order, so the sorted
+keys are the rows in digest order, and the two agree byte for byte.
+A relation holding an id outside that order (a program constant the
+database lacks) is digested by :func:`rows_checksum` itself.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import islice, repeat
-from operator import add, eq, floordiv, mod, mul
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..budget import check_deadline
 from .database import Database
@@ -67,62 +67,6 @@ def rows_checksum(rows) -> str:
     return hashlib.sha1(repr(rows).encode()).hexdigest()[:16]
 
 
-def _ranked_rows(columns: List[Sequence]) -> Iterator[str]:
-    """The row texts of a relation in digest order: its distinct
-    values sorted once, each row's value ranks packed into one int and
-    the ints sorted; each cell's text (brackets and separators
-    included) comes from one ``repr`` per value."""
-    values = _sorted(set().union(*columns), None, _numbers_first)
-    base = len(values)
-    rank = dict(zip(values, range(base))).__getitem__
-    keys = map(rank, columns[0])
-    for column in columns[1:]:
-        keys = map(add, map(mul, keys, repeat(base)), map(rank, column))
-    keys = sorted(keys)
-    texts = list(map(repr, values))
-    # Ranks unpack last column first.
-    cells = [map([text + ")" for text in texts].__getitem__,
-                 map(mod, keys, repeat(base)))]
-    for _ in columns[2:]:
-        keys = list(map(floordiv, keys, repeat(base)))
-        cells.append(map([text + ", " for text in texts].__getitem__,
-                         map(mod, keys, repeat(base))))
-    cells.append(map(["(" + text + ", " for text in texts].__getitem__,
-                     map(floordiv, keys, repeat(base))))
-    return map("".join, zip(*reversed(cells)))
-
-
-def _columns_checksum(columns: List[Sequence], n: int) -> str:
-    """``rows_checksum(zip(*columns))`` of *n* distinct rows, written
-    from the value columns: row positions sort by the first column
-    when its values are distinct, by :func:`_ranked_rows` when they
-    repeat, and each chunk of rows goes into the hash as its text."""
-    first = columns[0]
-    if len(columns) == 1:  # distinct 1-tuples sort as their values do
-        rows = map("(%r,)".__mod__, _sorted(first, None, _numbers_first))
-    elif len(set(islice(first, 256))) < min(n, 256):
-        # A repeat among the first rows, found without a set of all n
-        # values (4 MiB at 10^5 rows) or a sort.
-        rows = _ranked_rows(columns)
-    else:
-        order = _sorted(range(n), first.__getitem__,
-                        lambda i: _numbers_first(first[i]))
-        if any(map(eq, map(first.__getitem__, order),
-                   map(first.__getitem__, islice(order, 1, None)))):
-            rows = _ranked_rows(columns)
-        else:  # zip recycles its tuple once the row text is built.
-            fmt = "(" + ", ".join(["%r"] * len(columns)) + ")"
-            rows = map(fmt.__mod__, zip(*[map(column.__getitem__, order)
-                                          for column in columns]))
-    digest = hashlib.sha1(b"[")
-    for start in range(0, n, _CHUNK):
-        check_deadline()
-        text = ", ".join(islice(rows, _CHUNK))
-        digest.update(((", " if start else "") + text).encode())
-    digest.update(b"]")
-    return digest.hexdigest()[:16]
-
-
 class EvaluationResult:
     """Outcome of a bottom-up evaluation.
 
@@ -132,9 +76,9 @@ class EvaluationResult:
     actually reached.
 
     Built either from eager *idb* rows or from a columnar *store*
-    (anything with ``idb``, ``count``, ``unintern_rows`` and
-    ``value_columns``); in the latter case rows are un-interned per
-    predicate on first request and cached.
+    (anything with ``idb``, ``count``, ``cols``, ``unintern_rows``,
+    ``sorted_chunks`` and ``value_rows``); in the latter case rows are
+    un-interned per predicate on first request and cached.
     """
 
     __slots__ = ("stages", "fixpoint", "_rows", "_store", "_predicates")
@@ -174,16 +118,33 @@ class EvaluationResult:
 
     def checksum(self, predicate: str) -> str:
         """``rows_checksum(self.facts(predicate))``; columnar results
-        digest the bare-value columns instead, so neither a
-        :class:`Constant` nor a row tuple is built."""
-        if self._store is None or predicate not in self._predicates:
+        write the same text off the sorted packed id keys, a chunk of
+        rows at a time, so neither a :class:`Constant` nor a value
+        column is built."""
+        store = self._store
+        if store is None or predicate not in self._predicates:
             return rows_checksum(self.facts(predicate))
-        columns = self._store.value_columns(predicate)
-        n = self._store.count(predicate)
         check_deadline()
-        if not columns:  # nothing derived, or a 0-ary relation's empty row
+        n = store.count(predicate)
+        arity = len(store.cols(predicate))
+        if not arity:  # nothing derived, or a 0-ary relation's empty row
             return rows_checksum([()] if n else [])
-        return _columns_checksum(columns, n)
+        chunks = store.sorted_chunks(predicate, _CHUNK)
+        if chunks is None:  # an id outside the value order
+            return rows_checksum(store.value_rows(predicate))
+        digest = hashlib.sha1(b"[(")
+        for index, columns in enumerate(chunks):
+            check_deadline()
+            # Per row: the separator from the row before, then each
+            # cell's repr (a 1-tuple's ends in ","), joined in one run.
+            flat = [repeat("), (")]
+            for column in columns:
+                flat += [map(repr, column), repeat(", ")]
+            flat[-1:] = [repeat(",")] if arity == 1 else []
+            text = "".join(chain.from_iterable(zip(*flat))).encode()
+            digest.update(text[4:] if index == 0 else text)  # no row before
+        digest.update(b")]")
+        return digest.hexdigest()[:16]
 
     def as_database(self, base: Optional[Database] = None) -> Database:
         """The derived facts as a database, optionally merged onto *base*."""

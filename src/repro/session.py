@@ -551,7 +551,8 @@ class Session:
         The ``certificate`` (and ``raw``) is the full
         :class:`~repro.datalog.engine.EvaluationResult`; with ``goal=``
         the verdict gains ``count`` and the decision a row
-        ``checksum`` over the goal relation.
+        ``checksum`` over the goal relation.  ``deadline`` bounds the
+        evaluation and the digest.
         """
         if goal is not None:
             program.require_goal(goal)
@@ -560,6 +561,8 @@ class Session:
             with self._deadline(deadline), self.activated():
                 result = self._engine.evaluate(program, database,
                                                max_stages=max_stages)
+                evaluate_s = perf_counter() - start
+                checksum = None if goal is None else result.checksum(goal)
         except UnsafeProgramError as exc:
             # The EngineConfig(validate=True) gate: an unsafe program
             # becomes a typed error decision carrying the analyzer's
@@ -571,16 +574,14 @@ class Session:
             )
             decision.error = "invalid-program"
             return decision
-        timings = {"evaluate_s": perf_counter() - start}
+        timings = {"evaluate_s": evaluate_s}
         verdict: Dict[str, Any] = {
             "stages": result.stages,
             "fixpoint": result.fixpoint,
             "facts": sum(map(result.count, program.idb_predicates)),
         }
-        checksum = None
         if goal is not None:
             verdict["count"] = result.count(goal)
-            checksum = result.checksum(goal)
         return self._decision("evaluation", verdict, timings=timings,
                               checksum=checksum, certificate=result,
                               raw=result)

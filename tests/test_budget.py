@@ -9,7 +9,9 @@ import pytest
 from repro import __main__ as cli
 from repro.budget import BudgetExhausted, check_deadline, time_budget
 from repro.cq.containment import cq_contained_in_ucq
+from repro.datalog.database import Database
 from repro.datalog.engine import EngineConfig
+from repro.datalog.result import EvaluationResult
 from repro.datalog.unfold import expansion_union
 from repro.programs import transitive_closure, word
 from repro.programs.library import buys_bounded, buys_bounded_rewriting
@@ -127,6 +129,24 @@ def test_deadline_covers_the_unfolding_of_a_nonrecursive_target():
         Session().contains_nonrecursive(transitive_closure(), "p", word(12),
                                         "word12", deadline=0.05)
     assert time.monotonic() - started < 0.5
+
+
+def test_evaluate_deadline_covers_the_goal_digest(monkeypatch):
+    """A per-call deadline bounds the goal's row digest too, and a
+    budget that fires there clears the session's caches."""
+    digest = EvaluationResult.checksum
+
+    def slow_digest(result, predicate):
+        time.sleep(0.3)
+        return digest(result, predicate)
+
+    monkeypatch.setattr(EvaluationResult, "checksum", slow_digest)
+    session = Session()
+    database = Database.from_facts([("e", ("a", "b")), ("e0", ("b", "c"))])
+    with pytest.raises(BudgetExhausted):
+        session.evaluate(transitive_closure(), database, goal="p",
+                         deadline=0.15)
+    assert session.caches.total_entries() == 0
 
 
 def test_nonrecursive_containment_records_its_unfolding():

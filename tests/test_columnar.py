@@ -17,7 +17,11 @@ merge/restrict/copy), and the lazy result surface (id-column count and
 checksum, un-interning only on demand).
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +51,7 @@ from repro.workloads.scenarios import (
     get_scenario,
 )
 
+SRC = str(Path(result_module.__file__).resolve().parents[2])
 COLUMNAR = Engine(EngineConfig())
 INTERPRETIVE = Engine(EngineConfig(compiled=False))
 ENGINES = [COLUMNAR, INTERPRETIVE]
@@ -193,7 +198,7 @@ def test_packed_keys_round_trip(arity):
     cols = [list(col) for col in zip(*rows)] if arity else []
     keys = _pack(cols, len(rows), base)
     assert len(keys) == len(rows)
-    back = _unpack(keys, arity, base)
+    back = _unpack(keys, arity, base, range(base))
     assert [tuple(col[i] for col in back) for i in range(len(rows))] == rows
 
 
@@ -521,8 +526,8 @@ FEW_VALUES = st.lists(st.one_of(st.integers(-3, 3), DIGEST_VALUES),
 @settings(max_examples=80, deadline=None)
 @given(pool=FEW_VALUES, data=st.data(), arity=st.integers(2, 3))
 def test_checksum_identity_of_repeating_first_columns(pool, data, arity):
-    """Projections whose first column repeats take the rank-packed
-    digest: every column mixes ints and strs over few values."""
+    """Projections whose first column repeats: every column mixes
+    ints and strs over few values."""
     value = st.sampled_from(pool)
     rows = data.draw(st.lists(st.tuples(value, value, value), max_size=60))
     digest, oracle = _projection_checksums(rows, arity)
@@ -545,17 +550,120 @@ def test_checksum_identity_of_repeating_first_columns_across_chunks(seed,
 @pytest.mark.parametrize("arity", [2, 3])
 def test_checksum_identity_of_a_late_repeat(arity):
     """A first column whose values are distinct over the first 4,096
-    rows and repeat later: the sorted order finds the repeat."""
+    rows and repeat later."""
     n = 2 * result_module._CHUNK
     first = [f"k{i}" for i in range(result_module._CHUNK)]
     first += [first[i % 7] for i in range(n - len(first))]
     # 7919 is prime to n: the second column is a permutation.
-    columns = [first, [(i * 7919) % n - 99 for i in range(n)],
-               [f"v{i % 5}" for i in range(n)]][:arity]
-    rows = list(zip(*columns))
-    assert len(set(rows)) == n
-    assert (result_module._columns_checksum(columns, n)
-            == rows_checksum(rows))
+    rows = list(zip(first, [(i * 7919) % n - 99 for i in range(n)],
+                    [f"v{i % 5}" for i in range(n)]))
+    assert len({row[:arity] for row in rows}) == n
+    digest, oracle = _projection_checksums(rows, arity)
+    assert digest == oracle
+
+
+#: An image over mixed ints and strs, printed as its interner: values
+#: in id order, then each value's id.
+INTERNER_PROBE = """
+from repro.datalog.columns import edb_image
+from repro.datalog.database import Database
+database = Database()
+database.add_rows("e", [(3, "b"), ("a", -1), (10, "b'"), ("B", 2)])
+database.add_rows("f", [("zz",), (0,), ("a",)])
+image = edb_image(database)
+print(repr((image.values, [image.ids[value] for value in image.values])))
+"""
+
+
+def test_checksum_identity_interner_order():
+    """An image numbers its values in value order, numbers first, the
+    same under every ``PYTHONHASHSEED``."""
+    values = [-1, 0, 2, 3, 10, "B", "a", "b", "b'", "zz"]
+    expected = repr((values, list(range(len(values)))))
+    printed = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", INTERNER_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        printed.add(done.stdout.strip())
+    assert printed == {expected}
+    image = edb_image(gen.edges_database(gen.chain_edges(40), ("e",)))
+    assert image.values == sorted(image.values)
+    assert image.ordered == len(image.domain) == len(image.values)
+
+
+def _fallback_spy(monkeypatch):
+    """The predicates whose digest fell back to ``rows_checksum``."""
+    calls = []
+    value_rows = ColumnStore.value_rows
+
+    def spy(self, predicate):
+        calls.append(predicate)
+        return value_rows(self, predicate)
+
+    monkeypatch.setattr(ColumnStore, "value_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["naive", "seminaive"])
+def test_checksum_identity_of_the_fallback_digest(monkeypatch, strategy):
+    """A head constant the facts lack, and an image whose values do not
+    sort together, take ``rows_checksum``; a head constant the facts
+    hold does not."""
+    calls = _fallback_spy(monkeypatch)
+    engine = Engine(EngineConfig(strategy=strategy))
+    # aa sorts between a and b but is numbered after every EDB value.
+    program = parse_program("p(X, Y) :- e(X, Y).\np(aa, 0) :- e(X, Y).\n"
+                            "q(X, Y) :- e(X, Y), e(Y, X).\n"
+                            "held(X, a) :- e(X, Y).\n"
+                            "t(X) :- f(X).")
+    database = Database()
+    database.add_rows("e", [(1, "a"), ("a", 1), (2, "b"), ("b", -3)])
+    database.add_rows("f", [("a",), (7,)])
+
+    def digests_agree(predicates):
+        result = engine.evaluate(program, database)
+        for predicate in predicates:
+            rows = INTERPRETIVE.evaluate(program, database).facts(predicate)
+            assert result.checksum(predicate) == rows_checksum(rows)
+
+    digests_agree(["held", "p", "q", "t"])
+    assert calls == ["p"]
+    database.add_rows("g", [(None,)])  # None and ints do not compare
+    assert edb_image(database).ordered == 0
+    digests_agree(["q", "t"])
+    assert calls == ["p", "q", "t"]
+
+
+def test_no_benchmarked_evaluation_takes_the_fallback_digest(monkeypatch):
+    """Every registry evaluation goal, and the served transitive
+    closures of the service benchmark's eval shapes (random graphs of
+    24 nodes/40 edges and 100/200, graphs 0-3, unique constants), is
+    digested off its sorted packed keys."""
+    calls = _fallback_spy(monkeypatch)
+    names = [name for name, scenario in REGISTRY.items()
+             if scenario.kind == "evaluation"]
+    assert len(names) >= 9
+    for name in names:
+        decision = Session().run_scenario(name)
+        assert decision.ok and decision.checksum, name
+    program = parse_program("p(X, Y) :- e(X, Y).\n"
+                            "p(X, Y) :- e(X, Z), p(Z, Y).")
+    for nodes, edges in ((24, 40), (100, 200)):
+        for graph in range(4):
+            pairs = [(f"o{graph}{a}", f"o{graph}{b}")
+                     for a, b in gen.random_graph_edges(nodes, edges,
+                                                        seed=graph)]
+            facts = "\n".join(f"e({a}, {b})." for a, b in pairs)
+            decision = Session().evaluate(
+                program, Database.from_source(facts), goal="p")
+            assert decision.checksum == rows_checksum(
+                gen.reachable_pairs(pairs))
+    assert not calls
 
 
 def test_checksum_identity_checks_the_deadline_per_chunk(monkeypatch):
