@@ -1,10 +1,10 @@
-"""E15 -- automata substrate (Propositions 4.2, 4.3, 4.5, 4.6).
+"""E15 -- tree-automata substrate (Propositions 4.5, 4.6).
 
 Regenerates the substrate cost model the upper bounds rely on:
 
-* word/tree emptiness is cheap (reachability / bottom-up fixpoint);
-* containment is the expensive operation, with the antichain search
-  beating the complement-then-intersect route (ablation).
+* tree emptiness is cheap (a bottom-up fixpoint);
+* containment is the expensive operation, decided by the antichain
+  search.
 """
 
 import random
@@ -13,20 +13,6 @@ import pytest
 
 from repro.automata.tree import TreeAutomaton
 from repro.automata.tree import contained_in as tree_contained_in
-from repro.automata.word import NFA
-from repro.automata.word import contained_in as nfa_contained_in
-from repro.automata.word import contained_in_via_complement
-
-
-def ladder_nfa(size: int) -> NFA:
-    """Accepts words over {a, b} whose length is a multiple of size."""
-    states = [f"s{i}" for i in range(size)]
-    transitions = []
-    for i, state in enumerate(states):
-        target = states[(i + 1) % size]
-        transitions.append((state, "a", target))
-        transitions.append((state, "b", target))
-    return NFA.build("ab", states, [states[0]], [states[0]], transitions)
 
 
 def random_tree_automaton(rng: random.Random, size: int) -> TreeAutomaton:
@@ -38,26 +24,6 @@ def random_tree_automaton(rng: random.Random, size: int) -> TreeAutomaton:
                 (state, "f", (rng.choice(states), rng.choice(states)))
             )
     return TreeAutomaton.build(["f", "a"], states, [states[0]], transitions)
-
-
-@pytest.mark.parametrize("size", [8, 32])
-def test_nfa_emptiness(benchmark, size):
-    automaton = ladder_nfa(size)
-    assert not benchmark(automaton.is_empty)
-
-
-@pytest.mark.parametrize("size", [4, 6])
-def test_nfa_containment_antichain(benchmark, size):
-    left, right = ladder_nfa(size), ladder_nfa(2 * size)
-    verdict = benchmark(lambda: nfa_contained_in(right, left))
-    assert verdict  # multiples of 2k are multiples of k
-
-
-@pytest.mark.parametrize("size", [4, 6])
-def test_nfa_containment_complement_ablation(benchmark, size):
-    left, right = ladder_nfa(size), ladder_nfa(2 * size)
-    verdict = benchmark(lambda: contained_in_via_complement(right, left))
-    assert verdict
 
 
 @pytest.mark.parametrize("size", [4, 8])

@@ -41,7 +41,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.automata.tree import TreeAutomaton, find_counterexample_tree  # noqa: E402
-from repro.automata.word import NFA, find_counterexample_word  # noqa: E402
 from repro.datalog.engine import Engine, EngineConfig  # noqa: E402
 from repro.runner.trajectory import (  # noqa: E402
     AUTOMATA_TRAJECTORY,
@@ -160,27 +159,10 @@ def _random_nta(rng) -> TreeAutomaton:
     )
 
 
-def _random_nfa(rng, states: int, density: float = 0.3,
-                symbols: str = "ab") -> NFA:
-    names = [f"s{i}" for i in range(states)]
-    transitions = []
-    for source in names:
-        for symbol in symbols:
-            for target in names:
-                if rng.random() < density:
-                    transitions.append((source, symbol, target))
-    return NFA.build(
-        symbols, names, [names[0]],
-        [n for n in names if rng.random() < 0.4] or [names[-1]],
-        transitions,
-    )
-
-
 def automata_suite(repeats: int, smoke: bool):
     import random
 
     print("automata substrate:")
-    entries = []
     pairs = 4 if smoke else 16
     rng = random.Random(2024)
     tree_pairs = [(_random_nta(rng), _random_nta(rng)) for _ in range(pairs)]
@@ -189,30 +171,7 @@ def automata_suite(repeats: int, smoke: bool):
         for left, right in tree_pairs:
             find_counterexample_tree(left, right)
 
-    entries.append(time_kernel_case("tree_containment_batch", tree_batch, repeats))
-
-    size = 4 if smoke else 16
-    nfa_pairs = [(_random_nfa(rng, size), _random_nfa(rng, size)) for _ in range(pairs)]
-
-    def word_batch():
-        for left, right in nfa_pairs:
-            find_counterexample_word(left, right)
-
-    entries.append(time_kernel_case("word_containment_batch", word_batch, repeats))
-
-    # Sparse, wider-alphabet NFAs: the reachable subset space is large
-    # (hundreds of subset states), which is where the mask-based
-    # construction pays off.
-    det_size = 4 if smoke else 18
-    det_nfas = [_random_nfa(rng, det_size, density=0.1, symbols="abc")
-                for _ in range(4 if smoke else 8)]
-
-    def determinize_batch():
-        for automaton in det_nfas:
-            automaton.determinize()
-
-    entries.append(time_kernel_case("nfa_determinize_batch", determinize_batch, repeats))
-    return entries
+    return [time_kernel_case("tree_containment_batch", tree_batch, repeats)]
 
 
 def evaluation_verdict(session: Session, payload) -> dict:

@@ -1,12 +1,12 @@
 """The bitset automaton kernel: interned states and bitmask subsets.
 
 Every decision procedure in this codebase -- tree-automaton
-containment (Proposition 4.6), word-automaton containment
-(Proposition 4.3), the proof-tree profile fixpoint (Theorem 5.12) and
-the linear word pathway -- spends its time manipulating *subsets of a
-finite state space*: profiles, antichain entries, subset-construction
-states.  This module provides the shared representation that makes
-those loops cheap:
+containment (Proposition 4.6), the proof-tree profile fixpoint
+(Theorem 5.12) and the linear word pathway (the subset search of
+Proposition 4.3) -- spends its time manipulating *subsets of a finite
+state space*: profiles, antichain entries, subset-construction states.
+This module provides the shared representation that makes those loops
+cheap:
 
 * :class:`Interner` assigns each state a dense integer id on first
   sight, so a subset becomes a Python ``int`` bitmask and subset

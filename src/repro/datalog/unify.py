@@ -55,14 +55,6 @@ def unify_tuples(left: Sequence[Term], right: Sequence[Term],
     return current
 
 
-def unify_atoms(left: Atom, right: Atom,
-                subst: Optional[Substitution] = None) -> Optional[Substitution]:
-    """Unify two atoms (same predicate and arity required)."""
-    if left.predicate != right.predicate:
-        return None
-    return unify_tuples(left.args, right.args, subst)
-
-
 def apply_to_atom(atom: Atom, subst: Substitution) -> Atom:
     """Fully resolve every argument of *atom* under *subst*."""
     return Atom(atom.predicate, tuple(resolve(t, subst) for t in atom.args))

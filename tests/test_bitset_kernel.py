@@ -2,15 +2,14 @@
 
 Every search runs on the bitset kernel (interned states, bitmask
 subsets, memoized transitions).  Each one is checked against something
-that does not share its bookkeeping: NFA inclusion against the
-complement-and-intersect construction, tree inclusion and the Datalog
-containment pathways against the certificate checker
-(:mod:`repro.core.certificate`) on positive verdicts and against
-membership / counterexample databases on negative ones, and the
-subset constructions against enumerated words and trees.
+that does not share its bookkeeping: tree inclusion against membership
+of its counterexamples and the certificate checker
+(:mod:`repro.core.certificate`) on its invariants, the Datalog
+containment pathways against the certificate checker on positive
+verdicts and against membership / counterexample databases on negative
+ones, and the subset construction against enumerated trees.
 """
 
-import itertools
 import random
 
 import pytest
@@ -22,12 +21,6 @@ from repro.automata.tree import (
     TreeAutomaton,
     path_tree,
     search_tree_inclusion,
-)
-from repro.automata.word import (
-    NFA,
-    contained_in_via_complement,
-    enumerate_words,
-    find_counterexample_word,
 )
 from repro.core.boundedness import decide_boundedness
 from repro.core.certificate import check_certificate, check_invariant
@@ -232,66 +225,6 @@ class TestDeepTrees:
         for _ in range(200):
             node = LabeledTree("f", (node, node))
         assert automaton.accepts(node)
-
-
-# ----------------------------------------------------------------------
-# Word automata against complementation and enumerated words.
-# ----------------------------------------------------------------------
-
-def random_nfa(rng: random.Random, states: int = 3) -> NFA:
-    names = [f"s{i}" for i in range(states)]
-    transitions = []
-    for source in names:
-        for symbol in "ab":
-            for target in names:
-                if rng.random() < 0.35:
-                    transitions.append((source, symbol, target))
-    return NFA.build(
-        "ab",
-        names,
-        [rng.choice(names)],
-        [n for n in names if rng.random() < 0.5] or [names[-1]],
-        transitions,
-    )
-
-
-class TestWordAutomatonDifferential:
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_containment_agrees(self, seed):
-        # The antichain search against complement-and-intersect.
-        rng = random.Random(seed)
-        left, right = random_nfa(rng), random_nfa(rng)
-        witness = find_counterexample_word(left, right)
-        assert (witness is None) == contained_in_via_complement(left, right)
-        if witness is not None:
-            assert left.accepts(witness)
-            assert not right.accepts(witness)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_determinize_preserves_language(self, seed):
-        rng = random.Random(seed)
-        nfa = random_nfa(rng)
-        dfa = nfa.determinize()
-        assert len(dfa.initial) == 1
-        assert all(len(targets) == 1 for targets in dfa.transitions.values())
-        assert len(dfa.transitions) == len(dfa.states) * len(dfa.alphabet)
-        assert set(enumerate_words(dfa, 6)) == set(enumerate_words(nfa, 6))
-        for length in range(5):
-            for word in itertools.product("ab", repeat=length):
-                assert dfa.accepts(word) == nfa.accepts(word)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_complement_language_unchanged(self, seed):
-        rng = random.Random(seed)
-        nfa = random_nfa(rng)
-        complemented = nfa.complement()
-        accepted = set(enumerate_words(nfa, 4))
-        rejected = set(enumerate_words(complemented, 4))
-        assert accepted.isdisjoint(rejected)
-        for length in range(5):
-            total = sum(1 for word in accepted if len(word) == length)
-            total += sum(1 for word in rejected if len(word) == length)
-            assert total == 2 ** length
 
 
 # ----------------------------------------------------------------------

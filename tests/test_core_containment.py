@@ -145,18 +145,28 @@ class TestDifferential:
                 assert brute
 
     def test_tree_and_word_pathways_agree(self, tc_program, buys1, buys2):
+        # The word pathway's oracle: the tree pathway shares none of its
+        # subset search.  The last two cases are the right-linear pair
+        # that reaches the word automata through contained_in_ucq
+        # (contained by construction) and its junk disjunct alone (not).
+        right_linear, linear_goal, covering = automata_pair("word")
         cases = [
             (tc_program, "p", expansion_union(tc_program, "p", 2)),
             (tc_program, "p",
              ucq(cq("p(X0, X1)", "e0(X0, X1)"), cq("p(X0, X1)", "e(X0, Z)"))),
             (buys1, "buys", ucq(cq("buys(X0, X1)", "likes(Z, X1)"))),
             (buys2, "buys", ucq(cq("buys(X0, X1)", "likes(Z, X1)"))),
+            (right_linear, linear_goal, covering),
+            (right_linear, linear_goal, ucq(covering.disjuncts[-1])),
         ]
+        verdicts = []
         for program, goal, union in cases:
             tree = datalog_contained_in_ucq(program, goal, union).contained
             word = datalog_contained_in_ucq_linear(
                 program, goal, union).contained
             assert tree == word, (goal, str(union))
+            verdicts.append(tree)
+        assert verdicts[-2:] == [True, False]
 
     def test_antichain_ablation_agrees(self, tc_program):
         union = ucq(cq("p(X0, X1)", "e0(X0, X1)"), cq("p(X0, X1)", "e(X0, Z)"))

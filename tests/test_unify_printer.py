@@ -3,12 +3,11 @@
 import pytest
 
 from repro.datalog.parser import parse_atom, parse_program
-from repro.datalog.printer import program_to_source, side_by_side
+from repro.datalog.printer import program_to_source
 from repro.datalog.terms import Constant, Variable
 from repro.datalog.unify import (
     apply_to_atom,
     resolve,
-    unify_atoms,
     unify_terms,
     unify_tuples,
 )
@@ -37,9 +36,6 @@ class TestUnify:
 
     def test_tuples_length_mismatch(self):
         assert unify_tuples((Variable("X"),), (), {}) is None
-
-    def test_atoms_predicate_mismatch(self):
-        assert unify_atoms(parse_atom("p(X)"), parse_atom("q(X)")) is None
 
     def test_repeated_variable_forces_equality(self):
         subst = unify_tuples(
@@ -88,9 +84,3 @@ class TestPrinter:
         assert parse_program(grouped).rules != program.rules  # reordered
         blocks = grouped.split("\n\n")
         assert len(blocks) == 2
-
-    def test_side_by_side(self):
-        text = side_by_side("left1\nleft2", "right1", titles=["L", "R"])
-        lines = text.splitlines()
-        assert "L" in lines[0] and "R" in lines[0]
-        assert any("left2" in line for line in lines)
